@@ -102,7 +102,7 @@ func (h *Hypervisor) containCrash(vm *VM, reason string) bool {
 	}
 	vm.s2cache.Flush()
 	h.revokeGrants(vm)
-	vm.mailbox = nil
+	vm.clearMailbox()
 	h.lifecycle("crash", vm, reason)
 	h.armWatchdog(vm)
 	return true
@@ -214,7 +214,7 @@ func (h *Hypervisor) recoverVM(vm *VM) {
 		}
 		vm.nextShareIPA = shareIPABase
 	}
-	vm.mailbox = nil
+	vm.clearMailbox()
 	vm.restarts++
 	vm.state = VMRunning
 	h.stats.Restarts++

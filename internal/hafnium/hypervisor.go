@@ -98,15 +98,47 @@ type Hypervisor struct {
 }
 
 // metric returns the VM-labelled el2 counter for name (cold paths; hot
-// paths cache pointers at build time).
+// paths cache their counters on the VM).
 func (h *Hypervisor) metric(name string, vm *VM) *metrics.Counter {
 	return h.node.Metrics.Counter(metrics.K("el2", name).WithVM(vm.spec.Name))
 }
 
-// hypercall counts one ABI invocation by function name, attributed to
-// the VM it concerns.
-func (h *Hypervisor) hypercall(fn string, vm *VM) {
-	h.node.Metrics.Counter(metrics.K("el2", "hypercall."+fn).WithVM(vm.spec.Name)).Inc()
+// hcKind is a hypercall's ABI function. It indexes each VM's cached
+// el2.hypercall.<fn> counters.
+type hcKind uint8
+
+// The hypercall functions counted per VM.
+const (
+	hcExit hcKind = iota
+	hcRun
+	hcMsgSend
+	hcMsgRecv
+	hcMemShare
+	hcMemLend
+	hcMemDonate
+	hcMemReclaim
+	hcNotify
+	numHypercalls
+)
+
+// hcNames are the el2 counter names of the hypercall kinds.
+var hcNames = [numHypercalls]string{
+	hcExit:       "hypercall.exit",
+	hcRun:        "hypercall.run",
+	hcMsgSend:    "hypercall.msg_send",
+	hcMsgRecv:    "hypercall.msg_recv",
+	hcMemShare:   "hypercall.mem_share",
+	hcMemLend:    "hypercall.mem_lend",
+	hcMemDonate:  "hypercall.mem_donate",
+	hcMemReclaim: "hypercall.mem_reclaim",
+	hcNotify:     "hypercall.notify",
+}
+
+// hypercall counts one ABI invocation, attributed to the VM it concerns.
+// The counter is registered on the VM's first call of that kind and
+// cached on the VM from then on.
+func (h *Hypervisor) hypercall(kind hcKind, vm *VM) {
+	h.node.Metrics.CachedCounter(&vm.mHypercalls[kind], metrics.K("el2", hcNames[kind]).WithVM(vm.spec.Name)).Inc()
 }
 
 // worldSwitch accounts one world switch for vm with the EL2 cycle cost
@@ -443,7 +475,9 @@ func (h *Hypervisor) drainPending(c *machine.Core, vc *VCPU) {
 		return
 	}
 	virq := vc.pending[0]
-	vc.pending = vc.pending[1:]
+	// Shift rather than reslice, so the queue keeps its front capacity
+	// and pendVIRQ's append never has to grow it again.
+	vc.pending = vc.pending[:copy(vc.pending, vc.pending[1:])]
 	h.stats.Injections++
 	vc.vm.mInjections.Inc()
 	costs := h.node.Costs
@@ -542,7 +576,7 @@ func (h *Hypervisor) guestExit(vc *VCPU, reason ExitReason) {
 	h.parkVTimer(vc, id)
 	h.cur[id] = nil
 	costs := h.node.Costs
-	h.hypercall("exit", vc.vm)
+	h.hypercall(hcExit, vc.vm)
 	h.worldSwitch(vc.vm, costs.HypTrap+costs.WorldSwitch)
 	c.ExecUninterruptible("el2.exit", costs.HypTrap+costs.WorldSwitch, func() {
 		h.primaryOS.VCPUExited(c, vc, reason)
@@ -601,7 +635,7 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 	}
 	h.stats.Runs++
 	vc.vm.mRuns.Inc()
-	h.hypercall("run", vc.vm)
+	h.hypercall(hcRun, vc.vm)
 	vc.state = VCPURunning
 	vc.core = id
 	vc.runs++
@@ -633,10 +667,14 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 	// Detach the saved frames now: the VCPU is resident from this point,
 	// so a primary-bound interrupt during the entry window switches it
 	// back out and must not clobber the context being restored (the
-	// interrupted entry becomes part of the frame chain instead).
-	frames := vc.saved
+	// interrupted entry becomes part of the frame chain instead). They
+	// wait on the VCPU, not in the callback, so a snapshot taken inside
+	// the window records them.
+	vc.entering = vc.saved
 	vc.saved = nil
 	c.ExecUninterruptible("el2.run", entry, func() {
+		frames := vc.entering
+		vc.entering = nil
 		if !vc.booted {
 			vc.booted = true
 			vc.vm.guest.Boot(vc)
@@ -744,7 +782,7 @@ func (h *Hypervisor) InjectDeviceIRQ(to VMID, virq int) error {
 		return ErrNotRunning
 	}
 	h.stats.Forwards++
-	h.metric("device_forwards", vm).Inc()
+	h.node.Metrics.CachedCounter(&vm.mForwards, metrics.K("el2", "device_forwards").WithVM(vm.spec.Name)).Inc()
 	h.pendToVM(vm, virq)
 	return nil
 }
@@ -826,14 +864,17 @@ func (h *Hypervisor) msgSend(from, to VMID, payload []byte) error {
 	if dst.state != VMRunning {
 		return ErrNotRunning
 	}
-	if dst.mailbox != nil {
+	if dst.mailboxFull {
 		return ErrBusy
 	}
+	// The copy is the receiver's mailbox page: the sender may reuse its
+	// buffer as soon as the call returns.
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
-	dst.mailbox = &Message{From: from, Payload: cp}
+	dst.mailbox = Message{From: from, Payload: cp}
+	dst.mailboxFull = true
 	h.stats.Messages++
-	h.hypercall("msg_send", src)
+	h.hypercall(hcMsgSend, src)
 	if dst.spec.Class == Primary {
 		// Notify the primary with a mailbox SGI on core 0; if a guest is
 		// resident there, the SGI world-switches it out like any
@@ -865,12 +906,12 @@ func (h *Hypervisor) msgRecv(id VMID) (Message, error) {
 	if !ok {
 		return Message{}, ErrBadVM
 	}
-	if vm.mailbox == nil {
+	if !vm.mailboxFull {
 		return Message{}, ErrEmpty
 	}
-	msg := *vm.mailbox
-	vm.mailbox = nil
-	h.hypercall("msg_recv", vm)
+	msg := vm.mailbox
+	vm.clearMailbox()
+	h.hypercall(hcMsgRecv, vm)
 	return msg, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"khsim/internal/gic"
 	"khsim/internal/machine"
+	"khsim/internal/metrics"
 	"khsim/internal/sim"
 	"khsim/internal/timer"
 )
@@ -531,5 +532,37 @@ func TestRefillCostPoliciesDiffer(t *testing.T) {
 	tagged := run("vmid-tagged", 16)
 	if flushAll <= tagged {
 		t.Fatalf("flush-all (%v) should cost more than vmid-tagged (%v)", flushAll, tagged)
+	}
+}
+
+// TestHypercallCountersLazyAndAllocFree pins the cached EL2 counters: a
+// hypercall series appears in the registry only once the VM has made
+// that call, each kind publishes under the name the string-keyed lookup
+// used to build, and a warm counter bump allocates nothing.
+func TestHypercallCountersLazyAndAllocFree(t *testing.T) {
+	g := &stubGuest{workChunk: sim.FromMicros(10), chunks: 1}
+	h, _ := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": g})
+	job, _ := h.VMByName("job")
+	mx := h.Node().Metrics
+	key := metrics.K("el2", "hypercall.msg_send").WithVM("job")
+	if _, ok := mx.Snapshot().Counter(key); ok {
+		t.Fatal("hypercall series registered before the first call")
+	}
+	h.hypercall(hcMsgSend, job)
+	if v, ok := mx.Snapshot().Counter(key); !ok || v != 1 {
+		t.Fatalf("after one call: %s = %d (registered %v), want 1", key, v, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.hypercall(hcMsgSend, job) }); n != 0 {
+		t.Fatalf("warm hypercall counter bump allocates %v objects", n)
+	}
+	for _, k := range []ShareKind{MemShare, MemLend, MemDonate, ShareKind(7)} {
+		if got, want := hcNames[k.hypercall()], "hypercall.mem_"+k.String(); got != want {
+			t.Errorf("%v publishes as %q, want %q", k, got, want)
+		}
+	}
+	for k, name := range hcNames {
+		if name == "" {
+			t.Errorf("hypercall kind %d has no counter name", k)
+		}
 	}
 }

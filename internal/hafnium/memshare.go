@@ -31,6 +31,19 @@ func (k ShareKind) String() string {
 	}
 }
 
+// hypercall reports the FFA_MEM_* function the kind is invoked through
+// (String's mapping: anything but share or lend counts as a donate).
+func (k ShareKind) hypercall() hcKind {
+	switch k {
+	case MemShare:
+		return hcMemShare
+	case MemLend:
+		return hcMemLend
+	default:
+		return hcMemDonate
+	}
+}
+
 // Grant describes an active memory grant.
 type Grant struct {
 	ID      uint64
@@ -77,7 +90,7 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 	if !ok {
 		return 0, 0, ErrBadVM
 	}
-	h.hypercall("mem_"+kind.String(), src)
+	h.hypercall(kind.hypercall(), src)
 	if size == 0 || ipa%mem.PageSize != 0 || size%mem.PageSize != 0 {
 		return 0, 0, fmt.Errorf("hafnium: %v of unaligned region [%#x,+%#x)", kind, ipa, size)
 	}
@@ -176,7 +189,7 @@ func (h *Hypervisor) ReclaimMemory(by VMID, grantID uint64) error {
 		return fmt.Errorf("hafnium: no active grant %d", grantID)
 	}
 	if v, known := h.vms[by]; known {
-		h.hypercall("mem_reclaim", v)
+		h.hypercall(hcMemReclaim, v)
 	}
 	if rec.From != by {
 		return fmt.Errorf("hafnium: VM %d cannot reclaim grant %d owned by VM %d", by, grantID, rec.From)

@@ -235,7 +235,7 @@ func (h *Hypervisor) ReleaseMigrated(id VMID) error {
 	}
 	vm.s2cache.Flush()
 	h.revokeGrants(vm)
-	vm.mailbox = nil
+	vm.clearMailbox()
 	vm.state = VMStopped
 	for _, vc := range vm.vcpus {
 		vc.state = VCPUStopped

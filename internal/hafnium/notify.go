@@ -35,7 +35,7 @@ func (h *Hypervisor) Notify(from, to VMID) error {
 		return ErrDenied
 	}
 	h.stats.Notifications++
-	h.hypercall("notify", src)
+	h.hypercall(hcNotify, src)
 	if dst.spec.Class == Primary {
 		return h.node.GIC.SendSGI(0, VIRQNotification)
 	}

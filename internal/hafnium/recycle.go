@@ -107,7 +107,7 @@ func (h *Hypervisor) RecycleVM(id VMID, warm bool) (bool, error) {
 		h.metric("scrubbed_pages", vm).Add(all)
 		h.lifecycle("recycle-cold", vm, "")
 	}
-	vm.mailbox = nil
+	vm.clearMailbox()
 	for _, vc := range vm.vcpus {
 		vc.pending = nil
 		vc.saved = nil

@@ -10,15 +10,17 @@ import (
 )
 
 // vcpuSnap is one VCPU's snapshot: scheduling state plus the saved
-// execution context (suspension-stack frames with their progress
-// fields) and the virtual-timer registers.
+// execution context (suspension-stack frames, and frames waiting out an
+// el2.run entry, each with its whole value) and the virtual-timer
+// registers.
 type vcpuSnap struct {
-	state   VCPUState
-	core    int
-	saved   []*machine.Activity
-	acts    []machine.ActivityState
-	pending []int
-	booted  bool
+	state    VCPUState
+	core     int
+	saved    []*machine.Activity
+	entering []*machine.Activity
+	acts     []machine.ActivityState
+	pending  []int
+	booted   bool
 
 	vtArmed     bool
 	vtDeadline  sim.Time
@@ -38,7 +40,8 @@ type vmSnap struct {
 	s2cache      *mmu.WalkCache
 	s2cacheSt    sim.State
 	nextShareIPA uint64
-	mailbox      *Message
+	mailbox      Message
+	mailboxFull  bool
 	mmio         []mem.Region
 	restarts     int
 	watchdog     sim.Event
@@ -120,16 +123,16 @@ func (h *Hypervisor) Snapshot() sim.State {
 			warmS2:       vm.warmS2,
 			warmShareIPA: vm.warmShareIPA,
 		}
-		if vm.mailbox != nil {
-			mb := *vm.mailbox
-			mb.Payload = append([]byte(nil), vm.mailbox.Payload...)
-			vs.mailbox = &mb
+		if vm.mailboxFull {
+			vs.mailbox = Message{From: vm.mailbox.From, Payload: append([]byte(nil), vm.mailbox.Payload...)}
+			vs.mailboxFull = true
 		}
 		for _, vc := range vm.vcpus {
 			cs := vcpuSnap{
 				state:       vc.state,
 				core:        vc.core,
 				saved:       append([]*machine.Activity(nil), vc.saved...),
+				entering:    append([]*machine.Activity(nil), vc.entering...),
 				pending:     append([]int(nil), vc.pending...),
 				booted:      vc.booted,
 				vtArmed:     vc.vtArmed,
@@ -138,6 +141,9 @@ func (h *Hypervisor) Snapshot() sim.State {
 				runs:        vc.runs,
 			}
 			for _, a := range vc.saved {
+				cs.acts = append(cs.acts, machine.SnapshotActivity(a))
+			}
+			for _, a := range vc.entering {
 				cs.acts = append(cs.acts, machine.SnapshotActivity(a))
 			}
 			vs.vcpus = append(vs.vcpus, cs)
@@ -196,11 +202,10 @@ func (h *Hypervisor) Restore(st sim.State) {
 		vm.s2cache = vs.s2cache
 		vm.s2cache.Restore(vs.s2cacheSt)
 		vm.nextShareIPA = vs.nextShareIPA
-		vm.mailbox = nil
-		if vs.mailbox != nil {
-			mb := *vs.mailbox
-			mb.Payload = append([]byte(nil), vs.mailbox.Payload...)
-			vm.mailbox = &mb
+		vm.clearMailbox()
+		if vs.mailboxFull {
+			vm.mailbox = Message{From: vs.mailbox.From, Payload: append([]byte(nil), vs.mailbox.Payload...)}
+			vm.mailboxFull = true
 		}
 		vm.mmio = append(vm.mmio[:0], vs.mmio...)
 		vm.restarts = vs.restarts
@@ -213,6 +218,7 @@ func (h *Hypervisor) Restore(st sim.State) {
 			vc.state = cs.state
 			vc.core = cs.core
 			vc.saved = append(vc.saved[:0], cs.saved...)
+			vc.entering = append([]*machine.Activity(nil), cs.entering...)
 			for _, as := range cs.acts {
 				as.Restore()
 			}

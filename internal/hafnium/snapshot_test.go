@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"khsim/internal/sim"
+	"khsim/internal/timer"
 )
 
 const warmRestartManifest = `
@@ -137,5 +138,44 @@ func TestNodeRestoreReplaysCrashIdentically(t *testing.T) {
 	}
 	if len(ev1) < 2 {
 		t.Fatalf("episode produced %d lifecycle events, want crash+restart: %v", len(ev1), ev1)
+	}
+}
+
+// TestSnapshotInsideEntryWindow takes a node snapshot while an el2.run
+// entry is restoring a switched-out guest's frames, after which the
+// frames are held by neither the core nor the VCPU's saved stack. The
+// replay after a restore must resume the same suspended work: same
+// completion time, busy time and event count.
+func TestSnapshotInsideEntryWindow(t *testing.T) {
+	g := &stubGuest{workChunk: sim.FromMicros(100), chunks: 1}
+	h, p := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": g})
+	p.rerun = true
+	node := h.Node()
+	c := node.Cores[0]
+	job, _ := h.VMByName("job")
+	vc := job.VCPU(0)
+	if err := h.RunVCPU(c, vc); err != nil {
+		t.Fatal(err)
+	}
+	// A primary-owned tick 30 µs into the guest's chunk switches it out
+	// with the chunk suspended; the stub primary then re-runs it.
+	node.Timers.Core(0).Arm(timer.Phys, sim.Time(sim.FromMicros(30)))
+	for !(len(vc.entering) > 0 && c.Current() != nil && c.Current().Label == "el2.run") {
+		if !node.Engine.Step() {
+			t.Fatal("the guest was never re-entered with saved frames")
+		}
+	}
+	snap := node.Snapshot()
+	run := func() string {
+		node.Engine.RunAll()
+		return fmt.Sprintf("now=%v busy=%v fired=%d", node.Now(), c.BusyTime(), node.Engine.Fired())
+	}
+	first := run()
+	if g.completed != 1 {
+		t.Fatalf("guest completed %d chunks, want 1", g.completed)
+	}
+	node.Restore(snap)
+	if second := run(); second != first {
+		t.Fatalf("replay from inside the entry window diverged:\n  first:  %s\n  second: %s", first, second)
 	}
 }

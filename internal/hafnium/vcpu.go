@@ -19,9 +19,12 @@ type VCPU struct {
 	state VCPUState
 	core  int // physical core while running, else -1
 
-	saved   []*machine.Activity // full suspension stack, bottom first
-	pending []int               // queued virtual interrupts (deduplicated)
-	booted  bool
+	saved []*machine.Activity // full suspension stack, bottom first
+	// entering holds the saved frames between RunVCPU and the end of its
+	// el2.run entry, when they go back on the core.
+	entering []*machine.Activity
+	pending  []int // queued virtual interrupts (deduplicated)
+	booted   bool
 
 	vtArmed     bool
 	vtDeadline  sim.Time

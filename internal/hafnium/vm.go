@@ -79,7 +79,9 @@ type VM struct {
 	ramSize uint64
 
 	nextShareIPA uint64
-	mailbox      *Message
+	// mailbox is the VM's one-slot receive buffer, valid while mailboxFull.
+	mailbox     Message
+	mailboxFull bool
 
 	mmio []mem.Region // device windows mapped into this VM
 
@@ -100,6 +102,11 @@ type VM struct {
 	mInjections    *metrics.Counter
 	mStage2Faults  *metrics.Counter
 	mRuns          *metrics.Counter
+	// Hot-path counters cached on first use instead: these series appear
+	// in a snapshot only once the VM has made that call (a pre-registered
+	// zero series would change the snapshot).
+	mHypercalls [numHypercalls]*metrics.Counter
+	mForwards   *metrics.Counter
 }
 
 // ID reports the VM's identifier.
@@ -126,11 +133,14 @@ func (v *VM) Spec() VMSpec { return v.spec }
 // Node returns the machine the VM's hypervisor runs on.
 func (v *VM) Node() *machine.Node { return v.hyp.node }
 
-// Metric returns the VM-labelled counter guest.<name> from the node
-// registry; guest kernels use it to publish their own activity (ticks,
-// device IRQs) under this VM's label.
-func (v *VM) Metric(name string) *metrics.Counter {
-	return v.hyp.node.Metrics.Counter(metrics.K("guest", name).WithVM(v.spec.Name))
+// CachedMetric returns the VM-labelled counter guest.<name> from the node
+// registry through a caller-owned cache slot: guest kernels use it to
+// publish their own activity (ticks, device IRQs) under this VM's label.
+// The series is registered on first use and *slot serves every later
+// call (metrics.Registry.CachedCounter). The slot belongs to this VM; a
+// caller that serves several VMs keeps one per VM.
+func (v *VM) CachedMetric(slot **metrics.Counter, name string) *metrics.Counter {
+	return v.hyp.node.Metrics.CachedCounter(slot, metrics.K("guest", name).WithVM(v.spec.Name))
 }
 
 // VCPU returns the i'th virtual CPU.
@@ -150,6 +160,9 @@ func (v *VM) Stage2() *mmu.Table { return v.stage2 }
 
 // RAM reports the guest-physical RAM window [GuestRAMBase, +size).
 func (v *VM) RAM() (ipaBase uint64, size uint64) { return GuestRAMBase, v.ramSize }
+
+// clearMailbox empties the VM's mailbox slot.
+func (v *VM) clearMailbox() { v.mailbox, v.mailboxFull = Message{}, false }
 
 // MMIO returns the device windows this VM may touch.
 func (v *VM) MMIO() []mem.Region {

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"testing"
 
+	"khsim/internal/core"
+	"khsim/internal/serve"
 	"khsim/internal/sim"
 	"khsim/internal/workload"
 )
@@ -84,4 +86,52 @@ func TestBenchTableParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServingRegistryGolden pins the full metrics-registry snapshot of a
+// short serving run under each primary: every series the hypervisor,
+// kernels, guests and pool register, with its value, plus the pull-side
+// gauges. The hashes were captured before the hot-path counters became
+// lazily cached slots, so they prove the cached counters register
+// exactly the series the per-call lookups did, no more and no fewer.
+func TestServingRegistryGolden(t *testing.T) {
+	want := map[core.Scheduler]string{
+		core.SchedulerKitten: "e8890cde555b70594e50058145b1b163ee10b2223f012d8a344e26e24e77ca7a",
+		core.SchedulerLinux:  "15446b87daa5d7e3b1f71c72cb54ccce86da8fa0e25c4af04db0874c2ea56893",
+	}
+	for sched, hash := range want {
+		n, _ := startServingCell(t, sched, 4000, sim.FromSeconds(0.1))
+		n.Run(sim.FromSeconds(0.15))
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(n.Machine.SnapshotMetrics().Text())))
+		if got != hash {
+			t.Errorf("%v: registry snapshot hash = %s, want %s", sched, got, hash)
+		}
+	}
+}
+
+// startServingCell boots one node of the built-in serving scenario under
+// the given primary and starts its pool at rate jobs/s, with arrivals
+// generated for run of simulated time. The caller runs the node.
+func startServingCell(t *testing.T, sched core.Scheduler, rate float64, run sim.Duration) (*core.SecureNode, *serve.Pool) {
+	t.Helper()
+	cfg, err := serve.ParseManifest(ServingManifestText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Run = run
+	n, err := core.NewSecureNode(core.Options{Seed: 1, Manifest: cfg.NodePlan, Scheduler: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := serve.NewPool(n, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(rate); err != nil {
+		t.Fatal(err)
+	}
+	return n, p
 }

@@ -86,7 +86,8 @@ func (c *CFS) PickNext() *Entity {
 		return nil
 	}
 	e := c.queue[0]
-	c.queue = c.queue[1:]
+	// Shift rather than reslice, so insert's append reuses the capacity.
+	c.queue = c.queue[:copy(c.queue, c.queue[1:])]
 	e.onRQ = false
 	c.running = e
 	if e.vruntime > c.minv {

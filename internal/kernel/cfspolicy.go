@@ -55,6 +55,10 @@ type CFSPolicy struct {
 	tickAt []sim.Time
 	wakes  [][]wake
 	rng    *sim.RNG
+
+	// The tick and context-switch labels are built once at Attach (each
+	// kthread's activation label lives on its task).
+	labelTick, labelCtxsw string
 }
 
 // NewCFSPolicy builds the policy from its tunables.
@@ -64,6 +68,8 @@ func NewCFSPolicy(p CFSParams) *CFSPolicy { return &CFSPolicy{p: p} }
 // the per-core runqueues.
 func (p *CFSPolicy) Attach(k *Kernel) {
 	p.k = k
+	p.labelTick = k.cfg.Label + ".tick"
+	p.labelCtxsw = k.cfg.Label + ".ctxsw"
 	p.tickAt = make([]sim.Time, len(k.node.Cores))
 	p.wakes = make([][]wake, len(k.node.Cores))
 	p.rng = k.node.Engine.RNG().Split(0x11b)
@@ -156,7 +162,7 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 	if cost == 0 {
 		cost = p.p.WakeCost / 2 // spurious hrtimer reprogram
 	}
-	c.Exec(k.cfg.Label+".tick", cost, func() {
+	c.Exec(p.labelTick, cost, func() {
 		for _, t := range woken {
 			k.wakeups++
 			k.mWakeups.Inc()
@@ -189,7 +195,7 @@ func (p *CFSPolicy) reschedule(c *machine.Core) {
 	canSwitch := (cur.vc != nil && c.Depth() == 0) || (cur.vc == nil && c.Depth() == 1)
 	if preempt && canSwitch {
 		k.deschedule(c, cur)
-		c.Exec(k.cfg.Label+".ctxsw", k.cfg.CtxSwitch, func() { k.schedule(c) })
+		c.Exec(p.labelCtxsw, k.cfg.CtxSwitch, func() { k.schedule(c) })
 		return
 	}
 	k.resume(c)
@@ -230,7 +236,7 @@ func (p *CFSPolicy) Remove(t *Task) { p.cfs[t.core].Remove(&t.ent) }
 // and rearm the next exponential wake.
 func (p *CFSPolicy) RunKthread(k *Kernel, c *machine.Core, t *Task) {
 	work := p.rng.UniformDuration(t.spec.MinWork, t.spec.MaxWork)
-	c.Exec(k.cfg.Label+"."+t.spec.Name, work, func() {
+	c.Exec(t.label, work, func() {
 		k.blockCurrent(c, t)
 		p.scheduleWake(t)
 		k.schedule(c)

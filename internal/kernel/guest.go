@@ -7,6 +7,7 @@ import (
 	"khsim/internal/gic"
 	"khsim/internal/hafnium"
 	"khsim/internal/machine"
+	"khsim/internal/metrics"
 	"khsim/internal/osapi"
 	"khsim/internal/sim"
 )
@@ -64,16 +65,42 @@ type Guest struct {
 	devirqs uint64
 	done    map[int]bool
 	running map[int]bool
+
+	// The handler labels are built once: each virtual interrupt runs one.
+	labelTick, labelNotify, labelMbox, labelDev string
+	// mc caches the guest.* counters of the VM the guest last ran on.
+	mc guestCounters
+}
+
+// guestCounters are one VM's guest.* counters, each registered on the
+// VM's first tick or device interrupt (hafnium.VM.CachedMetric).
+type guestCounters struct {
+	vm             *hafnium.VM
+	ticks, devIRQs *metrics.Counter
 }
 
 // NewGuest builds a guest kernel from its cost table.
 func NewGuest(cfg GuestConfig) *Guest {
 	return &Guest{
-		cfg:     cfg,
-		procs:   make(map[int]osapi.Process),
-		done:    make(map[int]bool),
-		running: make(map[int]bool),
+		cfg:         cfg,
+		procs:       make(map[int]osapi.Process),
+		done:        make(map[int]bool),
+		running:     make(map[int]bool),
+		labelTick:   cfg.Label + ".tick",
+		labelNotify: cfg.Label + ".notify",
+		labelMbox:   cfg.Label + ".mbox",
+		labelDev:    cfg.Label + ".dev",
 	}
+}
+
+// counters returns the counter cache for vc's VM. A guest is normally
+// attached to one VM; one that serves another VM starts a fresh cache,
+// so a counter never publishes under the wrong VM's label.
+func (g *Guest) counters(vc *hafnium.VCPU) *guestCounters {
+	if vm := vc.VM(); g.mc.vm != vm {
+		g.mc = guestCounters{vm: vm}
+	}
+	return &g.mc
 }
 
 // Attach assigns a workload process to VCPU index vcpu.
@@ -115,13 +142,13 @@ func (g *Guest) HandleVIRQ(vc *hafnium.VCPU, virq int) {
 	case virq == gic.IRQVirtualTimer:
 		g.tick(vc)
 	case virq == hafnium.VIRQNotification:
-		vc.Exec(g.cfg.Label+".notify", g.cfg.NotifyCost, func() {
+		vc.Exec(g.labelNotify, g.cfg.NotifyCost, func() {
 			if g.OnNotification != nil {
 				g.OnNotification(vc)
 			}
 		})
 	case virq == hafnium.VIRQMailbox:
-		vc.Exec(g.cfg.Label+".mbox", g.cfg.MboxCost, func() {
+		vc.Exec(g.labelMbox, g.cfg.MboxCost, func() {
 			if msg, err := vc.ReceiveMessage(); err == nil && g.OnMessage != nil {
 				g.OnMessage(vc, msg)
 			}
@@ -132,8 +159,9 @@ func (g *Guest) HandleVIRQ(vc *hafnium.VCPU, virq int) {
 			cost = g.cfg.DevCost
 		}
 		g.devirqs++
-		vc.VM().Metric("device_irqs").Inc()
-		vc.Exec(g.cfg.Label+".dev", cost, func() {
+		mc := g.counters(vc)
+		mc.vm.CachedMetric(&mc.devIRQs, "device_irqs").Inc()
+		vc.Exec(g.labelDev, cost, func() {
 			if g.OnDeviceIRQ != nil {
 				g.OnDeviceIRQ(vc, virq)
 			}
@@ -148,9 +176,10 @@ func (g *Guest) tick(vc *hafnium.VCPU) {
 	if g.cfg.TickWork != nil {
 		cost += g.cfg.TickWork(vc.Now())
 	}
-	vc.Exec(g.cfg.Label+".tick", cost, func() {
+	vc.Exec(g.labelTick, cost, func() {
 		g.ticks++
-		vc.VM().Metric("ticks").Inc()
+		mc := g.counters(vc)
+		mc.vm.CachedMetric(&mc.ticks, "ticks").Inc()
 		if g.running[vc.Index()] {
 			vc.ArmVTimerAfter(g.cfg.TickHz.Period())
 		}

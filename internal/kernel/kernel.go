@@ -57,9 +57,10 @@ type Task struct {
 	core  int
 	state TaskState
 
-	vc   *hafnium.VCPU
-	proc osapi.Process
-	spec *KthreadSpec
+	vc    *hafnium.VCPU
+	proc  osapi.Process
+	spec  *KthreadSpec
+	label string // a kthread's activation label, "<kernel>.<spec name>"
 
 	started bool
 	saved   []*machine.Activity
@@ -118,6 +119,9 @@ type Kernel struct {
 
 	labelIRQ string // cfg.Label + ".irq", built once (IRQ hot path)
 	labelFwd string // cfg.Label + ".fwd", built once (IRQ hot path)
+	// mboxFns are the per-core mailbox-IRQ handler bodies, bound once
+	// (every admitted and completed serving job passes through one).
+	mboxFns []func()
 
 	kthreads []*Task
 
@@ -160,6 +164,13 @@ func newKernel(node *machine.Node, h *hafnium.Hypervisor, pol Policy, cfg Config
 	}
 	k.labelIRQ = cfg.Label + ".irq"
 	k.labelFwd = cfg.Label + ".fwd"
+	k.mboxFns = make([]func(), len(node.Cores))
+	for _, c := range node.Cores {
+		k.mboxFns[c.ID()] = func() {
+			k.controlTask(c)
+			k.resume(c)
+		}
+	}
 	mx := node.Metrics
 	k.mTicks = mx.Counter(metrics.K("kernel", "ticks"))
 	k.mWakeups = mx.Counter(metrics.K("kernel", "wakeups"))
@@ -225,6 +236,7 @@ func (k *Kernel) AddKthread(name string, core int, spec *KthreadSpec) *Task {
 	t := k.newTask(name, core)
 	t.state = TaskBlocked
 	t.spec = spec
+	t.label = k.cfg.Label + "." + spec.Name
 	k.kthreads = append(k.kthreads, t)
 	return t
 }
@@ -352,10 +364,7 @@ func (k *Kernel) HandleIRQ(c *machine.Core, irq int) {
 	case irq == gic.IRQPhysTimer:
 		k.pol.OnTick(k, c)
 	case irq == hafnium.VIRQMailbox:
-		c.Exec(k.cfg.MboxLabel, k.cfg.MboxCost, func() {
-			k.controlTask(c)
-			k.resume(c)
-		})
+		c.Exec(k.cfg.MboxLabel, k.cfg.MboxCost, k.mboxFns[c.ID()])
 	case gic.ClassOf(irq) == gic.SPI:
 		// Device interrupt: the paper's current routing — "route all
 		// interrupts to the primary VM which is then responsible for

@@ -19,7 +19,9 @@ func (q *runqueue) pop() *Task {
 		return nil
 	}
 	t := q.tasks[0]
-	q.tasks = q.tasks[1:]
+	// Shift rather than reslice, so the queue keeps its front capacity
+	// and push's append never has to grow it again.
+	q.tasks = q.tasks[:copy(q.tasks, q.tasks[1:])]
 	return t
 }
 
@@ -50,14 +52,13 @@ type RoundRobin struct {
 	rq []runqueue
 
 	// Tick handling runs at TickHz on every core for the whole simulation;
-	// the labels, callbacks and activities below are built once at Attach
-	// and reused so a tick allocates nothing. Reuse is safe because a
-	// core's tick (and the rotation it may start) always completes before
-	// the timer is re-armed for the next one.
+	// the labels and per-core callbacks below are built once at Attach,
+	// and Core.Exec's pooled activities carry them, so a tick allocates
+	// nothing.
 	tickLabel  string
 	ctxswLabel string
-	tickActs   []*machine.Activity
-	ctxswActs  []*machine.Activity
+	tickFns    []func()
+	ctxswFns   []func()
 }
 
 // Attach implements Policy.
@@ -67,12 +68,11 @@ func (p *RoundRobin) Attach(k *Kernel) {
 	p.rq = make([]runqueue, n)
 	p.tickLabel = k.cfg.Label + ".tick"
 	p.ctxswLabel = k.cfg.Label + ".ctxsw"
-	p.tickActs = make([]*machine.Activity, n)
-	p.ctxswActs = make([]*machine.Activity, n)
+	p.tickFns = make([]func(), n)
+	p.ctxswFns = make([]func(), n)
 	for _, c := range k.node.Cores {
-		c := c
-		p.tickActs[c.ID()] = &machine.Activity{Label: p.tickLabel, OnComplete: func() { p.tick(k, c) }}
-		p.ctxswActs[c.ID()] = &machine.Activity{Label: p.ctxswLabel, OnComplete: func() { k.schedule(c) }}
+		p.tickFns[c.ID()] = func() { p.tick(k, c) }
+		p.ctxswFns[c.ID()] = func() { k.schedule(c) }
 	}
 }
 
@@ -89,16 +89,12 @@ func (p *RoundRobin) Boot(k *Kernel) {
 // OnTick implements Policy (primary mode: Hafnium already charged
 // delivery).
 func (p *RoundRobin) OnTick(k *Kernel, c *machine.Core) {
-	a := p.tickActs[c.ID()]
-	a.Remaining = p.TickCost
-	c.Run(a)
+	c.Exec(p.tickLabel, p.TickCost, p.tickFns[c.ID()])
 }
 
 // OnTickNative implements Policy (bare metal: fold in the GIC delivery).
 func (p *RoundRobin) OnTickNative(k *Kernel, c *machine.Core, entry sim.Duration) {
-	a := p.tickActs[c.ID()]
-	a.Remaining = entry + p.TickCost
-	c.Run(a)
+	c.Exec(p.tickLabel, entry+p.TickCost, p.tickFns[c.ID()])
 }
 
 // tick: re-arm, account the quantum, rotate or resume.
@@ -120,9 +116,7 @@ func (p *RoundRobin) tick(k *Kernel, c *machine.Core) {
 	canRotate := (cur.vc != nil && c.Depth() == 0) || (cur.vc == nil && c.Depth() == 1)
 	if cur.ran >= p.QuantumTicks && p.rq[id].len() > 0 && canRotate {
 		k.deschedule(c, cur)
-		a := p.ctxswActs[id]
-		a.Remaining = k.cfg.CtxSwitch
-		c.Run(a)
+		c.Exec(p.ctxswLabel, k.cfg.CtxSwitch, p.ctxswFns[id])
 		return
 	}
 	k.resume(c)

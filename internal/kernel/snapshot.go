@@ -125,9 +125,9 @@ type rrState struct {
 	rq [][]*Task
 }
 
-// Snapshot captures the per-core queue contents. The reused tick and
-// context-switch activities are captured by the cores they run on.
-// RoundRobin implements sim.Snapshotter.
+// Snapshot captures the per-core queue contents. The tick and
+// context-switch activities in flight are captured by the cores they run
+// on. RoundRobin implements sim.Snapshotter.
 func (p *RoundRobin) Snapshot() sim.State {
 	s := &rrState{rq: make([][]*Task, len(p.rq))}
 	for i := range p.rq {

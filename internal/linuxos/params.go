@@ -1,3 +1,12 @@
+// Package linuxos models the Linux full-weight kernel in the roles the
+// paper measures it: as Hafnium's default primary scheduling VM (the
+// baseline Kitten replaces) and as a guest kernel. The model captures the
+// noise-relevant behaviours §III-a blames for Linux's overhead: a CFS-like
+// fair scheduler driven by a high-rate tick, background kernel threads
+// that wake on their own timers, and deferred work placed on arbitrary
+// cores. The scheduler itself lives in the shared substrate
+// (internal/kernel, CFSPolicy); this package binds it to the Linux cost
+// table.
 package linuxos
 
 import (

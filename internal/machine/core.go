@@ -27,6 +27,10 @@ type Activity struct {
 	Uninterruptible bool
 
 	preemptedAt sim.Time
+	// pooled marks an activity Core.Exec took from a core's free list;
+	// released marks one that has completed and gone back to the list,
+	// where the next Exec may re-initialise it at any time.
+	pooled, released bool
 }
 
 // Dispatcher is the OS/hypervisor entry point for interrupts on a core.
@@ -51,6 +55,10 @@ type Core struct {
 	// completeFn is the one method value passed to ScheduleArg so starting
 	// an activity allocates neither a closure nor an event.
 	completeFn func(any)
+	// free holds completed Exec activities for reuse, so kernel and guest
+	// work slices allocate no Activity in steady state. It never holds
+	// more than the peak number of Exec activities live at once.
+	free []*Activity
 
 	cur      *Activity
 	curEvent sim.Event
@@ -95,7 +103,8 @@ func (c *Core) SetOnIdle(fn func(c *Core)) { c.onIdle = fn }
 // work.
 func (c *Core) Idle() bool { return c.cur == nil && len(c.stack) == 0 && c.next == nil }
 
-// Current returns the running activity, if any.
+// Current returns the running activity, if any. An Exec activity goes
+// back to the core's free list when it completes; do not keep it.
 func (c *Core) Current() *Activity { return c.cur }
 
 // Depth reports the suspension-stack depth (interrupt nesting).
@@ -103,8 +112,11 @@ func (c *Core) Depth() int { return len(c.stack) }
 
 // Run begins executing a on an idle core (or from within a completion or
 // dispatcher callback, where the core is momentarily without a current
-// activity). Running over a live activity is a kernel bug and panics.
+// activity). Running over a live activity is a kernel bug and panics, as
+// is running an Exec activity that has already completed (its storage
+// belongs to the core's free list).
 func (c *Core) Run(a *Activity) {
+	c.checkLive(a)
 	if c.cur != nil {
 		panic(fmt.Sprintf("machine: core %d Run(%q) over live activity %q", c.id, a.Label, c.cur.Label))
 	}
@@ -114,18 +126,46 @@ func (c *Core) Run(a *Activity) {
 	c.start(a)
 }
 
-// Exec is shorthand for Run with a fresh activity: execute for d, then fn.
-func (c *Core) Exec(label string, d sim.Duration, fn func()) *Activity {
-	a := &Activity{Label: label, Remaining: d, OnComplete: fn}
-	c.Run(a)
-	return a
+// Exec runs d of work labelled label, then fn. The activity comes from the
+// core's free list and returns to it once fn has returned, so callers
+// never see it: everything an Exec slice does is in label, d and fn.
+func (c *Core) Exec(label string, d sim.Duration, fn func()) {
+	c.Run(c.mint(label, d, fn, false))
 }
 
 // ExecUninterruptible is Exec with IRQ delivery held off until completion.
-func (c *Core) ExecUninterruptible(label string, d sim.Duration, fn func()) *Activity {
-	a := &Activity{Label: label, Remaining: d, OnComplete: fn, Uninterruptible: true}
-	c.Run(a)
+func (c *Core) ExecUninterruptible(label string, d sim.Duration, fn func()) {
+	c.Run(c.mint(label, d, fn, true))
+}
+
+// mint takes an activity from the free list, or allocates one when the
+// list is empty, and fully re-initialises it: a list entry may hold a
+// previous slice's fields, or after a Fork a divergent timeline's.
+func (c *Core) mint(label string, d sim.Duration, fn func(), uninterruptible bool) *Activity {
+	var a *Activity
+	if n := len(c.free); n > 0 {
+		a = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		a = new(Activity)
+	}
+	*a = Activity{Label: label, Remaining: d, OnComplete: fn, Uninterruptible: uninterruptible, pooled: true}
 	return a
+}
+
+// release returns a completed Exec activity to the free list. The label
+// stays for diagnostics; the callback is dropped so the list pins nothing.
+func (c *Core) release(a *Activity) {
+	*a = Activity{Label: a.Label, pooled: true, released: true}
+	c.free = append(c.free, a)
+}
+
+// checkLive panics if a is an Exec activity that already completed.
+func (c *Core) checkLive(a *Activity) {
+	if a.released {
+		panic(fmt.Sprintf("machine: core %d reuse of completed Exec activity %q", c.id, a.Label))
+	}
 }
 
 func (c *Core) start(a *Activity) {
@@ -150,6 +190,9 @@ func (c *Core) complete(a *Activity) {
 	c.curEvent = sim.Event{}
 	if a.OnComplete != nil {
 		a.OnComplete()
+	}
+	if a.pooled {
+		c.release(a)
 	}
 	c.settle()
 }
@@ -255,6 +298,7 @@ func (c *Core) StealSuspended() *Activity {
 // OnResume with the stolen time. The core must be idle at that slot (same
 // rules as Run).
 func (c *Core) ResumeStolen(a *Activity) {
+	c.checkLive(a)
 	now := c.eng.Now()
 	stolen := now.Sub(a.preemptedAt)
 	if a.OnResume != nil {
@@ -292,6 +336,9 @@ func (c *Core) RestoreStack(frames []*Activity) {
 	if len(frames) == 0 {
 		return
 	}
+	for _, a := range frames {
+		c.checkLive(a)
+	}
 	c.stack = append(c.stack, frames[:len(frames)-1]...)
 	c.ResumeStolen(frames[len(frames)-1])
 }
@@ -301,6 +348,7 @@ func (c *Core) RestoreStack(frames []*Activity) {
 // StealSuspended anything it wants preserved; switching away while work
 // is still suspended is a kernel bug and panics.
 func (c *Core) SetNext(a *Activity) {
+	c.checkLive(a)
 	if len(c.stack) > 0 {
 		panic(fmt.Sprintf("machine: core %d SetNext(%q) with %d suspended activities", c.id, a.Label, len(c.stack)))
 	}

@@ -15,36 +15,35 @@ import (
 // sim.Event handle the other layers recorded — and everything else is a
 // plain state write, so restore order among the rest is immaterial.
 
-// ActivityState records one Activity's mutable progress fields —
-// Remaining and the preemption timestamp — by pointer. Activities are
-// shared across timelines (the same object lives on the core or in a
-// saved context in both the snapshot and the divergent run), so a
-// snapshot must capture their progress fields, not just the pointers.
-// Layers that hold activities off-core (a hypervisor's saved VCPU
-// stacks, a kernel's descheduled task contexts) record them with
-// SnapshotActivity and reinstall them with Restore, mirroring what
-// Core.Snapshot does for on-core activities.
+// ActivityState records one Activity by pointer together with its whole
+// value. Activities are shared across timelines (the same object lives
+// on the core or in a saved context in both the snapshot and the
+// divergent run), and an Exec activity that completes in the divergent
+// run goes back to its core's free list and may be re-minted with a
+// different label, callback and mask, so a snapshot must capture every
+// field, not just the pointer or the progress. Layers that hold
+// activities off-core (a hypervisor's saved VCPU stacks, a kernel's
+// descheduled task contexts) record them with SnapshotActivity and
+// reinstall them with Restore, mirroring what Core.Snapshot does for
+// on-core activities.
 type ActivityState struct {
-	a           *Activity
-	remaining   sim.Duration
-	preemptedAt sim.Time
+	a *Activity
+	v Activity
 }
 
-// SnapshotActivity captures a's progress fields (nil-safe).
+// SnapshotActivity captures a's whole value (nil-safe).
 func SnapshotActivity(a *Activity) ActivityState {
 	if a == nil {
 		return ActivityState{}
 	}
-	return ActivityState{a: a, remaining: a.Remaining, preemptedAt: a.preemptedAt}
+	return ActivityState{a: a, v: *a}
 }
 
-// Restore writes the recorded progress back into the activity.
+// Restore writes the recorded value back into the activity.
 func (s ActivityState) Restore() {
-	if s.a == nil {
-		return
+	if s.a != nil {
+		*s.a = s.v
 	}
-	s.a.Remaining = s.remaining
-	s.a.preemptedAt = s.preemptedAt
 }
 
 // coreState is one core's Snapshot payload.
@@ -60,12 +59,14 @@ type coreState struct {
 	idleSince     sim.Time
 	preempts      uint64
 	acts          []ActivityState
+	free          []*Activity
 	tlb           sim.State
 }
 
 // Snapshot captures the core's execution state: the running activity and
 // its completion event, the suspension stack, the switched-to activity,
-// mask/accounting state and the TLB. Core implements sim.Snapshotter.
+// the Exec free list, mask/accounting state and the TLB. Core implements
+// sim.Snapshotter.
 func (c *Core) Snapshot() sim.State {
 	s := &coreState{
 		cur:           c.cur,
@@ -78,6 +79,7 @@ func (c *Core) Snapshot() sim.State {
 		busy:          c.busy,
 		idleSince:     c.idleSince,
 		preempts:      c.preempts,
+		free:          append([]*Activity(nil), c.free...),
 		tlb:           c.tlb.Snapshot(),
 	}
 	record := func(a *Activity) {
@@ -111,8 +113,14 @@ func (c *Core) Restore(st sim.State) {
 	c.idleSince = s.idleSince
 	c.preempts = s.preempts
 	for _, as := range s.acts {
-		as.a.Remaining = as.remaining
-		as.a.preemptedAt = as.preemptedAt
+		as.Restore()
+	}
+	// The free list comes back as captured, so an activity live in the
+	// snapshot is never minted twice; an entry the divergent run minted
+	// is marked released again (mint re-initialises the rest).
+	c.free = append(c.free[:0], s.free...)
+	for _, a := range c.free {
+		a.released = true
 	}
 	c.tlb.Restore(s.tlb)
 }

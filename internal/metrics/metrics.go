@@ -245,6 +245,23 @@ func (r *Registry) Counter(k Key) *Counter {
 	return c
 }
 
+// CachedCounter is Counter through a caller-owned cache slot, for hot
+// paths whose series must stay lazy. The first call registers k, so a
+// snapshot lists the series only once it has been touched, exactly as
+// with Counter; later calls return *slot without a map lookup. A key the
+// cap rejects is not cached, so each call past the cap counts a dropped
+// series, as Counter does.
+func (r *Registry) CachedCounter(slot **Counter, k Key) *Counter {
+	if c := *slot; c != nil {
+		return c
+	}
+	c := r.Counter(k)
+	if c != &r.sinkC {
+		*slot = c
+	}
+	return c
+}
+
 // Gauge returns the gauge registered under k, creating it if there is
 // room (sink semantics as Counter).
 func (r *Registry) Gauge(k Key) *Gauge {

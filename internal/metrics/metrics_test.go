@@ -128,6 +128,31 @@ func TestCardinalityCap(t *testing.T) {
 	}
 }
 
+func TestCachedCounterIsLazy(t *testing.T) {
+	r := NewRegistryCap(2)
+	var slot *Counter
+	if r.Series() != 0 || slot != nil {
+		t.Fatal("slot filled before first use")
+	}
+	c := r.CachedCounter(&slot, K("el2", "hypercall.run").WithVM("job"))
+	if slot != c || r.Series() != 1 || c != r.Counter(K("el2", "hypercall.run").WithVM("job")) {
+		t.Fatalf("first use did not register and cache the series (series=%d)", r.Series())
+	}
+	if r.CachedCounter(&slot, K("other", "key")) != c {
+		t.Fatal("a filled slot must be served without a lookup")
+	}
+	// Past the cap the sink is returned but never cached, so every use
+	// counts a dropped series, as an uncached Counter call would.
+	r.Counter(K("s", "fill"))
+	var over *Counter
+	for i := 0; i < 3; i++ {
+		r.CachedCounter(&over, K("s", "over")).Inc()
+	}
+	if over != nil || r.Dropped() != 3 {
+		t.Fatalf("over-cap slot=%v dropped=%d, want nil and 3", over, r.Dropped())
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram(K("s", "h"), 0, 100, 4) // buckets of width 25

@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 
 	"khsim/internal/core"
 	"khsim/internal/faults"
@@ -110,6 +111,10 @@ type Pool struct {
 	rate     float64
 	horizon  sim.Time
 	injector *faults.Injector
+
+	// wire is the reused encode buffer for admit/job/done messages; the
+	// hypervisor copies a payload into the receiver's mailbox on send.
+	wire []byte
 
 	generated, admitted, completed, replayed int
 	admitRetries, doneRetries, dropped       int
@@ -333,7 +338,7 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 		return
 	}
 	id := p.pendingAdmit[0]
-	if err := vc.SendMessage(hafnium.PrimaryID, []byte(fmt.Sprintf("admit %d", id))); err != nil {
+	if err := vc.SendMessage(hafnium.PrimaryID, p.encode("admit", int64(id))); err != nil {
 		p.admitRetries++
 		vc.Exec("serve.admit.retry", p.cfg.RetryBackoff, func() { p.admitNext(vc) })
 		return
@@ -350,13 +355,14 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 // mailbox handler for admit/done traffic and forwards everything else to
 // the stock job-control command path.
 func (p *Pool) primaryMessage(msg hafnium.Message) {
-	cmd, arg, _ := strings.Cut(string(msg.Payload), " ")
-	id, err := strconv.Atoi(arg)
-	if err != nil || id < 0 || id >= len(p.jobs) {
+	cmd, arg, _ := bytes.Cut(msg.Payload, space)
+	n, ok := parseDecimal(arg)
+	if !ok || n >= int64(len(p.jobs)) {
 		p.kern.ExecuteCommand(msg)
 		return
 	}
-	switch cmd {
+	id := int(n)
+	switch string(cmd) {
 	case "admit":
 		j := p.jobs[id]
 		j.AdmitAt = p.eng.Now()
@@ -406,7 +412,7 @@ func (p *Pool) pump() {
 		}
 		id := p.queue[0]
 		j := p.jobs[id]
-		if err := p.hyp.SendFromPrimary(e.id, []byte(fmt.Sprintf("job %d %d", id, int64(j.Demand)))); err != nil {
+		if err := p.hyp.SendFromPrimary(e.id, p.encode("job", int64(id), int64(j.Demand))); err != nil {
 			p.armPumpRetry()
 			return
 		}
@@ -533,32 +539,65 @@ func (p *Pool) releaseWarm(e *Env) {
 // demand, report completion (retrying a busy primary mailbox), and park
 // the VCPU again.
 func (p *Pool) envMessage(e *Env, vc *hafnium.VCPU, msg hafnium.Message) {
-	cmd, rest, _ := strings.Cut(string(msg.Payload), " ")
-	if cmd != "job" {
+	cmd, rest, _ := bytes.Cut(msg.Payload, space)
+	if string(cmd) != "job" {
 		vc.Block()
 		return
 	}
-	idStr, demStr, _ := strings.Cut(rest, " ")
-	id, err1 := strconv.Atoi(idStr)
-	dem, err2 := strconv.ParseInt(demStr, 10, 64)
-	if err1 != nil || err2 != nil {
+	idStr, demStr, _ := bytes.Cut(rest, space)
+	id, ok1 := parseDecimal(idStr)
+	dem, ok2 := parseDecimal(demStr)
+	if !ok1 || !ok2 {
 		vc.Block()
 		return
 	}
 	vc.Exec("serve.job", sim.Duration(dem), func() {
-		p.reportDone(vc, id)
+		p.reportDone(vc, int(id))
 	})
 }
 
 // reportDone sends the completion message, backing off while the
 // primary's mailbox is busy, then parks the VCPU.
 func (p *Pool) reportDone(vc *hafnium.VCPU, id int) {
-	if err := vc.SendMessage(hafnium.PrimaryID, []byte(fmt.Sprintf("done %d", id))); err != nil {
+	if err := vc.SendMessage(hafnium.PrimaryID, p.encode("done", int64(id))); err != nil {
 		p.doneRetries++
 		vc.Exec("serve.done.retry", p.cfg.RetryBackoff, func() { p.reportDone(vc, id) })
 		return
 	}
 	vc.Block()
+}
+
+// space separates a message's command and its decimal fields.
+var space = []byte{' '}
+
+// encode renders one pool message, the command and its decimal fields
+// separated by spaces ("admit 7", "job 7 200000000", "done 7"), into the
+// reused wire buffer.
+func (p *Pool) encode(cmd string, fields ...int64) []byte {
+	b := append(p.wire[:0], cmd...)
+	for _, f := range fields {
+		b = strconv.AppendInt(append(b, ' '), f, 10)
+	}
+	p.wire = b
+	return b
+}
+
+// parseDecimal parses a non-empty run of decimal digits that fits an
+// int64: the fields encode writes. Anything else, signs included, is not
+// a pool message.
+func parseDecimal(b []byte) (int64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range b {
+		d := int64(c) - '0'
+		if d < 0 || d > 9 || n > (math.MaxInt64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
 }
 
 // onLifecycle reintegrates fault-injected environments: a contained
