@@ -18,9 +18,11 @@ race:
 
 # race-core is the focused race gate over the packages the parallel
 # cluster engine actually shares between goroutines: the event engine,
-# the fabric's deferred-send windows, and the cluster window scheduler.
+# the fabric's deferred-send windows, the cluster window scheduler, and
+# the harness experiments whose callbacks run on the node goroutines.
 race-core:
 	$(GO) test -race ./internal/sim/... ./internal/net/... ./internal/machine/...
+	$(GO) test -race -run Parallel ./internal/harness/
 
 # lint is the CI formatting/static gate, reproducible locally: gofmt
 # must report no files, vet must pass, every exported identifier in the
@@ -31,7 +33,8 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/docgate -arch ARCHITECTURE.md -internal internal \
-		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve
+		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve \
+		./internal/hafnium ./internal/mmu ./internal/mem
 
 # obscheck is the observability gate: the metrics snapshot must be
 # deterministic across same-seed runs, the Perfetto trace export must

@@ -2,7 +2,6 @@ package hafnium
 
 import (
 	"fmt"
-	"sort"
 
 	"khsim/internal/mem"
 	"khsim/internal/mmu"
@@ -112,34 +111,26 @@ func (h *Hypervisor) containCrash(vm *VM, reason string) bool {
 // Outbound share/lend grants: the receiver's window is unmapped and the
 // frames are scrubbed back to the (dead) owner. Inbound grants: the
 // crashed VM's window is unmapped and a lender gets its own mapping — and
-// scrubbed frames — back. Grant IDs are walked in sorted order so the
+// scrubbed frames — back. Grants are walked in ID order (Grants) so the
 // teardown sequence is deterministic.
 func (h *Hypervisor) revokeGrants(vm *VM) {
-	ids := make([]uint64, 0, len(h.shares))
-	for id, rec := range h.shares {
-		if rec.active && (rec.From == vm.id || rec.To == vm.id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		rec := h.shares[id]
-		size := uint64(len(rec.Pages)) * mem.PageSize
-		if rec.To == vm.id {
-			_ = vm.stage2.Unmap(rec.ToIPA, size)
-			if rec.Kind == MemLend {
-				src := h.vms[rec.From]
-				for i, pa := range rec.Pages {
-					_ = src.stage2.Map(rec.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX)
+	for _, g := range h.Grants(vm.id) {
+		size := uint64(len(g.Pages)) * mem.PageSize
+		if g.To == vm.id {
+			_ = vm.stage2.Unmap(g.ToIPA, size)
+			if g.Kind == MemLend {
+				src := h.vms[g.From]
+				for i, pa := range g.Pages {
+					_ = src.stage2.Map(g.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX)
 				}
 			}
 		} else {
-			dst := h.vms[rec.To]
-			_ = dst.stage2.Unmap(rec.ToIPA, size)
+			dst := h.vms[g.To]
+			_ = dst.stage2.Unmap(g.ToIPA, size)
 		}
-		h.stats.ScrubbedPages += uint64(len(rec.Pages))
-		h.metric("scrubbed_pages", vm).Add(uint64(len(rec.Pages)))
-		rec.active = false
+		h.stats.ScrubbedPages += uint64(len(g.Pages))
+		h.metric("scrubbed_pages", vm).Add(uint64(len(g.Pages)))
+		h.dropGrant(&g)
 	}
 }
 

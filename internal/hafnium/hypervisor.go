@@ -65,18 +65,14 @@ type Hypervisor struct {
 	enteredAt []sim.Time            // per core: when the resident guest took the core
 	vmCPU     map[VMID]sim.Duration // accumulated guest CPU time
 
-	owner       map[mem.PA]VMID
-	shares      map[uint64]*shareRecord
+	owner ownerTable
+	// shares holds the active grants by ID; granted indexes them by
+	// frame (ShareMemory keeps at most one active grant per frame). Both
+	// change only through addGrant and dropGrant. A grant is immutable
+	// once stored, so snapshots share the pointers.
+	shares      map[uint64]*Grant
+	granted     map[mem.PA]*Grant
 	nextShareID uint64
-
-	// ownerVer/ownerStamp version the frame-owner map for snapshot and
-	// restore: every mutation stamps ownerVer from the monotone
-	// ownerStamp, and a restore copies the snapshot's ownerVer with its
-	// content, so equal versions mean equal maps and Restore can skip
-	// rebuilding the (one entry per physical page) map. ownerStamp is
-	// never rewound, which keeps versions unique across forked timelines.
-	ownerVer   uint64
-	ownerStamp uint64
 
 	nsAlloc *mem.Buddy
 	sAlloc  *mem.Buddy
@@ -172,8 +168,8 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		lastVMID:  make([]VMID, len(node.Cores)),
 		enteredAt: make([]sim.Time, len(node.Cores)),
 		vmCPU:     make(map[VMID]sim.Duration),
-		owner:     make(map[mem.PA]VMID),
-		shares:    make(map[uint64]*shareRecord),
+		shares:    make(map[uint64]*Grant),
+		granted:   make(map[mem.PA]*Grant),
 		routing:   m.Routing,
 		tlbPolicy: m.TLB,
 	}
@@ -936,11 +932,5 @@ func (h *Hypervisor) CPUTime(id VMID) sim.Duration { return h.vmCPU[id] }
 
 // FrameOwner reports which VM owns a physical page.
 func (h *Hypervisor) FrameOwner(pa mem.PA) VMID {
-	return h.owner[mem.PageAlign(pa)]
-}
-
-// touchOwner stamps the frame-owner map as mutated (see ownerVer).
-func (h *Hypervisor) touchOwner() {
-	h.ownerStamp++
-	h.ownerVer = h.ownerStamp
+	return h.owner.lookup(pa)
 }

@@ -2,6 +2,7 @@ package hafnium
 
 import (
 	"fmt"
+	"sort"
 
 	"khsim/internal/mem"
 	"khsim/internal/mmu"
@@ -20,6 +21,7 @@ const (
 	MemDonate
 )
 
+// String names the kind as its FFA call ("share", "lend" or "donate").
 func (k ShareKind) String() string {
 	switch k {
 	case MemShare:
@@ -56,21 +58,33 @@ type Grant struct {
 	Perms   mmu.Perms
 }
 
-type shareRecord struct {
-	Grant
-	active bool
-}
-
 // Grants returns the active grants involving the VM (as sender or
-// receiver).
+// receiver), in grant ID order.
 func (h *Hypervisor) Grants(id VMID) []Grant {
 	var out []Grant
-	for _, r := range h.shares {
-		if r.active && (r.From == id || r.To == id) {
-			out = append(out, r.Grant)
+	for _, g := range h.shares {
+		if g.From == id || g.To == id {
+			out = append(out, *g)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// addGrant stores an active grant and indexes its frames.
+func (h *Hypervisor) addGrant(g *Grant) {
+	h.shares[g.ID] = g
+	for _, pa := range g.Pages {
+		h.granted[pa] = g
+	}
+}
+
+// dropGrant forgets an ended grant and its frames' index entries.
+func (h *Hypervisor) dropGrant(g *Grant) {
+	delete(h.shares, g.ID)
+	for _, pa := range g.Pages {
+		delete(h.granted, pa)
+	}
 }
 
 // ShareMemory implements the share/lend/donate hypercall, invoked by the
@@ -112,19 +126,12 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 		if err != nil {
 			return 0, 0, fmt.Errorf("hafnium: %v: %w", kind, err)
 		}
-		if h.owner[pa] != from {
+		if owner := h.owner.lookup(pa); owner != from {
 			return 0, 0, fmt.Errorf("hafnium: %v: frame %#x at IPA %#x is owned by VM %d, not the sender",
-				kind, uint64(pa), ipa+off, h.owner[pa])
+				kind, uint64(pa), ipa+off, owner)
 		}
-		for _, r := range h.shares {
-			if !r.active {
-				continue
-			}
-			for _, p := range r.Pages {
-				if p == pa {
-					return 0, 0, fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), r.ID)
-				}
-			}
+		if g := h.granted[pa]; g != nil {
+			return 0, 0, fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), g.ID)
 		}
 		pages = append(pages, pa)
 	}
@@ -159,55 +166,50 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 			return 0, 0, fmt.Errorf("hafnium: donate: revoking owner access: %w", err)
 		}
 		for _, pa := range pages {
-			h.owner[pa] = to
+			h.owner.assign(pa, pa+mem.PageSize, to)
 		}
-		h.touchOwner()
 	}
 
 	h.nextShareID++
-	rec := &shareRecord{
-		Grant: Grant{
+	// Donation completes immediately: there is nothing to reclaim, so
+	// only shares and lends are stored.
+	if kind != MemDonate {
+		h.addGrant(&Grant{
 			ID: h.nextShareID, Kind: kind, From: from, To: to,
 			Pages: pages, FromIPA: ipa, ToIPA: toIPA, Perms: perms,
-		},
-		active: true,
+		})
 	}
-	// Donation completes immediately: there is nothing to reclaim.
-	if kind == MemDonate {
-		rec.active = false
-	}
-	h.shares[rec.ID] = rec
-	return toIPA, rec.ID, nil
+	return toIPA, h.nextShareID, nil
 }
 
 // ReclaimMemory ends a share or lend grant: the receiver loses its
 // mapping and, for a lend, the owner's mapping is restored. Only the
 // granting VM may reclaim.
 func (h *Hypervisor) ReclaimMemory(by VMID, grantID uint64) error {
-	rec, ok := h.shares[grantID]
-	if !ok || !rec.active {
+	g, ok := h.shares[grantID]
+	if !ok {
 		return fmt.Errorf("hafnium: no active grant %d", grantID)
 	}
 	if v, known := h.vms[by]; known {
 		h.hypercall(hcMemReclaim, v)
 	}
-	if rec.From != by {
-		return fmt.Errorf("hafnium: VM %d cannot reclaim grant %d owned by VM %d", by, grantID, rec.From)
+	if g.From != by {
+		return fmt.Errorf("hafnium: VM %d cannot reclaim grant %d owned by VM %d", by, grantID, g.From)
 	}
-	dst := h.vms[rec.To]
-	size := uint64(len(rec.Pages)) * mem.PageSize
-	if err := dst.stage2.Unmap(rec.ToIPA, size); err != nil {
+	dst := h.vms[g.To]
+	size := uint64(len(g.Pages)) * mem.PageSize
+	if err := dst.stage2.Unmap(g.ToIPA, size); err != nil {
 		return fmt.Errorf("hafnium: reclaim: %w", err)
 	}
-	if rec.Kind == MemLend {
-		src := h.vms[rec.From]
-		for i, pa := range rec.Pages {
-			if err := src.stage2.Map(rec.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX); err != nil {
+	if g.Kind == MemLend {
+		src := h.vms[g.From]
+		for i, pa := range g.Pages {
+			if err := src.stage2.Map(g.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX); err != nil {
 				return fmt.Errorf("hafnium: reclaim: restoring owner mapping: %w", err)
 			}
 		}
 	}
-	rec.active = false
+	h.dropGrant(g)
 	return nil
 }
 
@@ -235,29 +237,19 @@ func (h *Hypervisor) VerifyIsolation() error {
 				}
 				return fmt.Errorf("hafnium: VM %d maps device %#x it was never assigned", id, uint64(pa))
 			}
-			if h.owner[pa] == id {
+			g := h.granted[pa]
+			owner := h.owner.lookup(pa)
+			if owner == id {
 				// Owned — but a lent-out frame must not be reachable.
-				for _, rec := range h.shares {
-					if rec.active && rec.Kind == MemLend && rec.From == id {
-						for _, p := range rec.Pages {
-							if p == pa {
-								return fmt.Errorf("hafnium: VM %d still maps lent frame %#x", id, uint64(pa))
-							}
-						}
-					}
+				if g != nil && g.Kind == MemLend && g.From == id {
+					return fmt.Errorf("hafnium: VM %d still maps lent frame %#x", id, uint64(pa))
 				}
 				return nil
 			}
-			for _, rec := range h.shares {
-				if rec.active && rec.To == id {
-					for _, p := range rec.Pages {
-						if p == pa {
-							return nil
-						}
-					}
-				}
+			if g != nil && g.To == id {
+				return nil
 			}
-			return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", id, uint64(pa), h.owner[pa])
+			return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", id, uint64(pa), owner)
 		}
 		// Probe the RAM window and the share window densely enough to
 		// catch any leaf (page granularity).

@@ -1,6 +1,7 @@
 package hafnium
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,7 +112,7 @@ func TestDonateTransfersOwnership(t *testing.T) {
 	h, a, b := shareSystem(t)
 	base, _ := a.RAM()
 	paBefore, _ := a.TranslateIPA(base, mmu.PermR)
-	toIPA, _, err := h.ShareMemory(MemDonate, a.ID(), b.ID(), base, mem.PageSize, mmu.PermRWX)
+	toIPA, donation, err := h.ShareMemory(MemDonate, a.ID(), b.ID(), base, mem.PageSize, mmu.PermRWX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +129,8 @@ func TestDonateTransfersOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Donation is permanent: no reclaim.
-	for id := range h.shares {
-		if err := h.ReclaimMemory(a.ID(), id); err == nil {
-			t.Fatal("reclaim of donation accepted")
-		}
+	if err := h.ReclaimMemory(a.ID(), donation); err == nil {
+		t.Fatal("reclaim of donation accepted")
 	}
 	// New owner can re-grant it.
 	if _, _, err := h.ShareMemory(MemShare, b.ID(), a.ID(), toIPA, mem.PageSize, mmu.PermR); err != nil {
@@ -190,22 +189,113 @@ func TestShareValidation(t *testing.T) {
 		}
 	}
 	// Double grant of the same frames.
-	if _, _, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base, mem.PageSize, mmu.PermR); err != nil {
+	_, grantID, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base, mem.PageSize, mmu.PermR)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base, mem.PageSize, mmu.PermR); err == nil {
 		t.Error("double grant accepted")
 	}
 	// Reclaim authorization.
-	var grantID uint64
-	for id := range h.shares {
-		grantID = id
-	}
 	if err := h.ReclaimMemory(b.ID(), grantID); err == nil {
 		t.Error("receiver reclaimed a grant")
 	}
 	if err := h.ReclaimMemory(a.ID(), 9999); err == nil {
 		t.Error("phantom reclaim accepted")
+	}
+}
+
+// TestVerifyIsolationDetectsForgedMappings forges each kind of isolation
+// violation directly in a VM's stage-2 table, bypassing the hypercalls
+// that would refuse it, and requires VerifyIsolation to name it.
+func TestVerifyIsolationDetectsForgedMappings(t *testing.T) {
+	const (
+		noGrant = "with no grant"
+		device  = "maps device"
+		lent    = "still maps lent frame"
+	)
+	cases := []struct {
+		name  string
+		want  string
+		forge func(t *testing.T, h *Hypervisor, a, b *VM) error
+	}{
+		{"foreign frame without a grant", noGrant, func(t *testing.T, h *Hypervisor, a, b *VM) error {
+			base, _ := a.RAM()
+			pb, err := b.TranslateIPA(base, mmu.PermR)
+			if err != nil {
+				return err
+			}
+			if err := a.stage2.Unmap(base, mem.PageSize); err != nil {
+				return err
+			}
+			return a.stage2.Map(base, uint64(pb), mem.PageSize, mmu.PermRW)
+		}},
+		{"unassigned device window", device, func(t *testing.T, h *Hypervisor, a, b *VM) error {
+			uart, ok := h.node.Mem.FindName("uart")
+			if !ok {
+				t.Fatal("node has no uart")
+			}
+			if err := a.stage2.Map(a.nextShareIPA, uint64(uart.Base), mem.PageSize, mmu.PermRW); err != nil {
+				return err
+			}
+			a.nextShareIPA += mem.PageSize
+			return nil
+		}},
+		{"lender re-maps a lent frame", lent, func(t *testing.T, h *Hypervisor, a, b *VM) error {
+			base, _ := a.RAM()
+			pa, err := a.TranslateIPA(base, mmu.PermR)
+			if err != nil {
+				return err
+			}
+			if _, _, err := h.ShareMemory(MemLend, a.ID(), b.ID(), base, mem.PageSize, mmu.PermRW); err != nil {
+				return err
+			}
+			return a.stage2.Map(base, uint64(pa), mem.PageSize, mmu.PermRW)
+		}},
+		{"donor re-maps a donated frame", noGrant, func(t *testing.T, h *Hypervisor, a, b *VM) error {
+			base, _ := a.RAM()
+			pa, err := a.TranslateIPA(base, mmu.PermR)
+			if err != nil {
+				return err
+			}
+			if _, _, err := h.ShareMemory(MemDonate, a.ID(), b.ID(), base, mem.PageSize, mmu.PermRW); err != nil {
+				return err
+			}
+			return a.stage2.Map(base, uint64(pa), mem.PageSize, mmu.PermRW)
+		}},
+		{"receiver re-maps after reclaim", noGrant, func(t *testing.T, h *Hypervisor, a, b *VM) error {
+			base, _ := a.RAM()
+			pa, err := a.TranslateIPA(base, mmu.PermR)
+			if err != nil {
+				return err
+			}
+			toIPA, id, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base, mem.PageSize, mmu.PermRW)
+			if err != nil {
+				return err
+			}
+			if err := h.ReclaimMemory(a.ID(), id); err != nil {
+				return err
+			}
+			return b.stage2.Map(toIPA, uint64(pa), mem.PageSize, mmu.PermRW)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h, a, b := shareSystem(t)
+			if err := h.VerifyIsolation(); err != nil {
+				t.Fatalf("clean system: %v", err)
+			}
+			if err := c.forge(t, h, a, b); err != nil {
+				t.Fatalf("forging the mapping: %v", err)
+			}
+			err := h.VerifyIsolation()
+			if err == nil {
+				t.Fatal("VerifyIsolation accepted the forged mapping")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("VerifyIsolation = %q, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 

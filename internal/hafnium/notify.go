@@ -46,9 +46,6 @@ func (h *Hypervisor) Notify(from, to VMID) error {
 // connected reports whether an active grant links the two VMs.
 func (h *Hypervisor) connected(a, b VMID) bool {
 	for _, r := range h.shares {
-		if !r.active {
-			continue
-		}
 		if (r.From == a && r.To == b) || (r.From == b && r.To == a) {
 			return true
 		}

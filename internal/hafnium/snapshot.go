@@ -2,6 +2,8 @@ package hafnium
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"khsim/internal/machine"
 	"khsim/internal/mem"
@@ -59,9 +61,8 @@ type hypState struct {
 	enteredAt []sim.Time
 	vmCPU     map[VMID]sim.Duration
 
-	owner       map[mem.PA]VMID
-	ownerVer    uint64
-	shares      map[uint64]*shareRecord
+	owner       []extent
+	shares      map[uint64]*Grant
 	nextShareID uint64
 
 	nsAlloc sim.State
@@ -76,7 +77,8 @@ type hypState struct {
 // Snapshot captures the whole EL2 world: per-core residency, VM and
 // VCPU state machines (saved contexts, pending virqs, virtual timers,
 // watchdogs), stage-2 tables (copy-on-write freeze), the frame-owner
-// map, memory grants, both allocators and the counters. Hypervisor
+// extents, the active memory grants, both allocators and the counters.
+// The frame → grant index is derived and not recorded. Hypervisor
 // implements sim.Snapshotter and registers itself on the node at build
 // time, so node snapshots include it automatically.
 func (h *Hypervisor) Snapshot() sim.State {
@@ -86,9 +88,8 @@ func (h *Hypervisor) Snapshot() sim.State {
 		lastVMID:    append([]VMID(nil), h.lastVMID...),
 		enteredAt:   append([]sim.Time(nil), h.enteredAt...),
 		vmCPU:       make(map[VMID]sim.Duration, len(h.vmCPU)),
-		owner:       make(map[mem.PA]VMID, len(h.owner)),
-		ownerVer:    h.ownerVer,
-		shares:      make(map[uint64]*shareRecord, len(h.shares)),
+		owner:       slices.Clone(h.owner.ext),
+		shares:      maps.Clone(h.shares),
 		nextShareID: h.nextShareID,
 		nsAlloc:     h.nsAlloc.Snapshot(),
 		booted:      h.booted,
@@ -99,13 +100,6 @@ func (h *Hypervisor) Snapshot() sim.State {
 	}
 	for k, v := range h.vmCPU {
 		s.vmCPU[k] = v
-	}
-	for k, v := range h.owner {
-		s.owner[k] = v
-	}
-	for id, rec := range h.shares {
-		cp := *rec // Grant.Pages is append-only after creation; shared
-		s.shares[id] = &cp
 	}
 	for _, id := range h.order {
 		vm := h.vms[id]
@@ -169,20 +163,12 @@ func (h *Hypervisor) Restore(st sim.State) {
 	for k, v := range s.vmCPU {
 		h.vmCPU[k] = v
 	}
-	// The frame-owner map has one entry per physical page; skip the
-	// rebuild when the version stamps match (ownership never changed
-	// since the capture), which keeps verbatim forks O(dirtied state).
-	if h.ownerVer != s.ownerVer {
-		h.owner = make(map[mem.PA]VMID, len(s.owner))
-		for k, v := range s.owner {
-			h.owner[k] = v
-		}
-		h.ownerVer = s.ownerVer
-	}
-	h.shares = make(map[uint64]*shareRecord, len(s.shares))
-	for id, rec := range s.shares {
-		cp := *rec
-		h.shares[id] = &cp
+	h.owner.ext = append(h.owner.ext[:0], s.owner...)
+	// Refill the grant table and rebuild its frame index in place.
+	clear(h.shares)
+	clear(h.granted)
+	for _, g := range s.shares {
+		h.addGrant(g)
 	}
 	h.nextShareID = s.nextShareID
 	h.nsAlloc.Restore(s.nsAlloc)

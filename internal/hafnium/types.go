@@ -39,6 +39,8 @@ const (
 	Secondary
 )
 
+// String names the class as manifests spell it ("primary",
+// "super-secondary", "secondary").
 func (c Class) String() string {
 	switch c {
 	case Primary:
@@ -77,6 +79,7 @@ const (
 // VMAborted is the historical name for VMCrashed.
 const VMAborted = VMCrashed
 
+// String names the lifecycle state ("running", "crashed", ...).
 func (s VMState) String() string {
 	switch s {
 	case VMConfigured:
@@ -110,6 +113,7 @@ const (
 	RestartAlways
 )
 
+// String names the policy as manifests spell it ("restart" or "none").
 func (p RestartPolicy) String() string {
 	if p == RestartAlways {
 		return "restart"
@@ -128,6 +132,7 @@ const (
 	VCPUBlocked // waiting for an interrupt
 )
 
+// String names the VCPU state ("runnable", "running", ...).
 func (s VCPUState) String() string {
 	switch s {
 	case VCPUStopped:
@@ -153,6 +158,7 @@ const (
 	ExitAborted                       // stage-2 abort or guest panic
 )
 
+// String names why the VCPU left its core ("yield", "aborted", ...).
 func (r ExitReason) String() string {
 	switch r {
 	case ExitInterrupted:
@@ -182,6 +188,7 @@ const (
 	RouteSelective
 )
 
+// String names the routing mode ("selective" or "via-primary").
 func (r IRQRouting) String() string {
 	if r == RouteSelective {
 		return "selective"
@@ -201,6 +208,7 @@ const (
 	TLBFlushAll
 )
 
+// String names the TLB policy ("flush-all" or "vmid-tagged").
 func (p TLBPolicy) String() string {
 	if p == TLBFlushAll {
 		return "flush-all"

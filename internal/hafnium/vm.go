@@ -221,10 +221,7 @@ func (h *Hypervisor) buildVM(id VMID, spec VMSpec) (*VM, error) {
 	if err := v.stage2.Map(GuestRAMBase, uint64(pa), size, mmu.PermRWX); err != nil {
 		return nil, fmt.Errorf("hafnium: VM %q stage-2: %w", spec.Name, err)
 	}
-	for p := uint64(0); p < size; p += mem.PageSize {
-		h.owner[pa+mem.PA(p)] = id
-	}
-	h.touchOwner()
+	h.owner.assign(pa, pa+mem.PA(size), id)
 	for i := 0; i < spec.VCPUs; i++ {
 		v.vcpus = append(v.vcpus, newVCPU(v, i))
 	}

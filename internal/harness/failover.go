@@ -364,13 +364,18 @@ func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bo
 		signers[i] = tz.NewSigner(seed, i)
 		pubs[i] = signers[i].Public()
 	}
+	// Signature outcomes are counted per node, since in parallel mode
+	// every node proposes from its own window goroutine, and summed into
+	// the report after the run.
+	sigVerified := make([]uint64, m.Nodes)
+	sigFailed := make([]uint64, m.Nodes)
 	signedPropose := func(id int, payload []byte) {
 		rec := tz.SignRecord(signers[id], id, payload)
 		if err := rec.Verify(pubs[id]); err != nil {
-			rep.SigFailed++
+			sigFailed[id]++
 			return
 		}
-		rep.SigVerified++
+		sigVerified[id]++
 		svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
 	}
 
@@ -513,6 +518,10 @@ func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bo
 
 	mc.Run(m.Run)
 	svc.FlushMetrics()
+	for i := range sigVerified {
+		rep.SigVerified += sigVerified[i]
+		rep.SigFailed += sigFailed[i]
+	}
 
 	// Post-run analysis: the new leader is the first leadership record
 	// traced after the kill; candidacies in between are the failover cost.

@@ -357,8 +357,12 @@ func runMigrationCell(rep *MigrationReport, ws int, kill, parallel bool) error {
 
 	// Lifecycle records (including the migration transitions) are signed,
 	// verified and proposed to the replicated ledger the moment they land
-	// in the node-local one.
+	// in the node-local one. The outcomes are counted per node, since in
+	// parallel mode every node runs its hook on its own window goroutine,
+	// and summed into the report after the run.
 	stopAt := sim.Time(0).Add(run - run/8)
+	sigVerified := make([]uint64, nodes)
+	sigFailed := make([]uint64, nodes)
 	for i := 0; i < nodes; i++ {
 		id, eng := i, engines[i]
 		stacks[i].OnLifecycle = func(ev hafnium.LifecycleEvent) {
@@ -368,10 +372,10 @@ func runMigrationCell(rep *MigrationReport, ws int, kill, parallel bool) error {
 			payload := []byte(fmt.Sprintf("lifecycle n%d %s vm=%s restarts=%d", id, ev.Kind, ev.VM, ev.Restarts))
 			rec := tz.SignRecord(signers[id], id, payload)
 			if err := rec.Verify(pubs[id]); err != nil {
-				rep.SigFailed++
+				sigFailed[id]++
 				return
 			}
-			rep.SigVerified++
+			sigVerified[id]++
 			svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
 		}
 	}
@@ -413,6 +417,10 @@ func runMigrationCell(rep *MigrationReport, ws int, kill, parallel bool) error {
 	}
 
 	mc.Run(run)
+	for i := range sigVerified {
+		rep.SigVerified += sigVerified[i]
+		rep.SigFailed += sigFailed[i]
+	}
 
 	cell := MigrationCell{
 		WorkingSetPages: ws,

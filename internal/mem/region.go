@@ -55,6 +55,8 @@ func (r Region) Overlaps(o Region) bool {
 	return r.Base < o.End() && o.Base < r.End()
 }
 
+// String renders the region as its name, range, kind and world, for
+// example "dram [0x40000000,0x80000000) normal/ns".
 func (r Region) String() string {
 	k := "normal"
 	if r.Attr.Device {

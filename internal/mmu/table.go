@@ -41,6 +41,7 @@ const (
 // Allows reports whether p grants every permission in want.
 func (p Perms) Allows(want Perms) bool { return p&want == want }
 
+// String renders the permissions ls-style, for example "rw-".
 func (p Perms) String() string {
 	b := []byte("---")
 	if p&PermR != 0 {

@@ -22,6 +22,8 @@ const (
 	FaultPermission // stage-2 permission violation: a hypervisor trap
 )
 
+// String names the stage a translation faulted at ("none", "stage1",
+// "stage2" or "s2-permission").
 func (f FaultStage) String() string {
 	switch f {
 	case FaultNone:
