@@ -34,7 +34,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docgate -arch ARCHITECTURE.md -internal internal \
 		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve \
-		./internal/hafnium ./internal/mmu ./internal/mem
+		./internal/hafnium ./internal/mmu ./internal/mem ./internal/gic ./internal/machine
 
 # obscheck is the observability gate: the metrics snapshot must be
 # deterministic across same-seed runs, the Perfetto trace export must

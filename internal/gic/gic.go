@@ -4,14 +4,19 @@
 // priorities, per-core pending/active state, and the acknowledge/EOI
 // protocol.
 //
-// Hafnium gives the primary VM the physical GIC and exposes a para-virtual
-// interrupt controller to secondaries (internal/hafnium builds that view
-// on top of a second Distributor instance).
+// Each node has exactly one Distributor, the physical GIC, built by
+// machine.New. Hafnium gives the primary VM that GIC and keeps no second
+// one for secondaries: it queues their virtual interrupts per VCPU.
+//
+// The state is dense, because every timer tick crosses it: per-IRQ
+// configuration is a slice indexed by IRQ ID, and each core's pending and
+// active sets are bitsets, so no map, sort or allocation sits on the
+// raise, acknowledge or EOI path.
 package gic
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // IRQ class boundaries.
@@ -53,6 +58,7 @@ func ClassOf(irq int) Class {
 	}
 }
 
+// String names the class as the GIC architecture does: SGI, PPI or SPI.
 func (c Class) String() string {
 	switch c {
 	case SGI:
@@ -71,24 +77,31 @@ type Asserter interface {
 	AssertIRQ(core int)
 }
 
+// irqState is one IRQ's configuration. It is kept to three bytes, since
+// every node holds one per IRQ ID.
 type irqState struct {
 	enabled  bool
 	priority uint8 // lower value = higher priority, GIC convention
-	target   int   // SPI routing target core
+	target   uint8 // SPI routing target core
 }
+
+// defaultPriority is every IRQ's priority until SetPriority changes it.
+const defaultPriority = 0xA0
+
+// MaxCores is the most CPU interfaces a Distributor serves: the most an
+// SPI's one-byte routing target can name.
+const MaxCores = 256
 
 // Distributor is the shared half of the GIC plus all per-core interfaces.
 type Distributor struct {
 	cores    int
-	spis     int
-	state    map[int]*irqState // SGIs/PPIs keyed as-is; banked state handled in percore
-	pending  []map[int]bool    // per core: pending IRQ set
-	active   []map[int]bool    // per core: acknowledged, awaiting EOI
-	maskPrio []uint8           // per core: priority mask (PMR); IRQs with priority >= mask are filtered
+	words    int        // bitset words per core: one bit per IRQ ID
+	state    []irqState // indexed by IRQ ID, FirstSPI+spis entries
+	pending  []uint64   // core c's pending set is words [c*words, (c+1)*words)
+	active   []uint64   // likewise: acknowledged, awaiting EOI
+	maskPrio []uint8    // per core: priority mask (PMR); IRQs with priority >= mask are filtered
 	sink     Asserter
 	stats    Stats
-
-	ackIDs []int // Acknowledge scratch; reused across calls (single-threaded)
 }
 
 // Stats counts distributor activity.
@@ -105,21 +118,35 @@ func New(cores, spis int) *Distributor {
 	if cores <= 0 {
 		panic("gic: no cores")
 	}
+	if cores > MaxCores {
+		panic(fmt.Sprintf("gic: %d cores, at most %d", cores, MaxCores))
+	}
+	n := max(FirstSPI+spis, 0)
+	words := (n + 63) / 64
 	d := &Distributor{
 		cores:    cores,
-		spis:     spis,
-		state:    make(map[int]*irqState),
-		pending:  make([]map[int]bool, cores),
-		active:   make([]map[int]bool, cores),
+		words:    words,
+		state:    make([]irqState, n),
+		pending:  make([]uint64, cores*words),
+		active:   make([]uint64, cores*words),
 		maskPrio: make([]uint8, cores),
 	}
-	for i := 0; i < cores; i++ {
-		d.pending[i] = make(map[int]bool)
-		d.active[i] = make(map[int]bool)
+	for i := range d.state {
+		d.state[i].priority = defaultPriority
+	}
+	for i := range d.maskPrio {
 		d.maskPrio[i] = 0xFF // unmasked
 	}
 	return d
 }
+
+// set returns core's slice of a per-core bitset (pending or active).
+func (d *Distributor) set(bitset []uint64, core int) []uint64 {
+	return bitset[core*d.words : (core+1)*d.words]
+}
+
+// has reports whether irq's bit is set in a core's set.
+func has(set []uint64, irq int) bool { return set[irq/64]&(1<<(irq%64)) != 0 }
 
 // SetSink installs the delivery callback (the machine's core array).
 func (d *Distributor) SetSink(s Asserter) { d.sink = s }
@@ -130,8 +157,10 @@ func (d *Distributor) Cores() int { return d.cores }
 // Stats returns a snapshot of the counters.
 func (d *Distributor) Stats() Stats { return d.stats }
 
+func (d *Distributor) inRange(irq int) bool { return irq >= 0 && irq < len(d.state) }
+
 func (d *Distributor) validIRQ(irq int) error {
-	if irq < 0 || irq >= FirstSPI+d.spis {
+	if !d.inRange(irq) {
 		return fmt.Errorf("gic: IRQ %d out of range", irq)
 	}
 	return nil
@@ -144,21 +173,12 @@ func (d *Distributor) validCore(core int) error {
 	return nil
 }
 
-func (d *Distributor) irq(irq int) *irqState {
-	s, ok := d.state[irq]
-	if !ok {
-		s = &irqState{priority: 0xA0}
-		d.state[irq] = s
-	}
-	return s
-}
-
 // Enable makes an IRQ deliverable.
 func (d *Distributor) Enable(irq int) error {
 	if err := d.validIRQ(irq); err != nil {
 		return err
 	}
-	d.irq(irq).enabled = true
+	d.state[irq].enabled = true
 	return nil
 }
 
@@ -167,14 +187,13 @@ func (d *Distributor) Disable(irq int) error {
 	if err := d.validIRQ(irq); err != nil {
 		return err
 	}
-	d.irq(irq).enabled = false
+	d.state[irq].enabled = false
 	return nil
 }
 
 // Enabled reports whether the IRQ is enabled.
 func (d *Distributor) Enabled(irq int) bool {
-	s, ok := d.state[irq]
-	return ok && s.enabled
+	return d.inRange(irq) && d.state[irq].enabled
 }
 
 // SetPriority assigns the IRQ's priority (lower = more urgent).
@@ -182,7 +201,7 @@ func (d *Distributor) SetPriority(irq int, prio uint8) error {
 	if err := d.validIRQ(irq); err != nil {
 		return err
 	}
-	d.irq(irq).priority = prio
+	d.state[irq].priority = prio
 	return nil
 }
 
@@ -197,7 +216,7 @@ func (d *Distributor) Route(irq, core int) error {
 	if err := d.validCore(core); err != nil {
 		return err
 	}
-	d.irq(irq).target = core
+	d.state[irq].target = uint8(core)
 	return nil
 }
 
@@ -209,7 +228,7 @@ func (d *Distributor) RaiseSPI(irq int) error {
 	if ClassOf(irq) != SPI {
 		return fmt.Errorf("gic: RaiseSPI on %s %d", ClassOf(irq), irq)
 	}
-	return d.raiseOn(irq, d.irq(irq).target)
+	return d.raiseOn(irq, int(d.state[irq].target))
 }
 
 // RaisePPI marks a private interrupt pending on one core.
@@ -240,16 +259,17 @@ func (d *Distributor) SendSGI(toCore, irq int) error {
 }
 
 func (d *Distributor) raiseOn(irq, core int) error {
-	s := d.irq(irq)
+	s := &d.state[irq]
 	if !s.enabled {
 		d.stats.Dropped++
 		return nil
 	}
 	d.stats.Raised++
-	if d.pending[core][irq] || d.active[core][irq] {
+	pend := d.set(d.pending, core)
+	if has(pend, irq) || has(d.set(d.active, core), irq) {
 		return nil // level already high / still in service
 	}
-	d.pending[core][irq] = true
+	pend[irq/64] |= 1 << (irq % 64)
 	if s.priority < d.maskPrio[core] && d.sink != nil {
 		d.sink.AssertIRQ(core)
 	}
@@ -271,10 +291,13 @@ func (d *Distributor) SetPriorityMask(core int, mask uint8) error {
 
 // HasPending reports whether the core has any deliverable pending IRQ.
 func (d *Distributor) HasPending(core int) bool {
-	for irq := range d.pending[core] {
-		s := d.irq(irq)
-		if s.enabled && s.priority < d.maskPrio[core] {
-			return true
+	mask := d.maskPrio[core]
+	for w, word := range d.set(d.pending, core) {
+		for ; word != 0; word &= word - 1 {
+			s := &d.state[w*64+bits.TrailingZeros64(word)]
+			if s.enabled && s.priority < mask {
+				return true
+			}
 		}
 	}
 	return false
@@ -282,32 +305,33 @@ func (d *Distributor) HasPending(core int) bool {
 
 // Acknowledge returns the highest-priority deliverable pending IRQ for the
 // core, moving it pending→active. With nothing pending it returns the
-// spurious IRQ 1023, as real hardware does.
+// spurious IRQ 1023, as real hardware does. Among equal priorities the
+// lowest IRQ ID wins: the pending set is walked in ascending ID order and
+// only a strictly more urgent IRQ displaces the current pick.
 func (d *Distributor) Acknowledge(core int) int {
 	best := SpuriousIRQ
 	var bestPrio uint8 = 0xFF
-	ids := d.ackIDs[:0]
-	for irq := range d.pending[core] {
-		ids = append(ids, irq)
-	}
-	d.ackIDs = ids
-	sort.Ints(ids) // deterministic tie-break: lowest IRQ ID wins
-	for _, irq := range ids {
-		s := d.irq(irq)
-		if !s.enabled || s.priority >= d.maskPrio[core] {
-			continue
-		}
-		if best == SpuriousIRQ || s.priority < bestPrio {
-			best = irq
-			bestPrio = s.priority
+	mask := d.maskPrio[core]
+	pend := d.set(d.pending, core)
+	for w, word := range pend {
+		for ; word != 0; word &= word - 1 {
+			irq := w*64 + bits.TrailingZeros64(word)
+			s := &d.state[irq]
+			if !s.enabled || s.priority >= mask {
+				continue
+			}
+			if best == SpuriousIRQ || s.priority < bestPrio {
+				best = irq
+				bestPrio = s.priority
+			}
 		}
 	}
 	if best == SpuriousIRQ {
 		d.stats.Spurious++
 		return SpuriousIRQ
 	}
-	delete(d.pending[core], best)
-	d.active[core][best] = true
+	pend[best/64] &^= 1 << (best % 64)
+	d.set(d.active, core)[best/64] |= 1 << (best % 64)
 	d.stats.Acked++
 	return best
 }
@@ -317,10 +341,11 @@ func (d *Distributor) EOI(core, irq int) error {
 	if err := d.validCore(core); err != nil {
 		return err
 	}
-	if !d.active[core][irq] {
+	act := d.set(d.active, core)
+	if !d.inRange(irq) || !has(act, irq) {
 		return fmt.Errorf("gic: EOI for inactive IRQ %d on core %d", irq, core)
 	}
-	delete(d.active[core], irq)
+	act[irq/64] &^= 1 << (irq % 64)
 	// A still-pending instance (level interrupt) re-asserts.
 	if d.HasPending(core) && d.sink != nil {
 		d.sink.AssertIRQ(core)
@@ -329,4 +354,10 @@ func (d *Distributor) EOI(core, irq int) error {
 }
 
 // PendingCount reports the number of pending IRQs on a core (any state).
-func (d *Distributor) PendingCount(core int) int { return len(d.pending[core]) }
+func (d *Distributor) PendingCount(core int) int {
+	n := 0
+	for _, word := range d.set(d.pending, core) {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}

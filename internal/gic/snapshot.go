@@ -6,69 +6,40 @@ import (
 	"khsim/internal/sim"
 )
 
-// distributorState is Distributor's Snapshot payload: deep copies of all
-// per-IRQ and per-core state.
+// distributorState is Distributor's Snapshot payload: copies of the
+// per-IRQ configuration, the per-core bitsets and priority masks, and the
+// counters.
 type distributorState struct {
-	state    map[int]irqState
-	pending  []map[int]bool
-	active   []map[int]bool
+	state    []irqState
+	pending  []uint64
+	active   []uint64
 	maskPrio []uint8
 	stats    Stats
 }
 
-func copyIRQSets(sets []map[int]bool) []map[int]bool {
-	out := make([]map[int]bool, len(sets))
-	for i, set := range sets {
-		cp := make(map[int]bool, len(set))
-		for irq, v := range set {
-			if v {
-				cp[irq] = true
-			}
-		}
-		out[i] = cp
-	}
-	return out
-}
-
-// Snapshot deep-copies per-IRQ configuration, per-core pending/active
-// sets, priority masks and counters. Distributor implements
-// sim.Snapshotter. The delivery sink and scratch buffers are topology,
-// not state, and are left alone.
+// Snapshot copies per-IRQ configuration, per-core pending/active sets,
+// priority masks and counters. Distributor implements sim.Snapshotter.
+// The delivery sink is topology, not state, and is left alone.
 func (d *Distributor) Snapshot() sim.State {
-	s := &distributorState{
-		state:    make(map[int]irqState, len(d.state)),
-		pending:  copyIRQSets(d.pending),
-		active:   copyIRQSets(d.active),
+	return &distributorState{
+		state:    append([]irqState(nil), d.state...),
+		pending:  append([]uint64(nil), d.pending...),
+		active:   append([]uint64(nil), d.active...),
 		maskPrio: append([]uint8(nil), d.maskPrio...),
 		stats:    d.stats,
 	}
-	for irq, st := range d.state {
-		s.state[irq] = *st
-	}
-	return s
 }
 
-// Restore reinstalls a snapshot taken on this distributor.
+// Restore reinstalls a snapshot taken on this distributor, copying it
+// into the existing storage.
 func (d *Distributor) Restore(st sim.State) {
 	s, ok := st.(*distributorState)
 	if !ok {
 		panic(fmt.Sprintf("gic: Distributor.Restore of foreign state %T", st))
 	}
-	d.state = make(map[int]*irqState, len(s.state))
-	for irq, v := range s.state {
-		cp := v
-		d.state[irq] = &cp
-	}
-	for i := range d.pending {
-		d.pending[i] = make(map[int]bool, len(s.pending[i]))
-		for irq := range s.pending[i] {
-			d.pending[i][irq] = true
-		}
-		d.active[i] = make(map[int]bool, len(s.active[i]))
-		for irq := range s.active[i] {
-			d.active[i][irq] = true
-		}
-	}
+	copy(d.state, s.state)
+	copy(d.pending, s.pending)
+	copy(d.active, s.active)
 	copy(d.maskPrio, s.maskPrio)
 	d.stats = s.stats
 }

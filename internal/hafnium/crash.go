@@ -63,9 +63,7 @@ func (h *Hypervisor) abortFromGuest(vc *VCPU, reason string) {
 	}
 	costs := h.node.Costs
 	h.worldSwitch(vm, costs.HypTrap+costs.WorldSwitch)
-	c.ExecUninterruptible("el2.abort", costs.HypTrap+costs.WorldSwitch, func() {
-		h.primaryOS.VCPUExited(c, vc, ExitAborted)
-	})
+	c.ExecBound("el2.abort", costs.HypTrap+costs.WorldSwitch, true, vc.exitFn, int(ExitAborted))
 }
 
 // containCrash performs the state transition, VCPU teardown, grant

@@ -91,6 +91,11 @@ type Hypervisor struct {
 	// per-VM counters live on the VM structs.
 	mTraps []*metrics.Counter
 	mKicks *metrics.Counter
+
+	// deliverFn hands a physical IRQ to the primary at the end of an EL2
+	// trap or world switch. It is bound once, like each VCPU's EL2
+	// completions, so the per-interrupt paths build no closure.
+	deliverFn func(c *machine.Core, irq int)
 }
 
 // metric returns the VM-labelled el2 counter for name (cold paths; hot
@@ -173,6 +178,7 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		routing:   m.Routing,
 		tlbPolicy: m.TLB,
 	}
+	h.deliverFn = h.deliverIRQ
 	for i := range node.Cores {
 		h.mTraps = append(h.mTraps, node.Metrics.Counter(metrics.K("el2", "traps").WithCore(i)))
 	}
@@ -407,9 +413,7 @@ func (h *Hypervisor) trap(c *machine.Core) {
 	if cur == nil {
 		// Primary context. All physical IRQs here belong to the primary
 		// (EL2 still interposes: charge the trap before delivery).
-		c.ExecUninterruptible("el2.trap", costs.HypTrap, func() {
-			h.primaryOS.HandleIRQ(c, irq)
-		})
+		c.ExecBound("el2.trap", costs.HypTrap, true, h.deliverFn, irq)
 		return
 	}
 
@@ -433,16 +437,21 @@ func (h *Hypervisor) trap(c *machine.Core) {
 	}
 }
 
+// deliverIRQ is deliverFn: the primary's interrupt handler runs once the
+// EL2 work charged for the trap or world switch is done.
+func (h *Hypervisor) deliverIRQ(c *machine.Core, irq int) { h.primaryOS.HandleIRQ(c, irq) }
+
 // inject delivers a virtual interrupt to the resident guest: EL2 entry
 // plus list-register traffic, then the guest's handler in guest context.
 func (h *Hypervisor) inject(c *machine.Core, vc *VCPU, virq int) {
 	h.stats.Injections++
 	vc.vm.mInjections.Inc()
 	costs := h.node.Costs
-	c.ExecUninterruptible("el2.inject", costs.HypTrap+costs.IRQDeliverGIC, func() {
-		vc.vm.guest.HandleVIRQ(vc, virq)
-	})
+	c.ExecBound("el2.inject", costs.HypTrap+costs.IRQDeliverGIC, true, vc.injectFn, virq)
 }
+
+// injectDone is a VCPU's injectFn: the guest's handler for virq.
+func (vc *VCPU) injectDone(c *machine.Core, virq int) { vc.vm.guest.HandleVIRQ(vc, virq) }
 
 // handleKick processes a cross-core SGI sent to this core: deliver any
 // pending virtual interrupts, or force an exit if the VM was stopped or
@@ -477,14 +486,21 @@ func (h *Hypervisor) drainPending(c *machine.Core, vc *VCPU) {
 	h.stats.Injections++
 	vc.vm.mInjections.Inc()
 	costs := h.node.Costs
-	c.ExecUninterruptible("el2.inject", costs.HypTrap+costs.IRQDeliverGIC, func() {
-		vc.vm.guest.HandleVIRQ(vc, virq)
-		// Chain the next pending injection after this handler's work.
-		if len(vc.pending) > 0 && vc.core == c.ID() {
-			c.CallHandler(func(c *machine.Core) { h.drainPending(c, vc) })
-		}
-	})
+	c.ExecBound("el2.inject", costs.HypTrap+costs.IRQDeliverGIC, true, vc.drainFn, virq)
 }
+
+// drainDone is a VCPU's drainFn: the guest's handler for virq, then the
+// next pending injection chained after this handler's work.
+func (vc *VCPU) drainDone(c *machine.Core, virq int) {
+	vc.vm.guest.HandleVIRQ(vc, virq)
+	if len(vc.pending) > 0 && vc.core == c.ID() {
+		c.CallHandler(vc.drainHandler)
+	}
+}
+
+// drainNext is a VCPU's drainHandler: drainPending run as an interrupt
+// handler on the core.
+func (vc *VCPU) drainNext(c *machine.Core) { vc.vm.hyp.drainPending(c, vc) }
 
 // switchOut performs the guest→primary world switch for interrupt irq.
 func (h *Hypervisor) switchOut(c *machine.Core, vc *VCPU, irq int) {
@@ -502,9 +518,7 @@ func (h *Hypervisor) switchOut(c *machine.Core, vc *VCPU, irq int) {
 		c.TLB().InvalidateAll()
 		vc.vm.s2cache.Flush() // flush-all policy drops walk-cache state too
 	}
-	c.ExecUninterruptible("el2.worldswitch", costs.HypTrap+costs.WorldSwitch, func() {
-		h.primaryOS.HandleIRQ(c, irq)
-	})
+	c.ExecBound("el2.worldswitch", costs.HypTrap+costs.WorldSwitch, true, h.deliverFn, irq)
 }
 
 // forceExit ejects a guest whose VM stopped (kick path).
@@ -520,9 +534,7 @@ func (h *Hypervisor) forceExit(c *machine.Core, vc *VCPU, reason ExitReason) {
 	h.cur[id] = nil
 	costs := h.node.Costs
 	h.worldSwitch(vc.vm, costs.HypTrap+costs.WorldSwitch)
-	c.ExecUninterruptible("el2.worldswitch", costs.HypTrap+costs.WorldSwitch, func() {
-		h.primaryOS.VCPUExited(c, vc, reason)
-	})
+	c.ExecBound("el2.worldswitch", costs.HypTrap+costs.WorldSwitch, true, vc.exitFn, int(reason))
 }
 
 // guestExit handles voluntary exits (yield/block) from guest context.
@@ -574,9 +586,13 @@ func (h *Hypervisor) guestExit(vc *VCPU, reason ExitReason) {
 	costs := h.node.Costs
 	h.hypercall(hcExit, vc.vm)
 	h.worldSwitch(vc.vm, costs.HypTrap+costs.WorldSwitch)
-	c.ExecUninterruptible("el2.exit", costs.HypTrap+costs.WorldSwitch, func() {
-		h.primaryOS.VCPUExited(c, vc, reason)
-	})
+	c.ExecBound("el2.exit", costs.HypTrap+costs.WorldSwitch, true, vc.exitFn, int(reason))
+}
+
+// exitDone is a VCPU's exitFn: the primary learns the VCPU left its core
+// for reason, an ExitReason.
+func (vc *VCPU) exitDone(c *machine.Core, reason int) {
+	vc.vm.hyp.primaryOS.VCPUExited(c, vc, ExitReason(reason))
 }
 
 // guestAbort marks the whole VM crashed and exits to the primary. It
@@ -668,25 +684,30 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 	// the window records them.
 	vc.entering = vc.saved
 	vc.saved = nil
-	c.ExecUninterruptible("el2.run", entry, func() {
-		frames := vc.entering
-		vc.entering = nil
-		if !vc.booted {
-			vc.booted = true
-			vc.vm.guest.Boot(vc)
-		} else if len(frames) > 0 {
-			c.RestoreStack(frames)
-		}
-		// Boot may already have exited the VCPU: a guest that parks
-		// itself at boot while a doorbell is pending blocks, converts to
-		// a yield (FFA semantics) and is descheduled by the time control
-		// returns here. The virq then belongs to the next entry — it must
-		// not be injected into a context that is no longer resident.
-		if vc.core == id && len(vc.pending) > 0 {
-			c.CallHandler(func(c *machine.Core) { h.drainPending(c, vc) })
-		}
-	})
+	c.ExecBound("el2.run", entry, true, vc.runFn, 0)
 	return nil
+}
+
+// runDone is a VCPU's runFn, the end of RunVCPU's entry window: boot the
+// guest or put its saved frames back on the core, then deliver what is
+// pending.
+func (vc *VCPU) runDone(c *machine.Core, _ int) {
+	frames := vc.entering
+	vc.entering = nil
+	if !vc.booted {
+		vc.booted = true
+		vc.vm.guest.Boot(vc)
+	} else if len(frames) > 0 {
+		c.RestoreStack(frames)
+	}
+	// Boot may already have exited the VCPU: a guest that parks itself at
+	// boot while a doorbell is pending blocks, converts to a yield (FFA
+	// semantics) and is descheduled by the time control returns here. The
+	// virq then belongs to the next entry — it must not be injected into a
+	// context that is no longer resident.
+	if vc.core == c.ID() && len(vc.pending) > 0 {
+		c.CallHandler(vc.drainHandler)
+	}
 }
 
 // refillCost models the TLB warm-up the incoming guest pays.

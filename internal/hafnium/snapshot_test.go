@@ -179,3 +179,44 @@ func TestSnapshotInsideEntryWindow(t *testing.T) {
 		t.Fatalf("replay from inside the entry window diverged:\n  first:  %s\n  second: %s", first, second)
 	}
 }
+
+// TestSnapshotInsideExitWindow takes a node snapshot while a yielding
+// guest's el2.exit completion is in flight, so the exit reason is held
+// only by the pooled activity. The divergent run re-enters the VCPU,
+// which blocks at once and re-mints that activity with another reason;
+// the replay after a restore must still report the yield, and end in the
+// same state.
+func TestSnapshotInsideExitWindow(t *testing.T) {
+	g := &stubGuest{workChunk: sim.FromMicros(100), chunks: 1, exit: ExitYield}
+	h, p := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": g})
+	node := h.Node()
+	c := node.Cores[0]
+	job, _ := h.VMByName("job")
+	vc := job.VCPU(0)
+	if err := h.RunVCPU(c, vc); err != nil {
+		t.Fatal(err)
+	}
+	for !(c.Current() != nil && c.Current().Label == "el2.exit") {
+		if !node.Engine.Step() {
+			t.Fatal("the guest never exited")
+		}
+	}
+	snap := node.Snapshot()
+	run := func() string {
+		p.exits = nil
+		node.Engine.RunAll()
+		if err := h.RunVCPU(c, vc); err != nil {
+			t.Fatal(err)
+		}
+		node.Engine.RunAll()
+		return fmt.Sprintf("exits=%v now=%v busy=%v fired=%d", p.exits, node.Now(), c.BusyTime(), node.Engine.Fired())
+	}
+	first := run()
+	if want := fmt.Sprint([]ExitReason{ExitYield, ExitBlocked}); fmt.Sprint(p.exits) != want {
+		t.Fatalf("exits %v, want %s", p.exits, want)
+	}
+	node.Restore(snap)
+	if second := run(); second != first {
+		t.Fatalf("replay from inside the exit window diverged:\n  first:  %s\n  second: %s", first, second)
+	}
+}

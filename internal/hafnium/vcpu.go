@@ -34,11 +34,24 @@ type VCPU struct {
 	vtWatchName string // memoized vtimer watch event name
 	vtWatchFn   func() // memoized vtimer watch callback (rescheduled often)
 
+	// EL2 completions for machine.Core.ExecBound, bound once here so the
+	// injection, entry and exit paths build no closure. Each reads only
+	// the VCPU's identity and state a snapshot records (vc.entering,
+	// vc.pending); the per-call value is the integer argument.
+	injectFn, drainFn, runFn, exitFn func(c *machine.Core, arg int)
+	drainHandler                     func(c *machine.Core) // CallHandler form of drainPending
+
 	runs uint64
 }
 
 func newVCPU(v *VM, index int) *VCPU {
-	return &VCPU{vm: v, index: index, core: -1, state: VCPUStopped}
+	vc := &VCPU{vm: v, index: index, core: -1, state: VCPUStopped}
+	vc.injectFn = vc.injectDone
+	vc.drainFn = vc.drainDone
+	vc.runFn = vc.runDone
+	vc.exitFn = vc.exitDone
+	vc.drainHandler = vc.drainNext
+	return vc
 }
 
 // VM returns the owning VM.

@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
+	"khsim/internal/core"
 	"khsim/internal/sim"
 )
 
@@ -23,6 +27,70 @@ func TestSnapshotCheckHoldsContract(t *testing.T) {
 	}
 	if rep.EndAt <= rep.SnapAt {
 		t.Fatalf("comparison point %v not after snapshot point %v", rep.EndAt, rep.SnapAt)
+	}
+}
+
+// TestForkReplayInsideEL2AndTickWindows forks a running secure node at
+// each of 300 consecutive events, so forks land inside EL2 trap,
+// injection, world-switch and entry windows and inside primary ticks,
+// where the per-call state (an IRQ, a VIRQ, saved frames) rides in a
+// pooled activity or a snapshotted VCPU field. From each fork point the
+// node runs 5 ms twice, restoring in between, and both runs must end in
+// the same state: clock, fired events, per-core busy time and metrics.
+func TestForkReplayInsideEL2AndTickWindows(t *testing.T) {
+	cases := []struct {
+		sched   core.Scheduler
+		windows []string // activity labels some fork must land inside
+	}{
+		{core.SchedulerKitten, []string{"el2.trap", "el2.inject", "el2.run"}},
+		{core.SchedulerLinux, []string{"el2.trap", "el2.worldswitch", "el2.run", "linux.tick"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.sched.String(), func(t *testing.T) {
+			n := startSelfishNode(t, tc.sched, sim.FromSeconds(1))
+			m := n.Machine
+			n.Run(20 * sim.Millisecond)
+			fingerprint := func() string {
+				var b strings.Builder
+				fmt.Fprintf(&b, "now=%v fired=%d", m.Now(), m.Engine.Fired())
+				for _, c := range m.Cores {
+					fmt.Fprintf(&b, " busy%d=%v", c.ID(), c.BusyTime())
+				}
+				b.WriteString("\n" + m.SnapshotMetrics().Text())
+				return b.String()
+			}
+			windows := map[string]int{}
+			for i := 0; i < 300; i++ {
+				for _, c := range m.Cores {
+					if a := c.Current(); a != nil {
+						windows[a.Label]++
+					}
+				}
+				snap := m.Snapshot()
+				n.Run(5 * sim.Millisecond)
+				first := fingerprint()
+				m.Restore(snap)
+				n.Run(5 * sim.Millisecond)
+				if second := fingerprint(); second != first {
+					t.Fatalf("fork %d at %v: replay diverged:\n  first:  %.300s\n  second: %.300s", i, m.Now(), first, second)
+				}
+				m.Restore(snap)
+				if !m.Engine.Step() {
+					t.Fatalf("fork %d: the node ran out of events", i)
+				}
+			}
+			var seen []string
+			for label, k := range windows {
+				seen = append(seen, fmt.Sprintf("%s=%d", label, k))
+			}
+			sort.Strings(seen)
+			t.Logf("fork points by running activity: %s", strings.Join(seen, " "))
+			for _, w := range tc.windows {
+				if windows[w] == 0 {
+					t.Errorf("no fork landed inside %s", w)
+				}
+			}
+		})
 	}
 }
 

@@ -59,6 +59,9 @@ type CFSPolicy struct {
 	// The tick and context-switch labels are built once at Attach (each
 	// kthread's activation label lives on its task).
 	labelTick, labelCtxsw string
+	// tickDoneFn completes a tick that woke nothing; bound at Attach so
+	// the common tick builds no closure.
+	tickDoneFn func(c *machine.Core, arg int)
 }
 
 // NewCFSPolicy builds the policy from its tunables.
@@ -70,6 +73,7 @@ func (p *CFSPolicy) Attach(k *Kernel) {
 	p.k = k
 	p.labelTick = k.cfg.Label + ".tick"
 	p.labelCtxsw = k.cfg.Label + ".ctxsw"
+	p.tickDoneFn = p.tickDone
 	p.tickAt = make([]sim.Time, len(k.node.Cores))
 	p.wakes = make([][]wake, len(k.node.Cores))
 	p.rng = k.node.Engine.RNG().Split(0x11b)
@@ -148,19 +152,28 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 			p.cfs[id].Account(p.p.TickHz.Period().Nanos())
 		}
 	}
+	// Split the due wakes off, keeping the rest in place (the snapshot
+	// copies the slice, so none shares its storage).
 	var woken []*Task
-	var rest []wake
-	for _, w := range p.wakes[id] {
+	ws := p.wakes[id]
+	n := 0
+	for _, w := range ws {
 		if w.at <= now {
 			cost += p.p.WakeCost
 			woken = append(woken, w.t)
 		} else {
-			rest = append(rest, w)
+			ws[n] = w
+			n++
 		}
 	}
-	p.wakes[id] = rest
+	clear(ws[n:])
+	p.wakes[id] = ws[:n]
 	if cost == 0 {
 		cost = p.p.WakeCost / 2 // spurious hrtimer reprogram
+	}
+	if len(woken) == 0 {
+		c.ExecBound(p.labelTick, cost, false, p.tickDoneFn, 0)
+		return
 	}
 	c.Exec(p.labelTick, cost, func() {
 		for _, t := range woken {
@@ -170,9 +183,14 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 			t.state = TaskReady
 			p.cfs[id].Enqueue(&t.ent)
 		}
-		p.program(id)
-		p.reschedule(c)
+		p.tickDone(c, 0)
 	})
+}
+
+// tickDone ends the tick path: rearm the hrtimer and apply preemption.
+func (p *CFSPolicy) tickDone(c *machine.Core, _ int) {
+	p.program(c.ID())
+	p.reschedule(c)
 }
 
 // OnTickNative implements Policy. The simulation never runs Linux bare

@@ -26,6 +26,11 @@ type Activity struct {
 	// (models IRQ-masked critical sections).
 	Uninterruptible bool
 
+	// bound and boundArg are ExecBound's completion: a callback bound
+	// once by its owner and the per-call integer it is passed.
+	bound    func(c *Core, arg int)
+	boundArg int
+
 	preemptedAt sim.Time
 	// pooled marks an activity Core.Exec took from a core's free list;
 	// released marks one that has completed and gone back to the list,
@@ -138,6 +143,18 @@ func (c *Core) ExecUninterruptible(label string, d sim.Duration, fn func()) {
 	c.Run(c.mint(label, d, fn, true))
 }
 
+// ExecBound is the allocation-free form of Exec and ExecUninterruptible
+// for hot paths whose completion needs only the core and one integer (an
+// IRQ number, an exit reason): fn is bound once by its owner and called
+// as fn(c, arg) when the work is done. Both ride in the pooled activity,
+// so a snapshot taken inside the slice records them like any other
+// field; fn must read nothing else that a snapshot does not record.
+func (c *Core) ExecBound(label string, d sim.Duration, uninterruptible bool, fn func(c *Core, arg int), arg int) {
+	a := c.mint(label, d, nil, uninterruptible)
+	a.bound, a.boundArg = fn, arg
+	c.Run(a)
+}
+
 // mint takes an activity from the free list, or allocates one when the
 // list is empty, and fully re-initialises it: a list entry may hold a
 // previous slice's fields, or after a Fork a divergent timeline's.
@@ -155,7 +172,8 @@ func (c *Core) mint(label string, d sim.Duration, fn func(), uninterruptible boo
 }
 
 // release returns a completed Exec activity to the free list. The label
-// stays for diagnostics; the callback is dropped so the list pins nothing.
+// stays for diagnostics; the callbacks are dropped so the list pins
+// nothing.
 func (c *Core) release(a *Activity) {
 	*a = Activity{Label: a.Label, pooled: true, released: true}
 	c.free = append(c.free, a)
@@ -190,6 +208,8 @@ func (c *Core) complete(a *Activity) {
 	c.curEvent = sim.Event{}
 	if a.OnComplete != nil {
 		a.OnComplete()
+	} else if a.bound != nil {
+		a.bound(c, a.boundArg)
 	}
 	if a.pooled {
 		c.release(a)

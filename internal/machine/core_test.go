@@ -20,6 +20,7 @@ func newNode(t *testing.T) *Node {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Cores: 0, Freq: 1e9, DRAMMB: 64},
+		{Cores: 257, Freq: 1e9, DRAMMB: 64},
 		{Cores: 1, Freq: 0, DRAMMB: 64},
 		{Cores: 1, Freq: 1e9, DRAMMB: 0},
 	}

@@ -129,6 +129,7 @@ const (
 	MigrationUnresolved
 )
 
+// String names the outcome in lower case, as reports print it.
 func (o MigrationOutcome) String() string {
 	switch o {
 	case MigrationPending:

@@ -73,8 +73,8 @@ const DRAMBase mem.PA = 0x4000_0000
 // New builds a node from cfg, laying out the physical memory map with a
 // DRAM region and the GIC's MMIO window.
 func New(cfg Config) (*Node, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("machine: config needs at least one core, got %d", cfg.Cores)
+	if cfg.Cores <= 0 || cfg.Cores > gic.MaxCores {
+		return nil, fmt.Errorf("machine: config needs 1 to %d cores, got %d", gic.MaxCores, cfg.Cores)
 	}
 	if cfg.Freq <= 0 {
 		return nil, fmt.Errorf("machine: non-positive frequency")

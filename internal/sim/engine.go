@@ -3,9 +3,9 @@ package sim
 import "fmt"
 
 // slot is the engine-owned storage for one scheduled event. Slots are
-// pooled: after an event fires (or a cancelled slot is collected at pop
-// time) the slot returns to the engine's free list and is reused by a
-// later Schedule, so the steady-state hot path allocates nothing. The
+// pooled: after an event fires (or a cancelled slot is collected) the
+// slot returns to the engine's free list and is reused by a later
+// Schedule, so the steady-state hot path allocates nothing. The
 // generation counter distinguishes successive occupancies of one slot, so
 // a stale Event handle can never touch a recycled slot.
 type slot struct {
@@ -16,10 +16,11 @@ type slot struct {
 	afn  func(any) // arg-style callback (ScheduleArg), exclusive with fn
 	arg  any
 	name string
+	lane bool // queued in the same-instant lane rather than the heap
 
-	// canceled slots stay queued and are skipped and released when they
-	// reach the front ("lazy deletion"): cancellation is O(1) and the
-	// heap needs no per-slot index bookkeeping.
+	// A cancelled slot stays queued as a tombstone until it reaches the
+	// front or the engine compacts the heap (see Engine), so Cancel needs
+	// no per-slot heap index.
 	canceled    bool
 	canceledGen uint64 // generation of the most recently cancelled occupancy
 }
@@ -71,9 +72,14 @@ func slotLess(a, b *slot) bool {
 // The queue is a 4-ary min-heap of pooled slots ordered by (when, seq),
 // with a FIFO fast lane for events scheduled at the current instant (the
 // timer-tick burst pattern: handlers scheduling follow-up work "now"
-// bypass the heap entirely). Cancellation is lazy — a cancelled slot is
-// skipped and recycled when it reaches the front — which keeps the heap
-// free of index bookkeeping and makes Cancel O(1).
+// bypass the heap entirely). Cancel marks the slot and leaves it queued
+// as a tombstone, which keeps the heap free of index bookkeeping. The
+// heap compacts itself: once its tombstones reach compactMin and
+// outnumber the live events, they all go back to the free list and the
+// heap is rebuilt in place. A compaction costs O(heap) and removes at
+// least half the heap, so it is O(1) per Cancel on average, and the heap
+// never holds more than 2·Pending()+compactMin slots. A re-armed timer
+// deadline, cancelled on every tick, therefore cannot pile up.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -82,6 +88,7 @@ type Engine struct {
 	laneAt  int     // lane consumption cursor
 	free    []*slot // slot pool
 	live    int     // queued and not cancelled
+	tombs   int     // cancelled slots queued in the heap
 	rng     *RNG
 	stopped bool
 
@@ -154,8 +161,9 @@ func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg an
 	s.afn = afn
 	s.arg = arg
 	s.name = name
+	s.lane = at == e.now
 	e.live++
-	if at == e.now {
+	if s.lane {
 		// Same-instant fast lane: appended in seq order, so the lane is
 		// itself sorted and the only ordering question against the heap
 		// is a seq comparison at equal times (see peek).
@@ -206,6 +214,46 @@ func (e *Engine) Cancel(ev Event) {
 	s.afn = nil
 	s.arg = nil
 	e.live--
+	if !s.lane {
+		e.tombs++
+		e.maybeCompact()
+	}
+}
+
+// compactMin is the fewest heap tombstones worth a compaction.
+const compactMin = 16
+
+// maybeCompact compacts the heap when its tombstones reach compactMin and
+// outnumber the live events. Every Cancel and every fired event checks
+// it, so after any engine call the heap holds at most
+// 2·Pending()+compactMin slots.
+func (e *Engine) maybeCompact() {
+	if e.tombs >= compactMin && e.tombs > e.live {
+		e.compact()
+	}
+}
+
+// compact releases every heap tombstone to the free list and restores the
+// heap order in place. The lane is left alone: its tombstones are not
+// counted and leave at the current instant anyway.
+func (e *Engine) compact() {
+	h := e.heap
+	n := 0
+	for _, s := range h {
+		if s.canceled {
+			e.release(s)
+		} else {
+			h[n] = s
+			n++
+		}
+	}
+	clear(h[n:])
+	h = h[:n]
+	for i := (n - 2) / 4; n > 1 && i >= 0; i-- {
+		siftDown(h, i)
+	}
+	e.heap = h
+	e.tombs = 0
 }
 
 // alloc takes a slot from the pool, or mints one.
@@ -281,6 +329,9 @@ func (e *Engine) nextLive() *slot {
 			return s
 		}
 		e.pop()
+		if !s.lane {
+			e.tombs--
+		}
 		e.release(s)
 	}
 }
@@ -296,6 +347,7 @@ func (e *Engine) fire(s *slot) {
 	e.now = s.when
 	e.fired++
 	e.live--
+	e.maybeCompact()
 	if s.afn != nil {
 		afn, arg := s.afn, s.arg
 		e.release(s)
@@ -410,36 +462,38 @@ func (e *Engine) heapPop() *slot {
 	h := e.heap
 	top := h[0]
 	n := len(h) - 1
-	last := h[n]
+	h[0] = h[n]
 	h[n] = nil
 	h = h[:n]
 	e.heap = h
 	if n > 0 {
-		// Sift last down from the root: at each node, promote the
-		// smallest of up to four children until last fits.
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			best := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if slotLess(h[j], h[best]) {
-					best = j
-				}
-			}
-			if !slotLess(h[best], last) {
-				break
-			}
-			h[i] = h[best]
-			i = best
-		}
-		h[i] = last
+		siftDown(h, 0)
 	}
 	return top
+}
+
+// siftDown moves h[i] down the 4-ary heap: at each node it promotes the
+// smallest of up to four children until the moved slot fits.
+func siftDown(h []*slot, i int) {
+	s := h[i]
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		end := min(c+4, n)
+		for j := c + 1; j < end; j++ {
+			if slotLess(h[j], h[best]) {
+				best = j
+			}
+		}
+		if !slotLess(h[best], s) {
+			break
+		}
+		h[i] = h[best]
+		i = best
+	}
+	h[i] = s
 }

@@ -136,7 +136,7 @@ func (e *Engine) Restore(st State) {
 	e.free = e.free[:0]
 	// Reinstall the snapshot slots. All go through the heap: the lane is
 	// purely a same-instant optimization and (when, seq) keeps order.
-	live := 0
+	live, tombs := 0, 0
 	for i := range s.slots {
 		sn := &s.slots[i]
 		sl := sn.s
@@ -149,8 +149,11 @@ func (e *Engine) Restore(st State) {
 		sl.name = sn.name
 		sl.canceled = sn.canceled
 		sl.canceledGen = sn.canceledGen
+		sl.lane = false
 		e.heapPush(sl)
-		if !sn.canceled {
+		if sn.canceled {
+			tombs++
+		} else {
 			live++
 		}
 	}
@@ -170,7 +173,10 @@ func (e *Engine) Restore(st State) {
 	e.fired = s.fired
 	e.stopped = s.stopped
 	e.live = live
+	e.tombs = tombs
 	e.rng.SetState(s.rng)
+	// The snapshot's lane tombstones are heap tombstones now.
+	e.maybeCompact()
 }
 
 // State exports the generator's raw state for snapshotting.

@@ -42,7 +42,7 @@ func (w *snapWorkload) step() {
 	draw := e.RNG().Uint64()
 	w.log = append(w.log, fmt.Sprintf("%d@%d:%x", w.n, e.Now(), draw&0xffff))
 	// Mix of same-instant, near and far events, plus occasional cancels
-	// of held handles to exercise the lane, heap and lazy deletion.
+	// of held handles to exercise the lane, heap and tombstones.
 	switch draw % 5 {
 	case 0:
 		w.pending = append(w.pending, e.AfterNamed(Duration(1+draw%977), "w.far", w.step))
