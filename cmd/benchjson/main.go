@@ -1,4 +1,4 @@
-// Command benchjson measures discrete-event engine throughput on eight
+// Command benchjson measures discrete-event engine throughput on seven
 // representative simulator scenarios and records the results as
 // machine-readable JSON (BENCH_sim.json at the repo root; `make bench`).
 //
@@ -26,17 +26,6 @@
 //	                 downtime vs budget (downtime is simulated time, so
 //	                 the budget gate is machine-independent); -check
 //	                 requires every cell to stay under budget.
-//	cluster-parallel the failover workload with dense spin chunking at 4
-//	                 and 8 nodes, run sequential THEN parallel with the
-//	                 same seed in one process. The run itself enforces
-//	                 byte-identical artifacts and equal event counts
-//	                 between modes; the file carries a "cluster-parallel"
-//	                 block recording both modes' events/sec and the
-//	                 speedup per rack size. -check gates the 8-node
-//	                 speedup by host width: ≥ 2× on ≥ 8 CPUs, ≥ 1.2× on
-//	                 ≥ 4; narrower hosts (including a 1-CPU container,
-//	                 where conservative windowing has no cores to use)
-//	                 enforce only the determinism identity.
 //	serving          the multi-tenant ephemeral-VM serving sweep (both
 //	                 primary kernels across every arrival rate), measured
 //	                 end to end. The run itself enforces byte-identical
@@ -134,26 +123,6 @@ type MigrationResult struct {
 	Cells []MigrationCellResult `json:"cells"`
 }
 
-// ParallelCell is one rack size's sequential-vs-parallel comparison:
-// same seed, same workload, both execution modes in one process, with
-// byte-identical artifacts enforced before the numbers are recorded.
-type ParallelCell struct {
-	Nodes           int     `json:"nodes"`
-	SeqEventsPerSec float64 `json:"seq_events_per_sec"`
-	ParEventsPerSec float64 `json:"par_events_per_sec"`
-	Speedup         float64 `json:"speedup"`
-	Events          uint64  `json:"events"`
-}
-
-// ParallelResult is the BENCH file's cluster-parallel block. CPUs pins
-// the host width the speedups were measured on, since conservative
-// windowing can only buy wall-clock time when there are cores to spread
-// the node engines across.
-type ParallelResult struct {
-	CPUs  int            `json:"cpus"`
-	Cells []ParallelCell `json:"cells"`
-}
-
 // ServingCellResult is one (primary kernel, arrival rate) cell of the
 // ephemeral-VM serving sweep: admission-to-completion latency
 // percentiles (pure simulated time, machine-independent) and the
@@ -199,7 +168,6 @@ type File struct {
 	Baseline     *Baseline                 `json:"baseline,omitempty"`
 	Fork         *ForkResult               `json:"snapshot-fork,omitempty"`
 	Migration    *MigrationResult          `json:"migration,omitempty"`
-	Parallel     *ParallelResult           `json:"cluster-parallel,omitempty"`
 	Serving      *ServingResult            `json:"serving,omitempty"`
 	Scenarios    map[string]ScenarioResult `json:"scenarios"`
 }
@@ -542,108 +510,6 @@ func forkScenario() (measure, error) {
 	return measure{events: forks, allocs: mallocs, wall: wall}, nil
 }
 
-// parallelBlock accumulates the best sequential-vs-parallel comparison
-// across reps for the File's cluster-parallel block.
-var parallelBlock *ParallelResult
-
-// clusterParallelManifest is the dense failover workload: the built-in
-// scenario with the replica spins chunked at 40 µs so every node carries
-// a steady event stream — the shape where per-event multiplex overhead
-// (and, on wide hosts, single-core execution) actually binds.
-func clusterParallelManifest(nodes int) (*cluster.ClusterManifest, error) {
-	m, err := cluster.ParseManifest(harness.ClusterManifestText)
-	if err != nil {
-		return nil, err
-	}
-	m.Nodes = nodes
-	m.SpinChunk = sim.FromMicros(40)
-	return m, nil
-}
-
-// clusterParallelScenario runs the dense failover workload sequential
-// then parallel with the same seed at 4 and 8 nodes. The byte-identity
-// of the two artifacts and the equality of the two event counts are
-// enforced here, in the run itself — a determinism failure fails the
-// bench outright rather than recording garbage speedups. The scenario's
-// headline numbers are the 8-node parallel run; the per-rack comparison
-// lands in the cluster-parallel block.
-func clusterParallelScenario() (measure, error) {
-	pb := &ParallelResult{CPUs: runtime.NumCPU()}
-	var out measure
-	for _, nodes := range []int{4, 8} {
-		m, err := clusterParallelManifest(nodes)
-		if err != nil {
-			return measure{}, err
-		}
-		t0 := time.Now()
-		seq, err := harness.RunClusterManifestMode(m, 7, false)
-		if err != nil {
-			return measure{}, err
-		}
-		seqWall := time.Since(t0)
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		t0 = time.Now()
-		par, err := harness.RunClusterManifestMode(m, 7, true)
-		if err != nil {
-			return measure{}, err
-		}
-		parWall := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		if seq.EventsFired != par.EventsFired {
-			return measure{}, fmt.Errorf("cluster-parallel %d nodes: DETERMINISM: %d events sequential, %d parallel",
-				nodes, seq.EventsFired, par.EventsFired)
-		}
-		if seq.Artifact() != par.Artifact() {
-			return measure{}, fmt.Errorf("cluster-parallel %d nodes: DETERMINISM: artifacts differ between modes", nodes)
-		}
-		if err := par.Check(); err != nil {
-			return measure{}, fmt.Errorf("cluster-parallel %d nodes: failover properties: %w", nodes, err)
-		}
-		cell := ParallelCell{
-			Nodes:           nodes,
-			SeqEventsPerSec: float64(seq.EventsFired) / seqWall.Seconds(),
-			ParEventsPerSec: float64(par.EventsFired) / parWall.Seconds(),
-			Events:          par.EventsFired,
-		}
-		pb.Cells = append(pb.Cells, cell)
-		if nodes == 8 {
-			out = measure{events: par.EventsFired, allocs: m1.Mallocs - m0.Mallocs, wall: parWall, simDur: m.Run}
-		}
-	}
-	// Across reps keep each side's best throughput per rack size: the
-	// speedup then compares the two modes' best cases instead of pairing
-	// one mode's lucky rep against the other's noisy one.
-	if parallelBlock != nil {
-		for i := range pb.Cells {
-			prev := parallelBlock.Cells[i]
-			pb.Cells[i].SeqEventsPerSec = math.Max(pb.Cells[i].SeqEventsPerSec, prev.SeqEventsPerSec)
-			pb.Cells[i].ParEventsPerSec = math.Max(pb.Cells[i].ParEventsPerSec, prev.ParEventsPerSec)
-		}
-	}
-	for i := range pb.Cells {
-		pb.Cells[i].Speedup = pb.Cells[i].ParEventsPerSec / pb.Cells[i].SeqEventsPerSec
-	}
-	parallelBlock = pb
-	return out, nil
-}
-
-// parallelSpeedupGate is the -check floor on the 8-node speedup for a
-// host with the given CPU count. Below 4 CPUs there is nothing to spread
-// engines across, so only the determinism identity (enforced inside the
-// scenario run) gates.
-func parallelSpeedupGate(cpus int) float64 {
-	switch {
-	case cpus >= 8:
-		return 2.0
-	case cpus >= 4:
-		return 1.2
-	default:
-		return 0
-	}
-}
-
 // migrationBlock carries the latest migration sweep's gate numbers for
 // the File's migration block (like forkBlock for snapshot-fork).
 var migrationBlock *MigrationResult
@@ -711,8 +577,7 @@ var servingBlock *ServingResult
 // across every arrival rate, a fresh whole-stack boot per cell) measured
 // end to end. The sweep runs twice with the same seed in this process
 // and the two artifacts must match byte for byte — the obscheck identity
-// enforced in the run itself, like cluster-parallel's mode identity —
-// before the block records the latency table and the warm-vs-cold
+// enforced in the run itself — before the block records the latency table and the warm-vs-cold
 // prepare means. Latencies and prepare costs are pure simulated time,
 // so the reuse-win gate is machine-independent.
 func servingScenario() (measure, error) {
@@ -789,7 +654,6 @@ var scenarios = []struct {
 	{"cluster-failover", clusterScenario},
 	{"snapshot-fork", forkScenario},
 	{"migration", migrationScenario},
-	{"cluster-parallel", clusterParallelScenario},
 	{"serving", servingScenario},
 }
 
@@ -932,27 +796,6 @@ func main() {
 				}
 			}
 		}
-		if ref.Parallel != nil {
-			if parallelBlock == nil {
-				fmt.Fprintln(os.Stderr, "benchjson: cluster-parallel block committed but no comparison ran")
-				failed = true
-			} else {
-				gate := parallelSpeedupGate(parallelBlock.CPUs)
-				for _, c := range parallelBlock.Cells {
-					if c.Nodes == 8 && gate > 0 && c.Speedup < gate {
-						fmt.Fprintf(os.Stderr, "benchjson: REGRESSION cluster-parallel: %d-node speedup %.2f× < %.1f× gate on %d CPUs\n",
-							c.Nodes, c.Speedup, gate, parallelBlock.CPUs)
-						failed = true
-					}
-				}
-				if !failed {
-					for _, c := range parallelBlock.Cells {
-						fmt.Printf("check cluster-parallel ok: %d nodes %.2fx (seq %.0f ev/s, par %.0f ev/s, %d CPUs, gate %.1fx)\n",
-							c.Nodes, c.Speedup, c.SeqEventsPerSec, c.ParEventsPerSec, parallelBlock.CPUs, parallelSpeedupGate(parallelBlock.CPUs))
-					}
-				}
-			}
-		}
 		if ref.Serving != nil {
 			if servingBlock == nil {
 				fmt.Fprintln(os.Stderr, "benchjson: serving block committed but no serving sweep ran")
@@ -979,7 +822,6 @@ func main() {
 			CalibNsPerOp: calibrate(),
 			Fork:         forkBlock,
 			Migration:    migrationBlock,
-			Parallel:     parallelBlock,
 			Serving:      servingBlock,
 			Scenarios:    results,
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -39,8 +40,9 @@ type ClusterManifest struct {
 	ProposeEvery sim.Duration
 	// SpinChunk, when positive, chunks each replica VM's spin workload at
 	// this granularity (noise.Selfish.ChunkTime) instead of one long
-	// burn. Dense per-node event streams are what the parallel engine's
-	// speedup benchmarks need; zero keeps the sparse default.
+	// burn, giving every node a dense event stream (the cluster
+	// benchmark's 8-node shape uses 40 µs); zero keeps the sparse
+	// default.
 	SpinChunk sim.Duration
 	// NodePlan is the embedded per-node Hafnium manifest text.
 	NodePlan string
@@ -163,13 +165,6 @@ func ParseManifest(text string) (*ClusterManifest, error) {
 }
 
 func (m *ClusterManifest) clusterKey(key, val string) error {
-	num := func() (float64, error) {
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("%s: want a positive number, got %q", key, val)
-		}
-		return v, nil
-	}
 	switch key {
 	case "nodes":
 		n, err := strconv.Atoi(val)
@@ -178,37 +173,37 @@ func (m *ClusterManifest) clusterKey(key, val string) error {
 		}
 		m.Nodes = n
 	case "link_latency_us":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
 		m.Link.Latency = sim.FromMicros(v)
 	case "link_bandwidth_mbps":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
 		m.Link.Bandwidth = v * 1e6
 	case "election_timeout_us":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
 		m.Protocol.ElectionMin = sim.FromMicros(v)
 	case "election_jitter_us":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
 		m.Protocol.ElectionJitter = sim.FromMicros(v)
 	case "heartbeat_us":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
 		m.Protocol.Heartbeat = sim.FromMicros(v)
 	case "rpc_timeout_us":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
@@ -216,19 +211,19 @@ func (m *ClusterManifest) clusterKey(key, val string) error {
 	case "replica_vm":
 		m.ReplicaVM = val
 	case "run_ms":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
 		m.Run = sim.FromMicros(v * 1000)
 	case "propose_interval_us":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
 		m.ProposeEvery = sim.FromMicros(v)
 	case "spin_chunk_us":
-		v, err := num()
+		v, err := positive(key, val)
 		if err != nil {
 			return err
 		}
@@ -239,14 +234,26 @@ func (m *ClusterManifest) clusterKey(key, val string) error {
 	return nil
 }
 
+// positive parses a manifest number that must be finite and above zero.
+// ParseFloat accepts NaN and the infinities, and NaN fails every
+// comparison, so "v <= 0" alone lets it through; every value here
+// becomes a simulated duration or a link rate.
+func positive(key, val string) (float64, error) {
+	v, err := strconv.ParseFloat(val, 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+		return 0, fmt.Errorf("%s: want a positive number, got %q", key, val)
+	}
+	return v, nil
+}
+
 func faultKey(f *ManifestFault, key, val string) error {
 	switch key {
 	case "target":
 		f.Target = val
 	case "at_ms":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("at_ms: want a positive number, got %q", val)
+		v, err := positive(key, val)
+		if err != nil {
+			return err
 		}
 		f.At = sim.FromMicros(v * 1000)
 	case "count":
@@ -256,15 +263,15 @@ func faultKey(f *ManifestFault, key, val string) error {
 		}
 		f.Count = n
 	case "extra_us":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("extra_us: want a positive number, got %q", val)
+		v, err := positive(key, val)
+		if err != nil {
+			return err
 		}
 		f.Extra = sim.FromMicros(v)
 	case "window_ms":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("window_ms: want a positive number, got %q", val)
+		v, err := positive(key, val)
+		if err != nil {
+			return err
 		}
 		f.Window = sim.FromMicros(v * 1000)
 	default:

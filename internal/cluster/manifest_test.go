@@ -97,3 +97,32 @@ func TestParseManifestRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestParseManifestRejectsNonFinite feeds NaN and both infinities to
+// every float key. ParseFloat accepts all three, and NaN slips past a
+// plain "v <= 0" check, so each key needs its own rejection.
+func TestParseManifestRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ section, key string }{
+		{"[cluster]", "link_latency_us"},
+		{"[cluster]", "link_bandwidth_mbps"},
+		{"[cluster]", "election_timeout_us"},
+		{"[cluster]", "election_jitter_us"},
+		{"[cluster]", "heartbeat_us"},
+		{"[cluster]", "rpc_timeout_us"},
+		{"[cluster]", "run_ms"},
+		{"[cluster]", "propose_interval_us"},
+		{"[cluster]", "spin_chunk_us"},
+		{"[fault netdelay]", "at_ms"},
+		{"[fault netdelay]", "extra_us"},
+		{"[fault netdelay]", "window_ms"},
+	} {
+		for _, val := range []string{"NaN", "Inf", "-Inf"} {
+			line := tc.key + " = " + val
+			text := strings.Replace(sampleManifest, tc.section+"\n", tc.section+"\n"+line+"\n", 1)
+			_, err := ParseManifest(text)
+			if err == nil || !strings.Contains(err.Error(), tc.key) {
+				t.Errorf("%s %q: err = %v, want a rejection naming %s", tc.section, line, err, tc.key)
+			}
+		}
+	}
+}

@@ -169,7 +169,7 @@ func wireSize(payload any) int {
 	}
 }
 
-// TraceRecord is one line of the deterministic merged protocol trace.
+// TraceRecord is one line of the deterministic protocol trace.
 type TraceRecord struct {
 	At    sim.Time
 	Node  int
@@ -189,14 +189,11 @@ type Service struct {
 	reps   []*Replica
 
 	started bool
+	trace   []TraceRecord // protocol trace in firing order
 
 	mElections *metrics.Counter
 	mCommits   *metrics.Counter
 	mProposals *metrics.Counter
-	// Per-replica counts already pushed into the metrics counters; the
-	// counts themselves live on the replicas (see Replica shards) so
-	// protocol events never write Service state from node engines.
-	elecFlushed, commFlushed, propFlushed uint64
 }
 
 // New builds the service over an attached fabric: one replica per node,
@@ -318,57 +315,12 @@ func (s *Service) PrefixConsistent() bool {
 	return true
 }
 
-// Trace returns the merged protocol trace in global firing order. Each
-// replica records its lines into a private shard (so replicas never
-// write shared state from their node engines — load-bearing under the
-// cluster's parallel mode); the merge orders by timestamp, ties broken
-// toward the lowest node id, then per-node append order. That is exactly
-// the order the sequential multiplexer fires events in, so the merged
-// trace is byte-identical whether the run was sequential or parallel.
-func (s *Service) Trace() []TraceRecord {
-	total := 0
-	for _, r := range s.reps {
-		total += len(r.trace)
-	}
-	out := make([]TraceRecord, 0, total)
-	heads := make([]int, len(s.reps))
-	for len(out) < total {
-		best := -1
-		for n, r := range s.reps {
-			if heads[n] >= len(r.trace) {
-				continue
-			}
-			if best < 0 || r.trace[heads[n]].At < s.reps[best].trace[heads[best]].At {
-				best = n
-			}
-		}
-		out = append(out, s.reps[best].trace[heads[best]])
-		heads[best]++
-	}
-	return out
-}
+// Trace returns the protocol trace in global firing order: every replica
+// appends from inside events, and the cluster fires events one at a time
+// in (timestamp, node) order. The slice is aliased, not copied.
+func (s *Service) Trace() []TraceRecord { return s.trace }
 
-// FlushMetrics pushes the per-replica protocol counts accumulated since
-// the last flush into the registry counters. Must be called from a
-// single-threaded point (between windows or after the run); shard sums
-// are order-independent so the counter values are deterministic.
-func (s *Service) FlushMetrics() {
-	if s.mElections == nil {
-		return
-	}
-	var elec, comm, prop uint64
-	for _, r := range s.reps {
-		elec += r.elections
-		comm += r.commits
-		prop += r.proposals
-	}
-	s.mElections.Add(elec - s.elecFlushed)
-	s.mCommits.Add(comm - s.commFlushed)
-	s.mProposals.Add(prop - s.propFlushed)
-	s.elecFlushed, s.commFlushed, s.propFlushed = elec, comm, prop
-}
-
-// TraceString renders the merged trace, one record per line — the
+// TraceString renders the trace, one record per line — the
 // byte-identical artifact the determinism gate compares across runs.
 func (s *Service) TraceString() string {
 	var b strings.Builder
@@ -380,8 +332,14 @@ func (s *Service) TraceString() string {
 }
 
 func (s *Service) tracef(node int, at sim.Time, format string, args ...any) {
-	r := s.reps[node]
-	r.trace = append(r.trace, TraceRecord{At: at, Node: node, Event: fmt.Sprintf(format, args...)})
+	s.trace = append(s.trace, TraceRecord{At: at, Node: node, Event: fmt.Sprintf(format, args...)})
+}
+
+// count bumps a protocol counter when SetMetrics wired one.
+func count(c *metrics.Counter) {
+	if c != nil {
+		c.Inc()
+	}
 }
 
 func (s *Service) majority() int { return len(s.reps)/2 + 1 }
@@ -412,15 +370,6 @@ type Replica struct {
 	hbEv       sim.Event
 
 	timeouts uint64 // election-timeout firings (failover-bound metric)
-
-	// Shards of the service-level trace and protocol counters. Written
-	// only from events on this replica's own node engine — per-node
-	// worker goroutines under the cluster's parallel mode — and merged
-	// at single-threaded points (Service.Trace, Service.FlushMetrics).
-	trace     []TraceRecord
-	elections uint64
-	commits   uint64
-	proposals uint64
 }
 
 // ID reports the replica's node id.
@@ -500,7 +449,7 @@ func (r *Replica) electionTimeout() {
 	r.voted = r.id
 	r.lead = -1
 	r.votes = 1
-	r.elections++
+	count(r.svc.mElections)
 	r.svc.tracef(r.id, r.eng.Now(), "election timeout: candidate term=%d last=(%d,t%d)", r.term, r.log.Len(), r.lastTerm())
 	req := voteReq{Term: r.term, Candidate: r.id, LastIndex: r.log.Len(), LastTerm: r.lastTerm()}
 	for _, p := range r.svc.reps {
@@ -770,7 +719,7 @@ func (r *Replica) advanceCommit() {
 			continue
 		}
 		r.commit = i
-		r.commits++
+		count(r.svc.mCommits)
 		r.svc.tracef(r.id, r.eng.Now(), "commit=%d head=%x", r.commit, shortHead(r.log))
 	}
 }
@@ -783,7 +732,7 @@ func (r *Replica) propose(payload []byte, forwarded bool) bool {
 	}
 	if r.role == Leader {
 		r.log.Append(r.term, payload)
-		r.proposals++
+		count(r.svc.mProposals)
 		return true
 	}
 	if forwarded || r.lead < 0 || r.lead == r.id {

@@ -233,6 +233,16 @@ func RunClusterFailover(seed uint64) (*FailoverReport, error) {
 	return RunClusterManifest(m, seed)
 }
 
+// RunClusterManifestMode is RunClusterManifest for callers that still
+// pass an execution mode. The cluster runs only sequentially, so
+// parallel must be false; true is an error.
+func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bool) (*FailoverReport, error) {
+	if parallel {
+		return nil, fmt.Errorf("harness: the parallel cluster mode was removed; run the cluster sequentially")
+	}
+	return RunClusterManifest(m, seed)
+}
+
 // clusterNodeConfig is the per-node hardware template for cluster
 // experiments: smaller than the Pine A64 (2 cores, 256 MiB) so N-node
 // runs stay cheap.
@@ -264,28 +274,14 @@ var manifestNetKind = map[string]faults.Kind{
 // "follower", "partitioned" — resolve at fire time against live protocol
 // state, which only the harness can see.
 func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverReport, error) {
-	return RunClusterManifestMode(m, seed, false)
-}
-
-// RunClusterManifestMode is RunClusterManifest with an execution-mode
-// switch: parallel selects the cluster's conservative parallel engine
-// (machine.Cluster.RunUntilParallel). Every manifest fault time is
-// registered as a sync point — the campaign's dynamic-target resolution
-// reads cross-node protocol state and hops engines, which windows cannot
-// contain. Same seed, same report and artifact bytes in both modes.
-func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bool) (*FailoverReport, error) {
 	mc, err := machine.NewCluster(machine.ClusterConfig{
-		Nodes:    m.Nodes,
-		Node:     clusterNodeConfig(),
-		Seed:     seed,
-		Link:     m.Link,
-		Parallel: parallel,
+		Nodes: m.Nodes,
+		Node:  clusterNodeConfig(),
+		Seed:  seed,
+		Link:  m.Link,
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, f := range m.Faults {
-		mc.SyncAt(sim.Time(0).Add(f.At))
 	}
 	stacks := make([]*core.SecureNode, m.Nodes)
 	replicaVMs := make([]*hafnium.VM, m.Nodes)
@@ -364,18 +360,13 @@ func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bo
 		signers[i] = tz.NewSigner(seed, i)
 		pubs[i] = signers[i].Public()
 	}
-	// Signature outcomes are counted per node, since in parallel mode
-	// every node proposes from its own window goroutine, and summed into
-	// the report after the run.
-	sigVerified := make([]uint64, m.Nodes)
-	sigFailed := make([]uint64, m.Nodes)
 	signedPropose := func(id int, payload []byte) {
 		rec := tz.SignRecord(signers[id], id, payload)
 		if err := rec.Verify(pubs[id]); err != nil {
-			sigFailed[id]++
+			rep.SigFailed++
 			return
 		}
-		sigVerified[id]++
+		rep.SigVerified++
 		svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
 	}
 
@@ -517,11 +508,6 @@ func RunClusterManifestMode(m *cluster.ClusterManifest, seed uint64, parallel bo
 	}
 
 	mc.Run(m.Run)
-	svc.FlushMetrics()
-	for i := range sigVerified {
-		rep.SigVerified += sigVerified[i]
-		rep.SigFailed += sigFailed[i]
-	}
 
 	// Post-run analysis: the new leader is the first leadership record
 	// traced after the kill; candidacies in between are the failover cost.

@@ -163,3 +163,27 @@ func TestClusterManifestStaticTargets(t *testing.T) {
 		t.Logf("liveness note (acceptable for static targets): %v", err)
 	}
 }
+
+// TestRunClusterManifestModeRejectsParallel pins the mode shim: the
+// sequential mode is RunClusterManifest, and the removed parallel mode
+// is an error rather than a silent sequential run.
+func TestRunClusterManifestModeRejectsParallel(t *testing.T) {
+	m, err := cluster.ParseManifest(ClusterManifestText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunClusterManifestMode(m, 1, true); err == nil {
+		t.Fatal("parallel mode accepted")
+	}
+	seq, err := RunClusterManifestMode(m, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunClusterManifest(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Artifact() != ref.Artifact() {
+		t.Fatal("sequential mode differs from RunClusterManifest")
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"khsim/internal/cluster"
 	"khsim/internal/core"
 	"khsim/internal/serve"
 	"khsim/internal/sim"
@@ -86,6 +87,58 @@ func TestBenchTableParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClusterArtifactGolden pins the cluster layer's artifacts across
+// commits: the failover artifact of the built-in 3-node scenario, the
+// same at 8 nodes and at 8 nodes with densely chunked replica spins, and
+// the live-migration suite, each with its engine event count. The hashes
+// were captured before the parallel cluster engine and its window-safety
+// code were deleted, so they prove the sequential multiplexer alone
+// writes the same bytes.
+func TestClusterArtifactGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		nodes  int
+		chunk  sim.Duration
+		events uint64
+		hash   string
+	}{
+		{"3node", 3, 0, 2685, "392644df1f53053e24d03e5960eb9f02d81769fcaa588578ab09004926144fe3"},
+		{"8node", 8, 0, 9294, "a0de7d4c9582972398e477e081921af23e2314412673fe58a5fce942882a34aa"},
+		{"8node-dense", 8, sim.FromMicros(40), 88785, "22bd1d6ec51830e96296466efc7bc9efcf69911dcc8edc9c80e1df8d0675a977"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := cluster.ParseManifest(ClusterManifestText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Nodes, m.SpinChunk = tc.nodes, tc.chunk
+			r, err := RunClusterManifest(m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Artifact())))
+			if r.EventsFired != tc.events || got != tc.hash {
+				t.Errorf("events=%d hash=%s, want events=%d hash=%s", r.EventsFired, got, tc.events, tc.hash)
+			}
+		})
+	}
+	t.Run("migration", func(t *testing.T) {
+		const wantEvents, wantHash = 3730, "76e81546cacc8989f833c6484e1ff46d1fd9ae12c724bf97d61ee078ba0d2991"
+		r, err := RunMigrationSuite(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events uint64
+		for _, c := range r.Cells {
+			events += c.EventsFired
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Artifact())))
+		if events != wantEvents || got != wantHash {
+			t.Errorf("events=%d hash=%s, want events=%d hash=%s", events, got, wantEvents, wantHash)
+		}
+	})
 }
 
 // TestServingRegistryGolden pins the full metrics-registry snapshot of a

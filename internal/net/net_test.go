@@ -218,3 +218,21 @@ func TestFabricDeterministicSequence(t *testing.T) {
 		}
 	}
 }
+
+func TestStatsCountsDeliveriesAcrossDestinations(t *testing.T) {
+	r := newRig(t, 3, DefaultLink())
+	// Deliveries land on different destination nodes; Stats must count
+	// every one of them.
+	r.engines[0].ScheduleNamed(sim.Time(0), "send", func() {
+		_ = r.f.Send(0, 1, "x", nil, 64)
+		_ = r.f.Send(0, 2, "y", nil, 64)
+	})
+	r.engines[1].ScheduleNamed(sim.Time(0), "send", func() {
+		_ = r.f.Send(1, 2, "z", nil, 64)
+	})
+	r.runAll()
+	s := r.f.Stats()
+	if s.Delivered != 3 || s.Sent != 3 {
+		t.Fatalf("Stats = %+v, want Sent 3 / Delivered 3", s)
+	}
+}

@@ -7,15 +7,12 @@ import (
 )
 
 // endpointState is the snapshotable part of an endpoint: its fault
-// state and delivery-counter shards. The engine and handler are
-// topology.
+// state. The engine and handlers are topology.
 type endpointState struct {
-	partitioned  bool
-	dropNext     int
-	delayUntil   sim.Time
-	delayExtra   sim.Duration
-	delivered    uint64
-	dropInFlight uint64
+	partitioned bool
+	dropNext    int
+	delayUntil  sim.Time
+	delayExtra  sim.Duration
 }
 
 // fabricState is Fabric's Snapshot payload. In-flight messages are NOT
@@ -34,10 +31,6 @@ type fabricState struct {
 // it together with (after) every attached engine, or the in-flight
 // message set and the cursors will disagree.
 func (f *Fabric) Snapshot() sim.State {
-	// Flush the delivery-shard deltas first so the metrics registry —
-	// snapshotted after the fabric by the cluster layer — captures
-	// counter values consistent with the shard totals being saved.
-	f.syncMetrics()
 	s := &fabricState{
 		busy:      make(map[[2]NodeID]sim.Time, len(f.busy)),
 		seq:       f.seq,
@@ -50,12 +43,10 @@ func (f *Fabric) Snapshot() sim.State {
 	for i := range f.nodes {
 		ep := &f.nodes[i]
 		s.endpoints[i] = endpointState{
-			partitioned:  ep.partitioned,
-			dropNext:     ep.dropNext,
-			delayUntil:   ep.delayUntil,
-			delayExtra:   ep.delayExtra,
-			delivered:    ep.delivered,
-			dropInFlight: ep.dropInFlight,
+			partitioned: ep.partitioned,
+			dropNext:    ep.dropNext,
+			delayUntil:  ep.delayUntil,
+			delayExtra:  ep.delayExtra,
 		}
 	}
 	return s
@@ -73,19 +64,11 @@ func (f *Fabric) Restore(st sim.State) {
 	}
 	f.seq = s.seq
 	f.stats = s.stats
-	var deliv, dropIF uint64
 	for i := range f.nodes {
 		ep := &f.nodes[i]
 		ep.partitioned = s.endpoints[i].partitioned
 		ep.dropNext = s.endpoints[i].dropNext
 		ep.delayUntil = s.endpoints[i].delayUntil
 		ep.delayExtra = s.endpoints[i].delayExtra
-		ep.delivered = s.endpoints[i].delivered
-		ep.dropInFlight = s.endpoints[i].dropInFlight
-		deliv += ep.delivered
-		dropIF += ep.dropInFlight
 	}
-	// The snapshot was taken right after a metrics flush, so the restored
-	// registry counters already include exactly these shard totals.
-	f.mDelivFlushed, f.mDropIFFlushed = deliv, dropIF
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -114,8 +115,8 @@ func ParseManifest(text string) (Config, error) {
 
 func (c *Config) serveKey(key, val string) error {
 	num := func() (float64, error) {
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v <= 0 {
+		v, ok := finite(val)
+		if !ok || v <= 0 {
 			return 0, fmt.Errorf("%s: want a positive number, got %q", key, val)
 		}
 		return v, nil
@@ -164,22 +165,22 @@ func (c *Config) serveKey(key, val string) error {
 		}
 		c.Mix.MeanLong = sim.FromMicros(v)
 	case "job_long_frac":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v < 0 || v > 1 {
+		v, ok := finite(val)
+		if !ok || v < 0 || v > 1 {
 			return fmt.Errorf("job_long_frac: want a fraction in [0,1], got %q", val)
 		}
 		c.Mix.LongFrac = v
 	case "crash_mean_ms":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || v < 0 {
+		v, ok := finite(val)
+		if !ok || v < 0 {
 			return fmt.Errorf("crash_mean_ms: want a non-negative number, got %q", val)
 		}
 		c.CrashMean = sim.FromMicros(v * 1000)
 	case "rates":
 		c.Rates = nil
 		for _, f := range strings.Split(val, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || v <= 0 {
+			v, ok := finite(strings.TrimSpace(f))
+			if !ok || v <= 0 {
 				return fmt.Errorf("rates: want positive jobs/sec values, got %q", f)
 			}
 			c.Rates = append(c.Rates, v)
@@ -188,4 +189,12 @@ func (c *Config) serveKey(key, val string) error {
 		return fmt.Errorf("unknown [serve] key %q", key)
 	}
 	return nil
+}
+
+// finite parses a manifest number, rejecting NaN and the infinities that
+// ParseFloat accepts. NaN fails every comparison, so a range check alone
+// lets it through; a NaN arrival rate schedules arrivals without bound.
+func finite(val string) (float64, bool) {
+	v, err := strconv.ParseFloat(val, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"khsim/internal/core"
@@ -98,6 +99,25 @@ func TestParseManifest(t *testing.T) {
 	} {
 		if _, err := ParseManifest(bad); err == nil {
 			t.Errorf("ParseManifest accepted %q", bad[:min(40, len(bad))])
+		}
+	}
+}
+
+// TestParseManifestRejectsNonFinite feeds NaN and both infinities to
+// every float key. A NaN arrival rate once scheduled arrivals without
+// bound until the process ran out of memory.
+func TestParseManifestRejectsNonFinite(t *testing.T) {
+	for _, key := range []string{
+		"run_ms", "drain_ms", "ttl_ms", "retry_us", "job_short_us",
+		"job_long_us", "job_long_frac", "crash_mean_ms", "rates",
+	} {
+		for _, val := range []string{"NaN", "Inf", "-Inf"} {
+			line := key + " = " + val
+			text := strings.Replace(testManifest, "[serve]\n", "[serve]\n"+line+"\n", 1)
+			_, err := ParseManifest(text)
+			if err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%q: err = %v, want a rejection naming %s", line, err, key)
+			}
 		}
 	}
 }
