@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race bench benchcheck gobench lint obscheck
+.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,12 @@ obscheck: build
 	$(GO) run ./cmd/khsim serve -seed 1 -check -artifact "$$tmp/b.serve" > /dev/null && \
 	cmp "$$tmp/a.serve" "$$tmp/b.serve" || { echo "obscheck: serving artifact not deterministic"; exit 1; }; \
 	echo "obscheck: ok"
+
+# prop repeats the randomized property tests (TestQuick*, TestProp*).
+# testing/quick draws fresh cases on every run, so twenty passes find a
+# failure that needs a rare random case before it reaches a tier-1 run.
+prop:
+	$(GO) test -run '^(TestQuick|TestProp)' -count=20 ./internal/...
 
 # check is the full pre-merge gate: build, vet, the test suite under the
 # race detector, and the observability gate.

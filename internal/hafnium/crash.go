@@ -51,7 +51,7 @@ func (h *Hypervisor) abortFromGuest(vc *VCPU, reason string) {
 		return
 	}
 	id := c.ID()
-	c.StealAllSuspended() // discard the dead guest's in-flight work
+	c.StealAllSuspended(nil) // discard the dead guest's in-flight work
 	vc.saved = nil
 	vc.core = -1
 	h.accountCPU(id, vc)
@@ -222,7 +222,7 @@ func (h *Hypervisor) recoverVM(vm *VM) {
 // a hypervisor-detected stage-2 violation or an injected fault takes. The
 // contained crash ejects resident VCPUs and triggers the watchdog policy.
 func (h *Hypervisor) InjectVMFault(id VMID, reason string) error {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return ErrBadVM
 	}

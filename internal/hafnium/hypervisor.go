@@ -52,7 +52,10 @@ type Hypervisor struct {
 	monitor  *tz.Monitor
 	manifest *Manifest
 
-	vms     map[VMID]*VM
+	// vms is indexed by VMID: IDs are small and dense (primary 1,
+	// super-secondary 2, then sequential from FirstSecondaryID), and
+	// only New assigns them. An ID no VM holds maps to nil.
+	vms     []*VM
 	order   []VMID
 	primary *VM
 	super   *VM
@@ -96,6 +99,8 @@ type Hypervisor struct {
 	// trap or world switch. It is bound once, like each VCPU's EL2
 	// completions, so the per-interrupt paths build no closure.
 	deliverFn func(c *machine.Core, irq int)
+	// sgiSelfFn is msgSend's deferred mailbox SGI, bound once.
+	sgiSelfFn func()
 }
 
 // metric returns the VM-labelled el2 counter for name (cold paths; hot
@@ -167,7 +172,6 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		node:      node,
 		monitor:   monitor,
 		manifest:  m,
-		vms:       make(map[VMID]*VM),
 		cur:       make([]*VCPU, len(node.Cores)),
 		preempted: make([]*VCPU, len(node.Cores)),
 		lastVMID:  make([]VMID, len(node.Cores)),
@@ -179,6 +183,7 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		tlbPolicy: m.TLB,
 	}
 	h.deliverFn = h.deliverIRQ
+	h.sgiSelfFn = h.sgiSelf
 	for i := range node.Cores {
 		h.mTraps = append(h.mTraps, node.Metrics.Counter(metrics.K("el2", "traps").WithCore(i)))
 	}
@@ -237,6 +242,9 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		if err != nil {
 			return nil, err
 		}
+		for int(id) >= len(h.vms) {
+			h.vms = append(h.vms, nil)
+		}
 		h.vms[id] = vm
 		h.order = append(h.order, id)
 		switch spec.Class {
@@ -276,8 +284,12 @@ func (h *Hypervisor) Manifest() *Manifest { return h.manifest }
 
 // VM looks up a partition by ID.
 func (h *Hypervisor) VM(id VMID) (*VM, bool) {
-	v, ok := h.vms[id]
-	return v, ok
+	if int(id) < len(h.vms) {
+		if v := h.vms[id]; v != nil {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // VMByName looks up a partition by manifest name.
@@ -310,7 +322,7 @@ func (h *Hypervisor) AttachPrimary(os PrimaryOS) { h.primaryOS = os }
 
 // AttachGuest installs a guest kernel in a secondary or super-secondary VM.
 func (h *Hypervisor) AttachGuest(id VMID, g GuestOS) error {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return ErrBadVM
 	}
@@ -505,7 +517,7 @@ func (vc *VCPU) drainNext(c *machine.Core) { vc.vm.hyp.drainPending(c, vc) }
 // switchOut performs the guest→primary world switch for interrupt irq.
 func (h *Hypervisor) switchOut(c *machine.Core, vc *VCPU, irq int) {
 	id := c.ID()
-	vc.saved = c.StealAllSuspended() // empty if the guest was between activities
+	vc.saved = c.StealAllSuspended(vc.saved[:0]) // empty if the guest was between activities
 	vc.state = VCPURunnable
 	vc.core = -1
 	h.accountCPU(id, vc)
@@ -525,7 +537,7 @@ func (h *Hypervisor) switchOut(c *machine.Core, vc *VCPU, irq int) {
 func (h *Hypervisor) forceExit(c *machine.Core, vc *VCPU, reason ExitReason) {
 	id := c.ID()
 	// Discard in-flight work: the VM is gone.
-	c.StealAllSuspended()
+	c.StealAllSuspended(nil)
 	vc.saved = nil
 	vc.state = VCPUStopped
 	vc.core = -1
@@ -578,7 +590,7 @@ func (h *Hypervisor) guestExit(vc *VCPU, reason ExitReason) {
 		h.abortFromGuest(vc, fmt.Sprintf("invalid exit reason %d", int(reason)))
 		return
 	}
-	vc.saved = nil
+	vc.saved = vc.saved[:0] // a voluntary exit leaves no frames; keep the buffer
 	vc.core = -1
 	h.accountCPU(id, vc)
 	h.parkVTimer(vc, id)
@@ -681,9 +693,9 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 	// back out and must not clobber the context being restored (the
 	// interrupted entry becomes part of the frame chain instead). They
 	// wait on the VCPU, not in the callback, so a snapshot taken inside
-	// the window records them.
-	vc.entering = vc.saved
-	vc.saved = nil
+	// the window records them. The two buffers trade places, so neither
+	// is reallocated and they never share storage.
+	vc.entering, vc.saved = vc.saved, vc.entering[:0]
 	c.ExecBound("el2.run", entry, true, vc.runFn, 0)
 	return nil
 }
@@ -693,7 +705,7 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 // pending.
 func (vc *VCPU) runDone(c *machine.Core, _ int) {
 	frames := vc.entering
-	vc.entering = nil
+	vc.entering = frames[:0]
 	if !vc.booted {
 		vc.booted = true
 		vc.vm.guest.Boot(vc)
@@ -788,7 +800,7 @@ func (h *Hypervisor) kick(core int) error {
 // interrupts to the primary VM which is then responsible for forwarding
 // any device IRQ on to the super-secondary").
 func (h *Hypervisor) InjectDeviceIRQ(to VMID, virq int) error {
-	vm, ok := h.vms[to]
+	vm, ok := h.VM(to)
 	if !ok {
 		return ErrBadVM
 	}
@@ -820,7 +832,7 @@ func (h *Hypervisor) pendToVM(vm *VM, virq int) {
 
 // StopVM stops a secondary or super-secondary VM, ejecting resident VCPUs.
 func (h *Hypervisor) StopVM(id VMID) error {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return ErrBadVM
 	}
@@ -845,7 +857,7 @@ func (h *Hypervisor) StopVM(id VMID) error {
 
 // RestartVM returns a stopped VM to service (fresh boot of its VCPUs).
 func (h *Hypervisor) RestartVM(id VMID) error {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return ErrBadVM
 	}
@@ -867,11 +879,11 @@ func (h *Hypervisor) RestartVM(id VMID) error {
 // may message anyone; the super-secondary and secondaries may message
 // only the primary (the paper's secure job-control channel).
 func (h *Hypervisor) msgSend(from, to VMID, payload []byte) error {
-	src, ok := h.vms[from]
+	src, ok := h.VM(from)
 	if !ok {
 		return ErrBadVM
 	}
-	dst, ok := h.vms[to]
+	dst, ok := h.VM(to)
 	if !ok {
 		return ErrBadVM
 	}
@@ -903,9 +915,7 @@ func (h *Hypervisor) msgSend(from, to VMID, payload []byte) error {
 		// which point a send-then-wait caller has parked and core 0 is
 		// free for the primary).
 		if cur := h.cur[0]; cur != nil && cur.vm == src {
-			h.node.Engine.AfterNamed(0, "el2.sgi.self", func() {
-				_ = h.node.GIC.SendSGI(0, VIRQMailbox)
-			})
+			h.node.Engine.AfterNamed(0, "el2.sgi.self", h.sgiSelfFn)
 			return nil
 		}
 		if err := h.node.GIC.SendSGI(0, VIRQMailbox); err != nil {
@@ -917,9 +927,13 @@ func (h *Hypervisor) msgSend(from, to VMID, payload []byte) error {
 	return nil
 }
 
+// sgiSelf is msgSend's deferred mailbox SGI to the primary, for a sender
+// that was itself resident on core 0.
+func (h *Hypervisor) sgiSelf() { _ = h.node.GIC.SendSGI(0, VIRQMailbox) }
+
 // msgRecv pops a VM's mailbox.
 func (h *Hypervisor) msgRecv(id VMID) (Message, error) {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return Message{}, ErrBadVM
 	}

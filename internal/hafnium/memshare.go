@@ -96,11 +96,11 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 	if from == to {
 		return 0, 0, fmt.Errorf("hafnium: cannot %v memory to self", kind)
 	}
-	src, ok := h.vms[from]
+	src, ok := h.VM(from)
 	if !ok {
 		return 0, 0, ErrBadVM
 	}
-	dst, ok := h.vms[to]
+	dst, ok := h.VM(to)
 	if !ok {
 		return 0, 0, ErrBadVM
 	}
@@ -190,7 +190,7 @@ func (h *Hypervisor) ReclaimMemory(by VMID, grantID uint64) error {
 	if !ok {
 		return fmt.Errorf("hafnium: no active grant %d", grantID)
 	}
-	if v, known := h.vms[by]; known {
+	if v, known := h.VM(by); known {
 		h.hypercall(hcMemReclaim, v)
 	}
 	if g.From != by {

@@ -63,7 +63,7 @@ type VMImage struct {
 // ExtractVM). Unlike StopVM, the guest's logical state is preserved for
 // extraction. Only secondaries with a migratable guest can migrate.
 func (h *Hypervisor) PauseForMigration(id VMID) error {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return ErrBadVM
 	}
@@ -93,7 +93,7 @@ func (h *Hypervisor) PauseForMigration(id VMID) error {
 // left its physical core (the eviction kicks are events; the migration
 // driver polls this before extracting the image).
 func (h *Hypervisor) MigrationQuiesced(id VMID) bool {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok || vm.state != VMMigrating {
 		return false
 	}
@@ -110,7 +110,7 @@ func (h *Hypervisor) MigrationQuiesced(id VMID) bool {
 // virtual interrupts, CPU-time accounting and the guest kernel's
 // exported state.
 func (h *Hypervisor) ExtractVM(id VMID) (*VMImage, error) {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return nil, ErrBadVM
 	}
@@ -189,7 +189,7 @@ func (h *Hypervisor) AdmitVM(name string, img *VMImage) error {
 // pause — is reimported and the VCPUs resume, exactly as if the
 // migration had never been attempted (minus the pause window).
 func (h *Hypervisor) AbortMigration(id VMID, img *VMImage, reason string) error {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return ErrBadVM
 	}
@@ -221,7 +221,7 @@ func (h *Hypervisor) AbortMigration(id VMID, img *VMImage, reason string) error 
 // elsewhere and nothing here may leak. The slot ends VMStopped, reusable
 // as a standby landing pad for a future migration back.
 func (h *Hypervisor) ReleaseMigrated(id VMID) error {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return ErrBadVM
 	}
@@ -256,7 +256,7 @@ func (h *Hypervisor) ReleaseMigrated(id VMID) error {
 // live value.
 func (h *Hypervisor) LiveCPUTime(id VMID) sim.Duration {
 	d := h.vmCPU[id]
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return d
 	}

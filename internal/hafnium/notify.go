@@ -17,11 +17,11 @@ const VIRQNotification = 9
 // primary or a VM they share an active memory grant with (shared memory
 // is the communication relationship).
 func (h *Hypervisor) Notify(from, to VMID) error {
-	src, ok := h.vms[from]
+	src, ok := h.VM(from)
 	if !ok {
 		return ErrBadVM
 	}
-	dst, ok := h.vms[to]
+	dst, ok := h.VM(to)
 	if !ok {
 		return ErrBadVM
 	}

@@ -39,7 +39,7 @@ func (vm *VM) prepPages() (all, ws uint64) {
 // environment's restart by it) rather than burned on a core, because the
 // table work happens in EL2 on whatever core is free.
 func (h *Hypervisor) PrepareCost(id VMID, warm bool) (sim.Duration, error) {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return 0, ErrBadVM
 	}
@@ -61,7 +61,7 @@ func (h *Hypervisor) PrepareCost(id VMID, warm bool) (sim.Duration, error) {
 // PrepareCost and then RestartVM-boots it. Reports whether the warm path
 // was actually used.
 func (h *Hypervisor) RecycleVM(id VMID, warm bool) (bool, error) {
-	vm, ok := h.vms[id]
+	vm, ok := h.VM(id)
 	if !ok {
 		return false, ErrBadVM
 	}

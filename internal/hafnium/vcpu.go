@@ -99,6 +99,16 @@ func (vc *VCPU) Exec(label string, d sim.Duration, fn func()) {
 	}
 }
 
+// ExecBound is the allocation-free form of Exec for guest work whose
+// completion needs only one integer (a virtual interrupt number): fn is
+// bound once by the guest and called as fn(c, arg) on the core the work
+// completes on (see machine.Core.ExecBound).
+func (vc *VCPU) ExecBound(label string, d sim.Duration, fn func(c *machine.Core, arg int), arg int) {
+	if c := vc.resident(); c != nil {
+		c.ExecBound(label, d, false, fn, arg)
+	}
+}
+
 // Run runs a prepared guest activity on the resident core.
 func (vc *VCPU) Run(a *machine.Activity) {
 	if c := vc.resident(); c != nil {

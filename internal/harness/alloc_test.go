@@ -14,12 +14,13 @@ import (
 // simulated steady state. A timer interrupt allocates nothing on its way
 // through the event queue, the GIC, the EL2 trap, injection, entry and
 // exit paths, or a CFS tick that wakes nothing: kernel work slices and
-// EL2 completions run in pooled activities with callbacks bound once.
-// What is left is per-job and per-wake state: the serve pool's job
-// records and per-job closures, the receiver's mailbox page copy, the
-// guest's VIRQ handlers, and a CFS tick that wakes kthreads.
+// EL2 completions run in pooled activities with callbacks bound once,
+// and so do the guest's VIRQ handlers and the serve pool's arrival,
+// admission, job, completion and reap events. What is left is per-job
+// and per-wake state: the serve pool's job records, the receiver's
+// mailbox page copy, and a CFS tick that wakes kthreads.
 const (
-	servingAllocBudget      = 1.0
+	servingAllocBudget      = 0.4
 	linuxPrimaryAllocBudget = 0.5
 )
 

@@ -188,3 +188,24 @@ func startServingCell(t *testing.T, sched core.Scheduler, rate float64, run sim.
 	}
 	return n, p
 }
+
+// TestServingArtifactGolden pins the serving sweep across commits: the
+// sha256 of the seed-1 sweep artifact and the engine events summed over
+// its cells. The TTL reaper's firing order shows up in both (every reap
+// fires, most as no-ops), so an engine change that reorders or drops
+// reaps cannot pass.
+func TestServingArtifactGolden(t *testing.T) {
+	const wantEvents, wantHash = 168094, "f97757aa3712a7d7933b1986a9f8a939783ef15401ac56db167d388166699cc4"
+	r, err := RunServingSweep(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	for _, c := range r.Cells {
+		events += c.Report.EventsFired
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Artifact())))
+	if events != wantEvents || got != wantHash {
+		t.Errorf("events=%d hash=%s, want events=%d hash=%s", events, got, wantEvents, wantHash)
+	}
+}

@@ -70,6 +70,63 @@ type Guest struct {
 	labelTick, labelNotify, labelMbox, labelDev string
 	// mc caches the guest.* counters of the VM the guest last ran on.
 	mc guestCounters
+	// vcpus holds the handler completions bound to each VCPU, by index.
+	vcpus []*guestVCPU
+}
+
+// guestVCPU binds the guest's VIRQ handler completions to one VCPU once,
+// so the per-interrupt paths build no closure. They read the VCPU's
+// identity and the guest's state and hooks when the work completes; a
+// device interrupt's number rides in the pooled activity.
+type guestVCPU struct {
+	g                        *Guest
+	vc                       *hafnium.VCPU
+	tickFn, notifyFn, mboxFn func()
+	devFn                    func(c *machine.Core, virq int)
+}
+
+// bound returns the completions bound to vc, binding them on the VCPU's
+// first interrupt (or when the guest moves to another VM's VCPU).
+func (g *Guest) bound(vc *hafnium.VCPU) *guestVCPU {
+	i := vc.Index()
+	for len(g.vcpus) <= i {
+		g.vcpus = append(g.vcpus, nil)
+	}
+	b := g.vcpus[i]
+	if b == nil || b.vc != vc {
+		b = &guestVCPU{g: g, vc: vc}
+		b.tickFn, b.notifyFn, b.mboxFn, b.devFn = b.tickDone, b.notifyDone, b.mboxDone, b.devDone
+		g.vcpus[i] = b
+	}
+	return b
+}
+
+func (b *guestVCPU) notifyDone() {
+	if b.g.OnNotification != nil {
+		b.g.OnNotification(b.vc)
+	}
+}
+
+func (b *guestVCPU) mboxDone() {
+	if msg, err := b.vc.ReceiveMessage(); err == nil && b.g.OnMessage != nil {
+		b.g.OnMessage(b.vc, msg)
+	}
+}
+
+func (b *guestVCPU) devDone(_ *machine.Core, virq int) {
+	if b.g.OnDeviceIRQ != nil {
+		b.g.OnDeviceIRQ(b.vc, virq)
+	}
+}
+
+func (b *guestVCPU) tickDone() {
+	g, vc := b.g, b.vc
+	g.ticks++
+	mc := g.counters(vc)
+	mc.vm.CachedMetric(&mc.ticks, "ticks").Inc()
+	if g.running[vc.Index()] {
+		vc.ArmVTimerAfter(g.cfg.TickHz.Period())
+	}
 }
 
 // guestCounters are one VM's guest.* counters, each registered on the
@@ -142,17 +199,9 @@ func (g *Guest) HandleVIRQ(vc *hafnium.VCPU, virq int) {
 	case virq == gic.IRQVirtualTimer:
 		g.tick(vc)
 	case virq == hafnium.VIRQNotification:
-		vc.Exec(g.labelNotify, g.cfg.NotifyCost, func() {
-			if g.OnNotification != nil {
-				g.OnNotification(vc)
-			}
-		})
+		vc.Exec(g.labelNotify, g.cfg.NotifyCost, g.bound(vc).notifyFn)
 	case virq == hafnium.VIRQMailbox:
-		vc.Exec(g.labelMbox, g.cfg.MboxCost, func() {
-			if msg, err := vc.ReceiveMessage(); err == nil && g.OnMessage != nil {
-				g.OnMessage(vc, msg)
-			}
-		})
+		vc.Exec(g.labelMbox, g.cfg.MboxCost, g.bound(vc).mboxFn)
 	default:
 		cost := g.DeviceIRQCost
 		if cost == 0 {
@@ -161,11 +210,7 @@ func (g *Guest) HandleVIRQ(vc *hafnium.VCPU, virq int) {
 		g.devirqs++
 		mc := g.counters(vc)
 		mc.vm.CachedMetric(&mc.devIRQs, "device_irqs").Inc()
-		vc.Exec(g.labelDev, cost, func() {
-			if g.OnDeviceIRQ != nil {
-				g.OnDeviceIRQ(vc, virq)
-			}
-		})
+		vc.ExecBound(g.labelDev, cost, g.bound(vc).devFn, virq)
 	}
 }
 
@@ -176,14 +221,7 @@ func (g *Guest) tick(vc *hafnium.VCPU) {
 	if g.cfg.TickWork != nil {
 		cost += g.cfg.TickWork(vc.Now())
 	}
-	vc.Exec(g.labelTick, cost, func() {
-		g.ticks++
-		mc := g.counters(vc)
-		mc.vm.CachedMetric(&mc.ticks, "ticks").Inc()
-		if g.running[vc.Index()] {
-			vc.ArmVTimerAfter(g.cfg.TickHz.Period())
-		}
-	})
+	vc.Exec(g.labelTick, cost, g.bound(vc).tickFn)
 }
 
 // guestMigState is the guest kernel's portable migration image: the

@@ -420,7 +420,7 @@ func (k *Kernel) resume(c *machine.Core) {
 func (k *Kernel) deschedule(c *machine.Core, cur *Task) {
 	id := c.ID()
 	if cur.vc == nil {
-		cur.saved = c.StealAllSuspended()
+		cur.saved = c.StealAllSuspended(cur.saved[:0])
 	}
 	cur.state = TaskReady
 	cur.ran = 0
@@ -557,7 +557,7 @@ func (k *Kernel) schedule(c *machine.Core) {
 func (k *Kernel) runKthread(c *machine.Core, t *Task) {
 	if len(t.saved) > 0 {
 		frames := t.saved
-		t.saved = nil
+		t.saved = frames[:0]
 		c.RestoreStack(frames)
 		return
 	}
@@ -579,7 +579,7 @@ func (k *Kernel) runProcess(c *machine.Core, t *Task) {
 	}
 	if len(t.saved) > 0 {
 		frames := t.saved
-		t.saved = nil
+		t.saved = frames[:0]
 		c.RestoreStack(frames)
 	}
 }

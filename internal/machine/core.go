@@ -167,7 +167,19 @@ func (c *Core) mint(label string, d sim.Duration, fn func(), uninterruptible boo
 	} else {
 		a = new(Activity)
 	}
-	*a = Activity{Label: label, Remaining: d, OnComplete: fn, Uninterruptible: uninterruptible, pooled: true}
+	// Field by field rather than one composite-literal assignment, which
+	// compiles to a whole-struct copy on this hot path.
+	a.Label = label
+	a.Remaining = d
+	a.OnComplete = fn
+	a.OnPreempt = nil
+	a.OnResume = nil
+	a.Uninterruptible = uninterruptible
+	a.bound = nil
+	a.boundArg = 0
+	a.preemptedAt = 0
+	a.pooled = true
+	a.released = false
 	return a
 }
 
@@ -337,15 +349,18 @@ func (c *Core) StackLabels() []string {
 	return out
 }
 
-// StealAllSuspended removes and returns the entire suspension stack,
-// bottom first — the full execution context of whatever was interrupted,
-// including nested handler frames. A hypervisor switching a guest off a
-// core must take all of it (a partial steal would leak guest frames into
-// the next context).
-func (c *Core) StealAllSuspended() []*Activity {
-	out := c.stack
-	c.stack = nil
-	return out
+// StealAllSuspended removes the entire suspension stack, bottom first —
+// the full execution context of whatever was interrupted, including
+// nested handler frames — appends it to dst and returns the result. A
+// hypervisor switching a guest off a core must take all of it (a partial
+// steal would leak guest frames into the next context). The caller owns
+// dst, so a context switched out again and again can reuse one buffer,
+// and the core keeps its own stack's storage for the next interrupt.
+func (c *Core) StealAllSuspended(dst []*Activity) []*Activity {
+	dst = append(dst, c.stack...)
+	clear(c.stack)
+	c.stack = c.stack[:0]
+	return dst
 }
 
 // RestoreStack reinstates frames captured by StealAllSuspended: the inner

@@ -2,7 +2,9 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"khsim/internal/sim"
 )
@@ -85,5 +87,39 @@ func TestPooledActivitySnapshotRestore(t *testing.T) {
 			}()
 			use()
 		}()
+	}
+}
+
+// TestMintResetsEveryField guards the field-by-field reset in Core.mint:
+// a pooled activity with every field dirtied must come back equal to a
+// freshly built one, so a field added to Activity cannot leak from one
+// Exec slice into the next.
+func TestMintResetsEveryField(t *testing.T) {
+	c := newNode(t).Cores[0]
+	a := new(Activity)
+	v := reflect.ValueOf(a).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Func:
+			f.Set(reflect.MakeFunc(f.Type(), func([]reflect.Value) []reflect.Value { return nil }))
+		default:
+			t.Fatalf("Activity field %s has kind %v; teach this test to dirty it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	c.free = append(c.free, a)
+	got := c.mint("fresh", 5, nil, false)
+	if got != a {
+		t.Fatal("mint did not reuse the pooled activity")
+	}
+	if want := (Activity{Label: "fresh", Remaining: 5, pooled: true}); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("minted activity %+v, want %+v", *got, want)
 	}
 }

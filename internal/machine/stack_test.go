@@ -95,7 +95,7 @@ func TestStealAllAndRestoreStack(t *testing.T) {
 		if got := c.StackLabels(); got[0] != "work" || got[1] != "h1" {
 			t.Fatalf("stack labels = %v", got)
 		}
-		frames = c.StealAllSuspended()
+		frames = c.StealAllSuspended(frames)
 	})
 	if len(frames) != 2 || c.Depth() != 0 {
 		t.Fatalf("stole %d frames, depth %d", len(frames), c.Depth())

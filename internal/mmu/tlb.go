@@ -112,23 +112,31 @@ func (t *TLB) Insert(tag TLBTag, addr, out uint64, perm Perms) {
 	set := t.data[t.setFor(vpage)]
 	t.clock++
 	t.stats.Fills++
-	victim := 0
+	// Every way is checked for the page before a free way is taken: an
+	// invalidation may have left a hole ahead of the page's live entry,
+	// and filling the hole would leave a stale duplicate behind it.
+	victim, free := 0, -1
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.tag == tag && e.vpage == vpage {
+		if !e.valid {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if e.tag == tag && e.vpage == vpage {
 			// Refill of an existing entry updates it in place.
 			e.out = out &^ uint64(GranuleSize-1)
 			e.perm = perm
 			e.lru = t.clock
 			return
 		}
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
+		if e.lru < set[victim].lru {
 			victim = i
 		}
+	}
+	if free >= 0 {
+		victim = free
 	}
 	set[victim] = tlbEntry{
 		valid: true, tag: tag, vpage: vpage,

@@ -95,6 +95,30 @@ func TestTLBInsertRefillUpdatesInPlace(t *testing.T) {
 	}
 }
 
+// TestTLBRefillBehindHole refills a page whose entry sits behind a way an
+// invalidation emptied. The refill must update the live entry, not fill
+// the hole with a duplicate that a later InvalidateVA leaves half
+// removed.
+func TestTLBRefillBehindHole(t *testing.T) {
+	tlb, _ := NewTLB(2, 2) // one set, two ways
+	tag := TLBTag{VMID: 1}
+	a, b := uint64(0), uint64(GranuleSize)
+	tlb.Insert(tag, a, 0x10000, PermR) // way 0
+	tlb.Insert(tag, b, 0x20000, PermR) // way 1
+	tlb.InvalidateVA(tag, a)           // way 0 becomes a hole
+	tlb.Insert(tag, b, 0x30000, PermR) // refill b
+	if n := tlb.LiveEntries(nil); n != 1 {
+		t.Fatalf("refill left %d live entries, want 1", n)
+	}
+	if out, _, hit := tlb.Lookup(tag, b); !hit || out != 0x30000 {
+		t.Fatalf("refilled lookup = %#x hit=%v, want 0x30000", out, hit)
+	}
+	tlb.InvalidateVA(tag, b)
+	if out, _, hit := tlb.Lookup(tag, b); hit {
+		t.Fatalf("lookup after invalidation hit stale entry %#x", out)
+	}
+}
+
 func TestTLBInvalidations(t *testing.T) {
 	tlb, _ := NewTLB(64, 4)
 	for vmid := uint16(1); vmid <= 3; vmid++ {

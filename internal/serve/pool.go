@@ -12,6 +12,7 @@ import (
 	"khsim/internal/kernel"
 	"khsim/internal/kitten"
 	"khsim/internal/linuxos"
+	"khsim/internal/machine"
 	"khsim/internal/metrics"
 	"khsim/internal/sim"
 	"khsim/internal/stats"
@@ -40,9 +41,18 @@ type Env struct {
 	job int
 	// idleSince is when the environment last went Ready.
 	idleSince sim.Time
-	// epoch advances on every state transition; pending reap events
-	// capture it and fire only if the environment has not moved since.
+	// epoch advances on every state transition; the ledger records it.
 	epoch uint64
+	// reapsArmed and reapsFired count the environment's TTL reaps. Reaps
+	// share one fixed delay, so they fire in the order they were armed,
+	// and a firing reap is the latest one exactly when the two counts
+	// meet. Only toReady arms a reap and every other transition leaves
+	// Ready, so the latest reap finding the environment Ready means it
+	// has not moved since the reap was armed.
+	reapsArmed, reapsFired uint64
+	// done holds each VCPU's job completion (reportDone), bound once and
+	// indexed by VCPU; the job ID rides in the pooled activity.
+	done []func(c *machine.Core, id int)
 
 	// WarmPrepares / ColdPrepares / Reaps / Crashes / Replaces count the
 	// environment's lifecycle transitions for the report.
@@ -112,6 +122,14 @@ type Pool struct {
 	horizon  sim.Time
 	injector *faults.Injector
 
+	// reaper is the engine's fixed-delay lane at cfg.TTL. reapFn,
+	// arrivalFn and admitFns (one per login VCPU, by index) are the
+	// reap, arrival and admission-driver callbacks, bound once.
+	reaper    *sim.Delay
+	reapFn    func(any)
+	arrivalFn func()
+	admitFns  []func()
+
 	// wire is the reused encode buffer for admit/job/done messages; the
 	// hypervisor copies a payload into the receiver's mailbox on send.
 	wire []byte
@@ -136,6 +154,9 @@ type Pool struct {
 // the pool's RNG streams and signing identity from seed. Call before
 // n.Boot().
 func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
+	if cfg.TTL <= 0 {
+		return nil, fmt.Errorf("serve: TTL %v is not positive", cfg.TTL)
+	}
 	login, ok := n.Hyp.VMByName(cfg.LoginVM)
 	if !ok {
 		return nil, fmt.Errorf("serve: no login VM %q in manifest", cfg.LoginVM)
@@ -155,6 +176,13 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 		login:  login,
 		byName: make(map[string]*Env),
 		byVM:   make(map[hafnium.VMID]*Env),
+		reaper: n.Machine.Engine.NewDelay(cfg.TTL),
+	}
+	p.reapFn = p.reap
+	p.arrivalFn = p.onArrival
+	for i := 0; i < login.VCPUs(); i++ {
+		vc := login.VCPU(i)
+		p.admitFns = append(p.admitFns, func() { p.admitNext(vc) })
 	}
 	switch {
 	case n.KittenPrimary != nil:
@@ -193,6 +221,10 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 			return nil, fmt.Errorf("serve: no environment VM %q in manifest", name)
 		}
 		e := &Env{Name: name, Index: i, vm: vm, id: vm.ID(), job: -1}
+		for k := 0; k < vm.VCPUs(); k++ {
+			vc := vm.VCPU(k)
+			e.done = append(e.done, func(_ *machine.Core, id int) { p.reportDone(e, vc, id) })
+		}
 		g := kitten.NewGuest(kitten.DefaultParams())
 		g.OnMessage = func(vc *hafnium.VCPU, msg hafnium.Message) {
 			p.envMessage(e, vc, msg)
@@ -298,10 +330,13 @@ func (p *Pool) scheduleArrival() {
 	if at > p.horizon {
 		return
 	}
-	p.eng.ScheduleNamed(at, "serve.arrival", func() {
-		p.arrive(p.cfg.Mix.Demand(p.demRNG))
-		p.scheduleArrival()
-	})
+	p.eng.ScheduleNamed(at, "serve.arrival", p.arrivalFn)
+}
+
+// onArrival is the arrival event: one job, then the next arrival.
+func (p *Pool) onArrival() {
+	p.arrive(p.cfg.Mix.Demand(p.demRNG))
+	p.scheduleArrival()
 }
 
 // arrive generates one job and rings the login VM's doorbell. The demand
@@ -340,12 +375,12 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 	id := p.pendingAdmit[0]
 	if err := vc.SendMessage(hafnium.PrimaryID, p.encode("admit", int64(id))); err != nil {
 		p.admitRetries++
-		vc.Exec("serve.admit.retry", p.cfg.RetryBackoff, func() { p.admitNext(vc) })
+		vc.Exec("serve.admit.retry", p.cfg.RetryBackoff, p.admitFns[vc.Index()])
 		return
 	}
 	p.pendingAdmit = p.pendingAdmit[1:]
 	if len(p.pendingAdmit) > 0 {
-		vc.Exec("serve.admit", admitCost, func() { p.admitNext(vc) })
+		vc.Exec("serve.admit", admitCost, p.admitFns[vc.Index()])
 		return
 	}
 	p.draining = false
@@ -504,27 +539,32 @@ func (p *Pool) startPrepare(e *Env) {
 	})
 }
 
-// scheduleReap arms the TTL reaper for an idle environment. The event
-// captures the epoch: any use of the environment before expiry advances
-// it and the reap becomes a no-op. At an exact tie — a dispatch landing
-// at the expiry instant — the reap wins: it was scheduled when the
-// environment went idle, so the engine's same-instant FIFO lane fires it
-// first.
+// scheduleReap arms the TTL reaper for an idle environment on the
+// engine's fixed-delay lane. The reap is a no-op unless the environment
+// is still Ready and no later reap was armed (see Env.reapsArmed). At an
+// exact tie — a dispatch landing at the expiry instant — the reap wins:
+// it was scheduled when the environment went idle, so its seq is the
+// smaller one and the engine fires it first.
 func (p *Pool) scheduleReap(e *Env) {
-	epoch := e.epoch
-	p.eng.AfterNamed(p.cfg.TTL, "serve.reap", func() {
-		if e.state != EnvReady || e.epoch != epoch {
-			return
-		}
-		if err := p.hyp.StopVM(e.id); err != nil {
-			return
-		}
-		e.state = EnvStopped
-		e.epoch++
-		e.Reaps++
-		p.releaseWarm(e)
-		p.record("reap", e, "ttl")
-	})
+	e.reapsArmed++
+	p.reaper.ScheduleArg("serve.reap", p.reapFn, e)
+}
+
+// reap is the TTL reap event for the environment x.
+func (p *Pool) reap(x any) {
+	e := x.(*Env)
+	e.reapsFired++
+	if e.state != EnvReady || e.reapsFired != e.reapsArmed {
+		return
+	}
+	if err := p.hyp.StopVM(e.id); err != nil {
+		return
+	}
+	e.state = EnvStopped
+	e.epoch++
+	e.Reaps++
+	p.releaseWarm(e)
+	p.record("reap", e, "ttl")
 }
 
 // releaseWarm returns an environment's warm-pool token, if it holds one.
@@ -551,17 +591,15 @@ func (p *Pool) envMessage(e *Env, vc *hafnium.VCPU, msg hafnium.Message) {
 		vc.Block()
 		return
 	}
-	vc.Exec("serve.job", sim.Duration(dem), func() {
-		p.reportDone(vc, int(id))
-	})
+	vc.ExecBound("serve.job", sim.Duration(dem), e.done[vc.Index()], int(id))
 }
 
 // reportDone sends the completion message, backing off while the
 // primary's mailbox is busy, then parks the VCPU.
-func (p *Pool) reportDone(vc *hafnium.VCPU, id int) {
+func (p *Pool) reportDone(e *Env, vc *hafnium.VCPU, id int) {
 	if err := vc.SendMessage(hafnium.PrimaryID, p.encode("done", int64(id))); err != nil {
 		p.doneRetries++
-		vc.Exec("serve.done.retry", p.cfg.RetryBackoff, func() { p.reportDone(vc, id) })
+		vc.ExecBound("serve.done.retry", p.cfg.RetryBackoff, e.done[vc.Index()], id)
 		return
 	}
 	vc.Block()

@@ -9,18 +9,17 @@ import "fmt"
 // generation counter distinguishes successive occupancies of one slot, so
 // a stale Event handle can never touch a recycled slot.
 type slot struct {
-	when Time
-	seq  uint64 // tie-break: FIFO among events at the same instant
 	gen  uint64 // bumped on release; live Event handles must match
 	fn   func()
 	afn  func(any) // arg-style callback (ScheduleArg), exclusive with fn
 	arg  any
 	name string
-	lane bool // queued in the same-instant lane rather than the heap
+	idx  uint32 // the slot's index in Engine.slots
+	heap bool   // queued in the heap rather than a FIFO lane
 
 	// A cancelled slot stays queued as a tombstone until it reaches the
 	// front or the engine compacts the heap (see Engine), so Cancel needs
-	// no per-slot heap index.
+	// no per-slot queue position.
 	canceled    bool
 	canceledGen uint64 // generation of the most recently cancelled occupancy
 }
@@ -60,37 +59,110 @@ func (e Event) Name() string {
 	return ""
 }
 
-// slotLess orders slots by (when, seq): time first, FIFO at one instant.
-func slotLess(a, b *slot) bool {
+// entry is one queued event as the queues see it: its (when, seq) key
+// and the index of its slot. It holds no pointer, so moving entries
+// through the heap needs no write barrier and comparing two never
+// dereferences a slot.
+type entry struct {
+	when Time
+	seq  uint64 // tie-break: FIFO among events at the same instant
+	slot uint32
+}
+
+// before orders entries by (when, seq): time first, FIFO at one instant.
+func (a entry) before(b entry) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
+
+// fifo is a queue of entries that arrive already sorted by (when, seq):
+// the same-instant lane and the fixed-delay lanes. Pop advances a cursor;
+// push reclaims the consumed prefix once it is at least half the buffer,
+// so both are O(1) amortized and a lane that never drains stays bounded.
+type fifo struct {
+	q  []entry
+	at int // consumption cursor
+}
+
+func (f *fifo) empty() bool { return f.at == len(f.q) }
+
+func (f *fifo) head() entry { return f.q[f.at] }
+
+func (f *fifo) push(x entry) {
+	if len(f.q) == cap(f.q) && f.at > 0 && 2*f.at >= len(f.q) {
+		n := copy(f.q, f.q[f.at:])
+		f.q = f.q[:n]
+		f.at = 0
+	}
+	f.q = append(f.q, x)
+}
+
+func (f *fifo) pop() {
+	f.at++
+	if f.at == len(f.q) {
+		f.q = f.q[:0]
+		f.at = 0
+	}
+}
+
+// queued returns the entries still queued, front first.
+func (f *fifo) queued() []entry { return f.q[f.at:] }
+
+// reset empties the lane, keeping its buffer.
+func (f *fifo) reset() {
+	f.q = f.q[:0]
+	f.at = 0
+}
+
+// Queue identities: where an entry is queued. Fixed-delay lane i is
+// srcDelay+i.
+const (
+	srcNone  = -2
+	srcHeap  = -1
+	srcNow   = 0
+	srcDelay = 1
+)
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; all simulated components run inside event callbacks
 // on the goroutine that calls Run or Step.
 //
-// The queue is a 4-ary min-heap of pooled slots ordered by (when, seq),
-// with a FIFO fast lane for events scheduled at the current instant (the
-// timer-tick burst pattern: handlers scheduling follow-up work "now"
-// bypass the heap entirely). Cancel marks the slot and leaves it queued
-// as a tombstone, which keeps the heap free of index bookkeeping. The
-// heap compacts itself: once its tombstones reach compactMin and
-// outnumber the live events, they all go back to the free list and the
-// heap is rebuilt in place. A compaction costs O(heap) and removes at
-// least half the heap, so it is O(1) per Cancel on average, and the heap
-// never holds more than 2·Pending()+compactMin slots. A re-armed timer
-// deadline, cancelled on every tick, therefore cannot pile up.
+// Events live in pooled slots in an engine-owned table; the queues hold
+// pointer-free entries that name a slot by index. There are three kinds
+// of queue, and the front event is the (when, seq) minimum of their
+// heads:
+//
+//   - a 4-ary min-heap for events at arbitrary future times;
+//   - a FIFO lane for events scheduled at the current instant (the
+//     timer-tick burst pattern: handlers scheduling follow-up work "now"
+//     bypass the heap entirely);
+//   - one FIFO lane per fixed delay obtained with NewDelay. Such events
+//     are always scheduled the same positive delay ahead, so they arrive
+//     sorted by (when, seq) and need no heap.
+//
+// Cancel marks the slot and leaves its entry queued as a tombstone,
+// which keeps the queues free of index bookkeeping. The heap compacts
+// itself: once its tombstones reach compactMin and outnumber the live
+// events in the heap, they all go back to the free list and the heap is
+// rebuilt in place. A compaction costs O(heap) and removes at least half
+// the heap, so it is O(1) per Cancel on average, and the heap never holds
+// more than 2·(live events in the heap)+compactMin entries. A re-armed
+// timer deadline, cancelled on every tick, therefore cannot pile up.
+// Lane tombstones leave when they reach the front.
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []*slot // 4-ary min-heap by (when, seq)
-	lane    []*slot // FIFO of events with when == now
-	laneAt  int     // lane consumption cursor
-	free    []*slot // slot pool
-	live    int     // queued and not cancelled
-	tombs   int     // cancelled slots queued in the heap
+	slots   []*slot  // slot table, indexed by entry.slot
+	heap    []entry  // 4-ary min-heap by (when, seq)
+	nowq    fifo     // events with when == now
+	delays  []fifo   // fixed-delay lanes, one per NewDelay
+	free    []uint32 // indices of pooled slots
+	live    int      // queued and not cancelled
+	tombs   int      // cancelled entries queued in the heap
 	rng     *RNG
 	stopped bool
+	// keep is Restore's scratch mark, by slot: the slots a snapshot
+	// reinstalls. It is kept so a fork loop restores without allocating.
+	keep []bool
 
 	// fired counts events executed; useful as a progress/complexity metric.
 	fired uint64
@@ -153,28 +225,34 @@ func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg an
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", name, at, e.now))
 	}
-	s := e.alloc()
-	s.when = at
-	s.seq = e.seq
-	e.seq++
-	s.fn = fn
-	s.afn = afn
-	s.arg = arg
-	s.name = name
-	s.lane = at == e.now
-	e.live++
-	if s.lane {
-		// Same-instant fast lane: appended in seq order, so the lane is
-		// itself sorted and the only ordering question against the heap
-		// is a seq comparison at equal times (see peek).
-		e.lane = append(e.lane, s)
+	s, x := e.fill(at, name, fn, afn, arg)
+	s.heap = at != e.now
+	if s.heap {
+		e.heapPush(x)
 	} else {
-		e.heapPush(s)
+		// Same-instant lane: appended in seq order, so the lane is itself
+		// sorted and the only ordering question against the other queues
+		// is a seq comparison at equal times (see front).
+		e.nowq.push(x)
 	}
 	if e.scheduleHook != nil {
 		e.scheduleHook(at)
 	}
 	return Event{s: s, gen: s.gen, when: at}
+}
+
+// fill takes a slot for an event at at, stores its callback and label,
+// draws its seq, and returns the slot with the entry that queues it.
+func (e *Engine) fill(at Time, name string, fn func(), afn func(any), arg any) (*slot, entry) {
+	s := e.alloc()
+	s.fn = fn
+	s.afn = afn
+	s.arg = arg
+	s.name = name
+	x := entry{when: at, seq: e.seq, slot: s.idx}
+	e.seq++
+	e.live++
+	return s, x
 }
 
 // SetScheduleHook installs (or, with nil, removes) the schedule observer.
@@ -198,6 +276,54 @@ func (e *Engine) AfterNamed(d Duration, name string, fn func()) Event {
 	return e.ScheduleNamed(e.now.Add(d), name, fn)
 }
 
+// Delay is a fixed-delay lane of an Engine: every event scheduled on it
+// fires the same positive delay after it was scheduled. Those events
+// arrive already sorted by (when, seq), so the lane is a FIFO with O(1)
+// push and pop instead of a heap position. Ordering is exact: an event
+// on a lane takes its seq from the engine counter like any other, so it
+// fires at the same point of the engine's total (when, seq) order as it
+// would through the heap. Obtain lanes once, at construction, with
+// Engine.NewDelay.
+type Delay struct {
+	eng  *Engine
+	d    Duration
+	lane int // index into eng.delays
+}
+
+// NewDelay adds a fixed-delay lane for delay d, which must be positive.
+// Every lane is checked when the engine looks for its front event, so
+// create one per distinct delay a hot path schedules with, not one per
+// event.
+func (e *Engine) NewDelay(d Duration) *Delay {
+	if d <= 0 {
+		panic(fmt.Sprintf("sim: fixed-delay lane with non-positive delay %v", d))
+	}
+	e.delays = append(e.delays, fifo{})
+	return &Delay{eng: e, d: d, lane: len(e.delays) - 1}
+}
+
+// ScheduleArg is Engine.ScheduleArg at the lane's fixed delay d from
+// now: fn(arg) runs at Now()+d. The event is cancellable like any other;
+// a cancelled lane event leaves the lane when it reaches the front.
+func (l *Delay) ScheduleArg(name string, fn func(any), arg any) Event {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	e := l.eng
+	at := e.now.Add(l.d)
+	f := &e.delays[l.lane]
+	if !f.empty() && at < f.q[len(f.q)-1].when {
+		panic(fmt.Sprintf("sim: fixed-delay lane event %q at %v before the lane's tail", name, at))
+	}
+	s, x := e.fill(at, name, nil, fn, arg)
+	s.heap = false
+	f.push(x)
+	if e.scheduleHook != nil {
+		e.scheduleHook(at)
+	}
+	return Event{s: s, gen: s.gen, when: at}
+}
+
 // Cancel removes ev from the queue. Cancelling an already-fired,
 // already-cancelled, or zero Event is a guaranteed no-op: the handle's
 // generation no longer matches its (possibly recycled) slot, so a stale
@@ -214,7 +340,7 @@ func (e *Engine) Cancel(ev Event) {
 	s.afn = nil
 	s.arg = nil
 	e.live--
-	if !s.lane {
+	if s.heap {
 		e.tombs++
 		e.maybeCompact()
 	}
@@ -224,50 +350,48 @@ func (e *Engine) Cancel(ev Event) {
 const compactMin = 16
 
 // maybeCompact compacts the heap when its tombstones reach compactMin and
-// outnumber the live events. Every Cancel and every fired event checks
-// it, so after any engine call the heap holds at most
-// 2·Pending()+compactMin slots.
+// outnumber the live events in the heap. Every heap Cancel and every
+// fired heap event checks it, so after any engine call the heap holds at
+// most 2·(live events in the heap)+compactMin entries.
 func (e *Engine) maybeCompact() {
-	if e.tombs >= compactMin && e.tombs > e.live {
+	if e.tombs >= compactMin && 2*e.tombs > len(e.heap) {
 		e.compact()
 	}
 }
 
 // compact releases every heap tombstone to the free list and restores the
-// heap order in place. The lane is left alone: its tombstones are not
-// counted and leave at the current instant anyway.
+// heap order in place. The lanes are left alone: their tombstones are not
+// counted and leave when they reach the front.
 func (e *Engine) compact() {
 	h := e.heap
 	n := 0
-	for _, s := range h {
-		if s.canceled {
+	for _, x := range h {
+		if s := e.slots[x.slot]; s.canceled {
 			e.release(s)
 		} else {
-			h[n] = s
+			h[n] = x
 			n++
 		}
 	}
-	clear(h[n:])
-	h = h[:n]
-	for i := (n - 2) / 4; n > 1 && i >= 0; i-- {
-		siftDown(h, i)
-	}
-	e.heap = h
+	e.heap = h[:n]
+	e.heapify()
 	e.tombs = 0
 }
 
 // alloc takes a slot from the pool, or mints one.
 func (e *Engine) alloc() *slot {
 	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free[n-1] = nil
+		i := e.free[n-1]
 		e.free = e.free[:n-1]
-		return s
+		return e.slots[i]
 	}
-	return &slot{gen: 1} // generation 0 is reserved for the zero Event
+	// Generation 0 is reserved for the zero Event.
+	s := &slot{gen: 1, idx: uint32(len(e.slots))}
+	e.slots = append(e.slots, s)
+	return s
 }
 
-// release returns a popped slot to the pool, invalidating outstanding
+// release returns a dequeued slot to the pool, invalidating outstanding
 // handles by bumping the generation.
 func (e *Engine) release(s *slot) {
 	s.gen++
@@ -276,78 +400,81 @@ func (e *Engine) release(s *slot) {
 	s.arg = nil
 	s.name = ""
 	s.canceled = false
-	e.free = append(e.free, s)
+	e.free = append(e.free, s.idx)
 }
 
-// peek returns the front slot — the (when, seq) minimum across the lane
-// and the heap — without removing it, or nil when empty.
-func (e *Engine) peek() *slot {
-	var ln *slot
-	if e.laneAt < len(e.lane) {
-		ln = e.lane[e.laneAt]
-	}
-	var hp *slot
+// front returns the front entry — the (when, seq) minimum across the
+// heap and the lanes — and the queue holding it, or srcNone when every
+// queue is empty.
+func (e *Engine) front() (entry, int) {
+	var best entry
+	src := srcNone
 	if len(e.heap) > 0 {
-		hp = e.heap[0]
+		best, src = e.heap[0], srcHeap
 	}
-	switch {
-	case ln == nil:
-		return hp
-	case hp == nil:
-		return ln
-	case slotLess(hp, ln):
-		return hp
+	if !e.nowq.empty() {
+		if x := e.nowq.head(); src == srcNone || x.before(best) {
+			best, src = x, srcNow
+		}
+	}
+	for i := range e.delays {
+		if f := &e.delays[i]; !f.empty() {
+			if x := f.head(); src == srcNone || x.before(best) {
+				best, src = x, srcDelay+i
+			}
+		}
+	}
+	return best, src
+}
+
+// dequeue removes the front entry from queue src.
+func (e *Engine) dequeue(src int) {
+	switch src {
+	case srcHeap:
+		e.heapPop()
+	case srcNow:
+		e.nowq.pop()
 	default:
-		return ln
+		e.delays[src-srcDelay].pop()
 	}
 }
 
-// pop removes and returns the front slot, or nil when empty.
-func (e *Engine) pop() *slot {
-	s := e.peek()
-	if s == nil {
-		return nil
-	}
-	if e.laneAt < len(e.lane) && e.lane[e.laneAt] == s {
-		e.lane[e.laneAt] = nil
-		e.laneAt++
-		if e.laneAt == len(e.lane) {
-			e.lane = e.lane[:0]
-			e.laneAt = 0
-		}
-		return s
-	}
-	return e.heapPop()
-}
-
-// nextLive releases cancelled slots at the front and returns the next
-// live slot without removing it, or nil when the queue is drained.
-func (e *Engine) nextLive() *slot {
+// nextLive releases cancelled entries at the front and returns the next
+// live entry without removing it, with its queue; src is srcNone when
+// the queue is drained.
+func (e *Engine) nextLive() (entry, int) {
 	for {
-		s := e.peek()
-		if s == nil || !s.canceled {
-			return s
+		x, src := e.front()
+		if src == srcNone {
+			return x, src
 		}
-		e.pop()
-		if !s.lane {
+		s := e.slots[x.slot]
+		if !s.canceled {
+			return x, src
+		}
+		e.dequeue(src)
+		if src == srcHeap {
 			e.tombs--
 		}
 		e.release(s)
 	}
 }
 
-// fire pops the front slot s (which must be live), advances the clock,
-// and runs its callback. The slot is recycled before the callback runs,
-// so callbacks observe their own event as already fired.
-func (e *Engine) fire(s *slot) {
-	e.pop()
-	if s.when < e.now {
+// fire dequeues the live front entry x from queue src, advances the
+// clock, and runs its callback. The slot is recycled before the callback
+// runs, so callbacks observe their own event as already fired.
+func (e *Engine) fire(x entry, src int) {
+	e.dequeue(src)
+	if x.when < e.now {
 		panic("sim: event queue time went backwards")
 	}
-	e.now = s.when
+	e.now = x.when
 	e.fired++
 	e.live--
-	e.maybeCompact()
+	if src == srcHeap {
+		e.maybeCompact()
+	}
+	s := e.slots[x.slot]
 	if s.afn != nil {
 		afn, arg := s.afn, s.arg
 		e.release(s)
@@ -363,17 +490,17 @@ func (e *Engine) fire(s *slot) {
 // or false when the queue is drained (or Stop was called). Multiplexers
 // that interleave several engines — the cluster layer picking the
 // globally earliest event across nodes — use this to decide whose Step
-// runs next. Cancelled slots at the front are collected as a side effect,
-// exactly as Step would.
+// runs next. Cancelled entries at the front are collected as a side
+// effect, exactly as Step would.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.stopped {
 		return 0, false
 	}
-	s := e.nextLive()
-	if s == nil {
+	x, src := e.nextLive()
+	if src == srcNone {
 		return 0, false
 	}
-	return s.when, true
+	return x.when, true
 }
 
 // Step fires the next event, advancing the clock to its timestamp. It
@@ -382,11 +509,11 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	s := e.nextLive()
-	if s == nil {
+	x, src := e.nextLive()
+	if src == srcNone {
 		return false
 	}
-	e.fire(s)
+	e.fire(x, src)
 	return true
 }
 
@@ -396,11 +523,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	for !e.stopped {
-		s := e.nextLive()
-		if s == nil || s.when > until {
+		x, src := e.nextLive()
+		if src == srcNone || x.when > until {
 			break
 		}
-		e.fire(s)
+		e.fire(x, src)
 	}
 	if !e.stopped && e.now < until {
 		e.now = until
@@ -422,40 +549,46 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// heapPush inserts s into the 4-ary min-heap.
-func (e *Engine) heapPush(s *slot) {
-	h := append(e.heap, s)
+// heapPush inserts x into the 4-ary min-heap.
+func (e *Engine) heapPush(x entry) {
+	h := append(e.heap, x)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !slotLess(h[i], h[p]) {
+		if !x.before(h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = x
 	e.heap = h
 }
 
-// heapPop removes and returns the heap minimum.
-func (e *Engine) heapPop() *slot {
+// heapPop removes the heap minimum.
+func (e *Engine) heapPop() {
 	h := e.heap
-	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
 	h = h[:n]
 	e.heap = h
 	if n > 0 {
 		siftDown(h, 0)
 	}
-	return top
+}
+
+// heapify restores the heap order over the whole heap in O(n).
+func (e *Engine) heapify() {
+	h := e.heap
+	for i := (len(h) - 2) / 4; len(h) > 1 && i >= 0; i-- {
+		siftDown(h, i)
+	}
 }
 
 // siftDown moves h[i] down the 4-ary heap: at each node it promotes the
-// smallest of up to four children until the moved slot fits.
-func siftDown(h []*slot, i int) {
-	s := h[i]
+// smallest of up to four children until the moved entry fits.
+func siftDown(h []entry, i int) {
+	x := h[i]
 	n := len(h)
 	for {
 		c := 4*i + 1
@@ -465,15 +598,15 @@ func siftDown(h []*slot, i int) {
 		best := c
 		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if slotLess(h[j], h[best]) {
+			if h[j].before(h[best]) {
 				best = j
 			}
 		}
-		if !slotLess(h[best], s) {
+		if !h[best].before(x) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
-	h[i] = s
+	h[i] = x
 }

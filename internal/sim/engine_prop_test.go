@@ -60,23 +60,39 @@ func (m *refModel) step() int {
 	return ev.id
 }
 
+// refRegime names one operation mix of TestPropEngineMatchesReferenceModel.
+type refRegime int
+
+const (
+	regimeUniform refRegime = iota // schedule, cancel and step evenly
+	regimeRearm                    // timer re-arms and cancelled bursts
+	regimeLanes                    // fixed-delay lanes mixed in, with a snapshot replay
+)
+
+// laneDelays are the fixed-delay lanes of the lanes regime.
+var laneDelays = []Duration{75, 300}
+
 // TestPropEngineMatchesReferenceModel drives the engine and the reference
 // model with identical random schedule/cancel/step interleavings and
 // asserts they pop events in exactly the same order. This pins the total
-// order (when, seq) across the heap and the same-instant fast lane, and
-// the exactness of cancellation. Two regimes run: a uniform mix, and a
-// timer re-arm regime in which most operations cancel a far-future
-// deadline and schedule its replacement, and some same-instant bursts
-// are cancelled whole, so the heap compacts many times per trial. After
-// every operation the heap may hold at most 2·Pending()+compactMin
-// slots: a cancelled event must not keep its storage queued.
+// order (when, seq) across the heap, the same-instant lane and the
+// fixed-delay lanes, and the exactness of cancellation. Three regimes
+// run: a uniform mix; a timer re-arm regime in which most operations
+// cancel a far-future deadline and schedule its replacement, and some
+// same-instant bursts are cancelled whole, so the heap compacts many
+// times per trial; and a lanes regime that interleaves events on two
+// fixed-delay lanes with heap and same-instant events, cancels in all
+// three kinds of queue, and rewinds a mid-trial Snapshot with Restore,
+// rewinding the model with it. After every operation the heap may hold
+// at most 2·(live events in the heap)+compactMin entries: a cancelled
+// event must not keep its storage queued.
 func TestPropEngineMatchesReferenceModel(t *testing.T) {
-	for _, rearm := range []bool{false, true} {
+	for _, regime := range []refRegime{regimeUniform, regimeRearm, regimeLanes} {
 		compactions := 0
 		for trial := 0; trial < 50; trial++ {
-			compactions += runRefModelTrial(t, trial, rearm)
+			compactions += runRefModelTrial(t, trial, regime)
 		}
-		if rearm && compactions < 50*4 {
+		if regime == regimeRearm && compactions < 50*4 {
 			t.Fatalf("re-arm regime compacted %d times in 50 trials; it no longer exercises compaction", compactions)
 		}
 	}
@@ -84,11 +100,18 @@ func TestPropEngineMatchesReferenceModel(t *testing.T) {
 
 // runRefModelTrial runs one seeded trial of TestPropEngineMatchesReferenceModel
 // and reports how many Cancel calls compacted the heap.
-func runRefModelTrial(t *testing.T, trial int, rearm bool) int {
+func runRefModelTrial(t *testing.T, trial int, regime refRegime) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(trial)))
 	e := NewEngine(uint64(trial))
 	m := &refModel{}
+	rearm := regime == regimeRearm
+	var lanes []*Delay
+	if regime == regimeLanes {
+		for _, d := range laneDelays {
+			lanes = append(lanes, e.NewDelay(d))
+		}
+	}
 
 	var engFired, refFired []int
 	handles := map[int]Event{} // model id -> engine handle
@@ -96,6 +119,12 @@ func runRefModelTrial(t *testing.T, trial int, rearm bool) int {
 	schedule := func(at Time) int {
 		id := m.schedule(at)
 		handles[id] = e.Schedule(at, func() { engFired = append(engFired, id) })
+		return id
+	}
+	fireArg := func(x any) { engFired = append(engFired, x.(int)) }
+	scheduleLane := func(i int) int {
+		id := m.schedule(e.Now().Add(laneDelays[i]))
+		handles[id] = lanes[i].ScheduleArg("lane", fireArg, id)
 		return id
 	}
 	compactions := 0
@@ -120,17 +149,56 @@ func runRefModelTrial(t *testing.T, trial int, rearm bool) int {
 			}
 		}
 	}
-	timers := make([]int, 12) // re-arm regime: each timer's current deadline
-	if rearm {
+	timers := make([]int, 12) // re-arm and lanes regimes: each timer's current deadline
+	if rearm || lanes != nil {
 		for i := range timers {
 			timers[i] = schedule(e.Now().Add(Duration(500 + rng.Intn(1000))))
 		}
 	}
 
+	// The lanes regime snapshots the engine and the model at op 150,
+	// runs on to op 250, and rewinds both before carrying on.
+	type rewind struct {
+		eng             State
+		model           refModel
+		handles         map[int]Event
+		liveIDs, timers []int
+		engLen, refLen  int
+	}
+	var saved *rewind
 	for op := 0; op < 400; op++ {
+		if regime == regimeLanes {
+			switch op {
+			case 150:
+				saved = &rewind{
+					eng: e.Snapshot(), model: *m, handles: map[int]Event{},
+					liveIDs: append([]int(nil), liveIDs...), timers: append([]int(nil), timers...),
+					engLen: len(engFired), refLen: len(refFired),
+				}
+				saved.model.evs = append([]refEvent(nil), m.evs...)
+				for id, h := range handles {
+					saved.handles[id] = h
+				}
+			case 250:
+				e.Restore(saved.eng)
+				*m = saved.model
+				m.evs = append([]refEvent(nil), saved.model.evs...)
+				handles = map[int]Event{}
+				for id, h := range saved.handles {
+					handles[id] = h
+				}
+				liveIDs = append([]int(nil), saved.liveIDs...)
+				copy(timers, saved.timers)
+				engFired, refFired = engFired[:saved.engLen], refFired[:saved.refLen]
+				if e.tombs != 0 || e.Pending() != len(m.evs) {
+					t.Fatalf("trial %d: restore left %d tombstones and %d pending; model has %d events",
+						trial, e.tombs, e.Pending(), len(m.evs))
+				}
+			}
+		}
 		r := rng.Intn(10)
 		switch {
-		case rearm && r < 6: // re-arm a timer: cancel its deadline, schedule the next
+		case (rearm && r < 6) || (lanes != nil && r < 2): // re-arm a timer: cancel its deadline, schedule the next
 			i := rng.Intn(len(timers))
 			cancel(timers[i])
 			timers[i] = schedule(e.Now().Add(Duration(500 + rng.Intn(1000))))
@@ -142,6 +210,14 @@ func runRefModelTrial(t *testing.T, trial int, rearm bool) int {
 			for _, id := range burst {
 				cancel(id)
 			}
+		case lanes != nil && r < 4: // a fixed-delay lane event
+			liveIDs = append(liveIDs, scheduleLane(rng.Intn(len(lanes))))
+		case lanes != nil && r < 5: // now, or a heap event that interleaves with the lanes
+			at := e.Now()
+			if rng.Intn(4) > 0 {
+				at = at.Add(Duration(1 + rng.Intn(400)))
+			}
+			liveIDs = append(liveIDs, schedule(at))
 		case r < 5 || (rearm && r < 8): // schedule at now + [0, 50)
 			liveIDs = append(liveIDs, schedule(e.Now().Add(Duration(rng.Intn(50)))))
 		case r < 7 && !rearm: // cancel a random previously issued event
@@ -158,9 +234,9 @@ func runRefModelTrial(t *testing.T, trial int, rearm bool) int {
 		if len(engFired) != len(refFired) {
 			t.Fatalf("trial %d op %d: engine fired %d, model %d", trial, op, len(engFired), len(refFired))
 		}
-		if bound := 2*e.Pending() + compactMin; len(e.heap) > bound {
-			t.Fatalf("trial %d op %d: heap holds %d slots for %d pending events, bound %d",
-				trial, op, len(e.heap), e.Pending(), bound)
+		if bound := 2*(len(e.heap)-e.tombs) + compactMin; len(e.heap) > bound {
+			t.Fatalf("trial %d op %d: heap holds %d entries, %d of them tombstones, bound %d",
+				trial, op, len(e.heap), e.tombs, bound)
 		}
 	}
 
@@ -192,11 +268,45 @@ func runRefModelTrial(t *testing.T, trial int, rearm bool) int {
 	return compactions
 }
 
+// TestDelayLaneOutOfOrderPanics checks the fixed-delay lane's ordering
+// guard: a push whose time lies before the lane's tail would break the
+// FIFO's sort, so it panics instead. The engine's clock never runs
+// backwards, so the test winds it back by hand.
+func TestDelayLaneOutOfOrderPanics(t *testing.T) {
+	e := NewEngine(1)
+	l := e.NewDelay(100)
+	nop := func(any) {}
+	e.Run(50)
+	l.ScheduleArg("a", nop, nil) // tail at 150
+	e.now = 10
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order fixed-delay push did not panic")
+		}
+	}()
+	l.ScheduleArg("b", nop, nil) // at 110, before the tail
+}
+
+// TestNewDelayRejectsNonPositive pins the lane's precondition: a zero
+// delay would land on the same-instant lane's territory.
+func TestNewDelayRejectsNonPositive(t *testing.T) {
+	for _, d := range []Duration{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDelay(%v) did not panic", d)
+				}
+			}()
+			NewEngine(1).NewDelay(d)
+		}()
+	}
+}
+
 // TestEngineCompactionAcrossSnapshot snapshots an engine while cancelled
 // timer deadlines are queued (in the heap and in the same-instant lane),
 // forces a compaction by re-arming, then restores and replays: the same
-// events must fire in the same order, and Restore must recount the
-// tombstones it reinstalls.
+// events must fire in the same order, and Restore must reinstall none of
+// the tombstones (a snapshot records live events only).
 func TestEngineCompactionAcrossSnapshot(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int
@@ -238,13 +348,40 @@ func TestEngineCompactionAcrossSnapshot(t *testing.T) {
 
 	e.Restore(snap)
 	copy(timers, saved)
-	// The lane's four tombstones come back as heap tombstones.
-	if e.tombs != 14 || len(e.heap) != 22 || e.Pending() != len(timers) {
-		t.Fatalf("after restore: %d tombstones, heap %d, %d pending; want 14, 22, %d",
-			e.tombs, len(e.heap), e.Pending(), len(timers))
+	// Neither the ten heap tombstones nor the lane's four come back.
+	if e.tombs != 0 || len(e.heap) != len(timers) || !e.nowq.empty() || e.Pending() != len(timers) {
+		t.Fatalf("after restore: %d tombstones, heap %d, lane %d, %d pending; want 0, %d, 0, %d",
+			e.tombs, len(e.heap), len(e.nowq.queued()), e.Pending(), len(timers), len(timers))
 	}
 	if second := run(); fmt.Sprint(second) != fmt.Sprint(first) {
 		t.Fatalf("replay after restore diverged:\n  first:  %v\n  second: %v", first, second)
+	}
+}
+
+// TestEngineCompactsAgainstHeapLiveEvents pins the compaction rule's
+// base: the heap's own live events, not Pending(). A hundred events wait
+// on a fixed-delay lane while ten heap timers are re-armed again and
+// again. Pending() stays above 100 throughout, so a rule comparing the
+// tombstones with it would let them pile up to a hundred; the heap must
+// instead stay within 2·(live events in the heap)+compactMin entries.
+func TestEngineCompactsAgainstHeapLiveEvents(t *testing.T) {
+	e := NewEngine(1)
+	lane := e.NewDelay(1_000_000)
+	for i := 0; i < 100; i++ {
+		lane.ScheduleArg("parked", func(any) {}, nil)
+	}
+	timers := make([]Event, 10)
+	for k := 0; k < 200; k++ {
+		i := k % len(timers)
+		e.Cancel(timers[i])
+		timers[i] = e.Schedule(Time(1000+k), func() {})
+		if live := len(e.heap) - e.tombs; len(e.heap) > 2*live+compactMin {
+			t.Fatalf("re-arm %d: heap holds %d entries for %d live heap events, bound %d",
+				k, len(e.heap), live, 2*live+compactMin)
+		}
+	}
+	if e.Pending() != 100+len(timers) {
+		t.Fatalf("Pending = %d, want %d", e.Pending(), 100+len(timers))
 	}
 }
 

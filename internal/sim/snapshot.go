@@ -28,21 +28,18 @@ type Snapshotter interface {
 	Restore(State)
 }
 
-// slotSnap records one queued slot at snapshot time: the slot's identity
-// plus every field needed to reinstall it. The pointer is retained
-// because restore works in place — slots are pooled for the engine's
-// whole lifetime, so a snapshot slot always still exists at restore time.
+// slotSnap records one live queued event at snapshot time: the slot it
+// occupies, the queue and key that order it, and every field needed to
+// reinstall it. Restore works in place: slots stay in the engine's table
+// for its whole lifetime, so a snapshot slot always still exists.
 type slotSnap struct {
-	s           *slot
-	when        Time
-	seq         uint64
-	gen         uint64
-	fn          func()
-	afn         func(any)
-	arg         any
-	name        string
-	canceled    bool
-	canceledGen uint64
+	x    entry
+	src  int // srcHeap, srcNow, or srcDelay+i
+	gen  uint64
+	fn   func()
+	afn  func(any)
+	arg  any
+	name string
 }
 
 // engineState is the engine's Snapshot payload.
@@ -52,14 +49,16 @@ type engineState struct {
 	fired   uint64
 	stopped bool
 	rng     [4]uint64
-	slots   []slotSnap
+	slots   []slotSnap // heap events, then each lane front first
 }
 
 // Snapshot captures the engine's full scheduling state: clock, sequence
-// and fired counters, PRNG state, and every queued slot (callbacks
+// and fired counters, PRNG state, and every live queued event (callbacks
 // included — the callbacks reference long-lived component objects whose
-// own state is captured by their components' Snapshotters). It must be
-// called between events. Engine implements Snapshotter.
+// own state is captured by their components' Snapshotters). Cancelled
+// events are not recorded: they can never fire, and no handle can
+// cancel them again. It must be called between events. Engine
+// implements Snapshotter.
 func (e *Engine) Snapshot() State {
 	st := &engineState{
 		now:     e.now,
@@ -67,116 +66,94 @@ func (e *Engine) Snapshot() State {
 		fired:   e.fired,
 		stopped: e.stopped,
 		rng:     e.rng.State(),
+		slots:   make([]slotSnap, 0, e.live),
 	}
-	capture := func(s *slot) {
-		st.slots = append(st.slots, slotSnap{
-			s: s, when: s.when, seq: s.seq, gen: s.gen,
-			fn: s.fn, afn: s.afn, arg: s.arg, name: s.name,
-			canceled: s.canceled, canceledGen: s.canceledGen,
-		})
+	capture := func(xs []entry, src int) {
+		for _, x := range xs {
+			if s := e.slots[x.slot]; !s.canceled {
+				st.slots = append(st.slots, slotSnap{
+					x: x, src: src, gen: s.gen,
+					fn: s.fn, afn: s.afn, arg: s.arg, name: s.name,
+				})
+			}
+		}
 	}
-	for _, s := range e.heap {
-		capture(s)
-	}
-	for _, s := range e.lane[e.laneAt:] {
-		capture(s)
+	capture(e.heap, srcHeap)
+	capture(e.nowq.queued(), srcNow)
+	for i := range e.delays {
+		capture(e.delays[i].queued(), srcDelay+i)
 	}
 	return st
 }
 
 // Restore rewinds the engine to a snapshot taken earlier on this same
-// engine. It works in place: every slot the engine has ever minted is
-// reachable through the heap, the lane, or the free pool, so restore
-// reinstalls the snapshot slots (with their recorded generations, which
-// revalidates Event handles stored inside snapshotted component state)
-// and retires every other slot to the free pool with a bumped generation
-// (which invalidates handles minted after the snapshot).
+// engine. It works in place over the slot table: the snapshot's slots
+// are reinstalled with their recorded generations (which revalidates
+// Event handles stored inside snapshotted component state), each back in
+// the queue it was recorded in, and every other slot is retired to the
+// free pool with a bumped generation (which invalidates handles minted
+// after the snapshot). A snapshot holds no tombstones, so neither does
+// the restored engine.
 //
 // Pop order after restore is bit-identical to the uninterrupted run:
-// (when, seq) is a strict total order over queued slots, so the heap
-// shape and the lane/heap placement are behaviorally invisible.
+// (when, seq) is a strict total order over queued events, each lane is
+// restored front first, and the heap shape is behaviorally invisible.
 func (e *Engine) Restore(st State) {
 	s, ok := st.(*engineState)
 	if !ok {
 		panic(fmt.Sprintf("sim: Engine.Restore of foreign state %T", st))
 	}
-	// Collect every known slot, marking the ones the snapshot reinstalls.
-	inSnap := make(map[*slot]bool, len(s.slots))
+	// Mark the slots the snapshot reinstalls.
+	if cap(e.keep) < len(e.slots) {
+		e.keep = make([]bool, len(e.slots))
+	}
+	keep := e.keep[:len(e.slots)]
+	clear(keep)
 	for i := range s.slots {
-		inSnap[s.slots[i].s] = true
+		keep[s.slots[i].x.slot] = true
 	}
-	var retired []*slot
-	collect := func(sl *slot) {
-		if !inSnap[sl] {
-			retired = append(retired, sl)
-		}
-	}
-	for _, sl := range e.heap {
-		collect(sl)
-	}
-	for _, sl := range e.lane[e.laneAt:] {
-		collect(sl)
-	}
-	for _, sl := range e.free {
-		collect(sl)
-	}
-	// Reset the queue containers.
-	for i := range e.heap {
-		e.heap[i] = nil
-	}
+	// Reset the queues, then retire every slot the snapshot does not
+	// name, with a fresh generation so any handle minted on the abandoned
+	// timeline is stale.
 	e.heap = e.heap[:0]
-	for i := range e.lane {
-		e.lane[i] = nil
-	}
-	e.lane = e.lane[:0]
-	e.laneAt = 0
-	for i := range e.free {
-		e.free[i] = nil
+	e.nowq.reset()
+	for i := range e.delays {
+		e.delays[i].reset()
 	}
 	e.free = e.free[:0]
-	// Reinstall the snapshot slots. All go through the heap: the lane is
-	// purely a same-instant optimization and (when, seq) keeps order.
-	live, tombs := 0, 0
+	for i, sl := range e.slots {
+		if !keep[i] {
+			e.release(sl)
+		}
+	}
+	// Reinstall the snapshot slots, each in its recorded queue.
 	for i := range s.slots {
 		sn := &s.slots[i]
-		sl := sn.s
-		sl.when = sn.when
-		sl.seq = sn.seq
+		sl := e.slots[sn.x.slot]
 		sl.gen = sn.gen
 		sl.fn = sn.fn
 		sl.afn = sn.afn
 		sl.arg = sn.arg
 		sl.name = sn.name
-		sl.canceled = sn.canceled
-		sl.canceledGen = sn.canceledGen
-		sl.lane = false
-		e.heapPush(sl)
-		if sn.canceled {
-			tombs++
-		} else {
-			live++
+		sl.canceled = false
+		sl.heap = sn.src == srcHeap
+		switch sn.src {
+		case srcHeap:
+			e.heap = append(e.heap, sn.x)
+		case srcNow:
+			e.nowq.push(sn.x)
+		default:
+			e.delays[sn.src-srcDelay].push(sn.x)
 		}
 	}
-	// Retire post-snapshot slots to the pool with a fresh generation so
-	// any handle minted on the abandoned timeline is stale.
-	for _, sl := range retired {
-		sl.gen++
-		sl.fn = nil
-		sl.afn = nil
-		sl.arg = nil
-		sl.name = ""
-		sl.canceled = false
-		e.free = append(e.free, sl)
-	}
+	e.heapify()
 	e.now = s.now
 	e.seq = s.seq
 	e.fired = s.fired
 	e.stopped = s.stopped
-	e.live = live
-	e.tombs = tombs
+	e.live = len(s.slots)
+	e.tombs = 0
 	e.rng.SetState(s.rng)
-	// The snapshot's lane tombstones are heap tombstones now.
-	e.maybeCompact()
 }
 
 // State exports the generator's raw state for snapshotting.
