@@ -2,6 +2,7 @@ package hafnium
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"khsim/internal/mem"
@@ -118,9 +119,10 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 	}
 
 	// Walk the sender's stage-2 to collect the frames, verifying
-	// ownership and exclusivity page by page.
-	npages := size / mem.PageSize
-	pages := make([]mem.PA, 0, npages)
+	// ownership and exclusivity page by page. The frame list grows only
+	// as pages pass, so an oversized request fails at its first unmapped
+	// page instead of sizing a slice from the caller's size.
+	var pages []mem.PA
 	for off := uint64(0); off < size; off += mem.PageSize {
 		pa, err := src.TranslateIPA(ipa+off, mmu.PermR)
 		if err != nil {
@@ -216,53 +218,105 @@ func (h *Hypervisor) ReclaimMemory(by VMID, grantID uint64) error {
 // VerifyIsolation is the invariant the whole design defends: every frame
 // reachable through any VM's stage-2 tables is either owned by that VM,
 // covered by an active grant to it, a device window it was assigned, or
-// (for lends) NOT still reachable by the lender. It returns the first
-// violation found, and is called from property tests after every
-// hypercall sequence.
+// (for lends) NOT still reachable by the lender. It walks every leaf of
+// every VM's stage-2 table as merged runs and checks each run by range,
+// so its cost follows the runs, not the pages they map. It returns the
+// first violation in VM order and, within a VM, IPA order, and is called
+// from property tests after every hypercall sequence.
 func (h *Hypervisor) VerifyIsolation() error {
+	lent := h.lentFrames()
+	var err error
 	for _, id := range h.order {
 		vm := h.vms[id]
-		ram, size := vm.RAM()
-		check := func(ipa uint64) error {
-			pa64, _, _, ok := vm.stage2.Translate(ipa)
-			if !ok {
-				return nil
+		vm.stage2.Leaves(0, 1<<mmu.InputBits, func(r mmu.Run) bool {
+			err = h.checkRun(vm, lent, mem.PA(r.Out), mem.PA(r.Out+r.Size))
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lentFrames returns the frames under an active lend, sorted.
+func (h *Hypervisor) lentFrames() []mem.PA {
+	var lent []mem.PA
+	for _, g := range h.shares {
+		if g.Kind == MemLend {
+			lent = append(lent, g.Pages...)
+		}
+	}
+	slices.Sort(lent)
+	return lent
+}
+
+// checkRun checks the frames [pa, end) that vm's stage-2 maps: the parts
+// inside device regions against vm's MMIO windows, the rest against
+// frame ownership.
+func (h *Hypervisor) checkRun(vm *VM, lent []mem.PA, pa, end mem.PA) error {
+	for pa < end {
+		stop, device := end, false
+		if r, ok := h.node.Mem.Next(pa); ok && r.Base < end {
+			if r.Base > pa {
+				stop = r.Base
+			} else {
+				stop, device = min(end, r.End()), r.Attr.Device
 			}
-			pa := mem.PageAlign(mem.PA(pa64))
-			if r, found := h.node.Mem.Find(pa); found && r.Attr.Device {
-				for _, w := range vm.mmio {
-					if w.Contains(pa, 1) {
-						return nil
-					}
+		}
+		var err error
+		if device {
+			err = vm.checkDevice(pa, stop)
+		} else {
+			err = h.checkFrames(vm, lent, pa, stop)
+		}
+		if err != nil {
+			return err
+		}
+		pa = stop
+	}
+	return nil
+}
+
+// checkDevice requires the device frames [pa, end) to lie inside the
+// VM's MMIO windows.
+func (vm *VM) checkDevice(pa, end mem.PA) error {
+next:
+	for pa < end {
+		for _, w := range vm.mmio {
+			if w.Contains(pa, 1) {
+				pa = min(end, w.End())
+				continue next
+			}
+		}
+		return fmt.Errorf("hafnium: VM %d maps device %#x it was never assigned", vm.id, uint64(mem.PageAlign(pa)))
+	}
+	return nil
+}
+
+// checkFrames checks the normal frames [pa, end) that vm maps, split at
+// owner-extent boundaries. Frames vm owns must not include one it has
+// lent out (looked up in lent, not probed page by page); frames someone
+// else owns each need a grant to vm, so on a sound system that per-frame
+// loop only ever covers received grants.
+func (h *Hypervisor) checkFrames(vm *VM, lent []mem.PA, pa, end mem.PA) error {
+	for pa < end {
+		owner, stop := h.owner.run(pa, end)
+		if owner == vm.id {
+			i, _ := slices.BinarySearch(lent, pa)
+			for ; i < len(lent) && lent[i] < stop; i++ {
+				if h.granted[lent[i]].From == vm.id {
+					return fmt.Errorf("hafnium: VM %d still maps lent frame %#x", vm.id, uint64(lent[i]))
 				}
-				return fmt.Errorf("hafnium: VM %d maps device %#x it was never assigned", id, uint64(pa))
 			}
-			g := h.granted[pa]
-			owner := h.owner.lookup(pa)
-			if owner == id {
-				// Owned — but a lent-out frame must not be reachable.
-				if g != nil && g.Kind == MemLend && g.From == id {
-					return fmt.Errorf("hafnium: VM %d still maps lent frame %#x", id, uint64(pa))
+		} else {
+			for f := pa; f < stop; f += mem.PageSize {
+				if g := h.granted[f]; g == nil || g.To != vm.id {
+					return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", vm.id, uint64(f), owner)
 				}
-				return nil
-			}
-			if g != nil && g.To == id {
-				return nil
-			}
-			return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", id, uint64(pa), owner)
-		}
-		// Probe the RAM window and the share window densely enough to
-		// catch any leaf (page granularity).
-		for off := uint64(0); off < size; off += mem.PageSize {
-			if err := check(ram + off); err != nil {
-				return err
 			}
 		}
-		for ipa := shareIPABase; ipa < vm.nextShareIPA; ipa += mem.PageSize {
-			if err := check(ipa); err != nil {
-				return err
-			}
-		}
+		pa = stop
 	}
 	return nil
 }

@@ -1,12 +1,15 @@
 package hafnium
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"khsim/internal/machine"
 	"khsim/internal/mem"
+	"khsim/internal/metrics"
 	"khsim/internal/mmu"
 	"khsim/internal/sim"
 	"khsim/internal/tz"
@@ -241,6 +244,21 @@ func TestVerifyIsolationDetectsForgedMappings(t *testing.T) {
 			a.nextShareIPA += mem.PageSize
 			return nil
 		}},
+		{"foreign frame far above the share window", noGrant, func(t *testing.T, h *Hypervisor, a, b *VM) error {
+			base, _ := b.RAM()
+			pb, err := b.TranslateIPA(base, mmu.PermR)
+			if err != nil {
+				return err
+			}
+			return a.stage2.Map(1<<38, uint64(pb), mem.PageSize, mmu.PermRW)
+		}},
+		{"device window at the share cursor", device, func(t *testing.T, h *Hypervisor, a, b *VM) error {
+			uart, ok := h.node.Mem.FindName("uart")
+			if !ok {
+				t.Fatal("node has no uart")
+			}
+			return a.stage2.Map(a.nextShareIPA, uint64(uart.Base), mem.PageSize, mmu.PermRW)
+		}},
 		{"lender re-maps a lent frame", lent, func(t *testing.T, h *Hypervisor, a, b *VM) error {
 			base, _ := a.RAM()
 			pa, err := a.TranslateIPA(base, mmu.PermR)
@@ -294,6 +312,72 @@ func TestVerifyIsolationDetectsForgedMappings(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("VerifyIsolation = %q, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestShareMemoryRejectsOversizedRegion asks to share 64 GiB out of a
+// 64 MiB VM. The call must fail at the first unmapped page, counting one
+// stage-2 fault, without sizing anything from the requested size.
+func TestShareMemoryRejectsOversizedRegion(t *testing.T) {
+	h, a, b := shareSystem(t)
+	base, ram := a.RAM()
+	faults := h.node.Metrics.Counter(metrics.K("el2", "stage2_faults").WithVM(a.Name()))
+	f0 := faults.Value()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, _, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base, 1<<36, mmu.PermRW)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("a 64 GiB share of a 64 MiB VM was accepted")
+	}
+	if want := fmt.Sprintf("abort at IPA %#x", base+ram); !strings.Contains(err.Error(), want) {
+		t.Errorf("ShareMemory = %q, want the first unmapped page (%s)", err, want)
+	}
+	if got := faults.Value() - f0; got != 1 {
+		t.Errorf("the failed share counted %d stage-2 faults, want 1", got)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Errorf("the failed share allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// TestShareReclaimAllocBudget bounds the host memory a warm share+reclaim
+// cycle of four pages allocates. The receiver's window lands at an
+// advancing cursor, so each cycle needs the table nodes the previous
+// reclaim pruned; the table recycles them instead of allocating.
+func TestShareReclaimAllocBudget(t *testing.T) {
+	const (
+		warm, cycles = 64, 512
+		budget       = 1024 // bytes per cycle
+	)
+	for _, kind := range []ShareKind{MemShare, MemLend} {
+		t.Run(kind.String(), func(t *testing.T) {
+			h, a, b := shareSystem(t)
+			base, _ := a.RAM()
+			cycle := func() {
+				_, id, err := h.ShareMemory(kind, a.ID(), b.ID(), base, 4*mem.PageSize, mmu.PermRW)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.ReclaimMemory(a.ID(), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				cycle()
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < cycles; i++ {
+				cycle()
+			}
+			runtime.ReadMemStats(&m1)
+			per := float64(m1.TotalAlloc-m0.TotalAlloc) / cycles
+			t.Logf("%.0f bytes per %v+reclaim cycle", per, kind)
+			if per > budget {
+				t.Errorf("a warm 4-page %v+reclaim cycle allocates %.0f bytes, budget %d", kind, per, budget)
 			}
 		})
 	}

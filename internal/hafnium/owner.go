@@ -45,6 +45,19 @@ func (t *ownerTable) lookup(pa mem.PA) VMID {
 	return HypervisorID
 }
 
+// run reports the owner of the frame at pa and where, at or before end,
+// the stretch of frames from pa with that owner stops.
+func (t *ownerTable) run(pa, end mem.PA) (VMID, mem.PA) {
+	k := t.find(pa)
+	switch {
+	case k == len(t.ext):
+		return HypervisorID, end
+	case t.ext[k].base > pa:
+		return HypervisorID, min(end, t.ext[k].base)
+	}
+	return t.ext[k].vm, min(end, t.ext[k].end)
+}
+
 // assign makes vm the owner of the non-empty range [base, end),
 // splitting the extents it cuts and merging the result with same-owner
 // neighbours.

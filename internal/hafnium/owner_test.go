@@ -56,6 +56,20 @@ func TestOwnerTableMatchesPageMap(t *testing.T) {
 					uint64(base), uint64(end), vm, uint64(pa), got, want)
 			}
 		}
+		// A run from either edge of the range stops at the first frame
+		// with another owner, or at its limit.
+		for _, pa := range []mem.PA{base - page, base, end - page, end} {
+			limit := pa + 64*page
+			owner, stop := tab.run(pa, limit)
+			f := pa
+			for f < limit && ref[f] == owner {
+				f += page
+			}
+			if owner != ref[pa] || stop != f {
+				t.Fatalf("run(%#x) = owner %d to %#x, want owner %d to %#x",
+					uint64(pa), owner, uint64(stop), ref[pa], uint64(f))
+			}
+		}
 	}
 	for step := 0; step < steps; step++ {
 		vm := VMID(1 + rng.Intn(5))

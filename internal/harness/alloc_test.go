@@ -93,3 +93,24 @@ func TestLinuxPrimaryAllocBudget(t *testing.T) {
 		t.Errorf("Linux-primary tick path allocates %.3f objects per event, budget %.1f", got, linuxPrimaryAllocBudget)
 	}
 }
+
+// forkAllocBudget is in heap objects per Machine.Fork of a booted node.
+// A fork rewinds every layer in place: the stage-2 tables repoint at
+// their frozen roots, the TLBs and walk caches restore in O(1), and the
+// metrics registry writes values back through recorded instruments.
+const forkAllocBudget = 4
+
+// TestForkAllocBudget bounds the allocations of a fork of the warmed
+// selfish node back to its snapshot.
+func TestForkAllocBudget(t *testing.T) {
+	n := startSelfishNode(t, core.SchedulerKitten, sim.FromSeconds(10))
+	n.Run(sim.FromSeconds(0.05))
+	m := n.Machine
+	snap := m.Snapshot()
+	m.Fork(snap)
+	allocs := testing.AllocsPerRun(200, func() { m.Fork(snap) })
+	t.Logf("%.1f allocs per fork", allocs)
+	if allocs > forkAllocBudget {
+		t.Errorf("a fork allocates %.1f objects, budget %d", allocs, forkAllocBudget)
+	}
+}

@@ -97,8 +97,18 @@ func (m *Map) Add(r Region) error {
 
 // Find returns the region containing a, if any.
 func (m *Map) Find(a PA) (Region, bool) {
+	if r, ok := m.Next(a); ok && r.Contains(a, 1) {
+		return r, true
+	}
+	return Region{}, false
+}
+
+// Next returns the first region ending after a: the region containing
+// a if there is one, else the lowest region above a. A range scan calls
+// it to step from region to region.
+func (m *Map) Next(a PA) (Region, bool) {
 	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].End() > a })
-	if i < len(m.regions) && m.regions[i].Contains(a, 1) {
+	if i < len(m.regions) {
 		return m.regions[i], true
 	}
 	return Region{}, false

@@ -195,11 +195,16 @@ type Registry struct {
 	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
 	hists    map[Key]*Histogram
-	max      int
-	dropped  uint64
-	sinkC    Counter
-	sinkG    Gauge
-	sinkH    *Histogram
+	// The instruments again, in registration order: a snapshot that read
+	// the first n of a kind was taken before the rest were registered.
+	counterSeq []*Counter
+	gaugeSeq   []*Gauge
+	histSeq    []*Histogram
+	max        int
+	dropped    uint64
+	sinkC      Counter
+	sinkG      Gauge
+	sinkH      *Histogram
 }
 
 // NewRegistry returns an empty registry with the default series cap.
@@ -242,6 +247,7 @@ func (r *Registry) Counter(k Key) *Counter {
 	}
 	c := &Counter{}
 	r.counters[k] = c
+	r.counterSeq = append(r.counterSeq, c)
 	return c
 }
 
@@ -274,6 +280,7 @@ func (r *Registry) Gauge(k Key) *Gauge {
 	}
 	g := &Gauge{}
 	r.gauges[k] = g
+	r.gaugeSeq = append(r.gaugeSeq, g)
 	return g
 }
 
@@ -293,6 +300,7 @@ func (r *Registry) Histogram(k Key, lo, hi float64, n int) *Histogram {
 	}
 	h := newHistogram(lo, hi, n)
 	r.hists[k] = h
+	r.histSeq = append(r.histSeq, h)
 	return h
 }
 

@@ -236,3 +236,61 @@ func TestSnapshotLookups(t *testing.T) {
 		t.Fatalf("Gauge lookup = %g, %v", v, ok)
 	}
 }
+
+// TestRegistryRestore rewinds a registry to a snapshot: every instrument
+// the snapshot read holds its recorded value again, a series registered
+// after the snapshot reads zero, and the restore allocates nothing. The
+// registry holds a node's worth of per-core series, too many for any
+// restore-time index to fit on the stack.
+func TestRegistryRestore(t *testing.T) {
+	r := NewRegistry()
+	for core := 0; core < 64; core++ {
+		r.Counter(K("el2", "traps").WithCore(core)).Add(uint64(core))
+	}
+	c := r.Counter(K("el2", "traps").WithCore(1))
+	g := r.Gauge(K("tlb", "hit_rate"))
+	h := r.Histogram(K("shmring", "push_bytes"), 0, 100, 4)
+	c.Add(3)
+	g.Set(0.5)
+	for _, v := range []float64{-1, 10, 60, 1000} {
+		h.Observe(v)
+	}
+	snap := r.Snapshot()
+
+	c.Add(7)
+	g.Set(2)
+	h.Observe(30)
+	lateC := r.Counter(K("kernel", "ticks"))
+	lateG := r.Gauge(K("tlb", "live"))
+	lateH := r.Histogram(K("serve", "latency"), 0, 10, 2)
+	lateC.Inc()
+	lateG.Set(4)
+	lateH.Observe(1)
+
+	r.Restore(snap)
+	if c.Value() != 4 || g.Value() != 0.5 {
+		t.Fatalf("counter %d, gauge %g after restore, want 4 and 0.5", c.Value(), g.Value())
+	}
+	if b := h.Buckets(); h.Total() != 4 || b[0] != 1 || b[2] != 1 || b[1] != 0 {
+		t.Fatalf("histogram after restore: total %d, buckets %v", h.Total(), b)
+	}
+	if lateC.Value() != 0 || lateG.Value() != 0 || lateH.Total() != 0 || lateH.Buckets()[0] != 0 {
+		t.Fatal("a series registered after the snapshot is not zero after restore")
+	}
+	c.Add(1)
+	lateC.Add(1)
+	if allocs := testing.AllocsPerRun(100, func() { r.Restore(snap) }); allocs != 0 {
+		t.Errorf("Restore allocates %.1f objects, want 0", allocs)
+	}
+	// The rewound registry reads as the snapshot did, the later series
+	// listed at zero.
+	got := r.Snapshot()
+	for _, p := range snap.Counters {
+		if v, _ := got.Counter(p.Key); v != p.Value {
+			t.Errorf("%s = %d after restore, want %d", p.Key, v, p.Value)
+		}
+	}
+	if v, ok := got.Counter(K("kernel", "ticks")); !ok || v != 0 {
+		t.Errorf("kernel.ticks = %d (present %v) after restore, want a zero series", v, ok)
+	}
+}

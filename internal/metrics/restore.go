@@ -4,63 +4,44 @@ package metrics
 //
 // Instruments are never recreated: callers cache *Counter/*Gauge/
 // *Histogram pointers at construction, so Restore writes the recorded
-// values back into the live instruments in place. Series that were
-// registered after the snapshot was taken (and therefore have no point
-// in it) are zeroed rather than deleted — their cached pointers stay
-// valid and simply read as never-touched, which is exactly the state a
-// fresh run would see at the snapshot instant. The shared sink
-// instruments are left alone: their values are never published, so they
-// cannot affect snapshot byte-identity.
+// values back into the live instruments in place, through the
+// instrument pointers the snapshot recorded. Series that were registered
+// after the snapshot was taken (and therefore have no point in it) are
+// zeroed rather than deleted — their cached pointers stay valid and
+// simply read as never-touched, which is exactly the state a fresh run
+// would see at the snapshot instant. The shared sink instruments are
+// left alone: their values are never published, so they cannot affect
+// snapshot byte-identity. Restore builds no map and allocates nothing.
 //
 // Restore participates in node-level snapshot/fork (DESIGN.md §11); it
-// is not meant as a general-purpose reset.
+// is not meant as a general-purpose reset. A snapshot of another
+// registry panics.
 func (r *Registry) Restore(s *Snapshot) {
-	inSnap := make(map[Key]bool, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for _, p := range s.Counters {
-		inSnap[p.Key] = true
-		c, ok := r.counters[p.Key]
-		if !ok {
-			c = &Counter{}
-			r.counters[p.Key] = c
-		}
-		c.v = p.Value
+	if s.reg != r {
+		panic("metrics: Restore of a snapshot taken from another registry")
 	}
-	for _, p := range s.Gauges {
-		inSnap[p.Key] = true
-		g, ok := r.gauges[p.Key]
-		if !ok {
-			g = &Gauge{}
-			r.gauges[p.Key] = g
-		}
-		g.v = p.Value
+	for i, c := range s.counters {
+		c.v = s.Counters[i].Value
 	}
-	for _, p := range s.Histograms {
-		inSnap[p.Key] = true
-		h, ok := r.hists[p.Key]
-		if !ok {
-			h = newHistogram(p.Lo, p.Hi, len(p.Buckets))
-			r.hists[p.Key] = h
-		}
+	for i, g := range s.gauges {
+		g.v = s.Gauges[i].Value
+	}
+	for i, h := range s.hists {
+		p := &s.Histograms[i]
 		copy(h.buckets, p.Buckets)
 		h.under, h.over, h.observed = p.Under, p.Over, p.Observed
 	}
-	for k, c := range r.counters {
-		if !inSnap[k] {
-			c.v = 0
-		}
+	// Registration order is append-only, so the series registered after
+	// the snapshot are exactly those past its instrument counts.
+	for _, c := range r.counterSeq[len(s.counters):] {
+		c.v = 0
 	}
-	for k, g := range r.gauges {
-		if !inSnap[k] {
-			g.v = 0
-		}
+	for _, g := range r.gaugeSeq[len(s.gauges):] {
+		g.v = 0
 	}
-	for k, h := range r.hists {
-		if !inSnap[k] {
-			for i := range h.buckets {
-				h.buckets[i] = 0
-			}
-			h.under, h.over, h.observed = 0, 0, 0
-		}
+	for _, h := range r.histSeq[len(s.hists):] {
+		clear(h.buckets)
+		h.under, h.over, h.observed = 0, 0, 0
 	}
 	r.dropped = s.DroppedSeries
 }

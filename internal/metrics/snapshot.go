@@ -38,17 +38,29 @@ type Snapshot struct {
 	Gauges        []GaugePoint     `json:"gauges"`
 	Histograms    []HistogramPoint `json:"histograms"`
 	DroppedSeries uint64           `json:"dropped_series"`
+
+	// reg is the registry the snapshot read, and counters, gauges and
+	// hists are the instruments behind the points, index for index:
+	// Registry.Restore writes the values back through them.
+	reg      *Registry
+	counters []*Counter
+	gauges   []*Gauge
+	hists    []*Histogram
 }
 
 // Snapshot copies every series out of the registry in canonical
 // (subsystem, name, vm, core) order.
 func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{DroppedSeries: r.dropped}
+	s := &Snapshot{DroppedSeries: r.dropped, reg: r}
 	for _, k := range r.sortedCounterKeys() {
-		s.Counters = append(s.Counters, CounterPoint{Key: k, Value: r.counters[k].v})
+		c := r.counters[k]
+		s.Counters = append(s.Counters, CounterPoint{Key: k, Value: c.v})
+		s.counters = append(s.counters, c)
 	}
 	for _, k := range r.sortedGaugeKeys() {
-		s.Gauges = append(s.Gauges, GaugePoint{Key: k, Value: r.gauges[k].v})
+		g := r.gauges[k]
+		s.Gauges = append(s.Gauges, GaugePoint{Key: k, Value: g.v})
+		s.gauges = append(s.gauges, g)
 	}
 	for _, k := range r.sortedHistKeys() {
 		h := r.hists[k]
@@ -56,6 +68,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			Key: k, Lo: h.Lo, Hi: h.Hi, Under: h.under, Over: h.over,
 			Buckets: h.Buckets(), Observed: h.observed,
 		})
+		s.hists = append(s.hists, h)
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"fmt"
+	"slices"
 
 	"khsim/internal/sim"
 )
@@ -70,9 +71,11 @@ func (w *WalkCache) Restore(st sim.State) {
 	w.misses = s.misses
 }
 
-// tlbState is TLB's Snapshot payload: a deep copy of every set.
+// tlbState is TLB's Snapshot payload: a deep copy of every set, or nil
+// data when the TLB held no valid entry.
 type tlbState struct {
 	data  [][]tlbEntry
+	live  int
 	clock uint64
 	stats TLBStats
 }
@@ -80,26 +83,39 @@ type tlbState struct {
 // Snapshot deep-copies the TLB contents, LRU clock and counters. TLB
 // implements sim.Snapshotter. Unlike the page tables the TLB is small
 // and fixed-size, so an eager copy (one allocation per set) is cheaper
-// than CoW bookkeeping would be.
+// than CoW bookkeeping would be. An empty TLB records no sets: its
+// invalid entries' other fields are never read.
 func (t *TLB) Snapshot() sim.State {
-	s := &tlbState{data: make([][]tlbEntry, len(t.data)), clock: t.clock, stats: t.stats}
+	s := &tlbState{live: t.live, clock: t.clock, stats: t.stats}
+	if t.live == 0 {
+		return s
+	}
+	s.data = make([][]tlbEntry, len(t.data))
 	for i, set := range t.data {
-		cp := make([]tlbEntry, len(set))
-		copy(cp, set)
-		s.data[i] = cp
+		s.data[i] = slices.Clone(set)
 	}
 	return s
 }
 
-// Restore reinstalls a TLB snapshot, entry for entry.
+// Restore reinstalls a TLB snapshot, entry for entry. It copies nothing
+// when neither the live TLB nor the snapshot holds a valid entry, which
+// makes a fork's TLB restore O(1) on every path that never fills one.
 func (t *TLB) Restore(st sim.State) {
 	s, ok := st.(*tlbState)
 	if !ok {
 		panic(fmt.Sprintf("mmu: TLB.Restore of foreign state %T", st))
 	}
-	for i := range t.data {
-		copy(t.data[i], s.data[i])
+	switch {
+	case s.data != nil:
+		for i := range t.data {
+			copy(t.data[i], s.data[i])
+		}
+	case t.live != 0:
+		for _, set := range t.data {
+			clear(set)
+		}
 	}
+	t.live = s.live
 	t.clock = s.clock
 	t.stats = s.stats
 }

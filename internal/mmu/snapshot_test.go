@@ -160,4 +160,18 @@ func TestTLBSnapshotRestore(t *testing.T) {
 	if s := tlb.Stats(); s.Fills != statsAt.Fills || s.Invalidations != statsAt.Invalidations {
 		t.Fatalf("stats not restored: %+v vs %+v", s, statsAt)
 	}
+
+	// An empty TLB's snapshot records no sets; restoring it over a
+	// filled TLB still empties it, and a filled snapshot still refills.
+	tlb.InvalidateAll()
+	empty := tlb.Snapshot()
+	tlb.Insert(tag, 0x3000, 0xa000, PermRWX)
+	tlb.Restore(empty)
+	if _, _, hit := tlb.Lookup(tag, 0x3000); hit || tlb.LiveEntries(nil) != 0 {
+		t.Fatalf("restoring an empty snapshot left %d live entries", tlb.LiveEntries(nil))
+	}
+	tlb.Restore(snap)
+	if _, _, hit := tlb.Lookup(tag, 0x2000); !hit || tlb.LiveEntries(nil) != 2 {
+		t.Fatalf("restoring a filled snapshot over an empty TLB: %d live entries", tlb.LiveEntries(nil))
+	}
 }

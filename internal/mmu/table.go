@@ -114,11 +114,17 @@ type Table struct {
 	// Caches over this table (WalkCache) compare generations instead of
 	// registering invalidation callbacks.
 	gen uint64
+	// free holds nodes unmapLeaf pruned, for mapLeaf and splitBlock to
+	// reuse. A pruned node is all-invalid and private: unmapLeaf
+	// unfreezes its whole path first, so no snapshot can reach it. The
+	// list never holds more than peak nodes, the most the table held.
+	free []*node
+	peak int
 }
 
 // NewTable returns an empty translation table.
 func NewTable(name string) *Table {
-	return &Table{name: name, root: &node{}, nodes: 1}
+	return &Table{name: name, root: &node{}, nodes: 1, peak: 1}
 }
 
 // Name reports the table's debug name.
@@ -153,6 +159,21 @@ func checkRange(in, out, size uint64) error {
 	return nil
 }
 
+// newNode returns an empty private node, recycled from the free list
+// when it holds one, and counts it.
+func (t *Table) newNode() *node {
+	t.nodes++
+	t.peak = max(t.peak, t.nodes)
+	k := len(t.free)
+	if k == 0 {
+		return &node{}
+	}
+	n := t.free[k-1]
+	t.free[k-1] = nil
+	t.free = t.free[:k-1]
+	return n
+}
+
 // Map establishes a mapping of [in, in+size) to [out, out+size) with the
 // given permissions. 2 MiB-aligned spans use level-2 block descriptors.
 // Overlapping an existing mapping is an error (use Unmap first); this
@@ -165,14 +186,16 @@ func (t *Table) Map(in, out, size uint64, perm Perms) error {
 		return fmt.Errorf("mmu: mapping with no permissions")
 	}
 	// Pre-validate: reject if any part of the range is already mapped, so
-	// a failed Map leaves the table unchanged.
-	for off := uint64(0); off < size; {
-		if _, _, _, ok := t.Translate(in + off); ok {
-			return fmt.Errorf("mmu: [%#x,%#x) overlaps existing mapping at %#x", in, in+size, in+off)
-		}
-		// Skip by page; block overlap detection falls out because
-		// Translate sees block leaves too.
-		off += GranuleSize
+	// a failed Map leaves the table unchanged. The first run starts at
+	// the first mapped page.
+	var at uint64
+	overlap := false
+	t.Leaves(in, in+size, func(r Run) bool {
+		at, overlap = r.In, true
+		return false
+	})
+	if overlap {
+		return fmt.Errorf("mmu: [%#x,%#x) overlaps existing mapping at %#x", in, in+size, at)
 	}
 	for off := uint64(0); off < size; {
 		ia, oa := in+off, out+off
@@ -201,10 +224,9 @@ func (t *Table) mapLeaf(in, out uint64, perm Perms, leafLevel int) error {
 		e := &n.entries[idx]
 		switch e.kind {
 		case entryInvalid:
-			child := &node{}
+			child := t.newNode()
 			*e = entry{kind: entryTable, next: child}
 			n.live++
-			t.nodes++
 			n = child
 		case entryTable:
 			e.next = unfreeze(e.next)
@@ -275,17 +297,17 @@ func (t *Table) splitBlock(addr uint64) {
 	if e.kind != entryLeaf {
 		panic(fmt.Sprintf("mmu: splitBlock(%#x): descriptor is %d, not a block", addr, e.kind))
 	}
-	child := &node{live: 1 << LevelBits}
+	child := t.newNode()
+	child.live = 1 << LevelBits
 	for i := range child.entries {
 		child.entries[i] = entry{kind: entryLeaf, out: e.out + uint64(i)*GranuleSize, perm: e.perm}
 	}
 	*e = entry{kind: entryTable, next: child}
-	t.nodes++
 	t.gen++ // the walk level (and thus walk cost) for the range changed
 }
 
-// unmapLeaf removes the leaf covering addr and prunes empty nodes.
-// It returns the size of the removed leaf.
+// unmapLeaf removes the leaf covering addr, prunes empty nodes onto the
+// free list and returns the size of the removed leaf.
 func (t *Table) unmapLeaf(addr uint64) uint64 {
 	var path [Levels]*node
 	t.root = unfreeze(t.root)
@@ -308,6 +330,9 @@ func (t *Table) unmapLeaf(addr uint64) uint64 {
 				*pe = entry{}
 				parent.live--
 				t.nodes--
+				if len(t.free) < t.peak {
+					t.free = append(t.free, path[l])
+				}
 			}
 			return size
 		}

@@ -45,6 +45,7 @@ type TLB struct {
 	sets  int
 	ways  int
 	data  [][]tlbEntry
+	live  int // valid entries in data
 	clock uint64
 	stats TLBStats
 }
@@ -137,6 +138,7 @@ func (t *TLB) Insert(tag TLBTag, addr, out uint64, perm Perms) {
 	}
 	if free >= 0 {
 		victim = free
+		t.live++
 	}
 	set[victim] = tlbEntry{
 		valid: true, tag: tag, vpage: vpage,
@@ -156,6 +158,7 @@ func (t *TLB) InvalidateAll() int {
 			}
 		}
 	}
+	t.live -= n
 	t.stats.Invalidations++
 	return n
 }
@@ -171,6 +174,7 @@ func (t *TLB) InvalidateVMID(vmid uint16) int {
 			}
 		}
 	}
+	t.live -= n
 	t.stats.Invalidations++
 	return n
 }
@@ -186,6 +190,7 @@ func (t *TLB) InvalidateASID(tag TLBTag) int {
 			}
 		}
 	}
+	t.live -= n
 	t.stats.Invalidations++
 	return n
 }
@@ -197,6 +202,7 @@ func (t *TLB) InvalidateVA(tag TLBTag, addr uint64) bool {
 	for i := range set {
 		if set[i].valid && set[i].tag == tag && set[i].vpage == vpage {
 			set[i] = tlbEntry{}
+			t.live--
 			t.stats.Invalidations++
 			return true
 		}
@@ -207,10 +213,13 @@ func (t *TLB) InvalidateVA(tag TLBTag, addr uint64) bool {
 // LiveEntries reports the number of valid entries, optionally filtered to
 // one VMID (pass nil for all).
 func (t *TLB) LiveEntries(vmid *uint16) int {
+	if vmid == nil {
+		return t.live
+	}
 	n := 0
 	for _, set := range t.data {
 		for i := range set {
-			if set[i].valid && (vmid == nil || set[i].tag.VMID == *vmid) {
+			if set[i].valid && set[i].tag.VMID == *vmid {
 				n++
 			}
 		}

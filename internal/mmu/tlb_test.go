@@ -204,6 +204,14 @@ func TestQuickTLBNeverStale(t *testing.T) {
 					return false
 				}
 			}
+			// The live count matches a recount of the valid entries.
+			n := 0
+			for vmid := uint16(0); vmid < 4; vmid++ {
+				n += tlb.LiveEntries(&vmid)
+			}
+			if n != tlb.LiveEntries(nil) {
+				return false
+			}
 		}
 		return true
 	}

@@ -11,9 +11,12 @@ package mmu
 // it pays off on hot stage-2 paths (TranslateIPA under shared-memory
 // rings and mailboxes) where the same few pages are walked repeatedly.
 type WalkCache struct {
-	tab     *Table
-	gen     uint64
-	mask    uint64
+	tab  *Table
+	gen  uint64
+	mask uint64
+	// epoch stamps the entries filled since the last Flush; an entry
+	// with any other stamp is empty, so a flush is one increment.
+	epoch   uint64
 	entries []walkEntry
 	hits    uint64
 	misses  uint64
@@ -22,9 +25,9 @@ type WalkCache struct {
 type walkEntry struct {
 	page  uint64 // page number (addr >> GranuleShift)
 	out   uint64 // translated base of the page
+	epoch uint64 // the cache epoch that filled the entry
 	perm  Perms
-	level int
-	valid bool
+	level uint8
 }
 
 // DefaultWalkCacheEntries is the entry count NewWalkCache uses when the
@@ -45,6 +48,7 @@ func NewWalkCache(tab *Table, entries int) *WalkCache {
 		tab:     tab,
 		gen:     tab.Gen(),
 		mask:    uint64(n - 1),
+		epoch:   1,
 		entries: make([]walkEntry, n),
 	}
 }
@@ -62,26 +66,23 @@ func (w *WalkCache) Translate(addr uint64) (out uint64, perm Perms, level int, o
 	}
 	page := addr >> GranuleShift
 	e := &w.entries[page&w.mask]
-	if e.valid && e.page == page {
+	if e.epoch == w.epoch && e.page == page {
 		w.hits++
-		return e.out | (addr & (GranuleSize - 1)), e.perm, e.level, true
+		return e.out | (addr & (GranuleSize - 1)), e.perm, int(e.level), true
 	}
 	w.misses++
 	out, perm, level, ok = w.tab.Translate(addr)
 	if ok {
-		*e = walkEntry{page: page, out: out &^ uint64(GranuleSize-1), perm: perm, level: level, valid: true}
+		*e = walkEntry{page: page, out: out &^ uint64(GranuleSize-1), epoch: w.epoch, perm: perm, level: uint8(level)}
 	}
 	return out, perm, level, ok
 }
 
-// Flush drops every cached entry. Generation checks make explicit flushes
+// Flush drops every cached entry by starting a new epoch, without
+// touching the entries. Generation checks make explicit flushes
 // unnecessary for correctness; TLB-invalidation paths call it anyway so a
 // crashed VM's translations do not linger in the cache.
-func (w *WalkCache) Flush() {
-	for i := range w.entries {
-		w.entries[i].valid = false
-	}
-}
+func (w *WalkCache) Flush() { w.epoch++ }
 
 // Stats reports cache hits and misses since construction.
 func (w *WalkCache) Stats() (hits, misses uint64) { return w.hits, w.misses }
