@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop
+.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop examples
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,16 @@ obscheck: build
 # failure that needs a rare random case before it reaches a tier-1 run.
 prop:
 	$(GO) test -run '^(TestQuick|TestProp)' -count=20 ./internal/...
+
+# examples runs every program under examples/ and fails on the first
+# one that exits non-zero (memshare, for one, exits through log.Fatal
+# when an isolation check fails). Their output goes to /dev/null; a
+# failing program's error still reaches stderr.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run "./$$d" > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
 
 # check is the full pre-merge gate: build, vet, the test suite under the
 # race detector, and the observability gate.

@@ -92,12 +92,12 @@ func (h *Hypervisor) containCrash(vm *VM, reason string) bool {
 			v.saved = nil
 		}
 	}
-	// Stale stage-2 translations must not outlive the crash: whatever
-	// image runs next in this VMID gets a cold TLB and a cold walk cache.
+	// Stale stage-2 translations must not outlive the crash: every core
+	// invalidates the VMID's TLB entries, so whatever image runs next in
+	// this VMID starts cold.
 	for _, c := range h.node.Cores {
-		c.TLB().InvalidateVMID(uint16(vm.id))
+		c.InvalidateTLB()
 	}
-	vm.s2cache.Flush()
 	h.revokeGrants(vm)
 	vm.clearMailbox()
 	h.lifecycle("crash", vm, reason)
@@ -181,8 +181,7 @@ func (h *Hypervisor) recoverVM(vm *VM) {
 	h.metric("scrubbed_pages", vm).Add(vm.ramSize / mem.PageSize)
 	kind := "restart"
 	if vm.spec.RestartFromSnapshot && vm.warmS2 != nil {
-		// Warm path: the table object is never swapped, so the walk cache
-		// self-invalidates off the table's bumped generation.
+		// Warm path: the table object is never swapped, only rewound.
 		vm.stage2.Restore(vm.warmS2)
 		vm.nextShareIPA = vm.warmShareIPA
 		h.stats.SnapshotRestores++
@@ -190,7 +189,6 @@ func (h *Hypervisor) recoverVM(vm *VM) {
 		kind = "snapshot-restore"
 	} else {
 		vm.stage2 = mmu.NewTable(fmt.Sprintf("s2.%s", vm.spec.Name))
-		vm.s2cache = mmu.NewWalkCache(vm.stage2, 0)
 		if err := vm.stage2.Map(GuestRAMBase, uint64(vm.ramPA), vm.ramSize, mmu.PermRWX); err != nil {
 			panic(fmt.Sprintf("hafnium: rebuilding %s stage-2 RAM: %v", vm.spec.Name, err))
 		}

@@ -64,7 +64,6 @@ type Hypervisor struct {
 
 	cur       []*VCPU               // per core; nil = primary context
 	preempted []*VCPU               // per core: guest displaced by the last primary IRQ
-	lastVMID  []VMID                // per core: last guest VMID resident (TLB tagging)
 	enteredAt []sim.Time            // per core: when the resident guest took the core
 	vmCPU     map[VMID]sim.Duration // accumulated guest CPU time
 
@@ -174,7 +173,6 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		manifest:  m,
 		cur:       make([]*VCPU, len(node.Cores)),
 		preempted: make([]*VCPU, len(node.Cores)),
-		lastVMID:  make([]VMID, len(node.Cores)),
 		enteredAt: make([]sim.Time, len(node.Cores)),
 		vmCPU:     make(map[VMID]sim.Duration),
 		shares:    make(map[uint64]*Grant),
@@ -527,8 +525,7 @@ func (h *Hypervisor) switchOut(c *machine.Core, vc *VCPU, irq int) {
 	costs := h.node.Costs
 	h.worldSwitch(vc.vm, costs.HypTrap+costs.WorldSwitch)
 	if h.tlbPolicy == TLBFlushAll {
-		c.TLB().InvalidateAll()
-		vc.vm.s2cache.Flush() // flush-all policy drops walk-cache state too
+		c.InvalidateTLB()
 	}
 	c.ExecBound("el2.worldswitch", costs.HypTrap+costs.WorldSwitch, true, h.deliverFn, irq)
 }
@@ -684,9 +681,8 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 	entry := costs.HypTrap + costs.WorldSwitch
 	// TLB transient: a flushed (or capacity-evicted) stage-2 working set
 	// re-faults entry by entry after the switch.
-	entry += h.refillCost(c, vc)
+	entry += h.refillCost(vc)
 	h.worldSwitch(vc.vm, entry)
-	h.lastVMID[id] = vc.vm.id
 
 	// Detach the saved frames now: the VCPU is resident from this point,
 	// so a primary-bound interrupt during the entry window switches it
@@ -722,14 +718,18 @@ func (vc *VCPU) runDone(c *machine.Core, _ int) {
 	}
 }
 
+// tlbEntries caps the TLB refill transient: the Cortex-A53's main TLB
+// holds 512 entries, so no guest re-faults more than that after a switch.
+const tlbEntries = 512
+
 // refillCost models the TLB warm-up the incoming guest pays.
-func (h *Hypervisor) refillCost(c *machine.Core, vc *VCPU) sim.Duration {
+func (h *Hypervisor) refillCost(vc *VCPU) sim.Duration {
 	ws := vc.vm.spec.WorkingSetPages
 	if ws <= 0 {
 		ws = 64
 	}
-	if ws > c.TLB().Entries() {
-		ws = c.TLB().Entries()
+	if ws > tlbEntries {
+		ws = tlbEntries
 	}
 	var pages int
 	if h.tlbPolicy == TLBFlushAll {

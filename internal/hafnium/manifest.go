@@ -76,6 +76,9 @@ func (m *Manifest) Validate() error {
 		if v.RestartBackoffUS < 0 {
 			return fmt.Errorf("hafnium: VM %q has negative restart_backoff_us", v.Name)
 		}
+		if v.WorkingSetPages < 0 {
+			return fmt.Errorf("hafnium: VM %q has negative working_set_pages", v.Name)
+		}
 		if v.Restart == RestartNever && (v.MaxRestarts != 0 || v.RestartBackoffUS != 0) {
 			return fmt.Errorf("hafnium: VM %q sets restart limits without restart_policy = restart", v.Name)
 		}

@@ -108,6 +108,8 @@ func TestParseManifestErrors(t *testing.T) {
 		"[vm p]\nclass = primary\n[vm a]\nclass = secondary\nrestart_policy = restart\nmax_restarts = -1\n",
 		// negative backoff
 		"[vm p]\nclass = primary\n[vm a]\nclass = secondary\nrestart_policy = restart\nrestart_backoff_us = -5\n",
+		// negative working set
+		"[vm p]\nclass = primary\n[vm a]\nclass = secondary\nworking_set_pages = -5\n",
 		// restart limits without a restart policy
 		"[vm p]\nclass = primary\n[vm a]\nclass = secondary\nmax_restarts = 3\n",
 		"[vm p]\nclass = primary\n[vm a]\nclass = secondary\nrestart_backoff_us = 50\n",

@@ -118,24 +118,9 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 		return 0, 0, fmt.Errorf("hafnium: %v of secure memory to non-secure VM %q", kind, dst.spec.Name)
 	}
 
-	// Walk the sender's stage-2 to collect the frames, verifying
-	// ownership and exclusivity page by page. The frame list grows only
-	// as pages pass, so an oversized request fails at its first unmapped
-	// page instead of sizing a slice from the caller's size.
-	var pages []mem.PA
-	for off := uint64(0); off < size; off += mem.PageSize {
-		pa, err := src.TranslateIPA(ipa+off, mmu.PermR)
-		if err != nil {
-			return 0, 0, fmt.Errorf("hafnium: %v: %w", kind, err)
-		}
-		if owner := h.owner.lookup(pa); owner != from {
-			return 0, 0, fmt.Errorf("hafnium: %v: frame %#x at IPA %#x is owned by VM %d, not the sender",
-				kind, uint64(pa), ipa+off, owner)
-		}
-		if g := h.granted[pa]; g != nil {
-			return 0, 0, fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), g.ID)
-		}
-		pages = append(pages, pa)
+	pages, err := h.senderFrames(kind, src, ipa, size)
+	if err != nil {
+		return 0, 0, err
 	}
 
 	// Receiver mapping: frames are mapped contiguously at the receiver's
@@ -182,6 +167,56 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 		})
 	}
 	return toIPA, h.nextShareID, nil
+}
+
+// senderFrames collects the frames src's stage-2 maps at [ipa, ipa+size)
+// in one walk of its leaf runs. Each page passes the checks in order: a
+// stage-2 read, ownership by src, and no active grant. The first page
+// that fails names the error. A window past the input space faults at
+// the first page beyond it, even when its end wraps. The frame list
+// grows only as pages pass, so an oversized request fails at its first
+// unmapped page instead of sizing a slice from the caller's size.
+func (h *Hypervisor) senderFrames(kind ShareKind, src *VM, ipa, size uint64) ([]mem.PA, error) {
+	end := ipa + size
+	if end < ipa || end > 1<<mmu.InputBits {
+		end = 1 << mmu.InputBits
+	}
+	var (
+		pages []mem.PA
+		err   error
+		next  = ipa // the first page not yet collected
+	)
+	src.stage2.Leaves(ipa, end, func(r mmu.Run) bool {
+		// A hole or an unreadable run stops the walk at next.
+		if r.In != next || !r.Perm.Allows(mmu.PermR) {
+			return false
+		}
+		for off := uint64(0); off < r.Size; off += mem.PageSize {
+			pa := mem.PA(r.Out + off)
+			if owner := h.owner.lookup(pa); owner != src.id {
+				err = fmt.Errorf("hafnium: %v: frame %#x at IPA %#x is owned by VM %d, not the sender",
+					kind, uint64(pa), r.In+off, owner)
+				return false
+			}
+			if g := h.granted[pa]; g != nil {
+				err = fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), g.ID)
+				return false
+			}
+			pages = append(pages, pa)
+		}
+		next += r.Size
+		return true
+	})
+	if err == nil && next-ipa < size {
+		// The page at next faults: TranslateIPA names the abort or
+		// permission fault and counts it on src, once.
+		_, err = src.TranslateIPA(next, mmu.PermR)
+		err = fmt.Errorf("hafnium: %v: %w", kind, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return pages, nil
 }
 
 // ReclaimMemory ends a share or lend grant: the receiver loses its

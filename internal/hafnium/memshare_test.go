@@ -2,6 +2,7 @@ package hafnium
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -179,17 +180,22 @@ func TestShareValidation(t *testing.T) {
 			_, _, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base+size, mem.PageSize, mmu.PermR)
 			return err
 		}},
-		{"not owner", func() error {
-			// a tries to share b's memory region (a has no mapping for it,
-			// so this also exercises the stage-2 walk failure).
-			_, _, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base+size+mem.PageSize, mem.PageSize, mmu.PermR)
-			return err
-		}},
 	}
 	for _, c := range cases {
 		if err := c.fn(); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+	// Not the owner: a re-shares a frame it received from b. The frame
+	// is mapped in a's stage-2, but b owns it.
+	bBase, _ := b.RAM()
+	received, _, err := h.ShareMemory(MemShare, b.ID(), a.ID(), bBase, mem.PageSize, mmu.PermR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.ShareMemory(MemShare, a.ID(), b.ID(), received, mem.PageSize, mmu.PermR); err == nil ||
+		!strings.Contains(err.Error(), "not the sender") {
+		t.Errorf("re-share of a received frame: %v, want an error saying the frame is not the sender's", err)
 	}
 	// Double grant of the same frames.
 	_, grantID, err := h.ShareMemory(MemShare, a.ID(), b.ID(), base, mem.PageSize, mmu.PermR)
@@ -340,6 +346,148 @@ func TestShareMemoryRejectsOversizedRegion(t *testing.T) {
 	}
 	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
 		t.Errorf("the failed share allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// perPageFrames is ShareMemory's frame collection as a per-page loop:
+// each page of the window is translated on its own, then checked for
+// ownership by src and for an active grant.
+func perPageFrames(h *Hypervisor, kind ShareKind, src *VM, ipa, size uint64) ([]mem.PA, error) {
+	var pages []mem.PA
+	for off := uint64(0); off < size; off += mem.PageSize {
+		pa, err := src.TranslateIPA(ipa+off, mmu.PermR)
+		if err != nil {
+			return nil, fmt.Errorf("hafnium: %v: %w", kind, err)
+		}
+		if owner := h.owner.lookup(pa); owner != src.id {
+			return nil, fmt.Errorf("hafnium: %v: frame %#x at IPA %#x is owned by VM %d, not the sender",
+				kind, uint64(pa), ipa+off, owner)
+		}
+		if g := h.granted[pa]; g != nil {
+			return nil, fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), g.ID)
+		}
+		pages = append(pages, pa)
+	}
+	return pages, nil
+}
+
+// TestQuickShareCollectMatchesPerPage checks ShareMemory's leaf-run
+// frame collection against the per-page loop. The sender's stage-2 gets
+// a random layout: 2 MiB blocks and pages, holes, pages without read
+// permission, frames received from a third VM, frames already granted
+// and own frames aliased just below the top of the 48-bit input space.
+// Random windows, some past the input space and some whose end wraps
+// uint64, must give the same error text, the same count of stage-2
+// faults on the sender and the same frames, in order, in the grant.
+func TestQuickShareCollectMatchesPerPage(t *testing.T) {
+	const manifest = `
+[vm primary]
+class = primary
+vcpus = 4
+memory_mb = 64
+
+[vm a]
+class = secondary
+vcpus = 1
+memory_mb = 8
+
+[vm b]
+class = secondary
+vcpus = 1
+memory_mb = 8
+
+[vm c]
+class = secondary
+vcpus = 1
+memory_mb = 8
+`
+	const top = uint64(1) << mmu.InputBits
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		guests := map[string]GuestOS{}
+		for _, name := range []string{"a", "b", "c"} {
+			guests[name] = &stubGuest{workChunk: 1, chunks: 1}
+		}
+		h, _ := buildTestSystem(t, manifest, guests)
+		a, _ := h.VMByName("a")
+		b, _ := h.VMByName("b")
+		c, _ := h.VMByName("c")
+		base, ram := a.RAM()
+		page := func() uint64 { return base + uint64(rng.Intn(int(ram/mem.PageSize)))*mem.PageSize }
+		pages := func(max int) uint64 { return uint64(1+rng.Intn(max)) * mem.PageSize }
+
+		// Layout. Errors are expected (a hole unmapped twice, a grant of
+		// a page already lent) and leave the table as it was.
+		for i := rng.Intn(4); i > 0; i-- {
+			_ = a.stage2.Unmap(page(), pages(4)) // holes; they split blocks
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			_ = a.stage2.Protect(page(), pages(2), mmu.PermW)
+		}
+		cBase, _ := c.RAM()
+		if _, _, err := h.ShareMemory(MemShare, c.ID(), a.ID(), cBase, pages(4), mmu.PermRW); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _ = h.ShareMemory(MemShare, a.ID(), b.ID(), page(), pages(3), mmu.PermR)
+		if rng.Intn(2) == 0 {
+			for i := uint64(1); i <= 4; i++ {
+				if pa, err := a.TranslateIPA(base+i*mem.PageSize, mmu.PermR); err == nil {
+					_ = a.stage2.Map(top-i*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRW)
+				}
+			}
+		}
+
+		window := func() (uint64, uint64) {
+			switch rng.Intn(6) {
+			case 0: // a's share window: frames c owns
+				return shareIPABase + uint64(rng.Intn(4))*mem.PageSize, pages(6)
+			case 1: // past the input space
+				return top - uint64(rng.Intn(6))*mem.PageSize, pages(8)
+			case 2: // the end wraps uint64
+				ipa := top - pages(4)
+				if rng.Intn(2) == 0 {
+					ipa = -pages(4)
+				}
+				return ipa, -ipa + pages(4)
+			case 3: // long, across block boundaries
+				return page(), pages(1024)
+			default:
+				return page(), pages(8)
+			}
+		}
+		faults := h.node.Metrics.Counter(metrics.K("el2", "stage2_faults").WithVM(a.Name()))
+		for i := 0; i < 8; i++ {
+			ipa, size := window()
+			kind := ShareKind(rng.Intn(3))
+			f0 := faults.Value()
+			want, wantErr := perPageFrames(h, kind, a, ipa, size)
+			wantFaults := faults.Value() - f0
+			f1 := faults.Value()
+			toIPA, _, err := h.ShareMemory(kind, a.ID(), b.ID(), ipa, size, mmu.PermR)
+			gotFaults := faults.Value() - f1
+			if errText(err) != errText(wantErr) || gotFaults != wantFaults {
+				t.Logf("seed %d: %v [%#x,+%#x): error %q with %d stage-2 faults, per-page loop %q with %d",
+					seed, kind, ipa, size, errText(err), gotFaults, errText(wantErr), wantFaults)
+				return false
+			}
+			for j, pa := range want {
+				if out, _, _, ok := b.stage2.Translate(toIPA + uint64(j)*mem.PageSize); !ok || out != uint64(pa) {
+					t.Logf("seed %d: %v [%#x,+%#x): grant page %d maps %#x (%v), per-page loop %#x",
+						seed, kind, ipa, size, j, out, ok, uint64(pa))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -215,8 +215,8 @@ func (h *Hypervisor) AbortMigration(id VMID, img *VMImage, reason string) error 
 }
 
 // ReleaseMigrated finishes a committed migration on the source node: the
-// VM's RAM is scrubbed (and charged), stale TLB and walk-cache state
-// invalidated, memory grants revoked and the mailbox cleared — the same
+// VM's RAM is scrubbed (and charged), stale TLB entries invalidated on
+// every core, memory grants revoked and the mailbox cleared — the same
 // teardown a crash containment performs, because the image now runs
 // elsewhere and nothing here may leak. The slot ends VMStopped, reusable
 // as a standby landing pad for a future migration back.
@@ -231,9 +231,8 @@ func (h *Hypervisor) ReleaseMigrated(id VMID) error {
 	h.stats.ScrubbedPages += vm.ramSize / mem.PageSize
 	h.metric("scrubbed_pages", vm).Add(vm.ramSize / mem.PageSize)
 	for _, c := range h.node.Cores {
-		c.TLB().InvalidateVMID(uint16(vm.id))
+		c.InvalidateTLB()
 	}
-	vm.s2cache.Flush()
 	h.revokeGrants(vm)
 	vm.clearMailbox()
 	vm.state = VMStopped

@@ -75,9 +75,8 @@ func (h *Hypervisor) RecycleVM(id VMID, warm bool) (bool, error) {
 	// Stale translations for the old tenant must not survive into the new
 	// environment, whichever way the table comes back.
 	for _, c := range h.node.Cores {
-		c.TLB().InvalidateVMID(uint16(vm.id))
+		c.InvalidateTLB()
 	}
-	vm.s2cache.Flush()
 	usedWarm := warm && vm.warmS2 != nil
 	if usedWarm {
 		vm.stage2.Restore(vm.warmS2)
@@ -89,7 +88,6 @@ func (h *Hypervisor) RecycleVM(id VMID, warm bool) (bool, error) {
 		h.lifecycle("recycle-warm", vm, "")
 	} else {
 		vm.stage2 = mmu.NewTable(fmt.Sprintf("s2.%s", vm.spec.Name))
-		vm.s2cache = mmu.NewWalkCache(vm.stage2, 0)
 		if err := vm.stage2.Map(GuestRAMBase, uint64(vm.ramPA), vm.ramSize, mmu.PermRWX); err != nil {
 			panic(fmt.Sprintf("hafnium: recycling %s stage-2 RAM: %v", vm.spec.Name, err))
 		}

@@ -31,16 +31,14 @@ type vcpuSnap struct {
 	runs uint64
 }
 
-// vmSnap is one VM's snapshot. The stage-2 table and walk cache are
-// recorded by pointer *and* by state: crash recovery swaps the table
-// object out, so a restore must first repoint the VM at the object the
-// snapshot saw, then rewind that object's contents.
+// vmSnap is one VM's snapshot. The stage-2 table is recorded by pointer
+// *and* by state: crash recovery swaps the table object out, so a
+// restore must first repoint the VM at the object the snapshot saw, then
+// rewind that object's contents.
 type vmSnap struct {
 	state        VMState
 	stage2       *mmu.Table
 	stage2St     sim.State
-	s2cache      *mmu.WalkCache
-	s2cacheSt    sim.State
 	nextShareIPA uint64
 	mailbox      Message
 	mailboxFull  bool
@@ -57,7 +55,6 @@ type vmSnap struct {
 type hypState struct {
 	cur       []*VCPU
 	preempted []*VCPU
-	lastVMID  []VMID
 	enteredAt []sim.Time
 	vmCPU     map[VMID]sim.Duration
 
@@ -85,7 +82,6 @@ func (h *Hypervisor) Snapshot() sim.State {
 	s := &hypState{
 		cur:         append([]*VCPU(nil), h.cur...),
 		preempted:   append([]*VCPU(nil), h.preempted...),
-		lastVMID:    append([]VMID(nil), h.lastVMID...),
 		enteredAt:   append([]sim.Time(nil), h.enteredAt...),
 		vmCPU:       make(map[VMID]sim.Duration, len(h.vmCPU)),
 		owner:       slices.Clone(h.owner.ext),
@@ -107,8 +103,6 @@ func (h *Hypervisor) Snapshot() sim.State {
 			state:        vm.state,
 			stage2:       vm.stage2,
 			stage2St:     vm.stage2.Snapshot(),
-			s2cache:      vm.s2cache,
-			s2cacheSt:    vm.s2cache.Snapshot(),
 			nextShareIPA: vm.nextShareIPA,
 			mmio:         append([]mem.Region(nil), vm.mmio...),
 			restarts:     vm.restarts,
@@ -157,7 +151,6 @@ func (h *Hypervisor) Restore(st sim.State) {
 	}
 	copy(h.cur, s.cur)
 	copy(h.preempted, s.preempted)
-	copy(h.lastVMID, s.lastVMID)
 	copy(h.enteredAt, s.enteredAt)
 	h.vmCPU = make(map[VMID]sim.Duration, len(s.vmCPU))
 	for k, v := range s.vmCPU {
@@ -181,12 +174,10 @@ func (h *Hypervisor) Restore(st sim.State) {
 		vm := h.vms[id]
 		vs := &s.vms[i]
 		vm.state = vs.state
-		// Repoint at the table/cache objects the snapshot saw (crash
-		// recovery may have swapped them since), then rewind them.
+		// Repoint at the table object the snapshot saw (crash recovery
+		// may have swapped it since), then rewind it.
 		vm.stage2 = vs.stage2
 		vm.stage2.Restore(vs.stage2St)
-		vm.s2cache = vs.s2cache
-		vm.s2cache.Restore(vs.s2cacheSt)
 		vm.nextShareIPA = vs.nextShareIPA
 		vm.clearMailbox()
 		if vs.mailboxFull {

@@ -67,13 +67,9 @@ type VM struct {
 	spec   VMSpec
 	hyp    *Hypervisor
 	stage2 *mmu.Table
-	// s2cache memoizes successful stage-2 walks; generation-checked
-	// against stage2 and rebuilt wholesale when a crash recovery swaps
-	// the table out.
-	s2cache *mmu.WalkCache
-	vcpus   []*VCPU
-	state   VMState
-	guest   GuestOS
+	vcpus  []*VCPU
+	state  VMState
+	guest  GuestOS
 
 	ramPA   mem.PA // backing block base
 	ramSize uint64
@@ -174,7 +170,7 @@ func (v *VM) MMIO() []mem.Region {
 // TranslateIPA runs the VM's stage-2 translation for an IPA access with
 // the given permissions, enforcing isolation exactly as hardware would.
 func (v *VM) TranslateIPA(ipa uint64, want mmu.Perms) (mem.PA, error) {
-	pa, perms, _, ok := v.s2cache.Translate(ipa)
+	pa, perms, _, ok := v.stage2.Translate(ipa)
 	if !ok {
 		v.mStage2Faults.Inc()
 		return 0, fmt.Errorf("hafnium: vm %d stage-2 abort at IPA %#x", v.id, ipa)
@@ -195,7 +191,6 @@ func (h *Hypervisor) buildVM(id VMID, spec VMSpec) (*VM, error) {
 		stage2:       mmu.NewTable(fmt.Sprintf("s2.%s", spec.Name)),
 		nextShareIPA: shareIPABase,
 	}
-	v.s2cache = mmu.NewWalkCache(v.stage2, 0)
 	mx := h.node.Metrics
 	v.mWorldSwitches = mx.Counter(metrics.K("el2", "world_switches").WithVM(spec.Name))
 	v.mSwitchCostPS = mx.Counter(metrics.K("el2", "world_switch_ps").WithVM(spec.Name))

@@ -96,8 +96,8 @@ func TestLinuxPrimaryAllocBudget(t *testing.T) {
 
 // forkAllocBudget is in heap objects per Machine.Fork of a booted node.
 // A fork rewinds every layer in place: the stage-2 tables repoint at
-// their frozen roots, the TLBs and walk caches restore in O(1), and the
-// metrics registry writes values back through recorded instruments.
+// their frozen roots and the metrics registry writes values back
+// through recorded instruments.
 const forkAllocBudget = 4
 
 // TestForkAllocBudget bounds the allocations of a fork of the warmed

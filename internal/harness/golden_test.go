@@ -14,6 +14,9 @@ import (
 
 	"khsim/internal/cluster"
 	"khsim/internal/core"
+	"khsim/internal/faults"
+	"khsim/internal/kitten"
+	"khsim/internal/metrics"
 	"khsim/internal/serve"
 	"khsim/internal/sim"
 	"khsim/internal/workload"
@@ -207,5 +210,100 @@ func TestServingArtifactGolden(t *testing.T) {
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Artifact())))
 	if events != wantEvents || got != wantHash {
 		t.Errorf("events=%d hash=%s, want events=%d hash=%s", events, got, wantEvents, wantHash)
+	}
+}
+
+// TestFaultContainmentGolden pins the seed-1 containment experiment: its
+// report, its fault trace and the faulted node's full registry snapshot.
+// The trace holds the TLBCorrupt records and the registry holds the
+// per-core tlb.invalidations that crash containment bumps, so the TLB
+// invalidation paths cannot move without this hash moving. The hash was
+// captured while each core still carried a TLB model, so it proves the
+// per-core count that replaced it records every invalidation the model
+// did.
+func TestFaultContainmentGolden(t *testing.T) {
+	const want = "88b7200dca5fcfcd7e0b9d2894fc728c95d125197e31311029bcd0796b3d86f4"
+	// 0.3 s spans three of the Kitten primary's 10 Hz ticks, so the
+	// report compares non-empty detour profiles.
+	runTime := sim.FromSeconds(0.3)
+	r, err := RunFaultContainment(1, runTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Baseline.Count() == 0 {
+		t.Fatal("the primary recorded no detour, so the report pins an empty profile")
+	}
+	_, n, _, err := runContainmentSide(1, runTime, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registry := n.Machine.SnapshotMetrics()
+	if v, _ := registry.Gauge(metrics.K("tlb", "invalidations").WithCore(1)); v == 0 {
+		t.Fatal("crash containment recorded no TLB invalidation on the victim's core")
+	}
+	h := sha256.New()
+	fmt.Fprint(h, r)
+	tlbWipes := 0
+	for _, rec := range r.Trace {
+		fmt.Fprintln(h, rec)
+		if rec.Kind == faults.TLBCorrupt {
+			tlbWipes++
+		}
+	}
+	if tlbWipes == 0 {
+		t.Fatal("the trace holds no TLBCorrupt record")
+	}
+	fmt.Fprint(h, registry.Text())
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("containment golden hash = %s, want %s", got, want)
+	}
+}
+
+// TestFlushAllRegistryGolden pins the full registry snapshot of a short
+// Linux-primary RandomAccess run under tlb = flush-all, the stack
+// BenchmarkAblationTLBPolicy measures: every guest-to-primary switch-out
+// under that policy counts one TLB invalidation on its core. Like the
+// containment golden, its hash predates the TLB model's removal.
+func TestFlushAllRegistryGolden(t *testing.T) {
+	const want = "d5bf39be9ea5c163b7cc901f772ffaeac1e12d6c105a0f429e67c5118121eb1d"
+	n, err := core.NewSecureNode(core.Options{
+		Seed: 42, Scheduler: core.SchedulerLinux,
+		Manifest: `tlb = flush-all
+
+[vm primary]
+class = primary
+vcpus = 4
+memory_mb = 256
+
+[vm job]
+class = secondary
+vcpus = 1
+memory_mb = 512
+working_set_pages = 256
+`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guest := kitten.NewGuest(kitten.DefaultParams())
+	guest.Attach(0, workload.New(workload.GUPS(), workload.Env{TwoStage: true, RNG: sim.NewRNG(3)}))
+	if err := n.AttachGuest("job", guest); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(sim.FromSeconds(0.2))
+	registry := n.Machine.SnapshotMetrics()
+	var flushes float64
+	for c := range n.Machine.Cores {
+		v, _ := registry.Gauge(metrics.K("tlb", "invalidations").WithCore(c))
+		flushes += v
+	}
+	if flushes == 0 {
+		t.Fatal("no flush-all switch-out recorded a TLB invalidation")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(registry.Text()))); got != want {
+		t.Errorf("flush-all registry hash = %s, want %s", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"khsim/internal/mmu"
 	"khsim/internal/sim"
 )
 
@@ -76,11 +75,13 @@ type Core struct {
 	dispatcher    Dispatcher
 	onIdle        func(c *Core)
 
-	tlb *mmu.TLB
-
 	busy      sim.Duration
 	idleSince sim.Time
 	preempts  uint64
+	// tlbInvalidations counts TLB maintenance operations on the core.
+	// The TLB itself is not modelled: the refill cost after a VM switch
+	// is charged analytically by the hypervisor.
+	tlbInvalidations uint64
 }
 
 // ID reports the core number.
@@ -89,8 +90,10 @@ func (c *Core) ID() int { return c.id }
 // Node returns the core's node.
 func (c *Core) Node() *Node { return c.node }
 
-// TLB returns the core's private TLB model.
-func (c *Core) TLB() *mmu.TLB { return c.tlb }
+// InvalidateTLB counts one TLB maintenance operation on the core (a
+// TLBI of all entries or of one VMID's). SnapshotMetrics publishes the
+// count as tlb.invalidations{core=N}.
+func (c *Core) InvalidateTLB() { c.tlbInvalidations++ }
 
 // BusyTime reports accumulated execution time.
 func (c *Core) BusyTime() sim.Duration { return c.busy }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"khsim/internal/gic"
+	"khsim/internal/metrics"
 	"khsim/internal/sim"
 	"khsim/internal/timer"
 )
@@ -42,8 +43,37 @@ func TestNodeLayout(t *testing.T) {
 	if n.Cores[2].ID() != 2 || n.Cores[2].Node() != n {
 		t.Fatal("core identity wrong")
 	}
-	if n.Cores[0].TLB().Entries() != 512 {
-		t.Fatalf("TLB entries = %d", n.Cores[0].TLB().Entries())
+}
+
+// TestTLBInvalidationsRewindOnRestore: a core's TLB invalidation count
+// is core state. Core.Restore rewinds it, and SnapshotMetrics publishes
+// it as tlb.invalidations{core=N}, beside hits, misses and fills gauges
+// that always read 0.
+func TestTLBInvalidationsRewindOnRestore(t *testing.T) {
+	n := newNode(t)
+	c := n.Cores[1]
+	invalidations := func() float64 {
+		v, _ := n.SnapshotMetrics().Gauge(metrics.K("tlb", "invalidations").WithCore(1))
+		return v
+	}
+	c.InvalidateTLB()
+	c.InvalidateTLB()
+	snap := c.Snapshot()
+	c.InvalidateTLB()
+	if got := invalidations(); got != 3 {
+		t.Fatalf("invalidations = %v, want 3", got)
+	}
+	c.Restore(snap)
+	m := n.SnapshotMetrics()
+	for core, want := range []float64{0, 2, 0, 0} {
+		if got, ok := m.Gauge(metrics.K("tlb", "invalidations").WithCore(core)); !ok || got != want {
+			t.Errorf("tlb.invalidations{core=%d} = %v (present %v), want %v", core, got, ok, want)
+		}
+		for _, name := range []string{"hits", "misses", "fills"} {
+			if got, ok := m.Gauge(metrics.K("tlb", name).WithCore(core)); !ok || got != 0 {
+				t.Errorf("tlb.%s{core=%d} = %v (present %v), want 0", name, core, got, ok)
+			}
+		}
 	}
 }
 

@@ -25,8 +25,6 @@ type Costs struct {
 	// WorldSwitch is a full EL2 VM context switch: save the outgoing
 	// VCPU's GPRs/sysregs/FPSIMD/vGIC state and restore the incoming one's.
 	WorldSwitch sim.Duration
-	// TLBInvalidate is a local TLBI plus DSB synchronisation.
-	TLBInvalidate sim.Duration
 	// TLBRefill is one TLB fill from a single-stage walk hitting in the
 	// page-table caches (per-entry cost of rebuilding working-set after a
 	// flush).
@@ -63,7 +61,6 @@ func DefaultCosts(f sim.Hertz) Costs {
 		ExceptionReturn: cy(250),
 		HypTrap:         cy(400),
 		WorldSwitch:     cy(3200),
-		TLBInvalidate:   cy(130),
 		TLBRefill:       cy(35),
 		IPI:             cy(450),
 		IRQDeliverGIC:   cy(220),

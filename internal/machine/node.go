@@ -12,22 +12,19 @@ import (
 	"khsim/internal/gic"
 	"khsim/internal/mem"
 	"khsim/internal/metrics"
-	"khsim/internal/mmu"
 	"khsim/internal/sim"
 	"khsim/internal/timer"
 )
 
 // Config describes the simulated node.
 type Config struct {
-	Cores   int
-	Freq    sim.Hertz
-	DRAMMB  int // DRAM size in MiB
-	Seed    uint64
-	SPIs    int // number of shared peripheral interrupt lines
-	DRAM    DRAM
-	Costs   Costs
-	TLBSize int // entries; 0 = A53 default (512)
-	TLBWays int // 0 = 4
+	Cores  int
+	Freq   sim.Hertz
+	DRAMMB int // DRAM size in MiB
+	Seed   uint64
+	SPIs   int // number of shared peripheral interrupt lines
+	DRAM   DRAM
+	Costs  Costs
 }
 
 // PineA64Config returns the paper's evaluation platform: 4×Cortex-A53 at
@@ -85,12 +82,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.SPIs <= 0 {
 		cfg.SPIs = 128
 	}
-	if cfg.TLBSize == 0 {
-		cfg.TLBSize = 512
-	}
-	if cfg.TLBWays == 0 {
-		cfg.TLBWays = 4
-	}
 	eng := sim.NewEngine(cfg.Seed)
 	dist := gic.New(cfg.Cores, cfg.SPIs)
 	n := &Node{
@@ -121,11 +112,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		tlb, err := mmu.NewTLB(cfg.TLBSize, cfg.TLBWays)
-		if err != nil {
-			return nil, err
-		}
-		c := &Core{id: i, node: n, eng: eng, trace: n.Trace, tlb: tlb, idleSince: 0}
+		c := &Core{id: i, node: n, eng: eng, trace: n.Trace, idleSince: 0}
 		c.completeFn = c.completeArg
 		n.Cores = append(n.Cores, c)
 	}
@@ -155,9 +142,9 @@ func (n *Node) Cycles(c float64) sim.Duration { return sim.Cycles(c, n.Freq) }
 func (n *Node) Now() sim.Time { return n.Engine.Now() }
 
 // SnapshotMetrics publishes the pull-side collectors — GIC delivery
-// counts, per-core TLB and execution accounting, engine totals — into
-// the registry as gauges and returns a canonical snapshot of every
-// series. Pull collectors run only here, at snapshot time, so leaving
+// counts, per-core TLB invalidations and execution accounting, engine
+// totals — into the registry as gauges and returns a canonical snapshot
+// of every series. Pull collectors run only here, at snapshot time, so leaving
 // metrics on never perturbs the simulation.
 func (n *Node) SnapshotMetrics() *metrics.Snapshot {
 	m := n.Metrics
@@ -170,11 +157,11 @@ func (n *Node) SnapshotMetrics() *metrics.Snapshot {
 	for _, c := range n.Cores {
 		m.Gauge(metrics.K("core", "busy_ps").WithCore(c.id)).Set(float64(c.busy))
 		m.Gauge(metrics.K("core", "preemptions").WithCore(c.id)).Set(float64(c.preempts))
-		ts := c.tlb.Stats()
-		m.Gauge(metrics.K("tlb", "hits").WithCore(c.id)).Set(float64(ts.Hits))
-		m.Gauge(metrics.K("tlb", "misses").WithCore(c.id)).Set(float64(ts.Misses))
-		m.Gauge(metrics.K("tlb", "fills").WithCore(c.id)).Set(float64(ts.Fills))
-		m.Gauge(metrics.K("tlb", "invalidations").WithCore(c.id)).Set(float64(ts.Invalidations))
+		// No TLB is modelled, so hits, misses and fills always read 0.
+		m.Gauge(metrics.K("tlb", "hits").WithCore(c.id)).Set(0)
+		m.Gauge(metrics.K("tlb", "misses").WithCore(c.id)).Set(0)
+		m.Gauge(metrics.K("tlb", "fills").WithCore(c.id)).Set(0)
+		m.Gauge(metrics.K("tlb", "invalidations").WithCore(c.id)).Set(float64(c.tlbInvalidations))
 	}
 	m.Gauge(metrics.K("engine", "events_fired")).Set(float64(n.Engine.Fired()))
 	m.Gauge(metrics.K("engine", "now_ps")).Set(float64(n.Engine.Now()))

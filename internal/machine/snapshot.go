@@ -58,15 +58,15 @@ type coreState struct {
 	busy          sim.Duration
 	idleSince     sim.Time
 	preempts      uint64
+	tlbInvals     uint64
 	acts          []ActivityState
 	free          []*Activity
-	tlb           sim.State
 }
 
 // Snapshot captures the core's execution state: the running activity and
 // its completion event, the suspension stack, the switched-to activity,
-// the Exec free list, mask/accounting state and the TLB. Core implements
-// sim.Snapshotter.
+// the Exec free list and mask/accounting state, including the TLB
+// invalidation count. Core implements sim.Snapshotter.
 func (c *Core) Snapshot() sim.State {
 	s := &coreState{
 		cur:           c.cur,
@@ -79,8 +79,8 @@ func (c *Core) Snapshot() sim.State {
 		busy:          c.busy,
 		idleSince:     c.idleSince,
 		preempts:      c.preempts,
+		tlbInvals:     c.tlbInvalidations,
 		free:          append([]*Activity(nil), c.free...),
-		tlb:           c.tlb.Snapshot(),
 	}
 	record := func(a *Activity) {
 		if a != nil {
@@ -112,6 +112,7 @@ func (c *Core) Restore(st sim.State) {
 	c.busy = s.busy
 	c.idleSince = s.idleSince
 	c.preempts = s.preempts
+	c.tlbInvalidations = s.tlbInvals
 	for _, as := range s.acts {
 		as.Restore()
 	}
@@ -122,7 +123,6 @@ func (c *Core) Restore(st sim.State) {
 	for _, a := range c.free {
 		a.released = true
 	}
-	c.tlb.Restore(s.tlb)
 }
 
 // namedSnapshotter is one OS/hypervisor component registered on a node.

@@ -135,43 +135,60 @@ func TestTableSnapshotCoWSharing(t *testing.T) {
 	}
 }
 
-// TestTLBSnapshotRestore checks TLB deep-copy semantics.
-func TestTLBSnapshotRestore(t *testing.T) {
-	tlb, err := NewTLB(64, 4)
-	if err != nil {
+// TestRestoreAdvancesGen pins the rule the generation's readers rely on:
+// a restore never brings back a generation observed before it. The
+// scenario is the ABA one: map, restore to a snapshot taken before the
+// map, then remap the page elsewhere. Had Restore rolled the generation
+// back to the snapshot's, the remap would land on the generation
+// recorded after the first map, and a reader comparing generations (the
+// migration dirty-page model) would take the changed table for an
+// unchanged one.
+func TestRestoreAdvancesGen(t *testing.T) {
+	tab := NewTable("s2")
+	seen := map[uint64]bool{tab.Gen(): true}
+	observe := func(what string) {
+		t.Helper()
+		g := tab.Gen()
+		if seen[g] {
+			t.Fatalf("%s: generation %d was already observed", what, g)
+		}
+		seen[g] = true
+	}
+	expect := func(want uint64, mapped bool) {
+		t.Helper()
+		out, _, _, ok := tab.Translate(0x1000)
+		if ok != mapped || (ok && out != want) {
+			t.Fatalf("translate 0x1000 = (%#x, %v), want (%#x, %v)", out, ok, want, mapped)
+		}
+	}
+	mustMap := func(out uint64) {
+		t.Helper()
+		if err := tab.Map(0x1000, out, GranuleSize, PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	empty := tab.Snapshot()
+	mustMap(0xa000)
+	observe("map")
+	tab.Restore(empty)
+	observe("restore to the empty table")
+	expect(0, false)
+	mustMap(0xb000)
+	observe("remap after restore")
+	expect(0xb000, true)
+
+	mapped := tab.Snapshot()
+	if err := tab.Unmap(0x1000, GranuleSize); err != nil {
 		t.Fatal(err)
 	}
-	tag := TLBTag{ASID: 1, VMID: 2}
-	tlb.Insert(tag, 0x1000, 0x8000, PermRW)
-	tlb.Insert(tag, 0x2000, 0x9000, PermR)
-	snap := tlb.Snapshot()
-	statsAt := tlb.Stats()
-
-	tlb.InvalidateAll()
-	tlb.Insert(tag, 0x3000, 0xa000, PermRWX)
-	tlb.Restore(snap)
-
-	if out, perm, hit := tlb.Lookup(tag, 0x1004); !hit || out != 0x8004 || perm != PermRW {
-		t.Fatalf("restored entry wrong: hit=%v out=%#x perm=%v", hit, out, perm)
-	}
-	if _, _, hit := tlb.Lookup(tag, 0x3000); hit {
-		t.Fatal("post-snapshot entry survived restore")
-	}
-	if s := tlb.Stats(); s.Fills != statsAt.Fills || s.Invalidations != statsAt.Invalidations {
-		t.Fatalf("stats not restored: %+v vs %+v", s, statsAt)
-	}
-
-	// An empty TLB's snapshot records no sets; restoring it over a
-	// filled TLB still empties it, and a filled snapshot still refills.
-	tlb.InvalidateAll()
-	empty := tlb.Snapshot()
-	tlb.Insert(tag, 0x3000, 0xa000, PermRWX)
-	tlb.Restore(empty)
-	if _, _, hit := tlb.Lookup(tag, 0x3000); hit || tlb.LiveEntries(nil) != 0 {
-		t.Fatalf("restoring an empty snapshot left %d live entries", tlb.LiveEntries(nil))
-	}
-	tlb.Restore(snap)
-	if _, _, hit := tlb.Lookup(tag, 0x2000); !hit || tlb.LiveEntries(nil) != 2 {
-		t.Fatalf("restoring a filled snapshot over an empty TLB: %d live entries", tlb.LiveEntries(nil))
-	}
+	observe("unmap")
+	mustMap(0xc000)
+	observe("remap")
+	tab.Restore(mapped)
+	observe("restore to the mapped table")
+	expect(0xb000, true)
+	tab.Restore(empty)
+	observe("restore to the empty table again")
+	expect(0, false)
 }

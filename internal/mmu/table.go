@@ -1,14 +1,13 @@
-// Package mmu models ARMv8 address translation for the simulated node:
-// 4-level page tables with a 4 KiB granule (plus 2 MiB block mappings),
-// stage-1 (VA→IPA) and stage-2 (IPA→PA) tables, nested two-stage walks
-// with exact memory-access counts, and a set-associative TLB tagged with
-// ASID and VMID.
+// Package mmu models ARMv8 stage-2 address translation for the simulated
+// node: 4-level page tables with a 4 KiB granule (plus 2 MiB block
+// mappings), copy-on-write snapshots, and leaf-run walks over a range.
 //
 // Hafnium's isolation guarantee rests entirely on stage-2 tables, so this
 // package is the enforcement point the property tests in internal/hafnium
-// attack. The walk-cost accounting (4 accesses for a stage-1 walk, 24 for
-// a nested walk) is what makes RandomAccess degrade under virtualization
-// in the paper's Fig 7/8.
+// attack. Translation costs are not walked here: the TLB refill after a
+// VM switch is charged by hafnium's refillCost, and the nested-walk
+// slowdown behind RandomAccess's degradation in the paper's Fig 7/8 is
+// fitted in internal/workload.
 package mmu
 
 import "fmt"
@@ -110,9 +109,9 @@ type Table struct {
 	nodes int
 	// mapped counts bytes currently mapped.
 	mapped uint64
-	// gen counts structural mutations (Map/Unmap/Protect/block splits).
-	// Caches over this table (WalkCache) compare generations instead of
-	// registering invalidation callbacks.
+	// gen counts structural mutations (Map/Unmap/Protect/block splits)
+	// and restores. The migration dirty-page model compares generations
+	// to tell whether the table changed between two stamps.
 	gen uint64
 	// free holds nodes unmapLeaf pruned, for mapLeaf and splitBlock to
 	// reuse. A pruned node is all-invalid and private: unmapLeaf
@@ -137,8 +136,7 @@ func (t *Table) Nodes() int { return t.nodes }
 func (t *Table) MappedBytes() uint64 { return t.mapped }
 
 // Gen reports the table's mutation generation: it changes whenever any
-// translation could have changed, so memoized walk results tagged with an
-// older generation are stale.
+// translation could have changed, and never returns to an earlier value.
 func (t *Table) Gen() uint64 { return t.gen }
 
 func levelIndex(addr uint64, level int) int {
@@ -303,7 +301,7 @@ func (t *Table) splitBlock(addr uint64) {
 		child.entries[i] = entry{kind: entryLeaf, out: e.out + uint64(i)*GranuleSize, perm: e.perm}
 	}
 	*e = entry{kind: entryTable, next: child}
-	t.gen++ // the walk level (and thus walk cost) for the range changed
+	t.gen++ // the walk level for the range changed
 }
 
 // unmapLeaf removes the leaf covering addr, prunes empty nodes onto the
@@ -367,27 +365,6 @@ func (t *Table) Translate(addr uint64) (out uint64, perm Perms, level int, ok bo
 		}
 	}
 	panic("mmu: table deeper than architecture allows")
-}
-
-// WalkAccesses reports the number of memory accesses a hardware walker
-// performs to translate addr (descriptor fetches only; the final data
-// access is not included). Unmapped addresses still cost the walk up to
-// the invalid descriptor.
-func (t *Table) WalkAccesses(addr uint64) int {
-	if addr > inputAddrMask {
-		return 1
-	}
-	n := t.root
-	for l := 0; l < Levels; l++ {
-		e := &n.entries[levelIndex(addr, l)]
-		switch e.kind {
-		case entryInvalid, entryLeaf:
-			return l + 1
-		case entryTable:
-			n = e.next
-		}
-	}
-	return Levels
 }
 
 // Protect changes the permissions of the already-mapped range

@@ -55,10 +55,6 @@ func TestBlockMapping(t *testing.T) {
 	if out != 8*BlockSizeL2+0x12345 {
 		t.Fatalf("block out = %#x", out)
 	}
-	// A block walk costs 3 accesses, a page walk 4.
-	if got := tb.WalkAccesses(2 * BlockSizeL2); got != 3 {
-		t.Fatalf("block walk = %d accesses", got)
-	}
 }
 
 func TestMixedBlockAndPageSpan(t *testing.T) {
@@ -216,21 +212,6 @@ func TestProtect(t *testing.T) {
 	}
 	if err := tb.Protect(0, GranuleSize, 0); err == nil {
 		t.Fatal("empty perms accepted")
-	}
-}
-
-func TestWalkAccessesDepth(t *testing.T) {
-	tb := NewTable("s1")
-	if got := tb.WalkAccesses(0); got != 1 {
-		t.Fatalf("empty table walk = %d", got)
-	}
-	tb.Map(0, 0, GranuleSize, PermR)
-	if got := tb.WalkAccesses(0); got != 4 {
-		t.Fatalf("page walk = %d", got)
-	}
-	// An address sharing no mapped prefix still terminates at level 0.
-	if got := tb.WalkAccesses(1 << 40); got != 1 {
-		t.Fatalf("distant walk = %d", got)
 	}
 }
 

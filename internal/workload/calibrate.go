@@ -17,10 +17,12 @@ package workload
 //     column shows 6.2e-5 vs native 6.5e-5 GUP/s (−4.6%); under a Kitten
 //     primary almost all of that gap is steady-state nested-walk cost
 //     because the 10 Hz primary adds <0.05% noise. Mechanistically: one
-//     nested walk costs 24 descriptor fetches vs 4 single-stage
-//     (mmu.NestedWalkAccesses), and with the A53's walk caches absorbing
-//     ~2/3 of them the extra per-update cost lands at a few percent of
-//     the paper's (very slow) per-update time.
+//     nested walk costs 4 × (1 + 4) + 4 = 24 descriptor fetches vs 4
+//     single-stage (each of the four stage-1 descriptor fetches needs a
+//     four-level stage-2 walk of its own, and the output IPA one more),
+//     and with the A53's walk caches absorbing ~2/3 of them the extra
+//     per-update cost lands at a few percent of the paper's (very slow)
+//     per-update time.
 //   - RandomAccess NoiseAmp = 6: each interruption thrashes the walk
 //     caches and stage-2 TLB entries a nested-paging GUPS depends on, so
 //     a stolen microsecond costs ~6. This reproduces the Linux column's
