@@ -26,36 +26,18 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docgate -arch ARCHITECTURE.md -internal internal \
 		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve \
-		./internal/hafnium ./internal/mmu ./internal/mem ./internal/gic ./internal/machine
+		./internal/hafnium ./internal/mmu ./internal/mem ./internal/gic ./internal/machine \
+		./internal/harness ./internal/cluster ./internal/tz
 
-# obscheck is the observability gate. The metrics snapshot must be
-# deterministic across same-seed runs, and the Perfetto trace export
-# must pass schema validation (khsim trace -check exits non-zero
-# otherwise). Then every experiment must hold its properties under
-# -check and write a byte-identical artifact in two same-seed processes:
-# cluster failover (bounded failover, converged ledgers), snapshot/fork
-# (forked timelines replay bit-identically), live migration (one live
-# copy per cell, converged signed ledger, downtime monotone in working
-# set) and the ephemeral-VM serving sweep (end-to-end job flow, fully
-# signed pool ledger, warm fork beating cold boot).
+# obscheck is the observability gate. `khsim obscheck` prints the
+# seed-1 metrics snapshot and the artifact of every experiment in
+# harness.Experiments, each once its Check passes, and validates a
+# Perfetto export; two processes must print the same bytes.
 obscheck: build
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/khsim metrics -config kitten -bench stream -seed 1 > "$$tmp/a.metrics" && \
-	$(GO) run ./cmd/khsim metrics -config kitten -bench stream -seed 1 > "$$tmp/b.metrics" && \
-	cmp "$$tmp/a.metrics" "$$tmp/b.metrics" || { echo "obscheck: metrics snapshot not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim trace -config kitten -bench selfish -seconds 0.1 -format perfetto -check -out "$$tmp/trace.json" || exit 1; \
-	$(GO) run ./cmd/khsim cluster -seed 1 -check -artifact "$$tmp/a.cluster" > /dev/null && \
-	$(GO) run ./cmd/khsim cluster -seed 1 -check -artifact "$$tmp/b.cluster" > /dev/null && \
-	cmp "$$tmp/a.cluster" "$$tmp/b.cluster" || { echo "obscheck: cluster failover trace not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim snapshot -seed 1 -check -artifact "$$tmp/a.snap" > /dev/null && \
-	$(GO) run ./cmd/khsim snapshot -seed 1 -check -artifact "$$tmp/b.snap" > /dev/null && \
-	cmp "$$tmp/a.snap" "$$tmp/b.snap" || { echo "obscheck: snapshot fork replay not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim migrate -seed 1 -check -artifact "$$tmp/a.mig" > /dev/null && \
-	$(GO) run ./cmd/khsim migrate -seed 1 -check -artifact "$$tmp/b.mig" > /dev/null && \
-	cmp "$$tmp/a.mig" "$$tmp/b.mig" || { echo "obscheck: migration artifact not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/khsim serve -seed 1 -check -artifact "$$tmp/a.serve" > /dev/null && \
-	$(GO) run ./cmd/khsim serve -seed 1 -check -artifact "$$tmp/b.serve" > /dev/null && \
-	cmp "$$tmp/a.serve" "$$tmp/b.serve" || { echo "obscheck: serving artifact not deterministic"; exit 1; }; \
+	$(GO) build -o "$$tmp/khsim" ./cmd/khsim && \
+	"$$tmp/khsim" obscheck > "$$tmp/a" && "$$tmp/khsim" obscheck > "$$tmp/b" || exit 1; \
+	cmp "$$tmp/a" "$$tmp/b" || { echo "obscheck: two same-seed processes printed different bytes"; exit 1; }; \
 	echo "obscheck: ok"
 
 # prop repeats the randomized property tests (TestQuick*, TestProp*).

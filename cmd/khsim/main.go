@@ -5,13 +5,12 @@
 // Usage:
 //
 //	khsim [-manifest FILE] [-scheduler kitten|linux] [-bench NAME] [-seed S]
-//	khsim faults [-manifest FILE] [-seed S] [-spec RULES] [-seconds N] [-contain]
-//	khsim cluster [-manifest FILE] [-seed S] [-artifact FILE] [-trace] [-check]
+//	khsim faults [-manifest FILE] [-seed S] [-spec RULES] [-seconds N]
 //	khsim metrics [-config native|kitten|linux] [-bench NAME] [-seed S] [-format text|json]
 //	khsim trace [-config native|kitten|linux] [-bench NAME] [-seed S] [-format perfetto|tsv] [-out FILE] [-check]
-//	khsim snapshot [-seed S] [-artifact FILE] [-check] [-sweep [-delays LIST] [-window-ms N]]
-//	khsim migrate [-seed S] [-artifact FILE] [-check]
-//	khsim serve [-manifest FILE] [-seed S] [-artifact FILE] [-check]
+//	khsim cluster|serve [-manifest FILE] [-seed S] [-artifact FILE] [-check]
+//	khsim snapshot|forksweep|migrate|contain [-seed S] [-artifact FILE] [-check]
+//	khsim obscheck
 //
 // With no manifest the paper's evaluation partition plan is used. Bench
 // names: hpcg, stream, randomaccess, nas-lu, nas-bt, nas-cg, nas-ep,
@@ -19,16 +18,7 @@
 //
 // The faults subcommand runs the deterministic fault-injection campaign
 // against a victim VM and prints the injection trace, the hypervisor's
-// containment counters, and each VM's fate; -contain instead runs the
-// crash-containment experiment (primary noise with vs without faults).
-//
-// The cluster subcommand runs the multi-node failover experiment: N
-// secure-node stacks joined by a simulated fabric, a Raft-lite service
-// replicating the hash-chained attestation ledger across them, and a
-// manifest-scheduled fault campaign (leader kills, partitions, heals,
-// message drops, delay spikes — see manifests/cluster-3node.manifest).
-// -artifact writes the deterministic merged trace; -check exits non-zero
-// unless failover stayed bounded and the ledgers converged.
+// containment counters, and each VM's fate.
 //
 // The metrics subcommand runs one benchmark and prints the node's full
 // metrics snapshot (world switches, hypercalls by function, virtual IRQ
@@ -37,30 +27,38 @@
 // subcommand exports the run's event trace as Chrome trace-event JSON
 // loadable in Perfetto (ui.perfetto.dev), or as TSV.
 //
-// The snapshot subcommand demonstrates the whole-stack snapshot/fork
-// contract: it captures a running stack mid-simulation, forks the
-// timeline twice verbatim and once with an injected VM crash, and
-// verifies the verbatim forks replay bit-identically while the faulted
-// one diverges through the watchdog's warm snapshot restore. -sweep
-// instead runs the fork-based sweep: one boot, one warm snapshot, one
-// forked timeline per fault-injection delay.
+// Every experiment in harness.Experiments is a subcommand of its own
+// name. Each prints its report, writes its deterministic artifact to
+// -artifact (-artifact /dev/stdout shows it), and with -check exits
+// non-zero unless its invariants hold; the two with a built-in scenario
+// also read -manifest:
 //
-// The migrate subcommand runs the live VM migration experiment: a
-// three-node cluster moves a running job VM between nodes with pre-copy
-// rounds over the fabric, a stop-and-copy handoff and a commit
-// handshake, sweeping the VM's working set to measure downtime, plus a
-// fault cell that partitions the target mid-transfer and must leave
-// exactly one live copy (rolled back at the source), with every
-// lifecycle step as a signed record in the replicated attestation
-// ledger.
+//   - cluster: multi-node failover. N secure-node stacks joined by a
+//     simulated fabric, a Raft-lite service replicating the hash-chained
+//     attestation ledger, and a manifest-scheduled fault campaign
+//     (manifests/cluster-3node.manifest; set nodes = N for a bigger
+//     rack). Failover must stay bounded and the ledgers converge.
+//   - snapshot: captures a running stack, forks the timeline twice
+//     verbatim and once with an injected VM crash; the verbatim forks
+//     must replay bit-identically, the faulted one must diverge through
+//     the watchdog's warm snapshot restore.
+//   - forksweep: one boot, one warm snapshot, one forked timeline per
+//     crash delay (none, 0.5, 1, 2 and 4 ms into an 8 ms window).
+//   - migrate: live VM migration across a three-node cluster, sweeping
+//     the working set to measure downtime, plus a cell that partitions
+//     the target mid-transfer and must leave exactly one live copy; every
+//     lifecycle step is a signed record in the replicated ledger.
+//   - serve: the multi-tenant ephemeral-VM serving sweep. An open-loop
+//     job stream is admitted through the login VM into a pool of recycled
+//     environment VMs, across arrival rates under both primary kernels
+//     (manifests/serving.manifest).
+//   - contain: crash containment. The primary's selfish-detour noise
+//     over 2 s must match detour for detour whether or not a sibling VM
+//     is being crashed, stormed and corrupted.
 //
-// The serve subcommand runs the multi-tenant ephemeral-VM serving sweep:
-// an open-loop job stream admitted through the login VM into a pool of
-// recycled environment VMs (warm stage-2 fork vs cold rebuild), swept
-// across arrival rates under both primary kernels, reporting
-// p50/p99/p999 admission-to-completion latency per rate with every pool
-// transition signed into the attestation ledger (see
-// manifests/serving.manifest).
+// The obscheck subcommand is the observability gate at seed 1: it prints
+// the Kitten STREAM metrics snapshot, validates a Perfetto export, and
+// prints every experiment's artifact once its Check passes.
 package main
 
 import (
@@ -68,7 +66,6 @@ import (
 	"fmt"
 	"os"
 
-	"khsim/internal/cluster"
 	"khsim/internal/core"
 	"khsim/internal/faults"
 	"khsim/internal/hafnium"
@@ -125,17 +122,7 @@ func faultsCmd(args []string) {
 		"fault rules: kind[:target[:mean]],... (kinds: spurious storm drift s2flip tlb crash rogue; "+
 			"partition heal netdrop netdelay take node<N> targets and need a cluster run)")
 	seconds := fs.Float64("seconds", 2, "simulated run time")
-	contain := fs.Bool("contain", false, "run the crash-containment experiment instead")
 	fs.Parse(args)
-
-	if *contain {
-		r, err := harness.RunFaultContainment(*seed, sim.FromSeconds(*seconds))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r)
-		return
-	}
 
 	manifest := faultsManifest
 	if *manifestPath != "" {
@@ -204,65 +191,11 @@ func faultsCmd(args []string) {
 	fmt.Println("isolation: verified")
 }
 
-// clusterCmd implements `khsim cluster`: the multi-node replicated
-// attestation failover experiment.
-func clusterCmd(args []string) {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	manifestPath := fs.String("manifest", "", "cluster manifest file (default: built-in 3-node failover scenario)")
-	seed := fs.Uint64("seed", 1, "simulation seed (same seed, same merged trace)")
-	artifact := fs.String("artifact", "", "write the deterministic merged trace artifact to FILE")
-	showTrace := fs.Bool("trace", false, "print the full merged trace instead of the summary")
-	check := fs.Bool("check", false, "exit non-zero unless the failover properties hold")
-	nodes := fs.Int("nodes", 0, "override the manifest's rack size")
-	fs.Parse(args)
-
-	text := harness.ClusterManifestText
-	if *manifestPath != "" {
-		b, err := os.ReadFile(*manifestPath)
-		if err != nil {
-			fail(err)
-		}
-		text = string(b)
-	}
-	m, err := cluster.ParseManifest(text)
-	if err != nil {
-		fail(err)
-	}
-	if *nodes < 0 {
-		fail(fmt.Errorf("khsim cluster: -nodes must be positive, got %d", *nodes))
-	}
-	if *nodes > 0 {
-		m.Nodes = *nodes
-	}
-	r, err := harness.RunClusterManifest(m, *seed)
-	if err != nil {
-		fail(err)
-	}
-	if *artifact != "" {
-		if err := os.WriteFile(*artifact, []byte(r.Artifact()), 0o644); err != nil {
-			fail(err)
-		}
-	}
-	if *showTrace {
-		fmt.Print(r.Artifact())
-	} else {
-		fmt.Print(r.String())
-	}
-	if *check {
-		if err := r.Check(); err != nil {
-			fail(err)
-		}
-	}
-}
-
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "faults":
 			faultsCmd(os.Args[2:])
-			return
-		case "cluster":
-			clusterCmd(os.Args[2:])
 			return
 		case "metrics":
 			metricsCmd(os.Args[2:])
@@ -270,15 +203,15 @@ func main() {
 		case "trace":
 			traceCmd(os.Args[2:])
 			return
-		case "snapshot":
-			snapshotCmd(os.Args[2:])
+		case "obscheck":
+			obscheckCmd(os.Args[2:])
 			return
-		case "migrate":
-			migrateCmd(os.Args[2:])
-			return
-		case "serve":
-			serveCmd(os.Args[2:])
-			return
+		}
+		for _, e := range harness.Experiments {
+			if e.Name == os.Args[1] {
+				experimentCmd(e, os.Args[2:])
+				return
+			}
 		}
 	}
 	manifestPath := flag.String("manifest", "", "Hafnium manifest file (default: built-in evaluation plan)")

@@ -43,6 +43,7 @@ const (
 	Leader
 )
 
+// String returns the role's name.
 func (r Role) String() string {
 	switch r {
 	case Candidate:
@@ -64,12 +65,9 @@ type Config struct {
 	// Heartbeat is the leader's AppendEntries interval.
 	Heartbeat sim.Duration
 	// RPCTimeout is the leader's per-follower retransmit timeout; each
-	// consecutive unanswered retry doubles it up to MaxBackoffShift
+	// consecutive unanswered retry doubles it up to maxBackoffShift
 	// doublings.
-	RPCTimeout      sim.Duration
-	MaxBackoffShift uint
-	// MaxBatch caps entries shipped per AppendEntries.
-	MaxBatch int
+	RPCTimeout sim.Duration
 	// Seed derives the per-replica timeout RNGs.
 	Seed uint64
 }
@@ -78,15 +76,21 @@ type Config struct {
 // election timeouts over 800 µs heartbeats.
 func DefaultConfig(seed uint64) Config {
 	return Config{
-		ElectionMin:     sim.FromMicros(4000),
-		ElectionJitter:  sim.FromMicros(4000),
-		Heartbeat:       sim.FromMicros(800),
-		RPCTimeout:      sim.FromMicros(1500),
-		MaxBackoffShift: 6,
-		MaxBatch:        16,
-		Seed:            seed,
+		ElectionMin:    sim.FromMicros(4000),
+		ElectionJitter: sim.FromMicros(4000),
+		Heartbeat:      sim.FromMicros(800),
+		RPCTimeout:     sim.FromMicros(1500),
+		Seed:           seed,
 	}
 }
+
+const (
+	// maxBackoffShift caps the doublings of a follower's retransmit
+	// timeout.
+	maxBackoffShift = 6
+	// maxBatch caps entries shipped per AppendEntries.
+	maxBatch = 16
+)
 
 func (c Config) validate(nodes int) error {
 	if nodes < 2 {
@@ -97,9 +101,6 @@ func (c Config) validate(nodes int) error {
 	}
 	if c.ElectionMin < 2*c.Heartbeat {
 		return fmt.Errorf("cluster: election timeout %v must be at least twice the heartbeat %v", c.ElectionMin, c.Heartbeat)
-	}
-	if c.MaxBatch <= 0 {
-		return fmt.Errorf("cluster: MaxBatch must be positive")
 	}
 	return nil
 }
@@ -284,15 +285,6 @@ func (s *Service) Propose(i int, payload []byte) bool {
 	return s.reps[i].propose(payload, false)
 }
 
-// ElectionTimeouts sums election-timeout firings across replicas.
-func (s *Service) ElectionTimeouts() uint64 {
-	var n uint64
-	for _, r := range s.reps {
-		n += r.timeouts
-	}
-	return n
-}
-
 // Logs returns every replica's ledger (aliased, not copied).
 func (s *Service) Logs() []*tz.AttestLog {
 	out := make([]*tz.AttestLog, len(s.reps))
@@ -368,8 +360,6 @@ type Replica struct {
 
 	electionEv sim.Event
 	hbEv       sim.Event
-
-	timeouts uint64 // election-timeout firings (failover-bound metric)
 }
 
 // ID reports the replica's node id.
@@ -389,9 +379,6 @@ func (r *Replica) Commit() uint64 { return r.commit }
 
 // Log returns the replica's ledger.
 func (r *Replica) Log() *tz.AttestLog { return r.log }
-
-// Timeouts reports how many election timeouts have fired on the replica.
-func (r *Replica) Timeouts() uint64 { return r.timeouts }
 
 func (r *Replica) lastTerm() uint64 {
 	if rec, ok := r.log.At(r.log.Len()); ok {
@@ -436,7 +423,6 @@ func (r *Replica) armElection() {
 // timeout: the replica stands for election. A dead VM's replica just
 // rearms — it cannot campaign while down.
 func (r *Replica) electionTimeout() {
-	r.timeouts++
 	if !r.alive() {
 		r.armElection()
 		return
@@ -524,7 +510,7 @@ func (r *Replica) sendAppend(p int) {
 		// next regressed below 1 would be a protocol bug.
 		panic(fmt.Sprintf("cluster: leader n%d has no hash at %d for peer %d", r.id, prev, p))
 	}
-	to := prev + uint64(r.svc.cfg.MaxBatch)
+	to := prev + uint64(maxBatch)
 	req := appendReq{
 		Term:      r.term,
 		Leader:    r.id,
@@ -538,12 +524,12 @@ func (r *Replica) sendAppend(p int) {
 }
 
 // armRetry schedules the retransmit for peer p at the backed-off RPC
-// timeout: RPCTimeout << backoff, capped at MaxBackoffShift doublings.
+// timeout: RPCTimeout << backoff, capped at maxBackoffShift doublings.
 func (r *Replica) armRetry(p int) {
 	r.eng.Cancel(r.retry[p])
 	shift := r.backoff[p]
-	if shift > r.svc.cfg.MaxBackoffShift {
-		shift = r.svc.cfg.MaxBackoffShift
+	if shift > maxBackoffShift {
+		shift = maxBackoffShift
 	}
 	d := r.svc.cfg.RPCTimeout << shift
 	pid := p
@@ -557,7 +543,7 @@ func (r *Replica) retryTimeout(p int) {
 	if r.role != Leader || !r.alive() {
 		return
 	}
-	if r.backoff[p] < r.svc.cfg.MaxBackoffShift {
+	if r.backoff[p] < maxBackoffShift {
 		r.backoff[p]++
 	}
 	r.sendAppend(p)

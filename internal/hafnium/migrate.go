@@ -274,23 +274,18 @@ func (h *Hypervisor) LiveCPUTime(id VMID) sim.Duration {
 // generation moved (mapping churn: a grant, an unmap), the whole working
 // set is conservatively considered dirty.
 type Migrator struct {
-	hyp       *Hypervisor
-	dirtyRate float64 // stage-2 pages dirtied per second of guest CPU
+	hyp *Hypervisor
 }
 
-// DefaultDirtyRate is the dirty-page model's default: half a million
+// dirtyRate is the dirty-page model's rate: half a million stage-2
 // pages (2 GiB) per second of guest CPU — memory-bound work dirties its
 // working set far faster than a rack link drains it, which is what makes
 // pre-copy converge on the working set rather than on zero.
-const DefaultDirtyRate = 500_000.0
+const dirtyRate = 500_000.0
 
 // NewMigrator wraps h for the machine-layer migration driver.
-// dirtyRate <= 0 selects DefaultDirtyRate.
-func NewMigrator(h *Hypervisor, dirtyRate float64) *Migrator {
-	if dirtyRate <= 0 {
-		dirtyRate = DefaultDirtyRate
-	}
-	return &Migrator{hyp: h, dirtyRate: dirtyRate}
+func NewMigrator(h *Hypervisor) *Migrator {
+	return &Migrator{hyp: h}
 }
 
 var _ machine.MigrationEndpoint = (*Migrator)(nil)
@@ -402,7 +397,7 @@ func (m *Migrator) DirtyPages(name string, since machine.MigrationStamp) (uint64
 	}
 	now := machine.MigrationStamp{CPU: m.hyp.LiveCPUTime(vm.id), Gen: vm.stage2.Gen()}
 	ws := m.workingSet(vm)
-	pages := uint64((now.CPU - since.CPU).Seconds() * m.dirtyRate)
+	pages := uint64((now.CPU - since.CPU).Seconds() * dirtyRate)
 	if pages > ws {
 		pages = ws
 	}

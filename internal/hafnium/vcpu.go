@@ -63,9 +63,6 @@ func (vc *VCPU) Index() int { return vc.index }
 // State reports the scheduling state.
 func (vc *VCPU) State() VCPUState { return vc.state }
 
-// CoreID reports the physical core the VCPU is resident on, or -1.
-func (vc *VCPU) CoreID() int { return vc.core }
-
 // Runs reports how many times the VCPU has been entered.
 func (vc *VCPU) Runs() uint64 { return vc.runs }
 

@@ -178,6 +178,7 @@ const (
 	GuestLinux
 )
 
+// String returns the guest kernel's name.
 func (g GuestKernel) String() string {
 	if g == GuestLinux {
 		return "linux-guest"

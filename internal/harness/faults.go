@@ -44,10 +44,39 @@ type FaultReport struct {
 	Trace          []faults.Record
 }
 
-// Contained reports the experiment's headline property: the primary's
-// noise profile is unchanged by the sibling's crashes and recoveries.
-func (r *FaultReport) Contained() bool {
-	return r.Baseline.Count() == r.Faulted.Count()
+// Check enforces the experiment's headline property: the primary's
+// noise profile is unchanged, detour by detour, by the sibling's crashes
+// and recoveries. An empty quiet profile or a victim that never crashed
+// would make that comparison vacuous, so both fail too.
+func (r *FaultReport) Check() error {
+	if r.Baseline.Count() == 0 {
+		return fmt.Errorf("containment: the quiet primary recorded no detours; spin longer than one primary tick")
+	}
+	if r.Hyp.Aborts == 0 {
+		return fmt.Errorf("containment: no crash landed on the victim")
+	}
+	if r.Baseline.Count() != r.Faulted.Count() {
+		return fmt.Errorf("containment: %d detours quiet vs %d faulted", r.Baseline.Count(), r.Faulted.Count())
+	}
+	for i, d := range r.Baseline.Detours {
+		if f := r.Faulted.Detours[i]; f != d {
+			return fmt.Errorf("containment: detour %d differs: quiet %+v, faulted %+v", i, d, f)
+		}
+	}
+	return nil
+}
+
+// Artifact renders the report and the injection trace for byte
+// comparison across processes.
+func (r *FaultReport) Artifact() string {
+	var b strings.Builder
+	b.WriteString(r.String())
+	b.WriteString("--- injections ---\n")
+	for _, rec := range r.Trace {
+		b.WriteString(rec.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // String renders the experiment report.
@@ -60,10 +89,10 @@ func (r *FaultReport) String() string {
 		r.Injected.Injected, r.Hyp.Aborts, r.Hyp.Restarts, r.Hyp.Quarantines, r.Hyp.ScrubbedPages)
 	fmt.Fprintf(&b, "  victim: %s after %d restarts (last crash: %s)\n",
 		r.VictimState, r.VictimRestarts, r.CrashReason)
-	if r.Contained() {
-		fmt.Fprintf(&b, "  contained: primary detour count identical (%d)\n", r.Baseline.Count())
+	if err := r.Check(); err != nil {
+		fmt.Fprintf(&b, "  NOT contained: %v\n", err)
 	} else {
-		fmt.Fprintf(&b, "  NOT contained: %d vs %d detours\n", r.Baseline.Count(), r.Faulted.Count())
+		fmt.Fprintf(&b, "  contained: primary detour count identical (%d)\n", r.Baseline.Count())
 	}
 	return b.String()
 }

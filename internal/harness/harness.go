@@ -35,6 +35,7 @@ const (
 // Configs lists the three configurations in paper order.
 var Configs = []Config{Native, KittenVM, LinuxVM}
 
+// String returns the configuration's name as ParseConfig accepts it.
 func (c Config) String() string {
 	switch c {
 	case Native:

@@ -256,6 +256,35 @@ type ForkSweepReport struct {
 	Forks  uint64 // timelines forked (== len(Cells))
 }
 
+// Check enforces the sweep's cell rules: one fork per cell; a control
+// cell sees no fault yet fires events; every kill cell sees exactly one
+// crash, served by one warm restart; and cells with the same delay come
+// out identical, so no fork leaks state into the next.
+func (r *ForkSweepReport) Check() error {
+	if len(r.Cells) == 0 || r.Forks != uint64(len(r.Cells)) {
+		return fmt.Errorf("fork sweep: %d timelines forked for %d cells", r.Forks, len(r.Cells))
+	}
+	first := map[sim.Duration]ForkSweepCell{}
+	for _, c := range r.Cells {
+		switch {
+		case c.KillAfter < 0 && (c.Crashes != 0 || c.Restarts != 0 || c.WarmRest != 0):
+			return fmt.Errorf("fork sweep: control cell saw faults: %+v", c)
+		case c.KillAfter < 0 && c.Fired == 0:
+			return fmt.Errorf("fork sweep: control cell fired no events")
+		case c.KillAfter >= 0 && (c.Crashes != 1 || c.Restarts != 1 || c.WarmRest != 1):
+			return fmt.Errorf("fork sweep: kill cell %v: %+v, want one crash and one warm restart", c.KillAfter, c)
+		}
+		if f, ok := first[c.KillAfter]; ok && f != c {
+			return fmt.Errorf("fork sweep: cells with the same delay differ:\n  %+v\n  %+v", f, c)
+		}
+		first[c.KillAfter] = c
+	}
+	return nil
+}
+
+// Artifact renders the sweep table for byte comparison across processes.
+func (r *ForkSweepReport) Artifact() string { return r.String() }
+
 // String renders the sweep table.
 func (r *ForkSweepReport) String() string {
 	var b strings.Builder

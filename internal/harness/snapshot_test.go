@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -94,34 +95,10 @@ func TestForkReplayInsideEL2AndTickWindows(t *testing.T) {
 	}
 }
 
-// TestSnapshotCheckArtifactDeterministic pins the obscheck gate's
-// assumption: two same-seed experiment runs in fresh stacks render
-// byte-identical artifacts, and a different seed does not.
-func TestSnapshotCheckArtifactDeterministic(t *testing.T) {
-	a, err := RunSnapshotCheck(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSnapshotCheck(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Artifact() != b.Artifact() {
-		t.Fatal("same-seed snapshot-check artifacts differ across runs")
-	}
-	c, err := RunSnapshotCheck(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Artifact() == c.Artifact() {
-		t.Fatal("different seeds produced identical artifacts")
-	}
-}
-
 // TestForkSweepCells runs the fork-based sweep over a fault-delay axis
-// and checks cell semantics: the control cell sees no crash, every kill
-// cell sees exactly one crash served by a warm restore, and identical
-// delays land in identical cells (the fork isolation property).
+// with a repeated delay, so Check's rule that identical delays land in
+// identical cells (the fork isolation property) has a pair to compare,
+// and shows that each of Check's cell rules can fail.
 func TestForkSweepCells(t *testing.T) {
 	kills := []sim.Duration{
 		-1,
@@ -136,26 +113,21 @@ func TestForkSweepCells(t *testing.T) {
 	if len(rep.Cells) != len(kills) {
 		t.Fatalf("%d cells, want %d", len(rep.Cells), len(kills))
 	}
-	if rep.Forks != uint64(len(kills)) {
-		t.Fatalf("forked %d timelines, want %d", rep.Forks, len(kills))
+	if err := rep.Check(); err != nil {
+		t.Fatalf("%v\n%s", err, rep)
 	}
-	ctrl := rep.Cells[0]
-	if ctrl.Crashes != 0 || ctrl.Restarts != 0 || ctrl.WarmRest != 0 {
-		t.Fatalf("control cell saw faults: %+v", ctrl)
-	}
-	if ctrl.Fired == 0 {
-		t.Fatal("control cell fired no events")
-	}
-	for i, c := range rep.Cells[1:] {
-		if c.Crashes != 1 || c.Restarts != 1 || c.WarmRest != 1 {
-			t.Fatalf("kill cell %d: %+v, want one crash, one warm restart", i+1, c)
+	for name, mutate := range map[string]func(c []ForkSweepCell){
+		"control cell crashed":   func(c []ForkSweepCell) { c[0].Crashes = 1 },
+		"control cell idle":      func(c []ForkSweepCell) { c[0].Fired = 0 },
+		"kill cell cold restart": func(c []ForkSweepCell) { c[2].WarmRest = 0 },
+		"repeated delay drifted": func(c []ForkSweepCell) { c[3].Fired++ },
+	} {
+		bad := *rep
+		bad.Cells = slices.Clone(rep.Cells)
+		mutate(bad.Cells)
+		if bad.Check() == nil {
+			t.Errorf("%s: Check passed", name)
 		}
-	}
-	if rep.Cells[1] != rep.Cells[3] {
-		t.Fatalf("identical delays produced different cells:\n  %+v\n  %+v", rep.Cells[1], rep.Cells[3])
-	}
-	if rep.Cells[1].Fired == rep.Cells[2].Fired && rep.Cells[1] == rep.Cells[2] {
-		t.Fatal("different delays produced identical cells (injection time had no effect)")
 	}
 }
 

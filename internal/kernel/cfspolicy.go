@@ -267,6 +267,3 @@ func (p *CFSPolicy) TimesliceFor(t *Task) sim.Duration {
 	n := p.cfs[t.core].Len() + 1
 	return sim.Duration(p.p.SchedLatencyNS / float64(n))
 }
-
-// Runqueue exposes the core's CFS runqueue (diagnostics and tests).
-func (p *CFSPolicy) Runqueue(core int) *CFS { return p.cfs[core] }

@@ -243,12 +243,6 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 	return p, nil
 }
 
-// Envs returns the pool's environments in slot order.
-func (p *Pool) Envs() []*Env { return p.envs }
-
-// Jobs returns every job generated so far, in arrival order.
-func (p *Pool) Jobs() []*Job { return p.jobs }
-
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() PoolStats {
 	s := PoolStats{
@@ -311,15 +305,6 @@ func (p *Pool) park() error {
 		e.epoch++
 	}
 	return nil
-}
-
-// FaultTrace returns the crash campaign's injection trace (empty without
-// one).
-func (p *Pool) FaultTrace() []faults.Record {
-	if p.injector == nil {
-		return nil
-	}
-	return p.injector.Trace()
 }
 
 // scheduleArrival arms the next open-loop arrival; the chain stops at

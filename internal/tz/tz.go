@@ -24,6 +24,7 @@ const (
 	Secure
 )
 
+// String returns the world's name: "secure" or "non-secure".
 func (w World) String() string {
 	if w == Secure {
 		return "secure"
@@ -110,9 +111,6 @@ func (m *Monitor) Freeze() { m.frozen = true }
 
 // Frozen reports whether boot-time configuration has ended.
 func (m *Monitor) Frozen() bool { return m.frozen }
-
-// Dynamic reports whether runtime repartitioning is enabled.
-func (m *Monitor) Dynamic() bool { return m.dynamic }
 
 // SecureRegions returns the current secure carve-outs.
 func (m *Monitor) SecureRegions() []mem.Region {
