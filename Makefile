@@ -27,7 +27,7 @@ lint:
 	$(GO) run ./cmd/docgate -arch ARCHITECTURE.md -internal internal \
 		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve \
 		./internal/hafnium ./internal/mmu ./internal/mem ./internal/gic ./internal/machine \
-		./internal/harness ./internal/cluster ./internal/tz
+		./internal/harness ./internal/cluster ./internal/tz ./internal/timer ./internal/net
 
 # obscheck is the observability gate. `khsim obscheck` prints the
 # seed-1 metrics snapshot and the artifact of every experiment in

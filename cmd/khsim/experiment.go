@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"khsim/internal/harness"
@@ -36,7 +37,7 @@ func experimentCmd(e harness.Experiment, args []string) {
 		fail(err)
 	}
 	if *artifact != "" {
-		if err := os.WriteFile(*artifact, []byte(r.Artifact()), 0o644); err != nil {
+		if err := writeArtifact(*artifact, r.Artifact()); err != nil {
 			fail(err)
 		}
 	}
@@ -46,6 +47,21 @@ func experimentCmd(e harness.Experiment, args []string) {
 			fail(err)
 		}
 	}
+}
+
+// writeArtifact writes art to the file at path. When path names the
+// file stdout writes to (-artifact /dev/stdout with stdout redirected to
+// a file), it writes through os.Stdout instead: a second open of the file
+// would truncate it and write at its own offset, and the report printed
+// next through stdout would overwrite the artifact's head.
+func writeArtifact(path, art string) error {
+	if out, err := os.Stdout.Stat(); err == nil {
+		if fi, err := os.Stat(path); err == nil && os.SameFile(fi, out) {
+			_, err := io.WriteString(os.Stdout, art)
+			return err
+		}
+	}
+	return os.WriteFile(path, []byte(art), 0o644)
 }
 
 // obscheckCmd implements `khsim obscheck`, the observability gate at

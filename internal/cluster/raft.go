@@ -223,6 +223,12 @@ func New(fabric *net.Fabric, engines []*sim.Engine, cfg Config) (*Service, error
 			voted: -1,
 			lead:  -1,
 		}
+		r.election = eng.NewRegister("cluster.election", r.electionTimeout)
+		r.hb = eng.NewRegister("cluster.heartbeat", r.heartbeat)
+		r.retry = make([]*sim.Register, len(engines))
+		for p := range r.retry {
+			r.retry[p] = eng.NewRegister("cluster.rpc-retry", func() { r.retryTimeout(p) })
+		}
 		s.reps = append(s.reps, r)
 	}
 	return s, nil
@@ -356,10 +362,11 @@ type Replica struct {
 	next    []uint64
 	match   []uint64
 	backoff []uint
-	retry   []sim.Event
 
-	electionEv sim.Event
-	hbEv       sim.Event
+	// Timers, built once in New: the randomized election timeout, the
+	// leader's heartbeat ticker and one retransmit timer per peer.
+	election, hb *sim.Register
+	retry        []*sim.Register
 }
 
 // ID reports the replica's node id.
@@ -414,9 +421,8 @@ func msgKind(payload any) string {
 
 // armElection (re)arms the randomized election timer.
 func (r *Replica) armElection() {
-	r.eng.Cancel(r.electionEv)
 	d := r.svc.cfg.ElectionMin + r.rng.UniformDuration(0, r.svc.cfg.ElectionJitter)
-	r.electionEv = r.eng.AfterNamed(d, "cluster.election", r.electionTimeout)
+	r.election.Arm(r.eng.Now().Add(d))
 }
 
 // electionTimeout fires when no leader traffic arrived for a full
@@ -450,9 +456,9 @@ func (r *Replica) electionTimeout() {
 func (r *Replica) stepDown(term uint64) {
 	if r.role == Leader {
 		r.svc.tracef(r.id, r.eng.Now(), "step down: term %d -> %d", r.term, term)
-		r.eng.Cancel(r.hbEv)
-		for i := range r.retry {
-			r.eng.Cancel(r.retry[i])
+		r.hb.Disarm()
+		for _, t := range r.retry {
+			t.Disarm()
 		}
 	}
 	r.term = term
@@ -473,11 +479,10 @@ func (r *Replica) becomeLeader() {
 	r.next = make([]uint64, n)
 	r.match = make([]uint64, n)
 	r.backoff = make([]uint, n)
-	r.retry = make([]sim.Event, n)
 	for i := range r.next {
 		r.next[i] = r.log.Len() + 1
 	}
-	r.eng.Cancel(r.electionEv)
+	r.election.Disarm()
 	r.log.Append(r.term, []byte(fmt.Sprintf("leader n%d term %d", r.id, r.term)))
 	r.svc.tracef(r.id, r.eng.Now(), "leader term=%d log=%d", r.term, r.log.Len())
 	r.heartbeat()
@@ -498,7 +503,7 @@ func (r *Replica) heartbeat() {
 			}
 		}
 	}
-	r.hbEv = r.eng.AfterNamed(r.svc.cfg.Heartbeat, "cluster.heartbeat", r.heartbeat)
+	r.hb.Arm(r.eng.Now().Add(r.svc.cfg.Heartbeat))
 }
 
 // sendAppend ships the suffix peer p is missing (or a bare heartbeat)
@@ -526,14 +531,11 @@ func (r *Replica) sendAppend(p int) {
 // armRetry schedules the retransmit for peer p at the backed-off RPC
 // timeout: RPCTimeout << backoff, capped at maxBackoffShift doublings.
 func (r *Replica) armRetry(p int) {
-	r.eng.Cancel(r.retry[p])
 	shift := r.backoff[p]
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	d := r.svc.cfg.RPCTimeout << shift
-	pid := p
-	r.retry[p] = r.eng.AfterNamed(d, "cluster.rpc-retry", func() { r.retryTimeout(pid) })
+	r.retry[p].Arm(r.eng.Now().Add(r.svc.cfg.RPCTimeout << shift))
 }
 
 // retryTimeout fires when peer p never acknowledged: back off and
@@ -662,7 +664,7 @@ func (r *Replica) onAppendResp(q appendResp) {
 	}
 	p := q.From
 	r.backoff[p] = 0
-	r.eng.Cancel(r.retry[p])
+	r.retry[p].Disarm()
 	if !q.Success {
 		// Roll nextIndex back (the hint jumps straight to the
 		// follower's log end) and retransmit immediately.

@@ -151,10 +151,7 @@ func (h *Hypervisor) armWatchdog(vm *VM) {
 			shift = 16
 		}
 		d := restartBackoff(spec) << shift
-		vm.watchdog = h.node.Engine.AfterNamed(d, "hafnium.watchdog."+spec.Name, func() {
-			vm.watchdog = sim.Event{}
-			h.recoverVM(vm)
-		})
+		h.node.Engine.AfterNamed(d, "hafnium.watchdog."+spec.Name, func() { h.recoverVM(vm) })
 		return
 	}
 	if spec.Quarantine {

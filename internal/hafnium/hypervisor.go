@@ -665,8 +665,9 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 	h.enteredAt[id] = h.node.Now()
 
 	// Virtual timer restore.
-	h.node.Engine.Cancel(vc.vtPendEvent)
-	vc.vtPendEvent = sim.Event{}
+	if vc.vtWatch != nil {
+		vc.vtWatch.Disarm()
+	}
 	if vc.vtArmed {
 		// An already-passed deadline is delivered as a pending virq.
 		if vc.vtDeadline <= h.node.Now() {
@@ -758,17 +759,14 @@ func (h *Hypervisor) parkVTimer(vc *VCPU, core int) {
 // watchVTimer pends the virtual-timer interrupt when the deadline passes
 // while the VCPU is descheduled, and tells the primary it is ready.
 func (h *Hypervisor) watchVTimer(vc *VCPU) {
-	h.node.Engine.Cancel(vc.vtPendEvent)
 	at := vc.vtDeadline
 	if at < h.node.Now() {
 		at = h.node.Now()
 	}
-	if vc.vtWatchFn == nil {
-		// A VCPU's watcher is rescheduled on every deschedule with an
-		// armed vtimer; build the event name and callback once.
-		vc.vtWatchName = "hafnium.vtimer." + vc.String()
-		vc.vtWatchFn = func() {
-			vc.vtPendEvent = sim.Event{}
+	if vc.vtWatch == nil {
+		// A VCPU's watch is re-armed on every deschedule with an armed
+		// vtimer, but many VCPUs never have one: build it on first use.
+		vc.vtWatch = h.node.Engine.NewRegister("hafnium.vtimer."+vc.String(), func() {
 			if !vc.vtArmed || vc.core >= 0 {
 				return
 			}
@@ -778,9 +776,9 @@ func (h *Hypervisor) watchVTimer(vc *VCPU) {
 				vc.state = VCPURunnable
 			}
 			h.primaryOS.VCPUReady(vc)
-		}
+		})
 	}
-	vc.vtPendEvent = h.node.Engine.ScheduleNamed(at, vc.vtWatchName, vc.vtWatchFn)
+	vc.vtWatch.Arm(at)
 }
 
 // kick sends the hypervisor's cross-core SGI to a physical core. A

@@ -14,7 +14,8 @@ import (
 // vcpuSnap is one VCPU's snapshot: scheduling state plus the saved
 // execution context (suspension-stack frames, and frames waiting out an
 // el2.run entry, each with its whole value) and the virtual-timer
-// registers.
+// registers. The watch that pends an expired vtimer while the VCPU is
+// descheduled is an engine register, which the engine snapshot records.
 type vcpuSnap struct {
 	state    VCPUState
 	core     int
@@ -24,9 +25,8 @@ type vcpuSnap struct {
 	pending  []int
 	booted   bool
 
-	vtArmed     bool
-	vtDeadline  sim.Time
-	vtPendEvent sim.Event
+	vtArmed    bool
+	vtDeadline sim.Time
 
 	runs uint64
 }
@@ -44,7 +44,6 @@ type vmSnap struct {
 	mailboxFull  bool
 	mmio         []mem.Region
 	restarts     int
-	watchdog     sim.Event
 	crashReason  string
 	warmS2       sim.State
 	warmShareIPA uint64
@@ -72,8 +71,8 @@ type hypState struct {
 }
 
 // Snapshot captures the whole EL2 world: per-core residency, VM and
-// VCPU state machines (saved contexts, pending virqs, virtual timers,
-// watchdogs), stage-2 tables (copy-on-write freeze), the frame-owner
+// VCPU state machines (saved contexts, pending virqs, virtual timers),
+// stage-2 tables (copy-on-write freeze), the frame-owner
 // extents, the active memory grants, both allocators and the counters.
 // The frame → grant index is derived and not recorded. Hypervisor
 // implements sim.Snapshotter and registers itself on the node at build
@@ -106,7 +105,6 @@ func (h *Hypervisor) Snapshot() sim.State {
 			nextShareIPA: vm.nextShareIPA,
 			mmio:         append([]mem.Region(nil), vm.mmio...),
 			restarts:     vm.restarts,
-			watchdog:     vm.watchdog,
 			crashReason:  vm.crashReason,
 			warmS2:       vm.warmS2,
 			warmShareIPA: vm.warmShareIPA,
@@ -117,16 +115,15 @@ func (h *Hypervisor) Snapshot() sim.State {
 		}
 		for _, vc := range vm.vcpus {
 			cs := vcpuSnap{
-				state:       vc.state,
-				core:        vc.core,
-				saved:       append([]*machine.Activity(nil), vc.saved...),
-				entering:    append([]*machine.Activity(nil), vc.entering...),
-				pending:     append([]int(nil), vc.pending...),
-				booted:      vc.booted,
-				vtArmed:     vc.vtArmed,
-				vtDeadline:  vc.vtDeadline,
-				vtPendEvent: vc.vtPendEvent,
-				runs:        vc.runs,
+				state:      vc.state,
+				core:       vc.core,
+				saved:      append([]*machine.Activity(nil), vc.saved...),
+				entering:   append([]*machine.Activity(nil), vc.entering...),
+				pending:    append([]int(nil), vc.pending...),
+				booted:     vc.booted,
+				vtArmed:    vc.vtArmed,
+				vtDeadline: vc.vtDeadline,
+				runs:       vc.runs,
 			}
 			for _, a := range vc.saved {
 				cs.acts = append(cs.acts, machine.SnapshotActivity(a))
@@ -141,9 +138,9 @@ func (h *Hypervisor) Snapshot() sim.State {
 	return s
 }
 
-// Restore reinstalls a snapshot taken on this hypervisor. The node's
-// engine must already be restored (watchdog and vtimer Event handles
-// revalidate against it), which Node.Restore guarantees.
+// Restore reinstalls a snapshot taken on this hypervisor. Pending
+// watchdog restarts and vtimer watches are engine events and registers,
+// which the engine's own Restore rewinds.
 func (h *Hypervisor) Restore(st sim.State) {
 	s, ok := st.(*hypState)
 	if !ok {
@@ -186,7 +183,6 @@ func (h *Hypervisor) Restore(st sim.State) {
 		}
 		vm.mmio = append(vm.mmio[:0], vs.mmio...)
 		vm.restarts = vs.restarts
-		vm.watchdog = vs.watchdog
 		vm.crashReason = vs.crashReason
 		vm.warmS2 = vs.warmS2
 		vm.warmShareIPA = vs.warmShareIPA
@@ -203,7 +199,6 @@ func (h *Hypervisor) Restore(st sim.State) {
 			vc.booted = cs.booted
 			vc.vtArmed = cs.vtArmed
 			vc.vtDeadline = cs.vtDeadline
-			vc.vtPendEvent = cs.vtPendEvent
 			vc.runs = cs.runs
 		}
 	}

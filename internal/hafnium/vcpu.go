@@ -26,13 +26,13 @@ type VCPU struct {
 	pending  []int // queued virtual interrupts (deduplicated)
 	booted   bool
 
-	vtArmed     bool
-	vtDeadline  sim.Time
-	vtPendEvent sim.Event // deadline watcher while descheduled
+	vtArmed    bool
+	vtDeadline sim.Time
+	// vtWatch pends the vtimer interrupt when the deadline passes while
+	// the VCPU is descheduled. It is created on the VCPU's first watch.
+	vtWatch *sim.Register
 
-	name        string // memoized String(); a VCPU's identity never changes
-	vtWatchName string // memoized vtimer watch event name
-	vtWatchFn   func() // memoized vtimer watch callback (rescheduled often)
+	name string // memoized String(); a VCPU's identity never changes
 
 	// EL2 completions for machine.Core.ExecBound, bound once here so the
 	// injection, entry and exit paths build no closure. Each reads only
@@ -135,8 +135,9 @@ func (vc *VCPU) CancelVTimer() {
 	if vc.core >= 0 {
 		vc.vm.hyp.node.Timers.Core(vc.core).CancelChannel(timer.Virt)
 	}
-	vc.vm.hyp.node.Engine.Cancel(vc.vtPendEvent)
-	vc.vtPendEvent = sim.Event{}
+	if vc.vtWatch != nil {
+		vc.vtWatch.Disarm()
+	}
 }
 
 // VTimerArmed reports whether the virtual timer has a live deadline.

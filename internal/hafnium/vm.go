@@ -81,9 +81,8 @@ type VM struct {
 
 	mmio []mem.Region // device windows mapped into this VM
 
-	restarts    int       // watchdog restarts performed so far
-	watchdog    sim.Event // pending restart, while VMCrashed
-	crashReason string    // why the VM last crashed ("" if never)
+	restarts    int    // watchdog restarts performed so far
+	crashReason string // why the VM last crashed ("" if never)
 
 	// Warm restart image, captured at Boot for VMs with
 	// restart_from_snapshot: a copy-on-write freeze of the pristine

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"khsim/internal/cluster"
 	"khsim/internal/core"
 	"khsim/internal/kitten"
 	"khsim/internal/noise"
@@ -112,5 +113,86 @@ func TestForkAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocs per fork", allocs)
 	if allocs > forkAllocBudget {
 		t.Errorf("a fork allocates %.1f objects, budget %d", allocs, forkAllocBudget)
+	}
+}
+
+// The raft paths are budgeted over a whole run, construction included,
+// in heap objects per fired engine event: the built-in 3-node cluster
+// failover at seed 7 and the live-migration suite at seed 1. Raft's
+// election, heartbeat and retransmit timers are engine registers built
+// once per replica, so arming one builds no closure; what is left is
+// per-message state (fabric messages, log entries, signed records) and
+// the stacks the runs construct. Each budget is the measured figure
+// (4.17 and 3.17 with Go 1.24) with about 10 % headroom.
+const (
+	clusterAllocBudget   = 4.6
+	migrationAllocBudget = 3.5
+)
+
+// raceDetector reports a race-enabled build (race_test.go). The race
+// detector makes sync.Pool drop items at random, so fmt and the other
+// pooled paths allocate more, and by a varying amount.
+var raceDetector bool
+
+// runAllocsPerEvent runs run, which reports the engine events it fired,
+// and returns the heap objects allocated per event. A race-enabled build
+// skips the test: its count is not the program's.
+func runAllocsPerEvent(t *testing.T, run func() (uint64, error)) float64 {
+	t.Helper()
+	if raceDetector {
+		t.Skip("allocation counts are not representative under the race detector")
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	events, err := run()
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 {
+		t.Fatal("the run fired no events")
+	}
+	perEvent := float64(m1.Mallocs-m0.Mallocs) / float64(events)
+	t.Logf("%d events, %.3f allocs/event", events, perEvent)
+	return perEvent
+}
+
+// TestClusterFailoverAllocBudget bounds the allocations of the built-in
+// cluster failover: elections, replication, a leader kill and a rejoin.
+func TestClusterFailoverAllocBudget(t *testing.T) {
+	m, err := cluster.ParseManifest(ClusterManifestText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runAllocsPerEvent(t, func() (uint64, error) {
+		r, err := RunClusterManifest(m, 7)
+		if err != nil {
+			return 0, err
+		}
+		return r.EventsFired, nil
+	})
+	if got > clusterAllocBudget {
+		t.Errorf("cluster failover allocates %.3f objects per event, budget %.1f", got, clusterAllocBudget)
+	}
+}
+
+// TestMigrationAllocBudget bounds the allocations of the live-migration
+// suite: three pre-copy cells and the mid-transfer kill cell, each on a
+// fresh 3-node cluster.
+func TestMigrationAllocBudget(t *testing.T) {
+	got := runAllocsPerEvent(t, func() (uint64, error) {
+		r, err := RunMigrationSuite(1)
+		if err != nil {
+			return 0, err
+		}
+		var events uint64
+		for _, c := range r.Cells {
+			events += c.EventsFired
+		}
+		return events, nil
+	})
+	if got > migrationAllocBudget {
+		t.Errorf("migration suite allocates %.3f objects per event, budget %.1f", got, migrationAllocBudget)
 	}
 }

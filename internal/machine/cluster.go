@@ -50,9 +50,9 @@ type Cluster struct {
 
 	// Next-event index heap over the nodes, keyed by a cached lower bound
 	// on each node's earliest unfired event. Each engine's schedule hook
-	// performs decrease-key/insert; fired and cancelled events make keys
-	// go stale-low, which next() repairs lazily by raising to the
-	// engine's actual NextAt and re-sifting.
+	// performs decrease-key/insert; fired events and disarmed or later
+	// re-armed registers make keys go stale-low, which next() repairs
+	// lazily by raising to the engine's actual NextAt and re-sifting.
 	heapIdx []int      // heap of node indices, min at heapIdx[0]
 	heapPos []int      // node index -> position in heapIdx, -1 when absent
 	heapKey []sim.Time // node index -> cached lower bound on NextAt
@@ -122,10 +122,11 @@ func (c *Cluster) Now() sim.Time { return c.vt }
 // NextAt (maintained by the engines' schedule hooks), and the loop
 // repairs stale roots — a key under the engine's true next event, or a
 // node that drained — by raising or removing and re-sifting. Keys only
-// ever go stale LOW (firing and cancelling raise a node's true next;
-// scheduling lowers it, and the hook sees every schedule), so the root
-// with a verified-fresh key really is the global minimum. Amortized
-// O(log N) against the sequential scan's O(N) per event.
+// ever go stale LOW (firing, disarming and re-arming later raise a
+// node's true next; scheduling and arming can lower it, and the hook
+// sees every schedule and arm), so the root with a verified-fresh key
+// really is the global minimum. Amortized O(log N) against the sequential scan's O(N) per
+// event.
 func (c *Cluster) next() (int, sim.Time) {
 	for len(c.heapIdx) > 0 {
 		i := c.heapIdx[0]

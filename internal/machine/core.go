@@ -56,16 +56,16 @@ type Core struct {
 	// the extra pointer hop shows up at simulation scale.
 	eng   *sim.Engine
 	trace *sim.Trace
-	// completeFn is the one method value passed to ScheduleArg so starting
-	// an activity allocates neither a closure nor an event.
-	completeFn func(any)
+	// done is the completion deadline of the running activity: armed when
+	// an activity starts, disarmed when an interrupt suspends it. Its
+	// callback completes c.cur, so starting an activity allocates nothing.
+	done *sim.Register
 	// free holds completed Exec activities for reuse, so kernel and guest
 	// work slices allocate no Activity in steady state. It never holds
 	// more than the peak number of Exec activities live at once.
 	free []*Activity
 
 	cur      *Activity
-	curEvent sim.Event
 	curStart sim.Time
 	stack    []*Activity
 	next     *Activity
@@ -205,12 +205,12 @@ func (c *Core) start(a *Activity) {
 	now := c.eng.Now()
 	c.cur = a
 	c.curStart = now
-	c.curEvent = c.eng.ScheduleArg(now.Add(a.Remaining), "core.complete", c.completeFn, a)
+	c.done.Arm(now.Add(a.Remaining))
 }
 
-// completeArg adapts complete to the engine's arg-style callback; it is
-// bound once per core (see completeFn).
-func (c *Core) completeArg(x any) { c.complete(x.(*Activity)) }
+// completeCur is the done register's callback: the running activity has
+// reached its end.
+func (c *Core) completeCur() { c.complete(c.cur) }
 
 func (c *Core) complete(a *Activity) {
 	c.busy += a.Remaining
@@ -220,7 +220,6 @@ func (c *Core) complete(a *Activity) {
 	c.trace.Span(c.curStart, a.Remaining, c.id, "exec", a.Label)
 	a.Remaining = 0
 	c.cur = nil
-	c.curEvent = sim.Event{}
 	if a.OnComplete != nil {
 		a.OnComplete()
 	} else if a.bound != nil {
@@ -300,8 +299,7 @@ func (c *Core) suspendCurrent() {
 	a := c.cur
 	now := c.eng.Now()
 	elapsed := now.Sub(c.curStart)
-	c.eng.Cancel(c.curEvent)
-	c.curEvent = sim.Event{}
+	c.done.Disarm()
 	a.Remaining -= elapsed
 	if a.Remaining < 0 {
 		a.Remaining = 0

@@ -113,7 +113,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		c := &Core{id: i, node: n, eng: eng, trace: n.Trace, idleSince: 0}
-		c.completeFn = c.completeArg
+		c.done = eng.NewRegister("core.complete", c.completeCur)
 		n.Cores = append(n.Cores, c)
 	}
 	dist.SetSink(n)

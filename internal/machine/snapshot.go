@@ -11,9 +11,10 @@ import (
 // whole-node and whole-cluster checkpoints (DESIGN.md §11). Ownership
 // rule: every layer snapshots exactly the state it owns, and the node
 // snapshots the layers it assembled plus whatever the OS/hypervisor
-// stack registered. The engine restores first — that revalidates every
-// sim.Event handle the other layers recorded — and everything else is a
-// plain state write, so restore order among the rest is immaterial.
+// stack registered. No layer holds a handle to a queued event: the
+// deadlines a layer moves or drops are sim.Registers, which the engine
+// snapshot records. Every restore is a plain state write, so restore
+// order is immaterial.
 
 // ActivityState records one Activity by pointer together with its whole
 // value. Activities are shared across timelines (the same object lives
@@ -49,7 +50,6 @@ func (s ActivityState) Restore() {
 // coreState is one core's Snapshot payload.
 type coreState struct {
 	cur           *Activity
-	curEvent      sim.Event
 	curStart      sim.Time
 	stack         []*Activity
 	next          *Activity
@@ -63,14 +63,13 @@ type coreState struct {
 	free          []*Activity
 }
 
-// Snapshot captures the core's execution state: the running activity and
-// its completion event, the suspension stack, the switched-to activity,
+// Snapshot captures the core's execution state: the running activity,
+// the suspension stack, the switched-to activity,
 // the Exec free list and mask/accounting state, including the TLB
 // invalidation count. Core implements sim.Snapshotter.
 func (c *Core) Snapshot() sim.State {
 	s := &coreState{
 		cur:           c.cur,
-		curEvent:      c.curEvent,
 		curStart:      c.curStart,
 		stack:         append([]*Activity(nil), c.stack...),
 		next:          c.next,
@@ -95,15 +94,14 @@ func (c *Core) Snapshot() sim.State {
 	return s
 }
 
-// Restore reinstalls a snapshot taken on this core. The node's engine
-// must already be restored (curEvent is revalidated by it).
+// Restore reinstalls a snapshot taken on this core. The engine snapshot
+// carries the completion deadline, armed for the running activity.
 func (c *Core) Restore(st sim.State) {
 	s, ok := st.(*coreState)
 	if !ok {
 		panic(fmt.Sprintf("machine: Core.Restore of foreign state %T", st))
 	}
 	c.cur = s.cur
-	c.curEvent = s.curEvent
 	c.curStart = s.curStart
 	c.stack = append(c.stack[:0], s.stack...)
 	c.next = s.next
@@ -195,11 +193,9 @@ func (n *Node) Snapshot() sim.State {
 	return s
 }
 
-// Restore rewinds the node to a snapshot previously taken from it. The
-// engine restores first so every Event handle recorded by the other
-// layers revalidates; a component registered after the snapshot was
-// taken has no recorded state and panics (snapshots are whole-node or
-// nothing).
+// Restore rewinds the node to a snapshot previously taken from it. A
+// component registered after the snapshot was taken has no recorded
+// state and panics (snapshots are whole-node or nothing).
 func (n *Node) Restore(st sim.State) {
 	s, ok := st.(*nodeState)
 	if !ok {

@@ -2,71 +2,24 @@ package sim
 
 import "fmt"
 
-// slot is the engine-owned storage for one scheduled event. Slots are
-// pooled: after an event fires (or a cancelled slot is collected) the
-// slot returns to the engine's free list and is reused by a later
-// Schedule, so the steady-state hot path allocates nothing. The
-// generation counter distinguishes successive occupancies of one slot, so
-// a stale Event handle can never touch a recycled slot.
+// slot is the engine-owned storage for one event queued on the heap or a
+// lane. Slots are pooled: after an event fires its slot returns to the
+// engine's free list and is reused by a later Schedule, so the
+// steady-state hot path allocates nothing.
 type slot struct {
-	gen  uint64 // bumped on release; live Event handles must match
-	fn   func()
-	afn  func(any) // arg-style callback (ScheduleArg), exclusive with fn
-	arg  any
-	name string
-	idx  uint32 // the slot's index in Engine.slots
-	heap bool   // queued in the heap rather than a FIFO lane
-
-	// A cancelled slot stays queued as a tombstone until it reaches the
-	// front or the engine compacts the heap (see Engine), so Cancel needs
-	// no per-slot queue position.
-	canceled    bool
-	canceledGen uint64 // generation of the most recently cancelled occupancy
-}
-
-// Event is a cancellable handle to a scheduled callback, returned by
-// Schedule and friends. It is a small value (copy it freely; the zero
-// Event is valid and refers to nothing). Once the callback has fired, the
-// handle goes stale: Cancel becomes a guaranteed no-op — the engine
-// recycles event storage internally, and the generation check in the
-// handle prevents a stale Cancel from ever touching a later event that
-// happens to reuse the same slot.
-type Event struct {
-	s    *slot
-	gen  uint64
-	when Time
-}
-
-// When reports the time the event is (or was) scheduled to fire.
-func (e Event) When() Time { return e.when }
-
-// Pending reports whether the event is still queued: scheduled, not yet
-// fired, and not cancelled.
-func (e Event) Pending() bool { return e.s != nil && e.s.gen == e.gen && !e.s.canceled }
-
-// Canceled reports whether this event was cancelled before firing. The
-// answer stays correct until the engine reuses the underlying slot for
-// another event that is itself cancelled; treat it as a debugging aid,
-// not long-term state.
-func (e Event) Canceled() bool { return e.s != nil && e.s.canceledGen == e.gen }
-
-// Name reports the optional debug label given at scheduling time, or ""
-// once the event has fired and its slot has been recycled.
-func (e Event) Name() string {
-	if e.s != nil && e.s.gen == e.gen {
-		return e.s.name
-	}
-	return ""
+	fn  func()
+	afn func(any) // arg-style callback (ScheduleArg), exclusive with fn
+	arg any
 }
 
 // entry is one queued event as the queues see it: its (when, seq) key
-// and the index of its slot. It holds no pointer, so moving entries
-// through the heap needs no write barrier and comparing two never
-// dereferences a slot.
+// and the index of its slot, or in the register heap of its register.
+// It holds no pointer, so moving entries through a heap needs no write
+// barrier and comparing two never dereferences anything.
 type entry struct {
 	when Time
 	seq  uint64 // tie-break: FIFO among events at the same instant
-	slot uint32
+	id   uint32
 }
 
 // before orders entries by (when, seq): time first, FIFO at one instant.
@@ -116,7 +69,8 @@ func (f *fifo) reset() {
 // Queue identities: where an entry is queued. Fixed-delay lane i is
 // srcDelay+i.
 const (
-	srcNone  = -2
+	srcNone  = -3
+	srcReg   = -2
 	srcHeap  = -1
 	srcNow   = 0
 	srcDelay = 1
@@ -126,10 +80,8 @@ const (
 // for concurrent use; all simulated components run inside event callbacks
 // on the goroutine that calls Run or Step.
 //
-// Events live in pooled slots in an engine-owned table; the queues hold
-// pointer-free entries that name a slot by index. There are three kinds
-// of queue, and the front event is the (when, seq) minimum of their
-// heads:
+// There are four kinds of queue, each holding pointer-free entries, and
+// the front event is the (when, seq) minimum of their heads:
 //
 //   - a 4-ary min-heap for events at arbitrary future times;
 //   - a FIFO lane for events scheduled at the current instant (the
@@ -137,41 +89,39 @@ const (
 //     bypass the heap entirely);
 //   - one FIFO lane per fixed delay obtained with NewDelay. Such events
 //     are always scheduled the same positive delay ahead, so they arrive
-//     sorted by (when, seq) and need no heap.
+//     sorted by (when, seq) and need no heap;
+//   - a binary min-heap of armed Registers, each register's position in
+//     it kept in a dense table so re-arming and disarming are O(log n).
 //
-// Cancel marks the slot and leaves its entry queued as a tombstone,
-// which keeps the queues free of index bookkeeping. The heap compacts
-// itself: once its tombstones reach compactMin and outnumber the live
-// events in the heap, they all go back to the free list and the heap is
-// rebuilt in place. A compaction costs O(heap) and removes at least half
-// the heap, so it is O(1) per Cancel on average, and the heap never holds
-// more than 2·(live events in the heap)+compactMin entries. A re-armed
-// timer deadline, cancelled on every tick, therefore cannot pile up.
-// Lane tombstones leave when they reach the front.
+// Heap and lane events live in pooled slots and, once scheduled, always
+// fire. A deadline that its owner moves or drops before it fires is a
+// Register: the owner has one pending firing at a time, and the engine
+// keeps at most one entry for it.
 type Engine struct {
-	now     Time
-	seq     uint64
-	slots   []*slot  // slot table, indexed by entry.slot
-	heap    []entry  // 4-ary min-heap by (when, seq)
-	nowq    fifo     // events with when == now
-	delays  []fifo   // fixed-delay lanes, one per NewDelay
-	free    []uint32 // indices of pooled slots
-	live    int      // queued and not cancelled
-	tombs   int      // cancelled entries queued in the heap
+	now    Time
+	seq    uint64
+	slots  []slot   // slot table, indexed by heap and lane entries
+	free   []uint32 // indices of pooled slots
+	heap   []entry  // 4-ary min-heap by (when, seq)
+	nowq   fifo     // events with when == now
+	delays []fifo   // fixed-delay lanes, one per NewDelay
+	live   int      // events queued on the heap and the lanes
+
+	regs  []*Register // by register id
+	rheap []entry     // binary min-heap of armed registers by (when, seq)
+	rpos  []int32     // each register's index in rheap, -1 when disarmed
+
 	rng     *RNG
 	stopped bool
-	// keep is Restore's scratch mark, by slot: the slots a snapshot
-	// reinstalls. It is kept so a fork loop restores without allocating.
-	keep []bool
 
 	// fired counts events executed; useful as a progress/complexity metric.
 	fired uint64
 
-	// scheduleHook, when set, observes every successful schedule (the
-	// event's timestamp, after insertion). Multiplexers that cache each
-	// engine's earliest-event time — the cluster layer's index-min-heap —
-	// use it to learn about cross-engine schedules without rescanning.
-	// The hook must not schedule or cancel events.
+	// scheduleHook, when set, observes every successful schedule and arm
+	// (the event's timestamp, after insertion). Multiplexers that cache
+	// each engine's earliest-event time — the cluster layer's
+	// index-min-heap — use it to learn about cross-engine schedules
+	// without rescanning. The hook must not schedule or arm events.
 	scheduleHook func(Time)
 }
 
@@ -190,23 +140,23 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled and not yet fired or
-// cancelled.
-func (e *Engine) Pending() int { return e.live }
+// Pending reports how many events are waiting to fire: scheduled events
+// and armed registers.
+func (e *Engine) Pending() int { return e.live + len(e.rheap) }
 
 // Schedule enqueues fn to run at the absolute time at. Scheduling in the
-// past (before Now) is a logic error and panics. The returned Event can
-// be passed to Cancel.
-func (e *Engine) Schedule(at Time, fn func()) Event {
-	return e.ScheduleNamed(at, "", fn)
+// past (before Now) is a logic error and panics.
+func (e *Engine) Schedule(at Time, fn func()) {
+	e.ScheduleNamed(at, "", fn)
 }
 
-// ScheduleNamed is Schedule with a debug label attached to the event.
-func (e *Engine) ScheduleNamed(at Time, name string, fn func()) Event {
+// ScheduleNamed is Schedule with a label that names the event in the
+// panic a schedule in the past raises.
+func (e *Engine) ScheduleNamed(at Time, name string, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	return e.schedule(at, name, fn, nil, nil)
+	e.schedule(at, name, fn, nil, nil)
 }
 
 // ScheduleArg is ScheduleNamed for allocation-free hot paths: fn is a
@@ -214,20 +164,19 @@ func (e *Engine) ScheduleNamed(at Time, name string, fn func()) Event {
 // avoid materializing a fresh closure for every event (the engine calls
 // fn(arg) when the event fires). Pointer-shaped args do not allocate when
 // boxed.
-func (e *Engine) ScheduleArg(at Time, name string, fn func(any), arg any) Event {
+func (e *Engine) ScheduleArg(at Time, name string, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	return e.schedule(at, name, nil, fn, arg)
+	e.schedule(at, name, nil, fn, arg)
 }
 
-func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg any) Event {
+func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", name, at, e.now))
 	}
-	s, x := e.fill(at, name, fn, afn, arg)
-	s.heap = at != e.now
-	if s.heap {
+	x := e.fill(at, fn, afn, arg)
+	if at != e.now {
 		e.heapPush(x)
 	} else {
 		// Same-instant lane: appended in seq order, so the lane is itself
@@ -238,21 +187,31 @@ func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg an
 	if e.scheduleHook != nil {
 		e.scheduleHook(at)
 	}
-	return Event{s: s, gen: s.gen, when: at}
 }
 
-// fill takes a slot for an event at at, stores its callback and label,
-// draws its seq, and returns the slot with the entry that queues it.
-func (e *Engine) fill(at Time, name string, fn func(), afn func(any), arg any) (*slot, entry) {
-	s := e.alloc()
+// fill takes a slot for an event at at, stores its callback, draws its
+// seq, and returns the entry that queues it.
+func (e *Engine) fill(at Time, fn func(), afn func(any), arg any) entry {
+	i := e.take()
+	s := &e.slots[i]
 	s.fn = fn
 	s.afn = afn
 	s.arg = arg
-	s.name = name
-	x := entry{when: at, seq: e.seq, slot: s.idx}
+	x := entry{when: at, seq: e.seq, id: i}
 	e.seq++
 	e.live++
-	return s, x
+	return x
+}
+
+// take returns the index of a free slot, from the pool or newly added.
+func (e *Engine) take() uint32 {
+	if n := len(e.free); n > 0 {
+		i := e.free[n-1]
+		e.free = e.free[:n-1]
+		return i
+	}
+	e.slots = append(e.slots, slot{})
+	return uint32(len(e.slots) - 1)
 }
 
 // SetScheduleHook installs (or, with nil, removes) the schedule observer.
@@ -261,19 +220,19 @@ func (e *Engine) fill(at Time, name string, fn func(), afn func(any), arg any) (
 func (e *Engine) SetScheduleHook(hook func(Time)) { e.scheduleHook = hook }
 
 // After enqueues fn to run d from now. Negative d panics.
-func (e *Engine) After(d Duration, fn func()) Event {
+func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.Schedule(e.now.Add(d), fn)
+	e.Schedule(e.now.Add(d), fn)
 }
 
-// AfterNamed is After with a debug label.
-func (e *Engine) AfterNamed(d Duration, name string, fn func()) Event {
+// AfterNamed is After with a label.
+func (e *Engine) AfterNamed(d Duration, name string, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.ScheduleNamed(e.now.Add(d), name, fn)
+	e.ScheduleNamed(e.now.Add(d), name, fn)
 }
 
 // Delay is a fixed-delay lane of an Engine: every event scheduled on it
@@ -303,9 +262,8 @@ func (e *Engine) NewDelay(d Duration) *Delay {
 }
 
 // ScheduleArg is Engine.ScheduleArg at the lane's fixed delay d from
-// now: fn(arg) runs at Now()+d. The event is cancellable like any other;
-// a cancelled lane event leaves the lane when it reaches the front.
-func (l *Delay) ScheduleArg(name string, fn func(any), arg any) Event {
+// now: fn(arg) runs at Now()+d.
+func (l *Delay) ScheduleArg(name string, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
@@ -315,102 +273,93 @@ func (l *Delay) ScheduleArg(name string, fn func(any), arg any) Event {
 	if !f.empty() && at < f.q[len(f.q)-1].when {
 		panic(fmt.Sprintf("sim: fixed-delay lane event %q at %v before the lane's tail", name, at))
 	}
-	s, x := e.fill(at, name, nil, fn, arg)
-	s.heap = false
-	f.push(x)
+	f.push(e.fill(at, nil, fn, arg))
 	if e.scheduleHook != nil {
 		e.scheduleHook(at)
 	}
-	return Event{s: s, gen: s.gen, when: at}
 }
 
-// Cancel removes ev from the queue. Cancelling an already-fired,
-// already-cancelled, or zero Event is a guaranteed no-op: the handle's
-// generation no longer matches its (possibly recycled) slot, so a stale
-// Cancel can never affect a later event. This simplifies callers that
-// race a completion event against a preemption.
-func (e *Engine) Cancel(ev Event) {
-	s := ev.s
-	if s == nil || s.gen != ev.gen || s.canceled {
-		return
+// Register is a re-armable deadline: an event bound to one callback when
+// it is created, with at most one pending firing. Arm sets (or moves) the
+// firing, Disarm drops it, and the register is disarmed again when the
+// callback runs, so the callback may re-arm it. Ordering is exact: each
+// Arm draws a seq from the engine counter, so the firing takes the same
+// place in the engine's (when, seq) order as a Schedule at that moment
+// would. A register lives as long as its engine; create one per owner at
+// construction, not one per deadline. An engine snapshot records which
+// registers are armed and for when, so a Restore re-arms and disarms them
+// with the rest of the queue.
+type Register struct {
+	eng  *Engine
+	id   uint32
+	name string
+	fn   func()
+}
+
+// NewRegister returns a disarmed register that runs fn whenever it fires.
+func (e *Engine) NewRegister(name string, fn func()) *Register {
+	if fn == nil {
+		panic("sim: nil register callback")
 	}
-	s.canceled = true
-	s.canceledGen = ev.gen
-	s.fn = nil
-	s.afn = nil
-	s.arg = nil
-	e.live--
-	if s.heap {
-		e.tombs++
-		e.maybeCompact()
+	r := &Register{eng: e, id: uint32(len(e.regs)), name: name, fn: fn}
+	e.regs = append(e.regs, r)
+	e.rpos = append(e.rpos, -1)
+	return r
+}
+
+// Arm sets the register to fire at the absolute time at, replacing its
+// pending firing if it has one. Arming in the past panics.
+func (r *Register) Arm(at Time) {
+	e := r.eng
+	if at < e.now {
+		panic(fmt.Sprintf("sim: arming register %q at %v before now %v", r.name, at, e.now))
+	}
+	x := entry{when: at, seq: e.seq, id: r.id}
+	e.seq++
+	if p := e.rpos[r.id]; p >= 0 {
+		e.rheap[p] = x
+		e.regFix(int(p))
+	} else {
+		e.rheap = append(e.rheap, x)
+		e.regUp(len(e.rheap) - 1)
+	}
+	if e.scheduleHook != nil {
+		e.scheduleHook(at)
 	}
 }
 
-// compactMin is the fewest heap tombstones worth a compaction.
-const compactMin = 16
-
-// maybeCompact compacts the heap when its tombstones reach compactMin and
-// outnumber the live events in the heap. Every heap Cancel and every
-// fired heap event checks it, so after any engine call the heap holds at
-// most 2·(live events in the heap)+compactMin entries.
-func (e *Engine) maybeCompact() {
-	if e.tombs >= compactMin && 2*e.tombs > len(e.heap) {
-		e.compact()
+// Disarm drops the register's pending firing; it is a no-op on a
+// disarmed register.
+func (r *Register) Disarm() {
+	if p := r.eng.rpos[r.id]; p >= 0 {
+		r.eng.regRemove(int(p))
 	}
 }
 
-// compact releases every heap tombstone to the free list and restores the
-// heap order in place. The lanes are left alone: their tombstones are not
-// counted and leave when they reach the front.
-func (e *Engine) compact() {
-	h := e.heap
-	n := 0
-	for _, x := range h {
-		if s := e.slots[x.slot]; s.canceled {
-			e.release(s)
-		} else {
-			h[n] = x
-			n++
-		}
-	}
-	e.heap = h[:n]
-	e.heapify()
-	e.tombs = 0
-}
+// Armed reports whether the register has a pending firing.
+func (r *Register) Armed() bool { return r.eng.rpos[r.id] >= 0 }
 
-// alloc takes a slot from the pool, or mints one.
-func (e *Engine) alloc() *slot {
-	if n := len(e.free); n > 0 {
-		i := e.free[n-1]
-		e.free = e.free[:n-1]
-		return e.slots[i]
+// When reports the time of the pending firing, or 0 when disarmed.
+func (r *Register) When() Time {
+	if p := r.eng.rpos[r.id]; p >= 0 {
+		return r.eng.rheap[p].when
 	}
-	// Generation 0 is reserved for the zero Event.
-	s := &slot{gen: 1, idx: uint32(len(e.slots))}
-	e.slots = append(e.slots, s)
-	return s
-}
-
-// release returns a dequeued slot to the pool, invalidating outstanding
-// handles by bumping the generation.
-func (e *Engine) release(s *slot) {
-	s.gen++
-	s.fn = nil
-	s.afn = nil
-	s.arg = nil
-	s.name = ""
-	s.canceled = false
-	e.free = append(e.free, s.idx)
+	return 0
 }
 
 // front returns the front entry — the (when, seq) minimum across the
-// heap and the lanes — and the queue holding it, or srcNone when every
-// queue is empty.
+// register heap, the event heap and the lanes — and the queue holding
+// it, or srcNone when every queue is empty.
 func (e *Engine) front() (entry, int) {
 	var best entry
 	src := srcNone
+	if len(e.rheap) > 0 {
+		best, src = e.rheap[0], srcReg
+	}
 	if len(e.heap) > 0 {
-		best, src = e.heap[0], srcHeap
+		if x := e.heap[0]; src == srcNone || x.before(best) {
+			best, src = x, srcHeap
+		}
 	}
 	if !e.nowq.empty() {
 		if x := e.nowq.head(); src == srcNone || x.before(best) {
@@ -427,9 +376,20 @@ func (e *Engine) front() (entry, int) {
 	return best, src
 }
 
-// dequeue removes the front entry from queue src.
-func (e *Engine) dequeue(src int) {
+// fire dequeues the front entry x from queue src, advances the clock, and
+// runs its callback. A register is disarmed and a slot recycled before
+// the callback runs, so a callback observes its own event as fired.
+func (e *Engine) fire(x entry, src int) {
+	if x.when < e.now {
+		panic("sim: event queue time went backwards")
+	}
+	e.now = x.when
+	e.fired++
 	switch src {
+	case srcReg:
+		e.regRemove(0)
+		e.regs[x.id].fn()
+		return
 	case srcHeap:
 		e.heapPop()
 	case srcNow:
@@ -437,66 +397,28 @@ func (e *Engine) dequeue(src int) {
 	default:
 		e.delays[src-srcDelay].pop()
 	}
-}
-
-// nextLive releases cancelled entries at the front and returns the next
-// live entry without removing it, with its queue; src is srcNone when
-// the queue is drained.
-func (e *Engine) nextLive() (entry, int) {
-	for {
-		x, src := e.front()
-		if src == srcNone {
-			return x, src
-		}
-		s := e.slots[x.slot]
-		if !s.canceled {
-			return x, src
-		}
-		e.dequeue(src)
-		if src == srcHeap {
-			e.tombs--
-		}
-		e.release(s)
-	}
-}
-
-// fire dequeues the live front entry x from queue src, advances the
-// clock, and runs its callback. The slot is recycled before the callback
-// runs, so callbacks observe their own event as already fired.
-func (e *Engine) fire(x entry, src int) {
-	e.dequeue(src)
-	if x.when < e.now {
-		panic("sim: event queue time went backwards")
-	}
-	e.now = x.when
-	e.fired++
 	e.live--
-	if src == srcHeap {
-		e.maybeCompact()
-	}
-	s := e.slots[x.slot]
-	if s.afn != nil {
-		afn, arg := s.afn, s.arg
-		e.release(s)
+	s := &e.slots[x.id]
+	fn, afn, arg := s.fn, s.afn, s.arg
+	*s = slot{}
+	e.free = append(e.free, x.id)
+	if afn != nil {
 		afn(arg)
 		return
 	}
-	fn := s.fn
-	e.release(s)
 	fn()
 }
 
-// NextAt reports the timestamp of the next live event without firing it,
-// or false when the queue is drained (or Stop was called). Multiplexers
+// NextAt reports the timestamp of the next event without firing it, or
+// false when the queue is drained (or Stop was called). Multiplexers
 // that interleave several engines — the cluster layer picking the
 // globally earliest event across nodes — use this to decide whose Step
-// runs next. Cancelled entries at the front are collected as a side
-// effect, exactly as Step would.
+// runs next.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.stopped {
 		return 0, false
 	}
-	x, src := e.nextLive()
+	x, src := e.front()
 	if src == srcNone {
 		return 0, false
 	}
@@ -509,7 +431,7 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	x, src := e.nextLive()
+	x, src := e.front()
 	if src == srcNone {
 		return false
 	}
@@ -523,7 +445,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	for !e.stopped {
-		x, src := e.nextLive()
+		x, src := e.front()
 		if src == srcNone || x.when > until {
 			break
 		}
@@ -577,14 +499,6 @@ func (e *Engine) heapPop() {
 	}
 }
 
-// heapify restores the heap order over the whole heap in O(n).
-func (e *Engine) heapify() {
-	h := e.heap
-	for i := (len(h) - 2) / 4; len(h) > 1 && i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
 // siftDown moves h[i] down the 4-ary heap: at each node it promotes the
 // smallest of up to four children until the moved entry fits.
 func siftDown(h []entry, i int) {
@@ -609,4 +523,70 @@ func siftDown(h []entry, i int) {
 		i = best
 	}
 	h[i] = x
+}
+
+// regUp moves rheap[i] up the register heap, keeping rpos current.
+func (e *Engine) regUp(i int) {
+	h := e.rheap
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		e.rpos[h[i].id] = int32(i)
+		i = p
+	}
+	h[i] = x
+	e.rpos[x.id] = int32(i)
+}
+
+// regDown moves rheap[i] down the register heap, keeping rpos current.
+func (e *Engine) regDown(i int) {
+	h := e.rheap
+	x := h[i]
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		e.rpos[h[i].id] = int32(i)
+		i = c
+	}
+	h[i] = x
+	e.rpos[x.id] = int32(i)
+}
+
+// regFix restores the register heap order around rheap[i] after its key
+// changed in either direction.
+func (e *Engine) regFix(i int) {
+	if i > 0 && e.rheap[i].before(e.rheap[(i-1)/2]) {
+		e.regUp(i)
+	} else {
+		e.regDown(i)
+	}
+}
+
+// regRemove takes rheap[i] out of the register heap and disarms its
+// register.
+func (e *Engine) regRemove(i int) {
+	h := e.rheap
+	n := len(h) - 1
+	e.rpos[h[i].id] = -1
+	if i != n {
+		h[i] = h[n]
+	}
+	e.rheap = h[:n]
+	if i != n {
+		e.regFix(i)
+	}
 }

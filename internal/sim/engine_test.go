@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -42,100 +43,111 @@ func TestSameInstantEventsFireFIFO(t *testing.T) {
 	}
 }
 
+// Disarming a register cancels its pending firing.
 func TestCancelPreventsFiring(t *testing.T) {
 	e := NewEngine(1)
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
+	fired := 0
+	r := e.NewRegister("r", func() { fired++ })
+	r.Arm(10)
+	r.Disarm()
 	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
+	if fired != 0 {
+		t.Fatal("disarmed register fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("event not marked cancelled")
+	if r.Armed() || r.When() != 0 {
+		t.Fatalf("disarmed register reports Armed=%v When=%v", r.Armed(), r.When())
 	}
-	// Double-cancel and cancel-after-fire must be no-ops.
-	e.Cancel(ev)
-	ev2 := e.Schedule(e.Now().Add(1), func() {})
+	// A second Disarm is a no-op, and the register arms again afterwards.
+	r.Disarm()
+	r.Arm(e.Now().Add(1))
 	e.RunAll()
-	e.Cancel(ev2)
+	if fired != 1 {
+		t.Fatalf("re-armed register fired %d times, want 1", fired)
+	}
 }
 
-// Cancel after an event has fired is a documented no-op — and, because
-// the engine pools event storage, the stale handle must not be able to
-// cancel a *later* event that recycles the same slot.
+// A register is disarmed when it fires, so Disarm after the firing is a
+// no-op that touches no other register, and the register can be armed
+// again.
 func TestCancelAfterPopIsNoOp(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	ev := e.Schedule(10, func() { fired++ })
+	r := e.NewRegister("r", func() { fired++ })
+	other := e.NewRegister("other", func() { fired += 10 })
+	r.Arm(10)
 	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1", fired)
+	if fired != 1 || r.Armed() {
+		t.Fatalf("fired=%d Armed=%v after the firing, want 1 and false", fired, r.Armed())
 	}
-	if ev.Pending() {
-		t.Fatal("fired event still reports Pending")
+	other.Arm(e.Now().Add(5))
+	r.Disarm()
+	if !other.Armed() || e.Pending() != 1 {
+		t.Fatalf("Disarm of a fired register disturbed another: Armed=%v Pending=%d", other.Armed(), e.Pending())
 	}
-	e.Cancel(ev) // stale handle: must do nothing
-	if ev.Canceled() {
-		t.Fatal("cancel-after-pop marked the stale handle cancelled")
-	}
-
-	// The recycled slot now hosts a new event; the stale cancel above and
-	// this one must not touch it.
-	ev2 := e.Schedule(e.Now().Add(5), func() { fired++ })
-	e.Cancel(ev)
-	if !ev2.Pending() {
-		t.Fatal("stale cancel hit a recycled slot's new occupant")
-	}
+	r.Arm(e.Now().Add(1))
 	e.RunAll()
-	if fired != 2 {
-		t.Fatalf("recycled-slot event did not fire: fired=%d, want 2", fired)
+	if fired != 12 {
+		t.Fatalf("fired=%d, want 12", fired)
 	}
 }
 
-// The zero Event is valid and refers to nothing.
-func TestZeroEventIsInert(t *testing.T) {
+// A new register is disarmed and inert.
+func TestNewRegisterIsDisarmed(t *testing.T) {
 	e := NewEngine(1)
-	var ev Event
-	e.Cancel(ev)
-	if ev.Pending() || ev.Canceled() || ev.Name() != "" || ev.When() != 0 {
-		t.Fatal("zero Event not inert")
+	r := e.NewRegister("r", func() { t.Fatal("unarmed register fired") })
+	r.Disarm()
+	if r.Armed() || r.When() != 0 || e.Pending() != 0 {
+		t.Fatalf("new register: Armed=%v When=%v Pending=%d", r.Armed(), r.When(), e.Pending())
+	}
+	if e.RunAll() != 0 {
+		t.Fatal("engine fired an event with nothing armed")
 	}
 }
 
-// Cancelling from inside the event's own callback is a no-op: the slot
-// is recycled before the callback runs.
+// A register's callback sees the register disarmed: Disarm there is a
+// no-op, and the callback may re-arm it.
 func TestCancelSelfInsideCallback(t *testing.T) {
 	e := NewEngine(1)
-	var ev Event
-	next := false
-	ev = e.Schedule(10, func() {
-		e.Cancel(ev)
-		e.After(1, func() { next = true })
+	var r *Register
+	var at []int64
+	r = e.NewRegister("r", func() {
+		at = append(at, int64(e.Now()))
+		if r.Armed() {
+			t.Error("register armed inside its own callback")
+		}
+		r.Disarm()
+		if len(at) < 3 {
+			r.Arm(e.Now().Add(5))
+		}
 	})
+	r.Arm(10)
 	e.RunAll()
-	if !next {
-		t.Fatal("follow-up event lost after self-cancel")
+	if fmt.Sprint(at) != "[10 15 20]" {
+		t.Fatalf("register fired at %v, want [10 15 20]", at)
 	}
 }
 
-// Pending must track cancellation and firing through the FIFO lane and
-// the heap alike.
+// Pending must count heap, lane and register events, and track disarming
+// and firing.
 func TestPendingCount(t *testing.T) {
 	e := NewEngine(1)
 	nop := func() {}
-	a := e.Schedule(0, nop) // lane: at == now
+	e.Schedule(0, nop) // lane: at == now
 	e.Schedule(5, nop)
-	c := e.Schedule(5, nop)
+	a := e.NewRegister("a", nop)
+	b := e.NewRegister("b", nop)
+	a.Arm(5)
+	b.Arm(0)
+	b.Arm(7) // re-arming keeps one pending firing
+	if e.Pending() != 4 {
+		t.Fatalf("Pending = %d, want 4", e.Pending())
+	}
+	a.Disarm()
 	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
+		t.Fatalf("Pending = %d after disarm, want 3", e.Pending())
 	}
-	e.Cancel(c)
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d after cancel, want 2", e.Pending())
-	}
-	if !a.Pending() || c.Pending() {
-		t.Fatal("handle Pending out of sync")
+	if a.Armed() || !b.Armed() || b.When() != 7 {
+		t.Fatalf("a.Armed=%v b.Armed=%v b.When=%v", a.Armed(), b.Armed(), b.When())
 	}
 	e.RunAll()
 	if e.Pending() != 0 {
@@ -146,22 +158,28 @@ func TestPendingCount(t *testing.T) {
 func TestCancelOneOfManyAtSameInstant(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	var evs []Event
+	var regs []*Register
 	for i := 0; i < 5; i++ {
-		i := i
-		evs = append(evs, e.Schedule(7, func() { got = append(got, i) }))
+		regs = append(regs, e.NewRegister("r", func() { got = append(got, i) }))
+		regs[i].Arm(7)
 	}
-	e.Cancel(evs[2])
+	regs[2].Disarm()
 	e.RunAll()
-	want := []int{0, 1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
+	if fmt.Sprint(got) != "[0 1 3 4]" {
+		t.Fatalf("got %v, want [0 1 3 4]", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
+}
+
+func TestRegisterArmInPastPanics(t *testing.T) {
+	e := NewEngine(1)
+	r := e.NewRegister("r", func() {})
+	e.Run(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming a register in the past did not panic")
 		}
-	}
+	}()
+	r.Arm(5)
 }
 
 func TestRunUntilStopsAtBoundaryAndAdvancesClock(t *testing.T) {
@@ -286,27 +304,29 @@ func TestQuickFiringOrderIsStableSortByTime(t *testing.T) {
 	}
 }
 
-// Property: cancelling an arbitrary subset removes exactly that subset.
+// Property: disarming an arbitrary subset of armed registers removes
+// exactly that subset.
 func TestQuickCancelIsExact(t *testing.T) {
-	f := func(times []uint8, cancelMask []bool) bool {
+	f := func(times []uint8, disarmMask []bool) bool {
 		e := NewEngine(7)
 		fired := map[int]bool{}
-		var evs []Event
+		var regs []*Register
 		for i, tt := range times {
-			i := i
-			evs = append(evs, e.Schedule(Time(tt), func() { fired[i] = true }))
+			r := e.NewRegister("r", func() { fired[i] = true })
+			r.Arm(Time(tt))
+			regs = append(regs, r)
 		}
-		cancelled := map[int]bool{}
-		for i, ev := range evs {
-			if i < len(cancelMask) && cancelMask[i] {
-				e.Cancel(ev)
-				cancelled[i] = true
+		disarmed := map[int]bool{}
+		for i, r := range regs {
+			if i < len(disarmMask) && disarmMask[i] {
+				r.Disarm()
+				disarmed[i] = true
 			}
 		}
 		e.RunAll()
-		for i := range evs {
-			if cancelled[i] == fired[i] {
-				return false // cancelled must not fire; uncancelled must fire
+		for i := range regs {
+			if disarmed[i] == fired[i] {
+				return false // disarmed must not fire; armed must fire
 			}
 		}
 		return true

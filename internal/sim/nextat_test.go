@@ -8,16 +8,22 @@ func TestEngineNextAt(t *testing.T) {
 		t.Fatal("empty engine reported a next event")
 	}
 	at := Time(0).Add(FromMicros(5))
-	ev := e.ScheduleNamed(at, "a", func() {})
+	r := e.NewRegister("a", func() {})
+	r.Arm(at)
 	if got, ok := e.NextAt(); !ok || got != at {
 		t.Fatalf("NextAt = %v,%v want %v,true", got, ok, at)
 	}
-	// NextAt must skip lazily-cancelled events without firing anything.
-	e.Cancel(ev)
+	// A disarmed register leaves no trace, and nothing fires.
+	r.Disarm()
 	later := at.Add(FromMicros(1))
 	e.ScheduleNamed(later, "b", func() {})
 	if got, ok := e.NextAt(); !ok || got != later {
-		t.Fatalf("NextAt after cancel = %v,%v want %v,true", got, ok, later)
+		t.Fatalf("NextAt after disarm = %v,%v want %v,true", got, ok, later)
+	}
+	// A register armed earlier than the heap's head is the next event.
+	r.Arm(at)
+	if got, ok := e.NextAt(); !ok || got != at {
+		t.Fatalf("NextAt after re-arm = %v,%v want %v,true", got, ok, at)
 	}
 	if e.Fired() != 0 {
 		t.Fatal("NextAt fired events")

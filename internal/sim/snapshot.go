@@ -20,26 +20,19 @@ type State = any
 //     inside an engine callback of the engine being snapshotted).
 //   - A State must be restored on the component that produced it.
 //   - A State may be restored any number of times (fork-by-rewind).
-//   - Event handles must not be held across a Restore by anything outside
-//     the snapshotted state: handles recorded in the snapshot revalidate,
-//     all others go stale.
+//   - A component holds no handle to a queued event: a deadline its owner
+//     moves or drops is a Register, which the engine snapshot records.
 type Snapshotter interface {
 	Snapshot() State
 	Restore(State)
 }
 
-// slotSnap records one live queued event at snapshot time: the slot it
-// occupies, the queue and key that order it, and every field needed to
-// reinstall it. Restore works in place: slots stay in the engine's table
-// for its whole lifetime, so a snapshot slot always still exists.
+// slotSnap records one event queued on the heap or a lane at snapshot
+// time: the queue and key that order it and its callback.
 type slotSnap struct {
-	x    entry
-	src  int // srcHeap, srcNow, or srcDelay+i
-	gen  uint64
-	fn   func()
-	afn  func(any)
-	arg  any
-	name string
+	x   entry
+	src int // srcHeap, srcNow, or srcDelay+i
+	slot
 }
 
 // engineState is the engine's Snapshot payload.
@@ -49,15 +42,15 @@ type engineState struct {
 	fired   uint64
 	stopped bool
 	rng     [4]uint64
-	slots   []slotSnap // heap events, then each lane front first
+	slots   []slotSnap // heap events in heap order, then each lane front first
+	regs    []entry    // the register heap, in heap order
 }
 
 // Snapshot captures the engine's full scheduling state: clock, sequence
-// and fired counters, PRNG state, and every live queued event (callbacks
-// included — the callbacks reference long-lived component objects whose
-// own state is captured by their components' Snapshotters). Cancelled
-// events are not recorded: they can never fire, and no handle can
-// cancel them again. It must be called between events. Engine
+// and fired counters, PRNG state, every queued event (callbacks included
+// — the callbacks reference long-lived component objects whose own state
+// is captured by their components' Snapshotters) and every armed
+// register with its deadline. It must be called between events. Engine
 // implements Snapshotter.
 func (e *Engine) Snapshot() State {
 	st := &engineState{
@@ -67,15 +60,11 @@ func (e *Engine) Snapshot() State {
 		stopped: e.stopped,
 		rng:     e.rng.State(),
 		slots:   make([]slotSnap, 0, e.live),
+		regs:    append([]entry(nil), e.rheap...),
 	}
 	capture := func(xs []entry, src int) {
 		for _, x := range xs {
-			if s := e.slots[x.slot]; !s.canceled {
-				st.slots = append(st.slots, slotSnap{
-					x: x, src: src, gen: s.gen,
-					fn: s.fn, afn: s.afn, arg: s.arg, name: s.name,
-				})
-			}
+			st.slots = append(st.slots, slotSnap{x: x, src: src, slot: e.slots[x.id]})
 		}
 	}
 	capture(e.heap, srcHeap)
@@ -87,72 +76,57 @@ func (e *Engine) Snapshot() State {
 }
 
 // Restore rewinds the engine to a snapshot taken earlier on this same
-// engine. It works in place over the slot table: the snapshot's slots
-// are reinstalled with their recorded generations (which revalidates
-// Event handles stored inside snapshotted component state), each back in
-// the queue it was recorded in, and every other slot is retired to the
-// free pool with a bumped generation (which invalidates handles minted
-// after the snapshot). A snapshot holds no tombstones, so neither does
-// the restored engine.
+// engine. Every slot goes back to the free pool, and each recorded event
+// takes a slot again and returns to the queue it was recorded in, the
+// heap in its recorded order; the register heap is copied back as
+// recorded, so a register armed in the snapshot is armed for the same
+// firing and every other register, including one created after the
+// snapshot, is disarmed.
 //
 // Pop order after restore is bit-identical to the uninterrupted run:
-// (when, seq) is a strict total order over queued events, each lane is
-// restored front first, and the heap shape is behaviorally invisible.
+// (when, seq) is a strict total order over queued events, and every
+// queue comes back in its recorded order.
 func (e *Engine) Restore(st State) {
 	s, ok := st.(*engineState)
 	if !ok {
 		panic(fmt.Sprintf("sim: Engine.Restore of foreign state %T", st))
 	}
-	// Mark the slots the snapshot reinstalls.
-	if cap(e.keep) < len(e.slots) {
-		e.keep = make([]bool, len(e.slots))
-	}
-	keep := e.keep[:len(e.slots)]
-	clear(keep)
-	for i := range s.slots {
-		keep[s.slots[i].x.slot] = true
-	}
-	// Reset the queues, then retire every slot the snapshot does not
-	// name, with a fresh generation so any handle minted on the abandoned
-	// timeline is stale.
 	e.heap = e.heap[:0]
 	e.nowq.reset()
 	for i := range e.delays {
 		e.delays[i].reset()
 	}
+	clear(e.slots)
 	e.free = e.free[:0]
-	for i, sl := range e.slots {
-		if !keep[i] {
-			e.release(sl)
-		}
+	for i := len(e.slots) - 1; i >= 0; i-- {
+		e.free = append(e.free, uint32(i))
 	}
-	// Reinstall the snapshot slots, each in its recorded queue.
 	for i := range s.slots {
 		sn := &s.slots[i]
-		sl := e.slots[sn.x.slot]
-		sl.gen = sn.gen
-		sl.fn = sn.fn
-		sl.afn = sn.afn
-		sl.arg = sn.arg
-		sl.name = sn.name
-		sl.canceled = false
-		sl.heap = sn.src == srcHeap
+		x := sn.x
+		x.id = e.take()
+		e.slots[x.id] = sn.slot
 		switch sn.src {
 		case srcHeap:
-			e.heap = append(e.heap, sn.x)
+			e.heap = append(e.heap, x)
 		case srcNow:
-			e.nowq.push(sn.x)
+			e.nowq.push(x)
 		default:
-			e.delays[sn.src-srcDelay].push(sn.x)
+			e.delays[sn.src-srcDelay].push(x)
 		}
 	}
-	e.heapify()
+	for _, x := range e.rheap {
+		e.rpos[x.id] = -1
+	}
+	e.rheap = append(e.rheap[:0], s.regs...)
+	for i, x := range e.rheap {
+		e.rpos[x.id] = int32(i)
+	}
+	e.live = len(s.slots)
 	e.now = s.now
 	e.seq = s.seq
 	e.fired = s.fired
 	e.stopped = s.stopped
-	e.live = len(s.slots)
-	e.tombs = 0
 	e.rng.SetState(s.rng)
 }
 

@@ -6,33 +6,37 @@ import (
 )
 
 // snapWorkload is a self-scheduling stochastic component: every firing
-// draws from the engine RNG, logs itself, and schedules (or cancels)
-// follow-up work. Its mutable state is explicit so the test can snapshot
-// it alongside the engine, exactly as real components do.
+// draws from the engine RNG, logs itself, and schedules follow-up work or
+// re-arms and disarms one of its registers. Its mutable state is explicit
+// so the test can snapshot it alongside the engine, exactly as real
+// components do; the registers' deadlines are engine state.
 type snapWorkload struct {
-	eng     *Engine
-	log     []string
-	pending []Event // handles held across events (revalidation test)
-	n       int
+	eng  *Engine
+	log  []string
+	regs []*Register
+	n    int
 }
 
 type snapWorkloadState struct {
-	logLen  int
-	pending []Event
-	n       int
+	logLen int
+	n      int
+}
+
+func newSnapWorkload(eng *Engine) *snapWorkload {
+	w := &snapWorkload{eng: eng}
+	for i := 0; i < 4; i++ {
+		w.regs = append(w.regs, eng.NewRegister("w.reg", w.step))
+	}
+	return w
 }
 
 func (w *snapWorkload) Snapshot() State {
-	p := make([]Event, len(w.pending))
-	copy(p, w.pending)
-	return &snapWorkloadState{logLen: len(w.log), pending: p, n: w.n}
+	return &snapWorkloadState{logLen: len(w.log), n: w.n}
 }
 
 func (w *snapWorkload) Restore(st State) {
 	s := st.(*snapWorkloadState)
 	w.log = w.log[:s.logLen]
-	w.pending = w.pending[:0]
-	w.pending = append(w.pending, s.pending...)
 	w.n = s.n
 }
 
@@ -41,26 +45,26 @@ func (w *snapWorkload) step() {
 	w.n++
 	draw := e.RNG().Uint64()
 	w.log = append(w.log, fmt.Sprintf("%d@%d:%x", w.n, e.Now(), draw&0xffff))
-	// Mix of same-instant, near and far events, plus occasional cancels
-	// of held handles to exercise the lane, heap and tombstones.
+	// Mix of same-instant, near and far events, plus register re-arms
+	// (earlier or later than their pending firing) and disarms, to
+	// exercise the lane, the heap and the register heap.
+	r := w.regs[(draw>>16)%uint64(len(w.regs))]
 	switch draw % 5 {
 	case 0:
-		w.pending = append(w.pending, e.AfterNamed(Duration(1+draw%977), "w.far", w.step))
+		r.Arm(e.Now().Add(Duration(1 + draw%977)))
 	case 1:
 		e.ScheduleNamed(e.Now(), "w.now", w.step)
 	case 2:
-		w.pending = append(w.pending, e.AfterNamed(Duration(1+draw%97), "w.near", w.step))
+		r.Arm(e.Now().Add(Duration(1 + draw%97)))
 	case 3:
-		if len(w.pending) > 0 {
-			e.Cancel(w.pending[0])
-			w.pending = w.pending[1:]
-		}
-		e.AfterNamed(Duration(1+draw%31), "w.after-cancel", w.step)
+		r.Disarm()
+		e.AfterNamed(Duration(1+draw%31), "w.after-disarm", w.step)
 	default:
 		e.AfterNamed(Duration(1+draw%13), "w.tick", w.step)
 	}
-	// Keep the run alive.
-	if w.n%7 == 0 {
+	// Keep the run alive without letting it explode: top the queue up
+	// while it holds fewer than 200 events.
+	if e.Pending() < 200 {
 		e.AfterNamed(Duration(1+draw%211), "w.refill", w.step)
 	}
 }
@@ -68,13 +72,10 @@ func (w *snapWorkload) step() {
 // TestEngineSnapshotRestoreBitIdentical drives a stochastic workload,
 // snapshots mid-run, and checks that the continuation after Restore is
 // bit-identical (same firing log, same counters) to the uninterrupted
-// run — restored any number of times. The workload is a supercritical
-// branching process (stale-handle cancels are no-ops, so each firing
-// schedules slightly more than one successor on average); the horizon
-// stops at 7 000 (~40k events) before the population explodes.
+// run — restored any number of times.
 func TestEngineSnapshotRestoreBitIdentical(t *testing.T) {
 	eng := NewEngine(42)
-	w := &snapWorkload{eng: eng}
+	w := newSnapWorkload(eng)
 	for i := 0; i < 4; i++ {
 		eng.AfterNamed(Duration(i+1), "w.seed", w.step)
 	}
@@ -88,6 +89,9 @@ func TestEngineSnapshotRestoreBitIdentical(t *testing.T) {
 	eng.Run(7_000)
 	tailA := append([]string(nil), w.log[cut:]...)
 	firedA, seqA, nowA := eng.Fired(), eng.seq, eng.Now()
+	if len(tailA) < 1000 {
+		t.Fatalf("only %d events after the snapshot; the workload died out", len(tailA))
+	}
 
 	for trial := 0; trial < 3; trial++ {
 		eng.Restore(engSnap)
@@ -112,43 +116,48 @@ func TestEngineSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotHandleRevalidation checks the handle contract: an
-// Event captured in snapshotted state is cancellable again after
-// Restore, and a handle minted after the snapshot goes stale.
+// TestEngineSnapshotHandleRevalidation checks the register contract
+// across Restore: a register armed in the snapshot is armed again for
+// the same firing, and one armed after the snapshot — here created after
+// it, too — comes back disarmed.
 func TestEngineSnapshotHandleRevalidation(t *testing.T) {
 	eng := NewEngine(7)
 	fired := 0
-	pre := eng.AfterNamed(100, "pre", func() { fired++ })
+	pre := eng.NewRegister("pre", func() { fired++ })
+	pre.Arm(100)
 	snap := eng.Snapshot()
 
-	post := eng.AfterNamed(50, "post", func() { fired += 100 })
-	eng.Run(60) // post fires on the abandoned timeline
+	post := eng.NewRegister("post", func() { fired += 100 })
+	post.Arm(50)
+	pre.Arm(300) // moved on the abandoned timeline
+	eng.Run(60)  // post fires on the abandoned timeline
 	if fired != 100 {
-		t.Fatalf("post-snapshot event did not fire, fired=%d", fired)
+		t.Fatalf("post-snapshot register did not fire, fired=%d", fired)
 	}
+	post.Arm(150)
 
 	fired = 0
 	eng.Restore(snap)
-	if post.Pending() {
-		t.Fatalf("post-snapshot handle still pending after restore")
+	if post.Armed() {
+		t.Fatalf("post-snapshot register still armed after restore")
 	}
-	if !pre.Pending() {
-		t.Fatalf("pre-snapshot handle not revalidated by restore")
+	if !pre.Armed() || pre.When() != 100 {
+		t.Fatalf("pre-snapshot register armed=%v for %v after restore, want true for 100", pre.Armed(), pre.When())
 	}
-	eng.Cancel(pre)
+	pre.Disarm()
 	eng.Run(200)
 	if fired != 0 {
-		t.Fatalf("cancelled pre-snapshot event fired anyway, fired=%d", fired)
+		t.Fatalf("disarmed pre-snapshot register fired anyway, fired=%d", fired)
 	}
 	if eng.Pending() != 0 {
 		t.Fatalf("queue not drained: %d pending", eng.Pending())
 	}
 
-	// Restore once more: pre must be live again and fire this time.
+	// Restore once more: pre must be armed again and fire this time.
 	eng.Restore(snap)
 	eng.Run(200)
 	if fired != 1 {
-		t.Fatalf("pre event did not fire on the second restore, fired=%d", fired)
+		t.Fatalf("pre register did not fire on the second restore, fired=%d", fired)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sim provides the deterministic discrete-event simulation engine
 // that underlies the simulated ARMv8 node: a simulated clock, an event
-// queue with exact cancellation, a seeded pseudo-random number generator,
-// and a lightweight trace facility.
+// queue with re-armable deadline registers, a seeded pseudo-random number
+// generator, and a lightweight trace facility.
 //
 // All simulated components (cores, timers, interrupt controllers, kernels)
 // are driven by a single Engine. Determinism is a design requirement: two

@@ -6,25 +6,18 @@ import (
 	"khsim/internal/sim"
 )
 
-// coreTimersState records one core's channel state.
-type coreTimersState struct {
-	pending [numChannels]sim.Event
-	fired   [numChannels]uint64
-}
-
-// bankState is Bank's Snapshot payload.
+// bankState is Bank's Snapshot payload: each core's fired counters.
 type bankState struct {
-	cores []coreTimersState
+	fired [][numChannels]uint64
 }
 
-// Snapshot captures every core's armed deadlines (as Event handles —
-// valid again after the engine's own Restore revalidates them) and fired
-// counters. Bank implements sim.Snapshotter; restore it after the
-// engine.
+// Snapshot captures every core's fired counters. The armed deadlines are
+// engine registers, which the engine's own snapshot records. Bank
+// implements sim.Snapshotter.
 func (b *Bank) Snapshot() sim.State {
-	s := &bankState{cores: make([]coreTimersState, len(b.timers))}
+	s := &bankState{fired: make([][numChannels]uint64, len(b.timers))}
 	for i, t := range b.timers {
-		s.cores[i] = coreTimersState{pending: t.pending, fired: t.fired}
+		s.fired[i] = t.fired
 	}
 	return s
 }
@@ -36,7 +29,6 @@ func (b *Bank) Restore(st sim.State) {
 		panic(fmt.Sprintf("timer: Bank.Restore of foreign state %T", st))
 	}
 	for i, t := range b.timers {
-		t.pending = s.cores[i].pending
-		t.fired = s.cores[i].fired
+		t.fired = s.fired[i]
 	}
 }

@@ -40,6 +40,7 @@ func (c Channel) PPI() int {
 	}
 }
 
+// String names the channel: "phys", "virt" or "hyp".
 func (c Channel) String() string {
 	switch c {
 	case Phys:
@@ -55,16 +56,15 @@ func (c Channel) String() string {
 
 // CoreTimers is the per-core bank of timer channels.
 type CoreTimers struct {
-	core    int
-	eng     *sim.Engine
-	dist    *gic.Distributor
-	pending [numChannels]sim.Event
-	fired   [numChannels]uint64
+	core  int
+	eng   *sim.Engine
+	dist  *gic.Distributor
+	fired [numChannels]uint64
 
-	// names and fire are built once per channel at construction so Arm —
-	// the highest-frequency call in a ticking kernel — allocates nothing.
-	names [numChannels]string
-	fire  [numChannels]func()
+	// cval holds each channel's compare value as an engine register,
+	// built once at construction so Arm — the highest-frequency call in
+	// a ticking kernel — allocates nothing.
+	cval [numChannels]*sim.Register
 }
 
 // Bank wires one CoreTimers per core to the engine and distributor.
@@ -79,8 +79,7 @@ func NewBank(eng *sim.Engine, dist *gic.Distributor, cores int) *Bank {
 		t := &CoreTimers{core: i, eng: eng, dist: dist}
 		for ch := Channel(0); ch < numChannels; ch++ {
 			ch := ch
-			t.names[ch] = fmt.Sprintf("timer.c%d.%v", i, ch)
-			t.fire[ch] = func() { t.expire(ch) }
+			t.cval[ch] = eng.NewRegister(fmt.Sprintf("timer.c%d.%v", i, ch), func() { t.expire(ch) })
 		}
 		b.timers = append(b.timers, t)
 	}
@@ -94,16 +93,14 @@ func (b *Bank) Core(i int) *CoreTimers { return b.timers[i] }
 // replacing any previously armed deadline on that channel (CVAL
 // semantics). Deadlines in the past fire immediately, as hardware does.
 func (t *CoreTimers) Arm(ch Channel, at sim.Time) {
-	t.CancelChannel(ch)
 	if at <= t.eng.Now() {
 		at = t.eng.Now()
 	}
-	t.pending[ch] = t.eng.ScheduleNamed(at, t.names[ch], t.fire[ch])
+	t.cval[ch].Arm(at)
 }
 
 // expire is the deadline callback shared by every Arm on the channel.
 func (t *CoreTimers) expire(ch Channel) {
-	t.pending[ch] = sim.Event{}
 	t.fired[ch]++
 	if err := t.dist.RaisePPI(t.core, ch.PPI()); err != nil {
 		panic(fmt.Sprintf("timer: raise failed: %v", err))
@@ -116,21 +113,13 @@ func (t *CoreTimers) ArmAfter(ch Channel, d sim.Duration) {
 }
 
 // CancelChannel disarms the channel if armed.
-func (t *CoreTimers) CancelChannel(ch Channel) {
-	t.eng.Cancel(t.pending[ch]) // no-op on the zero Event or a fired one
-	t.pending[ch] = sim.Event{}
-}
+func (t *CoreTimers) CancelChannel(ch Channel) { t.cval[ch].Disarm() }
 
 // Armed reports whether the channel has a pending deadline.
-func (t *CoreTimers) Armed(ch Channel) bool { return t.pending[ch].Pending() }
+func (t *CoreTimers) Armed(ch Channel) bool { return t.cval[ch].Armed() }
 
 // Deadline reports the pending deadline, valid only when Armed.
-func (t *CoreTimers) Deadline(ch Channel) sim.Time {
-	if !t.pending[ch].Pending() {
-		return 0
-	}
-	return t.pending[ch].When()
-}
+func (t *CoreTimers) Deadline(ch Channel) sim.Time { return t.cval[ch].When() }
 
 // Fired reports how many times the channel has expired.
 func (t *CoreTimers) Fired(ch Channel) uint64 { return t.fired[ch] }
