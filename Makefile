@@ -17,17 +17,18 @@ race:
 	$(GO) test -race ./...
 
 # lint is the CI formatting/static gate, reproducible locally: gofmt
-# must report no files, vet must pass, every exported identifier in the
-# core packages must carry a doc comment, and ARCHITECTURE.md's package
-# table must cover every internal/ package (cmd/docgate -arch).
+# must report no files, vet must pass in the root module and in the
+# nested bench/ module (which the root ./... does not reach), every
+# exported identifier in every package under internal/ must carry a doc
+# comment, and ARCHITECTURE.md's package table must cover every
+# internal/ package (cmd/docgate -arch).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) run ./cmd/docgate -arch ARCHITECTURE.md -internal internal \
-		./internal/sim ./internal/metrics ./internal/faults ./internal/kernel ./internal/serve \
-		./internal/hafnium ./internal/mmu ./internal/mem ./internal/gic ./internal/machine \
-		./internal/harness ./internal/cluster ./internal/tz ./internal/timer ./internal/net
+		$$($(GO) list -f '{{.Dir}}' ./internal/...)
 
 # obscheck is the observability gate. `khsim obscheck` prints the
 # seed-1 metrics snapshot and the artifact of every experiment in

@@ -1,8 +1,9 @@
 // Command docgate enforces doc comments on exported identifiers. It
 // parses the packages named on the command line (non-test files only) and
 // fails listing every exported type, function, method, constant and
-// variable that lacks a doc comment. `make lint` runs it over the core
-// simulator packages so the godoc surface cannot silently drift.
+// variable that lacks a doc comment. `make lint` runs it over every
+// package `go list ./internal/...` reports, so the godoc surface cannot
+// silently drift.
 //
 // Grouped declarations follow godoc convention: a doc comment on the
 // `const (...)` / `var (...)` block covers every spec inside it, and a

@@ -25,6 +25,8 @@ const (
 	numStages
 )
 
+// String names the stage as the boot chain does: "BL1", "BL2", "BL31",
+// "SPM" or "PrimaryVM".
 func (s Stage) String() string {
 	switch s {
 	case BL1:

@@ -31,6 +31,8 @@ const (
 	SchedulerLinux
 )
 
+// String names the primary kernel: "linux" for SchedulerLinux and
+// "kitten" otherwise.
 func (s Scheduler) String() string {
 	if s == SchedulerLinux {
 		return "linux"

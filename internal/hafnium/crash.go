@@ -117,10 +117,7 @@ func (h *Hypervisor) revokeGrants(vm *VM) {
 		if g.To == vm.id {
 			_ = vm.stage2.Unmap(g.ToIPA, size)
 			if g.Kind == MemLend {
-				src := h.vms[g.From]
-				for i, pa := range g.Pages {
-					_ = src.stage2.Map(g.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX)
-				}
+				_ = mapFrames(h.vms[g.From].stage2, g.FromIPA, g.Pages, mmu.PermRWX)
 			}
 		} else {
 			dst := h.vms[g.To]

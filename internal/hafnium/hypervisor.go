@@ -69,11 +69,11 @@ type Hypervisor struct {
 
 	owner ownerTable
 	// shares holds the active grants by ID; granted indexes them by
-	// frame (ShareMemory keeps at most one active grant per frame). Both
-	// change only through addGrant and dropGrant. A grant is immutable
-	// once stored, so snapshots share the pointers.
+	// frame run. Both change only through addGrant and dropGrant, and
+	// Restore refills them. A grant is immutable once stored, so
+	// snapshots share the pointers.
 	shares      map[uint64]*Grant
-	granted     map[mem.PA]*Grant
+	granted     grantIndex
 	nextShareID uint64
 
 	nsAlloc *mem.Buddy
@@ -176,7 +176,6 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		enteredAt: make([]sim.Time, len(node.Cores)),
 		vmCPU:     make(map[VMID]sim.Duration),
 		shares:    make(map[uint64]*Grant),
-		granted:   make(map[mem.PA]*Grant),
 		routing:   m.Routing,
 		tlbPolicy: m.TLB,
 	}

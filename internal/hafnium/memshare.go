@@ -2,7 +2,6 @@ package hafnium
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"khsim/internal/mem"
@@ -75,17 +74,29 @@ func (h *Hypervisor) Grants(id VMID) []Grant {
 // addGrant stores an active grant and indexes its frames.
 func (h *Hypervisor) addGrant(g *Grant) {
 	h.shares[g.ID] = g
-	for _, pa := range g.Pages {
-		h.granted[pa] = g
-	}
+	h.granted.add(g)
 }
 
 // dropGrant forgets an ended grant and its frames' index entries.
 func (h *Hypervisor) dropGrant(g *Grant) {
 	delete(h.shares, g.ID)
-	for _, pa := range g.Pages {
-		delete(h.granted, pa)
-	}
+	h.granted.drop(g)
+}
+
+// mapFrames maps pages into t at the contiguous window from ipa, one
+// Map call per run of consecutive frames. On an error it unmaps what it
+// mapped and returns the error.
+func mapFrames(t *mmu.Table, ipa uint64, pages []mem.PA, perms mmu.Perms) error {
+	var err error
+	frameRuns(pages, func(i int, base mem.PA, n int) {
+		if err == nil {
+			err = t.Map(ipa+uint64(i)*mem.PageSize, uint64(base), uint64(n)*mem.PageSize, perms)
+			if err != nil && i > 0 {
+				_ = t.Unmap(ipa, uint64(i)*mem.PageSize)
+			}
+		}
+	})
+	return err
 }
 
 // ShareMemory implements the share/lend/donate hypercall, invoked by the
@@ -126,14 +137,8 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 	// Receiver mapping: frames are mapped contiguously at the receiver's
 	// next share window even if physically scattered.
 	toIPA := dst.nextShareIPA
-	for i, pa := range pages {
-		if err := dst.stage2.Map(toIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, perms); err != nil {
-			// Roll back partial receiver mappings.
-			for j := 0; j < i; j++ {
-				dst.stage2.Unmap(toIPA+uint64(j)*mem.PageSize, mem.PageSize)
-			}
-			return 0, 0, fmt.Errorf("hafnium: %v: receiver mapping: %w", kind, err)
-		}
+	if err := mapFrames(dst.stage2, toIPA, pages, perms); err != nil {
+		return 0, 0, fmt.Errorf("hafnium: %v: receiver mapping: %w", kind, err)
 	}
 	dst.nextShareIPA += size
 
@@ -152,9 +157,9 @@ func (h *Hypervisor) ShareMemory(kind ShareKind, from, to VMID, ipa, size uint64
 			rollbackReceiver()
 			return 0, 0, fmt.Errorf("hafnium: donate: revoking owner access: %w", err)
 		}
-		for _, pa := range pages {
-			h.owner.assign(pa, pa+mem.PageSize, to)
-		}
+		frameRuns(pages, func(_ int, base mem.PA, n int) {
+			h.owner.assign(base, base+mem.PA(n)*mem.PageSize, to)
+		})
 	}
 
 	h.nextShareID++
@@ -191,18 +196,27 @@ func (h *Hypervisor) senderFrames(kind ShareKind, src *VM, ipa, size uint64) ([]
 		if r.In != next || !r.Perm.Allows(mmu.PermR) {
 			return false
 		}
-		for off := uint64(0); off < r.Size; off += mem.PageSize {
-			pa := mem.PA(r.Out + off)
-			if owner := h.owner.lookup(pa); owner != src.id {
+		// Check the run by stretches of one owner, each up to its first
+		// granted frame: the first page that fails either check is the
+		// one a page-by-page loop would name.
+		for pa, runEnd := mem.PA(r.Out), mem.PA(r.Out+r.Size); pa < runEnd; {
+			owner, stop := h.owner.run(pa, runEnd)
+			if owner != src.id {
 				err = fmt.Errorf("hafnium: %v: frame %#x at IPA %#x is owned by VM %d, not the sender",
-					kind, uint64(pa), r.In+off, owner)
+					kind, uint64(pa), r.In+uint64(pa)-r.Out, owner)
 				return false
 			}
-			if g := h.granted[pa]; g != nil {
-				err = fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), g.ID)
+			held, granted := h.granted.next(pa, stop)
+			if granted {
+				stop = max(pa, held.base)
+			}
+			for ; pa < stop; pa += mem.PageSize {
+				pages = append(pages, pa)
+			}
+			if granted {
+				err = fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), held.g.ID)
 				return false
 			}
-			pages = append(pages, pa)
 		}
 		next += r.Size
 		return true
@@ -239,11 +253,8 @@ func (h *Hypervisor) ReclaimMemory(by VMID, grantID uint64) error {
 		return fmt.Errorf("hafnium: reclaim: %w", err)
 	}
 	if g.Kind == MemLend {
-		src := h.vms[g.From]
-		for i, pa := range g.Pages {
-			if err := src.stage2.Map(g.FromIPA+uint64(i)*mem.PageSize, uint64(pa), mem.PageSize, mmu.PermRWX); err != nil {
-				return fmt.Errorf("hafnium: reclaim: restoring owner mapping: %w", err)
-			}
+		if err := mapFrames(h.vms[g.From].stage2, g.FromIPA, g.Pages, mmu.PermRWX); err != nil {
+			return fmt.Errorf("hafnium: reclaim: restoring owner mapping: %w", err)
 		}
 	}
 	h.dropGrant(g)
@@ -259,12 +270,11 @@ func (h *Hypervisor) ReclaimMemory(by VMID, grantID uint64) error {
 // first violation in VM order and, within a VM, IPA order, and is called
 // from property tests after every hypercall sequence.
 func (h *Hypervisor) VerifyIsolation() error {
-	lent := h.lentFrames()
 	var err error
 	for _, id := range h.order {
 		vm := h.vms[id]
 		vm.stage2.Leaves(0, 1<<mmu.InputBits, func(r mmu.Run) bool {
-			err = h.checkRun(vm, lent, mem.PA(r.Out), mem.PA(r.Out+r.Size))
+			err = h.checkRun(vm, mem.PA(r.Out), mem.PA(r.Out+r.Size))
 			return err == nil
 		})
 		if err != nil {
@@ -274,22 +284,10 @@ func (h *Hypervisor) VerifyIsolation() error {
 	return nil
 }
 
-// lentFrames returns the frames under an active lend, sorted.
-func (h *Hypervisor) lentFrames() []mem.PA {
-	var lent []mem.PA
-	for _, g := range h.shares {
-		if g.Kind == MemLend {
-			lent = append(lent, g.Pages...)
-		}
-	}
-	slices.Sort(lent)
-	return lent
-}
-
 // checkRun checks the frames [pa, end) that vm's stage-2 maps: the parts
 // inside device regions against vm's MMIO windows, the rest against
 // frame ownership.
-func (h *Hypervisor) checkRun(vm *VM, lent []mem.PA, pa, end mem.PA) error {
+func (h *Hypervisor) checkRun(vm *VM, pa, end mem.PA) error {
 	for pa < end {
 		stop, device := end, false
 		if r, ok := h.node.Mem.Next(pa); ok && r.Base < end {
@@ -303,7 +301,7 @@ func (h *Hypervisor) checkRun(vm *VM, lent []mem.PA, pa, end mem.PA) error {
 		if device {
 			err = vm.checkDevice(pa, stop)
 		} else {
-			err = h.checkFrames(vm, lent, pa, stop)
+			err = h.checkFrames(vm, pa, stop)
 		}
 		if err != nil {
 			return err
@@ -330,26 +328,25 @@ next:
 }
 
 // checkFrames checks the normal frames [pa, end) that vm maps, split at
-// owner-extent boundaries. Frames vm owns must not include one it has
-// lent out (looked up in lent, not probed page by page); frames someone
-// else owns each need a grant to vm, so on a sound system that per-frame
-// loop only ever covers received grants.
-func (h *Hypervisor) checkFrames(vm *VM, lent []mem.PA, pa, end mem.PA) error {
+// owner-extent boundaries, against the grant index run by run. Frames
+// vm owns must not include one it has lent out; frames someone else
+// owns must all be held by grants to vm.
+func (h *Hypervisor) checkFrames(vm *VM, pa, end mem.PA) error {
 	for pa < end {
 		owner, stop := h.owner.run(pa, end)
-		if owner == vm.id {
-			i, _ := slices.BinarySearch(lent, pa)
-			for ; i < len(lent) && lent[i] < stop; i++ {
-				if h.granted[lent[i]].From == vm.id {
-					return fmt.Errorf("hafnium: VM %d still maps lent frame %#x", vm.id, uint64(lent[i]))
+		for f := pa; f < stop; {
+			r, ok := h.granted.next(f, stop)
+			if owner == vm.id {
+				if !ok {
+					break
 				}
-			}
-		} else {
-			for f := pa; f < stop; f += mem.PageSize {
-				if g := h.granted[f]; g == nil || g.To != vm.id {
-					return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", vm.id, uint64(f), owner)
+				if r.g.Kind == MemLend && r.g.From == vm.id {
+					return fmt.Errorf("hafnium: VM %d still maps lent frame %#x", vm.id, uint64(max(f, r.base)))
 				}
+			} else if !ok || r.base > f || r.g.To != vm.id {
+				return fmt.Errorf("hafnium: VM %d maps frame %#x owned by VM %d with no grant", vm.id, uint64(f), owner)
 			}
+			f = r.end
 		}
 		pa = stop
 	}

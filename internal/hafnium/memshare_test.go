@@ -351,7 +351,8 @@ func TestShareMemoryRejectsOversizedRegion(t *testing.T) {
 
 // perPageFrames is ShareMemory's frame collection as a per-page loop:
 // each page of the window is translated on its own, then checked for
-// ownership by src and for an active grant.
+// ownership by src and, through the grant index's lookup, for an active
+// grant.
 func perPageFrames(h *Hypervisor, kind ShareKind, src *VM, ipa, size uint64) ([]mem.PA, error) {
 	var pages []mem.PA
 	for off := uint64(0); off < size; off += mem.PageSize {
@@ -363,7 +364,7 @@ func perPageFrames(h *Hypervisor, kind ShareKind, src *VM, ipa, size uint64) ([]
 			return nil, fmt.Errorf("hafnium: %v: frame %#x at IPA %#x is owned by VM %d, not the sender",
 				kind, uint64(pa), ipa+off, owner)
 		}
-		if g := h.granted[pa]; g != nil {
+		if g := h.granted.lookup(pa); g != nil {
 			return nil, fmt.Errorf("hafnium: %v: frame %#x already granted (grant %d)", kind, uint64(pa), g.ID)
 		}
 		pages = append(pages, pa)

@@ -74,7 +74,7 @@ type hypState struct {
 // VCPU state machines (saved contexts, pending virqs, virtual timers),
 // stage-2 tables (copy-on-write freeze), the frame-owner
 // extents, the active memory grants, both allocators and the counters.
-// The frame → grant index is derived and not recorded. Hypervisor
+// The grant index by frame run is derived and not recorded. Hypervisor
 // implements sim.Snapshotter and registers itself on the node at build
 // time, so node snapshots include it automatically.
 func (h *Hypervisor) Snapshot() sim.State {
@@ -154,12 +154,10 @@ func (h *Hypervisor) Restore(st sim.State) {
 		h.vmCPU[k] = v
 	}
 	h.owner.ext = append(h.owner.ext[:0], s.owner...)
-	// Refill the grant table and rebuild its frame index in place.
+	// Refill the grant table and its frame-run index in place.
 	clear(h.shares)
-	clear(h.granted)
-	for _, g := range s.shares {
-		h.addGrant(g)
-	}
+	maps.Copy(h.shares, s.shares)
+	h.granted.refill(h.shares)
 	h.nextShareID = s.nextShareID
 	h.nsAlloc.Restore(s.nsAlloc)
 	if h.sAlloc != nil && s.sAlloc != nil {

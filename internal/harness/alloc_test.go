@@ -6,7 +6,10 @@ import (
 
 	"khsim/internal/cluster"
 	"khsim/internal/core"
+	"khsim/internal/hafnium"
 	"khsim/internal/kitten"
+	"khsim/internal/mem"
+	"khsim/internal/mmu"
 	"khsim/internal/noise"
 	"khsim/internal/sim"
 )
@@ -194,5 +197,124 @@ func TestMigrationAllocBudget(t *testing.T) {
 	})
 	if got > migrationAllocBudget {
 		t.Errorf("migration suite allocates %.3f objects per event, budget %.1f", got, migrationAllocBudget)
+	}
+}
+
+// isolationManifest is the four-VM stack of the isolation benchmark: a
+// primary, a job VM that spins, and a producer and a consumer that trade
+// memory, each with 64 MiB of RAM.
+const isolationManifest = `
+[vm primary]
+class = primary
+vcpus = 4
+memory_mb = 64
+
+[vm job]
+class = secondary
+vcpus = 1
+memory_mb = 64
+
+[vm producer]
+class = secondary
+vcpus = 1
+memory_mb = 64
+
+[vm consumer]
+class = secondary
+vcpus = 1
+memory_mb = 64
+`
+
+// startIsolationNode builds and boots the isolation stack under the
+// Kitten primary, with a chunked selfish spin in the job VM and idle
+// Kitten guests in the producer and the consumer.
+func startIsolationNode(t *testing.T) *core.SecureNode {
+	t.Helper()
+	n, err := core.NewSecureNode(core.Options{Seed: 1, Manifest: isolationManifest, Scheduler: core.SchedulerKitten})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spin := noise.NewSelfish("job", 1000*sim.Second)
+	spin.ChunkTime = sim.FromMicros(50)
+	job := kitten.NewGuest(kitten.DefaultParams())
+	job.Attach(0, spin)
+	registerProc(n.Machine, spin)
+	if err := n.AttachGuest("job", job); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"producer", "consumer"} {
+		if err := n.AttachGuest(name, kitten.NewGuest(kitten.DefaultParams())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// bytesPerRun returns the heap bytes one call of run allocates, averaged
+// over n calls after a warm one. A race-enabled build skips the test.
+func bytesPerRun(t *testing.T, n int, run func()) uint64 {
+	t.Helper()
+	if raceDetector {
+		t.Skip("allocation counts are not representative under the race detector")
+	}
+	run()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(n)
+}
+
+// The stage-2 byte budgets. A table node is one 4 KiB page of 8-byte
+// descriptors, so the four VMs' tables cost a few dozen KiB to build,
+// and a fork followed by a lend and its reclaim copies only the nodes
+// the two calls write through (about six 4 KiB pages). Each budget is
+// the measured figure (89.5 KB and 25.5 KB with Go 1.24) with at least
+// 20 % headroom.
+const (
+	isolationBuildBytesBudget = 120 << 10
+	forkLendBytesBudget       = 40 << 10
+)
+
+// TestIsolationBuildBytesBudget bounds the heap bytes allocated to build
+// and boot the isolation stack.
+func TestIsolationBuildBytesBudget(t *testing.T) {
+	got := bytesPerRun(t, 3, func() { startIsolationNode(t) })
+	t.Logf("%d bytes to build and boot", got)
+	if got > isolationBuildBytesBudget {
+		t.Errorf("building and booting the isolation stack allocates %d bytes, budget %d", got, isolationBuildBytesBudget)
+	}
+}
+
+// TestForkLendBytesBudget bounds the heap bytes of one isolation-epoch
+// step on a warmed stack: a fork back to its snapshot, then a 4-page
+// lend from the producer to the consumer and its reclaim.
+func TestForkLendBytesBudget(t *testing.T) {
+	n := startIsolationNode(t)
+	n.Run(5 * sim.Millisecond)
+	m, h := n.Machine, n.Hyp
+	snap := m.Snapshot()
+	prod, _ := h.VMByName("producer")
+	cons, _ := h.VMByName("consumer")
+	base, _ := prod.RAM()
+	got := bytesPerRun(t, 64, func() {
+		m.Fork(snap)
+		_, id, err := h.ShareMemory(hafnium.MemLend, prod.ID(), cons.ID(), base+7*mem.PageSize, 4*mem.PageSize, mmu.PermRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.ReclaimMemory(prod.ID(), id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d bytes per fork, lend and reclaim", got)
+	if got > forkLendBytesBudget {
+		t.Errorf("a fork, a 4-page lend and its reclaim allocate %d bytes, budget %d", got, forkLendBytesBudget)
 	}
 }

@@ -35,35 +35,29 @@ type leafWalk struct {
 	stopped bool
 }
 
-// visit walks node n at level, whose first entry translates input
+// visit walks node n at level, whose first descriptor translates input
 // address base, over the window.
 func (w *leafWalk) visit(n *node, level int, base uint64) {
-	shift := uint(GranuleShift + (Levels-1-level)*LevelBits)
-	i, end := 0, len(n.entries)
-	if w.lo > base {
-		i = int((w.lo - base) >> shift)
-	}
-	if top := (w.hi - 1 - base) >> shift; top < uint64(end) {
-		end = int(top) + 1
-	}
-	// seen stops the scan once every live entry from i on was visited.
+	shift := levelShift(level)
+	i, end := slots(level, base, w.lo, w.hi)
+	// seen stops the scan once every live descriptor from i on was visited.
 	for seen := 0; i < end && seen < n.live; i++ {
-		e := &n.entries[i]
-		if e.kind == entryInvalid {
+		d := n.d[i]
+		if d&descValid == 0 {
 			continue
 		}
 		seen++
 		in := base + uint64(i)<<shift
-		if e.kind == entryTable {
-			w.visit(e.next, level+1, in)
+		if d&descTable != 0 {
+			w.visit(n.kids[descKid(d)], level+1, in)
 		} else {
-			out, size := e.out, uint64(1)<<shift
+			out, size := d&descAddrMask, uint64(1)<<shift
 			if in < w.lo {
 				out += w.lo - in
 				size -= w.lo - in
 				in = w.lo
 			}
-			w.leaf(Run{In: in, Out: out, Size: min(size, w.hi-in), Perm: e.perm})
+			w.leaf(Run{In: in, Out: out, Size: min(size, w.hi-in), Perm: descPerm(d)})
 		}
 		if w.stopped {
 			return

@@ -12,16 +12,19 @@ package mmu
 
 import "fmt"
 
-// Address geometry for the 4 KiB granule, 48-bit input addresses.
+// Address geometry for the 4 KiB granule, 48-bit input and output
+// addresses.
 const (
 	GranuleShift  = 12
 	GranuleSize   = 1 << GranuleShift
 	LevelBits     = 9
 	Levels        = 4
 	InputBits     = GranuleShift + Levels*LevelBits // 48
+	OutputBits    = 48                              // the descriptor's address field
 	BlockShiftL2  = GranuleShift + LevelBits        // 21: 2 MiB blocks at level 2
 	BlockSizeL2   = 1 << BlockShiftL2
 	inputAddrMask = (uint64(1) << InputBits) - 1
+	outAddrMask   = (uint64(1) << OutputBits) - 1
 )
 
 // Perms are access permissions on a mapping.
@@ -55,49 +58,60 @@ func (p Perms) String() string {
 	return string(b)
 }
 
-// entryKind distinguishes descriptor types in a table node.
-type entryKind uint8
-
+// A descriptor is one 8-byte word of a table node, laid out like the
+// architecture's: bit 0 marks it valid, bit 1 marks a table descriptor
+// (levels 0–2 only), bits 2–4 hold a leaf's Perms and bits 12–47 a
+// leaf's output address. A table descriptor's address field holds the
+// child's index in its node's kids instead of a physical address, so
+// the descriptor page holds no pointers. An all-zero word is invalid.
 const (
-	entryInvalid entryKind = iota
-	entryTable             // points to a next-level node
-	entryLeaf              // page (level 3) or block (level 2) mapping
+	descValid     = 1 << 0
+	descTable     = 1 << 1
+	descPermShift = 2
+	descPermMask  = uint64(PermRWX) << descPermShift
+	descAddrMask  = outAddrMask &^ (GranuleSize - 1)
 )
 
-type entry struct {
-	kind entryKind
-	next *node  // entryTable
-	out  uint64 // entryLeaf: output base address
-	perm Perms  // entryLeaf
+func leafDesc(out uint64, perm Perms) uint64 {
+	return out | uint64(perm)<<descPermShift | descValid
 }
 
-// node is one 512-entry translation table.
+func tableDesc(kid int) uint64 { return uint64(kid)<<GranuleShift | descTable | descValid }
+
+func descPerm(d uint64) Perms { return Perms((d & descPermMask) >> descPermShift) }
+
+func descKid(d uint64) int { return int((d & descAddrMask) >> GranuleShift) }
+
+// page is one table node's 512 descriptors: 4 KiB and pointer-free, so
+// the garbage collector never scans it and a copy-on-write copy of a
+// node copies 4 KiB.
+type page [1 << LevelBits]uint64
+
+// node is one translation table: its descriptor page and the child
+// tables its table descriptors index.
 type node struct {
-	entries [1 << LevelBits]entry
-	live    int // number of non-invalid entries, for free-on-empty
+	d *page
+	// kids holds the child tables by the index in their descriptors'
+	// address field; a nil slot is free for the next child.
+	kids []*node
+	live int // number of valid descriptors, for free-on-empty
 	// frozen marks a node owned by a snapshot: it is shared copy-on-write
-	// and must never be written through a live table. Mutators unfreeze
-	// their path from the root down (see unfreeze), so a fork costs one
-	// node copy per distinct table page dirtied after the snapshot.
+	// and must never be written through a live table. Mutators own their
+	// path from the root down (see own), so a fork costs one node copy
+	// per distinct table page dirtied after the snapshot.
 	frozen bool
 }
 
-// unfreeze returns a node safe to write through t's root path: n itself
-// when it is privately owned, or a copy when n is frozen (shared with a
-// snapshot). The copy's table children become frozen — they are now
-// reachable from two trees — which is what makes the sharing transitive
-// without an O(subtree) freeze at snapshot time.
-func unfreeze(n *node) *node {
-	if !n.frozen {
-		return n
-	}
-	c := &node{entries: n.entries, live: n.live}
-	for i := range c.entries {
-		if c.entries[i].kind == entryTable {
-			c.entries[i].next.frozen = true
+// addKid stores child c in a free slot of n.kids and returns its index.
+func (n *node) addKid(c *node) int {
+	for k, x := range n.kids {
+		if x == nil {
+			n.kids[k] = c
+			return k
 		}
 	}
-	return c
+	n.kids = append(n.kids, c)
+	return len(n.kids) - 1
 }
 
 // Table is one translation regime (a stage-1 or stage-2 table).
@@ -113,17 +127,17 @@ type Table struct {
 	// and restores. The migration dirty-page model compares generations
 	// to tell whether the table changed between two stamps.
 	gen uint64
-	// free holds nodes unmapLeaf pruned, for mapLeaf and splitBlock to
-	// reuse. A pruned node is all-invalid and private: unmapLeaf
-	// unfreezes its whole path first, so no snapshot can reach it. The
-	// list never holds more than peak nodes, the most the table held.
+	// free holds nodes an unmap pruned, for new nodes and copy-on-write
+	// copies to reuse. A pruned node is all-invalid and private: the
+	// unmap owned it before clearing it, so no snapshot can reach it.
+	// The list never holds more than peak nodes, the most the table held.
 	free []*node
 	peak int
 }
 
 // NewTable returns an empty translation table.
 func NewTable(name string) *Table {
-	return &Table{name: name, root: &node{}, nodes: 1, peak: 1}
+	return &Table{name: name, root: &node{d: new(page)}, nodes: 1, peak: 1}
 }
 
 // Name reports the table's debug name.
@@ -139,9 +153,24 @@ func (t *Table) MappedBytes() uint64 { return t.mapped }
 // translation could have changed, and never returns to an earlier value.
 func (t *Table) Gen() uint64 { return t.gen }
 
+func levelShift(level int) uint { return uint(GranuleShift + (Levels-1-level)*LevelBits) }
+
 func levelIndex(addr uint64, level int) int {
-	shift := GranuleShift + (Levels-1-level)*LevelBits
-	return int((addr >> shift) & ((1 << LevelBits) - 1))
+	return int((addr >> levelShift(level)) & ((1 << LevelBits) - 1))
+}
+
+// slots reports the descriptors [i, end) of a level-level node whose
+// first descriptor translates base that overlap the window [lo, hi).
+func slots(level int, base, lo, hi uint64) (i, end int) {
+	shift := levelShift(level)
+	end = 1 << LevelBits
+	if lo > base {
+		i = int((lo - base) >> shift)
+	}
+	if top := (hi - 1 - base) >> shift; top < uint64(end) {
+		end = int(top) + 1
+	}
+	return i, end
 }
 
 func checkRange(in, out, size uint64) error {
@@ -154,22 +183,75 @@ func checkRange(in, out, size uint64) error {
 	if in+size < in || in+size-1 > inputAddrMask {
 		return fmt.Errorf("mmu: input range [%#x,%#x) exceeds %d-bit space", in, in+size, InputBits)
 	}
+	if out+size < out || out+size-1 > outAddrMask {
+		return fmt.Errorf("mmu: output range [%#x,%#x) exceeds %d-bit space", out, out+size, OutputBits)
+	}
 	return nil
 }
 
-// newNode returns an empty private node, recycled from the free list
-// when it holds one, and counts it.
-func (t *Table) newNode() *node {
-	t.nodes++
-	t.peak = max(t.peak, t.nodes)
+// alloc returns an all-invalid private node, from the free list when it
+// holds one.
+func (t *Table) alloc() *node {
 	k := len(t.free)
 	if k == 0 {
-		return &node{}
+		return &node{d: new(page)}
 	}
 	n := t.free[k-1]
 	t.free[k-1] = nil
 	t.free = t.free[:k-1]
 	return n
+}
+
+// newNode returns an empty private node and counts it.
+func (t *Table) newNode() *node {
+	t.nodes++
+	t.peak = max(t.peak, t.nodes)
+	return t.alloc()
+}
+
+// release uncounts the emptied node n and keeps it for reuse.
+func (t *Table) release(n *node) {
+	t.nodes--
+	if len(t.free) < t.peak {
+		n.kids = n.kids[:0]
+		t.free = append(t.free, n)
+	}
+}
+
+// own returns a node safe to write through t's root path: n itself when
+// it is private, or a copy when n is frozen (shared with a snapshot).
+// The copy's children become frozen — they are now reachable from two
+// trees — which is what makes the sharing transitive without an
+// O(subtree) freeze at snapshot time.
+func (t *Table) own(n *node) *node {
+	if !n.frozen {
+		return n
+	}
+	c := t.alloc()
+	*c.d = *n.d
+	c.kids = append(c.kids, n.kids...)
+	c.live = n.live
+	for _, k := range c.kids {
+		if k != nil {
+			k.frozen = true
+		}
+	}
+	return c
+}
+
+// child returns the private child table under n's descriptor i, making
+// an empty one when the descriptor is invalid.
+func (t *Table) child(n *node, i int) *node {
+	if d := n.d[i]; d&descTable != 0 {
+		k := descKid(d)
+		c := t.own(n.kids[k])
+		n.kids[k] = c
+		return c
+	}
+	c := t.newNode()
+	n.d[i] = tableDesc(n.addKid(c))
+	n.live++
+	return c
 }
 
 // Map establishes a mapping of [in, in+size) to [out, out+size) with the
@@ -195,52 +277,31 @@ func (t *Table) Map(in, out, size uint64, perm Perms) error {
 	if overlap {
 		return fmt.Errorf("mmu: [%#x,%#x) overlaps existing mapping at %#x", in, in+size, at)
 	}
-	for off := uint64(0); off < size; {
-		ia, oa := in+off, out+off
-		if ia%BlockSizeL2 == 0 && oa%BlockSizeL2 == 0 && size-off >= BlockSizeL2 {
-			if err := t.mapLeaf(ia, oa, perm, 2); err != nil {
-				return err
-			}
-			off += BlockSizeL2
-			continue
-		}
-		if err := t.mapLeaf(ia, oa, perm, 3); err != nil {
-			return err
-		}
-		off += GranuleSize
-	}
+	t.root = t.own(t.root)
+	t.fill(t.root, 0, 0, in, in+size, out-in, perm)
 	t.mapped += size
 	t.gen++
 	return nil
 }
 
-func (t *Table) mapLeaf(in, out uint64, perm Perms, leafLevel int) error {
-	t.root = unfreeze(t.root)
-	n := t.root
-	for level := 0; level < leafLevel; level++ {
-		idx := levelIndex(in, level)
-		e := &n.entries[idx]
-		switch e.kind {
-		case entryInvalid:
-			child := t.newNode()
-			*e = entry{kind: entryTable, next: child}
+// fill maps the part of [lo, hi) in node n, a level-level node whose
+// first descriptor translates base, to the input address plus delta.
+// A level-2 descriptor whose whole 2 MiB lies in the range and whose
+// output is 2 MiB aligned becomes a block; the rest is mapped by pages.
+// Every descriptor of the range is invalid or a table (Map checked).
+func (t *Table) fill(n *node, level int, base, lo, hi, delta uint64, perm Perms) {
+	shift := levelShift(level)
+	i, end := slots(level, base, lo, hi)
+	for ; i < end; i++ {
+		in := base + uint64(i)<<shift
+		size := uint64(1) << shift
+		if level == Levels-1 || level == 2 && in >= lo && in+size <= hi && (in+delta)%BlockSizeL2 == 0 {
+			n.d[i] = leafDesc(in+delta, perm)
 			n.live++
-			n = child
-		case entryTable:
-			e.next = unfreeze(e.next)
-			n = e.next
-		case entryLeaf:
-			return fmt.Errorf("mmu: %#x covered by a level-%d block", in, level)
+			continue
 		}
+		t.fill(t.child(n, i), level+1, in, max(lo, in), min(hi, in+size), delta, perm)
 	}
-	idx := levelIndex(in, leafLevel)
-	e := &n.entries[idx]
-	if e.kind != entryInvalid {
-		return fmt.Errorf("mmu: descriptor for %#x already in use", in)
-	}
-	*e = entry{kind: entryLeaf, out: out, perm: perm}
-	n.live++
-	return nil
 }
 
 // Unmap removes all mappings covering [in, in+size). It is an error if
@@ -251,92 +312,125 @@ func (t *Table) Unmap(in, size uint64) error {
 	if err := checkRange(in, 0, size); err != nil {
 		return err
 	}
-	// Validate first so a failed Unmap is atomic. Block splits performed
-	// here do not change any translation, so atomicity is preserved.
-	for off := uint64(0); off < size; {
-		_, _, level, ok := t.Translate(in + off)
-		if !ok {
-			return fmt.Errorf("mmu: unmap of unmapped address %#x", in+off)
-		}
-		if level == 2 {
-			ia := in + off
-			if ia%BlockSizeL2 != 0 || size-off < BlockSizeL2 {
-				t.splitBlock(ia)
-				continue
-			}
-			off += BlockSizeL2
-			continue
-		}
-		off += GranuleSize
+	if err := t.cover(in, in+size, "unmap"); err != nil {
+		return err
 	}
-	for off := uint64(0); off < size; {
-		step := t.unmapLeaf(in + off)
-		off += step
-	}
+	t.root = t.own(t.root)
+	t.rewrite(t.root, 0, 0, in, in+size, 0)
 	t.mapped -= size
 	t.gen++
 	return nil
 }
 
+// Protect changes the permissions of the already-mapped range
+// [in, in+size) without altering translations.
+func (t *Table) Protect(in, size uint64, perm Perms) error {
+	if err := checkRange(in, 0, size); err != nil {
+		return err
+	}
+	if perm == 0 {
+		return fmt.Errorf("mmu: protect with no permissions")
+	}
+	if err := t.cover(in, in+size, "protect"); err != nil {
+		return err
+	}
+	t.root = t.own(t.root)
+	t.rewrite(t.root, 0, 0, in, in+size, perm)
+	t.gen++
+	return nil
+}
+
+// cover checks, in one Leaves walk, that every page of [lo, hi) is
+// mapped, and splits the 2 MiB blocks the range covers only in part, so
+// that every leaf left in the range lies wholly inside it. It splits as
+// far as a page-by-page check in input order gets: the head block
+// always, the tail block only when the check passes (a mapped tail
+// block ends the range, so a hole always lies before it). A split
+// changes no translation, so a failed call still changes none.
+func (t *Table) cover(lo, hi uint64, op string) error {
+	next := lo // the first page not yet found mapped
+	t.Leaves(lo, hi, func(r Run) bool {
+		if r.In != next {
+			return false
+		}
+		next += r.Size
+		return true
+	})
+	t.splitPart(lo, lo, hi)
+	if next < hi {
+		return fmt.Errorf("mmu: %s of unmapped address %#x", op, next)
+	}
+	t.splitPart(hi-1, lo, hi)
+	return nil
+}
+
+// splitPart splits the 2 MiB block mapping addr, if there is one, when
+// [lo, hi) does not cover all of it.
+func (t *Table) splitPart(addr, lo, hi uint64) {
+	b := addr &^ (BlockSizeL2 - 1)
+	if b >= lo && b+BlockSizeL2 <= hi {
+		return
+	}
+	if _, _, level, ok := t.Translate(addr); ok && level == 2 {
+		t.splitBlock(addr)
+	}
+}
+
 // splitBlock replaces the 2 MiB block covering addr with a level-3 table
 // of 512 page descriptors carrying the same translation and permissions.
 func (t *Table) splitBlock(addr uint64) {
-	t.root = unfreeze(t.root)
+	t.root = t.own(t.root)
 	n := t.root
 	for l := 0; l < 2; l++ {
-		e := &n.entries[levelIndex(addr, l)]
-		if e.kind != entryTable {
+		i := levelIndex(addr, l)
+		if n.d[i]&descTable == 0 {
 			panic(fmt.Sprintf("mmu: splitBlock(%#x): no block at level 2", addr))
 		}
-		e.next = unfreeze(e.next)
-		n = e.next
+		n = t.child(n, i)
 	}
-	e := &n.entries[levelIndex(addr, 2)]
-	if e.kind != entryLeaf {
-		panic(fmt.Sprintf("mmu: splitBlock(%#x): descriptor is %d, not a block", addr, e.kind))
+	i := levelIndex(addr, 2)
+	d := n.d[i]
+	if d&descValid == 0 || d&descTable != 0 {
+		panic(fmt.Sprintf("mmu: splitBlock(%#x): descriptor %#x is not a block", addr, d))
 	}
-	child := t.newNode()
-	child.live = 1 << LevelBits
-	for i := range child.entries {
-		child.entries[i] = entry{kind: entryLeaf, out: e.out + uint64(i)*GranuleSize, perm: e.perm}
+	c := t.newNode()
+	out, perm := d&descAddrMask, descPerm(d)
+	for j := range c.d {
+		c.d[j] = leafDesc(out+uint64(j)*GranuleSize, perm)
 	}
-	*e = entry{kind: entryTable, next: child}
+	c.live = 1 << LevelBits
+	n.d[i] = tableDesc(n.addKid(c))
 	t.gen++ // the walk level for the range changed
 }
 
-// unmapLeaf removes the leaf covering addr, prunes empty nodes onto the
-// free list and returns the size of the removed leaf.
-func (t *Table) unmapLeaf(addr uint64) uint64 {
-	var path [Levels]*node
-	t.root = unfreeze(t.root)
-	n := t.root
-	level := 0
-	for {
-		path[level] = n
-		e := &n.entries[levelIndex(addr, level)]
-		if e.kind == entryLeaf {
-			size := uint64(GranuleSize)
-			if level == 2 {
-				size = BlockSizeL2
+// rewrite unmaps the part of [lo, hi) in node n, a level-level node
+// whose first descriptor translates base, or, when perm is not 0, sets
+// the permissions of its leaves there to perm. Every descriptor of the
+// range is valid and every leaf lies wholly inside the range (cover
+// checked and split). A child the unmap empties is pruned.
+func (t *Table) rewrite(n *node, level int, base, lo, hi uint64, perm Perms) {
+	shift := levelShift(level)
+	i, end := slots(level, base, lo, hi)
+	for ; i < end; i++ {
+		d := n.d[i]
+		if d&descTable == 0 {
+			if perm != 0 {
+				n.d[i] = d&^descPermMask | uint64(perm)<<descPermShift
+			} else {
+				n.d[i] = 0
+				n.live--
 			}
-			*e = entry{}
-			n.live--
-			// Prune now-empty intermediate nodes bottom-up.
-			for l := level; l > 0 && path[l].live == 0; l-- {
-				parent := path[l-1]
-				pe := &parent.entries[levelIndex(addr, l-1)]
-				*pe = entry{}
-				parent.live--
-				t.nodes--
-				if len(t.free) < t.peak {
-					t.free = append(t.free, path[l])
-				}
-			}
-			return size
+			continue
 		}
-		e.next = unfreeze(e.next)
-		n = e.next
-		level++
+		in := base + uint64(i)<<shift
+		c := t.child(n, i)
+		t.rewrite(c, level+1, in, max(lo, in), min(hi, in+uint64(1)<<shift), perm)
+		if c.live == 0 {
+			n.kids[descKid(d)] = nil
+			n.d[i] = 0
+			n.live--
+			t.release(c)
+		}
 	}
 }
 
@@ -350,70 +444,16 @@ func (t *Table) Translate(addr uint64) (out uint64, perm Perms, level int, ok bo
 	}
 	n := t.root
 	for l := 0; l < Levels; l++ {
-		e := &n.entries[levelIndex(addr, l)]
-		switch e.kind {
-		case entryInvalid:
+		d := n.d[levelIndex(addr, l)]
+		switch {
+		case d&descValid == 0:
 			return 0, 0, 0, false
-		case entryLeaf:
-			mask := uint64(GranuleSize - 1)
-			if l == 2 {
-				mask = BlockSizeL2 - 1
-			}
-			return e.out | (addr & mask), e.perm, l, true
-		case entryTable:
-			n = e.next
+		case d&descTable != 0:
+			n = n.kids[descKid(d)]
+		default:
+			mask := uint64(1)<<levelShift(l) - 1
+			return d&descAddrMask | addr&mask, descPerm(d), l, true
 		}
 	}
 	panic("mmu: table deeper than architecture allows")
-}
-
-// Protect changes the permissions of the already-mapped range
-// [in, in+size) without altering translations.
-func (t *Table) Protect(in, size uint64, perm Perms) error {
-	if err := checkRange(in, 0, size); err != nil {
-		return err
-	}
-	if perm == 0 {
-		return fmt.Errorf("mmu: protect with no permissions")
-	}
-	// Validate coverage first for atomicity.
-	for off := uint64(0); off < size; {
-		_, _, level, ok := t.Translate(in + off)
-		if !ok {
-			return fmt.Errorf("mmu: protect of unmapped address %#x", in+off)
-		}
-		if level == 2 {
-			if (in+off)%BlockSizeL2 != 0 || size-off < BlockSizeL2 {
-				t.splitBlock(in + off)
-				continue
-			}
-			off += BlockSizeL2
-		} else {
-			off += GranuleSize
-		}
-	}
-	for off := uint64(0); off < size; {
-		step := t.protectLeaf(in+off, perm)
-		off += step
-	}
-	t.gen++
-	return nil
-}
-
-func (t *Table) protectLeaf(addr uint64, perm Perms) uint64 {
-	t.root = unfreeze(t.root)
-	n := t.root
-	for l := 0; l < Levels; l++ {
-		e := &n.entries[levelIndex(addr, l)]
-		if e.kind == entryLeaf {
-			e.perm = perm
-			if l == 2 {
-				return BlockSizeL2
-			}
-			return GranuleSize
-		}
-		e.next = unfreeze(e.next)
-		n = e.next
-	}
-	panic("mmu: protect walked off the table")
 }

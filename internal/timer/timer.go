@@ -62,8 +62,10 @@ type CoreTimers struct {
 	fired [numChannels]uint64
 
 	// cval holds each channel's compare value as an engine register,
-	// built once at construction so Arm — the highest-frequency call in
-	// a ticking kernel — allocates nothing.
+	// built on the channel's first Arm and re-armed ever after, so Arm —
+	// the highest-frequency call in a ticking kernel — allocates only
+	// once per channel, and a channel never armed (the EL2 timer, and the
+	// virtual timer of a core no secondary runs on) costs nothing.
 	cval [numChannels]*sim.Register
 }
 
@@ -74,14 +76,9 @@ type Bank struct {
 
 // NewBank creates timers for each of cores cores.
 func NewBank(eng *sim.Engine, dist *gic.Distributor, cores int) *Bank {
-	b := &Bank{}
-	for i := 0; i < cores; i++ {
-		t := &CoreTimers{core: i, eng: eng, dist: dist}
-		for ch := Channel(0); ch < numChannels; ch++ {
-			ch := ch
-			t.cval[ch] = eng.NewRegister(fmt.Sprintf("timer.c%d.%v", i, ch), func() { t.expire(ch) })
-		}
-		b.timers = append(b.timers, t)
+	b := &Bank{timers: make([]*CoreTimers, cores)}
+	for i := range b.timers {
+		b.timers[i] = &CoreTimers{core: i, eng: eng, dist: dist}
 	}
 	return b
 }
@@ -96,7 +93,12 @@ func (t *CoreTimers) Arm(ch Channel, at sim.Time) {
 	if at <= t.eng.Now() {
 		at = t.eng.Now()
 	}
-	t.cval[ch].Arm(at)
+	r := t.cval[ch]
+	if r == nil {
+		r = t.eng.NewRegister(fmt.Sprintf("timer.c%d.%v", t.core, ch), func() { t.expire(ch) })
+		t.cval[ch] = r
+	}
+	r.Arm(at)
 }
 
 // expire is the deadline callback shared by every Arm on the channel.
@@ -113,13 +115,22 @@ func (t *CoreTimers) ArmAfter(ch Channel, d sim.Duration) {
 }
 
 // CancelChannel disarms the channel if armed.
-func (t *CoreTimers) CancelChannel(ch Channel) { t.cval[ch].Disarm() }
+func (t *CoreTimers) CancelChannel(ch Channel) {
+	if r := t.cval[ch]; r != nil {
+		r.Disarm()
+	}
+}
 
 // Armed reports whether the channel has a pending deadline.
-func (t *CoreTimers) Armed(ch Channel) bool { return t.cval[ch].Armed() }
+func (t *CoreTimers) Armed(ch Channel) bool { return t.cval[ch] != nil && t.cval[ch].Armed() }
 
 // Deadline reports the pending deadline, valid only when Armed.
-func (t *CoreTimers) Deadline(ch Channel) sim.Time { return t.cval[ch].When() }
+func (t *CoreTimers) Deadline(ch Channel) sim.Time {
+	if r := t.cval[ch]; r != nil {
+		return r.When()
+	}
+	return 0
+}
 
 // Fired reports how many times the channel has expired.
 func (t *CoreTimers) Fired(ch Channel) uint64 { return t.fired[ch] }

@@ -160,3 +160,36 @@ func TestPeriodicTickPattern(t *testing.T) {
 		t.Fatalf("ticks = %d, want 10", count)
 	}
 }
+
+// TestUnarmedChannel pins a channel that was never armed: it has no
+// register yet, reports no deadline, and ignores a cancel. Its first Arm
+// builds the register and fires like any other.
+func TestUnarmedChannel(t *testing.T) {
+	e := newEnv(t)
+	ct := e.bank.Core(3)
+	ct.CancelChannel(Hyp)
+	if ct.Armed(Hyp) || ct.Deadline(Hyp) != 0 {
+		t.Fatalf("never-armed channel reports Armed=%v Deadline=%v", ct.Armed(Hyp), ct.Deadline(Hyp))
+	}
+	ct.Arm(Hyp, 40)
+	if !ct.Armed(Hyp) || ct.Deadline(Hyp) != 40 {
+		t.Fatalf("armed channel reports Armed=%v Deadline=%v", ct.Armed(Hyp), ct.Deadline(Hyp))
+	}
+	e.eng.Run(40)
+	if got := e.dist.Acknowledge(3); got != gic.IRQHypTimer || ct.Fired(Hyp) != 1 {
+		t.Fatalf("ack = %d, fired = %d", got, ct.Fired(Hyp))
+	}
+}
+
+// TestNewBankAllocs pins what a bank costs to build: the bank, its core
+// slice and one CoreTimers per core. A channel's register, callback and
+// name are built on its first Arm, so the channels no one arms cost
+// nothing.
+func TestNewBankAllocs(t *testing.T) {
+	const cores = 4
+	eng, dist := sim.NewEngine(1), gic.New(cores, 32)
+	allocs := testing.AllocsPerRun(50, func() { NewBank(eng, dist, cores) })
+	if allocs > cores+2 {
+		t.Errorf("NewBank(%d cores) allocates %.0f objects, budget %d", cores, allocs, cores+2)
+	}
+}

@@ -71,6 +71,9 @@ type Result struct {
 	Finished bool
 }
 
+// String renders the result as one report line: the name, the rate in
+// its units, the elapsed and stolen time, the amplified extra cost and
+// the preemption count.
 func (r Result) String() string {
 	return fmt.Sprintf("%-12s %10.6g %-7s elapsed=%v stolen=%v(+%v) preempts=%d",
 		r.Name, r.Rate, r.Units, r.Elapsed, r.Stolen, r.Extra, r.Preempts)
