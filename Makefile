@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop examples
+.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop sweep examples
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,19 @@ obscheck: build
 # failure that needs a rare random case before it reaches a tier-1 run.
 prop:
 	$(GO) test -run '^(TestQuick|TestProp)' -count=20 ./internal/...
+
+# sweep runs the cluster failover experiment's Check at seeds 1-200
+# from one khsim build. Each seed is another interleaving of fault
+# timing, elections and the signed-proposal path; the first failing seed
+# prints its report.
+sweep: build
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/khsim" ./cmd/khsim || exit 1; \
+	for s in $$(seq 1 200); do \
+		"$$tmp/khsim" cluster -seed $$s -check > "$$tmp/out" || { \
+			cat "$$tmp/out"; echo "sweep: khsim cluster -seed $$s -check failed"; exit 1; }; \
+	done; \
+	echo "sweep: khsim cluster -check ok at seeds 1-200"
 
 # examples runs every program under examples/ and fails on the first
 # one that exits non-zero (memshare, for one, exits through log.Fatal

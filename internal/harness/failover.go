@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"crypto/ed25519"
 	"fmt"
 	"strings"
 
@@ -118,7 +119,7 @@ type FailoverReport struct {
 	EventsFired uint64
 
 	harnessTrace []cluster.TraceRecord
-	protoTrace   string
+	protoTrace   []cluster.TraceRecord
 	injectTrace  []faults.Record
 }
 
@@ -179,7 +180,10 @@ func (r *FailoverReport) Artifact() string {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "--- protocol trace ---\n")
-	b.WriteString(r.protoTrace)
+	for _, t := range r.protoTrace {
+		b.WriteString(t.String())
+		b.WriteByte('\n')
+	}
 	fmt.Fprintf(&b, "--- outcome ---\n")
 	b.WriteString(r.Summary())
 	return b.String()
@@ -348,27 +352,11 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 		})
 	}
 
-	// Per-node signing identities; every node knows every public key, as
-	// the launch path would distribute them. Every payload a node offers
-	// the replicated ledger — boot quote, periodic re-attestation,
-	// lifecycle transition — is signed by that node's TEE identity and
-	// verified before it leaves the node, so an unsigned (or forged)
-	// proposal can never enter the shared log.
-	signers := make([]*tz.Signer, m.Nodes)
-	pubs := make([][]byte, m.Nodes)
-	for i := range signers {
-		signers[i] = tz.NewSigner(seed, i)
-		pubs[i] = signers[i].Public()
-	}
-	signedPropose := func(id int, payload []byte) {
-		rec := tz.SignRecord(signers[id], id, payload)
-		if err := rec.Verify(pubs[id]); err != nil {
-			rep.SigFailed++
-			return
-		}
-		rep.SigVerified++
-		svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
-	}
+	// Every payload a node offers the replicated ledger — boot quote,
+	// periodic re-attestation, lifecycle transition — goes through
+	// signedPropose, so an unsigned (or forged) proposal can never enter
+	// the shared log.
+	signedPropose := signedProposer(seed, m.Nodes, svc, &rep.SigVerified, &rep.SigFailed)
 
 	// Proposal load: real attestation evidence, not synthetic counters.
 	// Each node's first proposal carries its measured-boot quote; every
@@ -558,8 +546,35 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 		rep.injectTrace = in.Trace()
 	}
 	rep.EventsFired = mc.Fired()
-	rep.protoTrace = svc.TraceString()
+	rep.protoTrace = svc.Trace()
 	return rep, nil
+}
+
+// signedProposer returns the path by which node id offers a payload to
+// svc's replicated ledger. Every node has a signing identity derived
+// from seed, and one keyring holds every node's verifying key, as the
+// launch path would distribute them. A payload is signed by its node's
+// identity and checked against the key of the node the record names
+// before it leaves the node. The check counts into verified or failed,
+// and only a record that passes is proposed, with the first 8 bytes of
+// its signature appended.
+func signedProposer(seed uint64, nodes int, svc *cluster.Service, verified, failed *uint64) func(id int, payload []byte) {
+	signers := make([]*tz.Signer, nodes)
+	keys := make([]ed25519.PublicKey, nodes)
+	for i := range signers {
+		signers[i] = tz.NewSigner(seed, i)
+		keys[i] = signers[i].Public()
+	}
+	keyring := tz.NewKeyring(keys...)
+	return func(id int, payload []byte) {
+		rec := tz.SignRecord(signers[id], id, payload)
+		if err := keyring.Verify(rec); err != nil {
+			*failed++
+			return
+		}
+		*verified++
+		svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
+	}
 }
 
 // pickFollower returns the lowest-numbered live replica that is not the

@@ -14,7 +14,6 @@ import (
 	"khsim/internal/net"
 	"khsim/internal/noise"
 	"khsim/internal/sim"
-	"khsim/internal/tz"
 )
 
 // Live-migration experiment: a 3-node rack where node 0 runs a job VM
@@ -336,18 +335,10 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 		return err
 	}
 
-	// Per-node signing identities; every node knows every public key, as
-	// the launch path would distribute them.
-	signers := make([]*tz.Signer, nodes)
-	pubs := make([][]byte, nodes)
-	for i := range signers {
-		signers[i] = tz.NewSigner(seed, i)
-		pubs[i] = signers[i].Public()
-	}
-
 	// Lifecycle records (including the migration transitions) are signed,
 	// verified and proposed to the replicated ledger the moment they land
 	// in the node-local one.
+	signedPropose := signedProposer(seed, nodes, svc, &rep.SigVerified, &rep.SigFailed)
 	stopAt := sim.Time(0).Add(run - run/8)
 	for i := 0; i < nodes; i++ {
 		id, eng := i, engines[i]
@@ -355,14 +346,7 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 			if eng.Now() > stopAt {
 				return
 			}
-			payload := []byte(fmt.Sprintf("lifecycle n%d %s vm=%s restarts=%d", id, ev.Kind, ev.VM, ev.Restarts))
-			rec := tz.SignRecord(signers[id], id, payload)
-			if err := rec.Verify(pubs[id]); err != nil {
-				rep.SigFailed++
-				return
-			}
-			rep.SigVerified++
-			svc.Propose(id, []byte(fmt.Sprintf("%s sig=%x", payload, rec.Sig[:8])))
+			signedPropose(id, []byte(fmt.Sprintf("lifecycle n%d %s vm=%s restarts=%d", id, ev.Kind, ev.VM, ev.Restarts)))
 		}
 	}
 

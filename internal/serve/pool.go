@@ -98,9 +98,10 @@ type Pool struct {
 	seed uint64
 	kern *kernel.Kernel
 
-	arrRNG *sim.RNG // arrival gaps
-	demRNG *sim.RNG // demand draws
-	signer *tz.Signer
+	arrRNG  *sim.RNG // arrival gaps
+	demRNG  *sim.RNG // demand draws
+	signer  *tz.Signer
+	keyring *tz.Keyring // holds signer's verifying key
 
 	login  *hafnium.VM
 	envs   []*Env
@@ -178,6 +179,7 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 		byVM:   make(map[hafnium.VMID]*Env),
 		reaper: n.Machine.Engine.NewDelay(cfg.TTL),
 	}
+	p.keyring = tz.NewKeyring(p.signer.Public())
 	p.reapFn = p.reap
 	p.arrivalFn = p.onArrival
 	for i := 0; i < login.VCPUs(); i++ {
@@ -518,7 +520,11 @@ func (p *Pool) startPrepare(e *Env) {
 			e.ColdPrepares++
 			p.ColdPrep.Add(cost.Micros())
 		}
-		p.record("boot", e, map[bool]string{true: "warm", false: "cold"}[usedWarm])
+		path := "cold"
+		if usedWarm {
+			path = "warm"
+		}
+		p.record("boot", e, path)
 		p.toReady(e)
 		p.pump()
 	})
@@ -666,14 +672,16 @@ func (p *Pool) onLifecycle(ev hafnium.LifecycleEvent) {
 	}
 }
 
-// record signs one pool transition with the node identity, self-verifies
-// it (the per-record check the replicated path also performs), and
-// appends it to the attestation ledger with the signature prefix — the
-// serving counterpart of the migration provenance records.
+// record signs one pool transition with the node identity, checks the
+// record against the node's key in the pool's keyring, and appends it to
+// the attestation ledger with the signature prefix — the serving
+// counterpart of the migration provenance records. The check guards the
+// signer's memo: a remembered signature returned with a payload it was
+// not made for misses the keyring's memo and fails the full verify.
 func (p *Pool) record(kind string, e *Env, detail string) {
 	payload := []byte(fmt.Sprintf("serve %s vm=%s epoch=%d %s", kind, e.Name, e.epoch, detail))
 	rec := tz.SignRecord(p.signer, 0, payload)
-	if rec.Verify(p.signer.Public()) == nil {
+	if p.keyring.Verify(rec) == nil {
 		p.sigVerified++
 	} else {
 		p.sigFailed++
