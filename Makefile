@@ -48,9 +48,12 @@ prop:
 	$(GO) test -run '^(TestQuick|TestProp)' -count=20 ./internal/...
 
 # sweep runs the cluster failover experiment's Check at seeds 1-200
-# from one khsim build. Each seed is another interleaving of fault
-# timing, elections and the signed-proposal path; the first failing seed
-# prints its report.
+# and the serving sweep under its crash campaign
+# (manifests/serving-crash.manifest) at seeds 1-50, from one khsim
+# build. Each cluster seed is another interleaving of fault timing,
+# elections and the signed-proposal path; each serve seed another
+# schedule of environment crashes, head-of-queue requeues and replays.
+# The first failing seed prints its report.
 sweep: build
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/khsim" ./cmd/khsim || exit 1; \
@@ -58,7 +61,12 @@ sweep: build
 		"$$tmp/khsim" cluster -seed $$s -check > "$$tmp/out" || { \
 			cat "$$tmp/out"; echo "sweep: khsim cluster -seed $$s -check failed"; exit 1; }; \
 	done; \
-	echo "sweep: khsim cluster -check ok at seeds 1-200"
+	echo "sweep: khsim cluster -check ok at seeds 1-200"; \
+	for s in $$(seq 1 50); do \
+		"$$tmp/khsim" serve -manifest manifests/serving-crash.manifest -seed $$s -check > "$$tmp/out" || { \
+			cat "$$tmp/out"; echo "sweep: khsim serve -manifest manifests/serving-crash.manifest -seed $$s -check failed"; exit 1; }; \
+	done; \
+	echo "sweep: khsim serve -manifest manifests/serving-crash.manifest -check ok at seeds 1-50"
 
 # examples runs every program under examples/ and fails on the first
 # one that exits non-zero (memshare, for one, exits through log.Fatal

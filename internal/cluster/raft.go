@@ -24,6 +24,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -170,16 +171,59 @@ func wireSize(payload any) int {
 	}
 }
 
-// TraceRecord is one line of the deterministic protocol trace.
+// TraceKind is what a protocol trace record reports.
+type TraceKind uint8
+
+// Trace record kinds, with the fields each fills as String renders them:
+//
+//	TraceCandidate  election timeout: candidate term=A last=(B,tC)
+//	TraceStepDown   step down: term A -> B
+//	TraceLeader     leader term=A log=B
+//	TraceVote       vote for nA term=B
+//	TraceCommit     commit=A head=B (the ledger head's first 4 bytes, big-endian, in hex)
+const (
+	TraceCandidate TraceKind = iota
+	TraceStepDown
+	TraceLeader
+	TraceVote
+	TraceCommit
+)
+
+// TraceRecord is one record of the deterministic protocol trace: what
+// happened and its integer fields, recorded as it happens and rendered
+// as text only by String.
 type TraceRecord struct {
-	At    sim.Time
-	Node  int
-	Event string
+	At      sim.Time
+	Node    int32
+	Kind    TraceKind
+	A, B, C uint64
 }
 
 // String renders the record as a trace line.
-func (t TraceRecord) String() string {
-	return fmt.Sprintf("%12.6fs n%d %s", t.At.Seconds(), t.Node, t.Event)
+func (t TraceRecord) String() string { return TraceLine(t.At, int(t.Node), t.event()) }
+
+// event renders the record's kind and fields.
+func (t TraceRecord) event() string {
+	switch t.Kind {
+	case TraceCandidate:
+		return fmt.Sprintf("election timeout: candidate term=%d last=(%d,t%d)", t.A, t.B, t.C)
+	case TraceStepDown:
+		return fmt.Sprintf("step down: term %d -> %d", t.A, t.B)
+	case TraceLeader:
+		return fmt.Sprintf("leader term=%d log=%d", t.A, t.B)
+	case TraceVote:
+		return fmt.Sprintf("vote for n%d term=%d", t.A, t.B)
+	case TraceCommit:
+		return fmt.Sprintf("commit=%d head=%08x", t.A, t.B)
+	}
+	return fmt.Sprintf("TraceKind(%d)", t.Kind)
+}
+
+// TraceLine renders one line of a protocol trace: the instant, the node
+// and the event's text. A harness renders its own annotations with it
+// so they line up with the records.
+func TraceLine(at sim.Time, node int, event string) string {
+	return fmt.Sprintf("%12.6fs n%d %s", at.Seconds(), node, event)
 }
 
 // Service is the replicated attestation ledger spanning one replica per
@@ -329,8 +373,16 @@ func (s *Service) TraceString() string {
 	return b.String()
 }
 
-func (s *Service) tracef(node int, at sim.Time, format string, args ...any) {
-	s.trace = append(s.trace, TraceRecord{At: at, Node: node, Event: fmt.Sprintf(format, args...)})
+// trace appends a protocol trace record of kind with fields a, b and c
+// for the replica, at the current instant.
+func (r *Replica) trace(kind TraceKind, a, b, c uint64) {
+	r.svc.trace = append(r.svc.trace, TraceRecord{At: r.eng.Now(), Node: int32(r.id), Kind: kind, A: a, B: b, C: c})
+}
+
+// traceCommit traces the replica's commit index and ledger head.
+func (r *Replica) traceCommit() {
+	h := r.log.Head()
+	r.trace(TraceCommit, r.commit, uint64(binary.BigEndian.Uint32(h[:4])), 0)
 }
 
 // count bumps a protocol counter when SetMetrics wired one.
@@ -442,7 +494,7 @@ func (r *Replica) electionTimeout() {
 	r.lead = -1
 	r.votes = 1
 	count(r.svc.mElections)
-	r.svc.tracef(r.id, r.eng.Now(), "election timeout: candidate term=%d last=(%d,t%d)", r.term, r.log.Len(), r.lastTerm())
+	r.trace(TraceCandidate, r.term, r.log.Len(), r.lastTerm())
 	req := voteReq{Term: r.term, Candidate: r.id, LastIndex: r.log.Len(), LastTerm: r.lastTerm()}
 	for _, p := range r.svc.reps {
 		if p.id != r.id {
@@ -455,7 +507,7 @@ func (r *Replica) electionTimeout() {
 // stepDown adopts a higher term as a follower.
 func (r *Replica) stepDown(term uint64) {
 	if r.role == Leader {
-		r.svc.tracef(r.id, r.eng.Now(), "step down: term %d -> %d", r.term, term)
+		r.trace(TraceStepDown, r.term, term, 0)
 		r.hb.Disarm()
 		for _, t := range r.retry {
 			t.Disarm()
@@ -484,7 +536,7 @@ func (r *Replica) becomeLeader() {
 	}
 	r.election.Disarm()
 	r.log.Append(r.term, []byte(fmt.Sprintf("leader n%d term %d", r.id, r.term)))
-	r.svc.tracef(r.id, r.eng.Now(), "leader term=%d log=%d", r.term, r.log.Len())
+	r.trace(TraceLeader, r.term, r.log.Len(), 0)
 	r.heartbeat()
 }
 
@@ -585,7 +637,7 @@ func (r *Replica) onVoteReq(q voteReq) {
 			granted = true
 			r.voted = q.Candidate
 			r.armElection()
-			r.svc.tracef(r.id, r.eng.Now(), "vote for n%d term=%d", q.Candidate, q.Term)
+			r.trace(TraceVote, uint64(q.Candidate), q.Term, 0)
 		}
 	}
 	r.send(q.Candidate, voteResp{Term: r.term, Voter: r.id, Granted: granted})
@@ -648,7 +700,7 @@ func (r *Replica) onAppend(q appendReq) {
 		}
 		if c > r.commit {
 			r.commit = c
-			r.svc.tracef(r.id, r.eng.Now(), "commit=%d head=%x", r.commit, shortHead(r.log))
+			r.traceCommit()
 		}
 	}
 	r.send(q.Leader, appendResp{Term: r.term, From: r.id, Success: true, Match: idx})
@@ -708,7 +760,7 @@ func (r *Replica) advanceCommit() {
 		}
 		r.commit = i
 		count(r.svc.mCommits)
-		r.svc.tracef(r.id, r.eng.Now(), "commit=%d head=%x", r.commit, shortHead(r.log))
+		r.traceCommit()
 	}
 }
 
@@ -728,9 +780,4 @@ func (r *Replica) propose(payload []byte, forwarded bool) bool {
 	}
 	r.send(r.lead, proposeReq{Payload: payload, Forwarded: true})
 	return true
-}
-
-func shortHead(l *tz.AttestLog) []byte {
-	h := l.Head()
-	return h[:4]
 }

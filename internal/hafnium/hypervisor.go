@@ -143,7 +143,7 @@ var hcNames = [numHypercalls]string{
 // The counter is registered on the VM's first call of that kind and
 // cached on the VM from then on.
 func (h *Hypervisor) hypercall(kind hcKind, vm *VM) {
-	h.node.Metrics.CachedCounter(&vm.mHypercalls[kind], metrics.K("el2", hcNames[kind]).WithVM(vm.spec.Name)).Inc()
+	vm.counter(&vm.mHypercalls[kind], "el2", hcNames[kind]).Inc()
 }
 
 // worldSwitch accounts one world switch for vm with the EL2 cycle cost
@@ -808,7 +808,7 @@ func (h *Hypervisor) InjectDeviceIRQ(to VMID, virq int) error {
 		return ErrNotRunning
 	}
 	h.stats.Forwards++
-	h.node.Metrics.CachedCounter(&vm.mForwards, metrics.K("el2", "device_forwards").WithVM(vm.spec.Name)).Inc()
+	vm.counter(&vm.mForwards, "el2", "device_forwards").Inc()
 	h.pendToVM(vm, virq)
 	return nil
 }
@@ -874,7 +874,8 @@ func (h *Hypervisor) RestartVM(id VMID) error {
 
 // msgSend implements the mailbox hypercall. Allowed pairs: the primary
 // may message anyone; the super-secondary and secondaries may message
-// only the primary (the paper's secure job-control channel).
+// only the primary (the paper's secure job-control channel). The payload
+// is copied into the receiver's reused receive buffer.
 func (h *Hypervisor) msgSend(from, to VMID, payload []byte) error {
 	src, ok := h.VM(from)
 	if !ok {
@@ -893,12 +894,7 @@ func (h *Hypervisor) msgSend(from, to VMID, payload []byte) error {
 	if dst.mailboxFull {
 		return ErrBusy
 	}
-	// The copy is the receiver's mailbox page: the sender may reuse its
-	// buffer as soon as the call returns.
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	dst.mailbox = Message{From: from, Payload: cp}
-	dst.mailboxFull = true
+	dst.deliver(from, payload)
 	h.stats.Messages++
 	h.hypercall(hcMsgSend, src)
 	if dst.spec.Class == Primary {

@@ -176,8 +176,7 @@ func (h *Hypervisor) Restore(st sim.State) {
 		vm.nextShareIPA = vs.nextShareIPA
 		vm.clearMailbox()
 		if vs.mailboxFull {
-			vm.mailbox = Message{From: vs.mailbox.From, Payload: append([]byte(nil), vs.mailbox.Payload...)}
-			vm.mailboxFull = true
+			vm.deliver(vs.mailbox.From, vs.mailbox.Payload)
 		}
 		vm.mmio = append(vm.mmio[:0], vs.mmio...)
 		vm.restarts = vs.restarts

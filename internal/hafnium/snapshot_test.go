@@ -220,3 +220,45 @@ func TestSnapshotInsideExitWindow(t *testing.T) {
 		t.Fatalf("replay from inside the exit window diverged:\n  first:  %s\n  second: %s", first, second)
 	}
 }
+
+// TestSnapshotRestoresMailboxPayload takes a node snapshot while a
+// message waits in a VM's mailbox. Every later send to that VM writes
+// into the same receive buffer, yet each restore brings back the
+// snapshot's payload bytes: the snapshot holds its own copy, and Restore
+// copies it back into the buffer.
+func TestSnapshotRestoresMailboxPayload(t *testing.T) {
+	h, _ := buildTestSystem(t, basicManifest, map[string]GuestOS{
+		"job": &stubGuest{workChunk: sim.FromMicros(10), chunks: 1},
+	})
+	node := h.Node()
+	job, _ := h.VMByName("job")
+	if err := h.SendFromPrimary(job.ID(), []byte("admit 7")); err != nil {
+		t.Fatal(err)
+	}
+	snap := node.Snapshot()
+	for round := 0; round < 2; round++ {
+		first, err := h.msgRecv(job.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.SendFromPrimary(job.ID(), []byte("done 91")); err != nil {
+			t.Fatal(err)
+		}
+		later, err := h.msgRecv(job.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(later.Payload) != "done 91" || &later.Payload[0] != &first.Payload[0] {
+			t.Fatalf("round %d: later send %q did not reuse the receive buffer", round, later.Payload)
+		}
+		node.Restore(snap)
+		msg, err := h.msgRecv(job.ID())
+		if err != nil {
+			t.Fatalf("round %d: mailbox empty after restore: %v", round, err)
+		}
+		if msg.From != PrimaryID || string(msg.Payload) != "admit 7" {
+			t.Fatalf("round %d: restored message = %d %q, want %d %q", round, msg.From, msg.Payload, PrimaryID, "admit 7")
+		}
+		node.Restore(snap)
+	}
+}

@@ -55,7 +55,9 @@ type PrimaryOS interface {
 	EvictionPages() int
 }
 
-// Message is one mailbox entry.
+// Message is one mailbox entry. A received Payload is the receiving VM's
+// receive buffer: it stays valid until the VM's next message arrives, so
+// a receiver that keeps the bytes longer copies them.
 type Message struct {
 	From    VMID
 	Payload []byte
@@ -75,9 +77,13 @@ type VM struct {
 	ramSize uint64
 
 	nextShareIPA uint64
-	// mailbox is the VM's one-slot receive buffer, valid while mailboxFull.
+	// mailbox is the VM's one-slot mailbox, valid while mailboxFull. Its
+	// payload is rx, the VM's receive buffer (Hafnium's RX page): every
+	// send to the VM copies into it, so a received payload stays valid
+	// until the VM's next message.
 	mailbox     Message
 	mailboxFull bool
+	rx          []byte
 
 	mmio []mem.Region // device windows mapped into this VM
 
@@ -135,7 +141,24 @@ func (v *VM) Node() *machine.Node { return v.hyp.node }
 // call (metrics.Registry.CachedCounter). The slot belongs to this VM; a
 // caller that serves several VMs keeps one per VM.
 func (v *VM) CachedMetric(slot **metrics.Counter, name string) *metrics.Counter {
-	return v.hyp.node.Metrics.CachedCounter(slot, metrics.K("guest", name).WithVM(v.spec.Name))
+	return v.counter(slot, "guest", name)
+}
+
+// counter returns the VM-labelled counter sub.name through the cache
+// slot. It reads the slot before anything else: the four-word key is
+// built, and copied through the stack, only on the miss that registers
+// the series.
+func (v *VM) counter(slot **metrics.Counter, sub, name string) *metrics.Counter {
+	if c := *slot; c != nil {
+		return c
+	}
+	return v.registerCounter(slot, sub, name)
+}
+
+// registerCounter is counter's miss: it registers sub.name under this
+// VM's label and fills the slot (metrics.Registry.CachedCounter).
+func (v *VM) registerCounter(slot **metrics.Counter, sub, name string) *metrics.Counter {
+	return v.hyp.node.Metrics.CachedCounter(slot, metrics.K(sub, name).WithVM(v.spec.Name))
 }
 
 // VCPU returns the i'th virtual CPU.
@@ -156,8 +179,17 @@ func (v *VM) Stage2() *mmu.Table { return v.stage2 }
 // RAM reports the guest-physical RAM window [GuestRAMBase, +size).
 func (v *VM) RAM() (ipaBase uint64, size uint64) { return GuestRAMBase, v.ramSize }
 
-// clearMailbox empties the VM's mailbox slot.
+// clearMailbox empties the VM's mailbox slot; the receive buffer stays.
 func (v *VM) clearMailbox() { v.mailbox, v.mailboxFull = Message{}, false }
+
+// deliver fills the VM's mailbox with a message from from, copying the
+// payload into the receive buffer: the sender may reuse its own buffer as
+// soon as the send returns.
+func (v *VM) deliver(from VMID, payload []byte) {
+	v.rx = append(v.rx[:0], payload...)
+	v.mailbox = Message{From: from, Payload: v.rx}
+	v.mailboxFull = true
+}
 
 // MMIO returns the device windows this VM may touch.
 func (v *VM) MMIO() []mem.Region {

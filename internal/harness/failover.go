@@ -118,7 +118,7 @@ type FailoverReport struct {
 	Injected    faults.Stats
 	EventsFired uint64
 
-	harnessTrace []cluster.TraceRecord
+	harnessTrace []string // the harness's own annotations, rendered
 	protoTrace   []cluster.TraceRecord
 	injectTrace  []faults.Record
 }
@@ -171,8 +171,8 @@ func (r *FailoverReport) Artifact() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster-failover seed=%d nodes=%d run=%v\n", r.Seed, r.Nodes, r.Run)
 	fmt.Fprintf(&b, "--- fault campaign ---\n")
-	for _, t := range r.harnessTrace {
-		b.WriteString(t.String())
+	for _, line := range r.harnessTrace {
+		b.WriteString(line)
 		b.WriteByte('\n')
 	}
 	for _, rec := range r.injectTrace {
@@ -347,9 +347,7 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 		TimeoutBound:  uint64(3 * m.Nodes),
 	}
 	note := func(at sim.Time, node int, format string, args ...any) {
-		rep.harnessTrace = append(rep.harnessTrace, cluster.TraceRecord{
-			At: at, Node: node, Event: fmt.Sprintf(format, args...),
-		})
+		rep.harnessTrace = append(rep.harnessTrace, cluster.TraceLine(at, node, fmt.Sprintf(format, args...)))
 	}
 
 	// Every payload a node offers the replicated ledger — boot quote,
@@ -500,15 +498,16 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 	// Post-run analysis: the new leader is the first leadership record
 	// traced after the kill; candidacies in between are the failover cost.
 	for _, t := range svc.Trace() {
-		if rep.KillAt > 0 && t.At > rep.KillAt {
-			if strings.HasPrefix(t.Event, "election timeout: candidate") && rep.LeaderAfter < 0 {
-				rep.FailoverTimeouts++
-			}
-			if strings.HasPrefix(t.Event, "leader term=") && rep.LeaderAfter < 0 {
-				rep.LeaderAfter = t.Node
-				rep.ElectedAt = t.At
-				rep.FailoverElapsed = sim.Duration(t.At - rep.KillAt)
-			}
+		if rep.KillAt <= 0 || t.At <= rep.KillAt || rep.LeaderAfter >= 0 {
+			continue
+		}
+		switch t.Kind {
+		case cluster.TraceCandidate:
+			rep.FailoverTimeouts++
+		case cluster.TraceLeader:
+			rep.LeaderAfter = int(t.Node)
+			rep.ElectedAt = t.At
+			rep.FailoverElapsed = sim.Duration(t.At - rep.KillAt)
 		}
 	}
 	logs := svc.Logs()

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"khsim/internal/serve"
+	"khsim/internal/sim"
 )
 
 // TestShippedServingManifest keeps manifests/serving.manifest in sync
@@ -26,6 +28,43 @@ func TestShippedServingManifest(t *testing.T) {
 	if shipped.NodePlan != builtin.NodePlan || len(shipped.Rates) != len(builtin.Rates) ||
 		shipped.TTL != builtin.TTL || shipped.WarmPool != builtin.WarmPool {
 		t.Fatal("shipped serving manifest drifted from the built-in scenario")
+	}
+}
+
+// TestShippedServingCrashManifest keeps manifests/serving-crash.manifest
+// in sync with the built-in scenario: the same configuration with the
+// crash campaign on at a 20 ms mean. Its seed-1 sweep replays jobs and
+// passes Check.
+func TestShippedServingCrashManifest(t *testing.T) {
+	b, err := os.ReadFile("../../manifests/serving-crash.manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := serve.ParseManifest(string(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serve.ParseManifest(ServingManifestText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.CrashMean = sim.FromMicros(20000)
+	if !reflect.DeepEqual(shipped, want) {
+		t.Fatal("shipped serving-crash manifest is not the built-in scenario with crash_mean_ms = 20")
+	}
+	r, err := RunServingManifest(string(b), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Check(); err != nil {
+		t.Fatalf("%v\n%s", err, r.Summary())
+	}
+	replayed := 0
+	for _, c := range r.Cells {
+		replayed += c.Report.Stats.Replayed
+	}
+	if replayed == 0 {
+		t.Fatalf("the crash campaign replayed no job:\n%s", r.Summary())
 	}
 }
 

@@ -108,12 +108,14 @@ type Pool struct {
 	byName map[string]*Env
 	byVM   map[hafnium.VMID]*Env
 
-	jobs []*Job
+	// jobs holds the jobs from the oldest unfinished one to the newest.
+	jobs jobTable
 	// pendingAdmit holds generated job IDs the login VM has not yet
 	// admitted (the simulated NIC queue).
-	pendingAdmit []int
-	// queue holds admitted job IDs awaiting dispatch.
-	queue []int
+	pendingAdmit idRing
+	// queue holds admitted job IDs awaiting dispatch; a crash-replace
+	// requeue goes to its head.
+	queue idRing
 
 	draining  bool // login admission chain in flight
 	pumpArmed bool // dispatch retry pending
@@ -132,7 +134,8 @@ type Pool struct {
 	admitFns  []func()
 
 	// wire is the reused encode buffer for admit/job/done messages; the
-	// hypervisor copies a payload into the receiver's mailbox on send.
+	// hypervisor copies a payload into the receiver's receive buffer on
+	// send.
 	wire []byte
 
 	generated, admitted, completed, replayed int
@@ -328,17 +331,15 @@ func (p *Pool) onArrival() {
 
 // arrive generates one job and rings the login VM's doorbell. The demand
 // is drawn by the caller so tests can inject jobs with pinned demands.
-func (p *Pool) arrive(demand sim.Duration) *Job {
-	j := &Job{ID: len(p.jobs), Arrive: p.eng.Now(), Demand: demand, Env: -1}
-	p.jobs = append(p.jobs, j)
+func (p *Pool) arrive(demand sim.Duration) {
+	id := p.jobs.add(Job{Arrive: p.eng.Now(), Demand: demand, Env: -1})
 	p.generated++
-	p.pendingAdmit = append(p.pendingAdmit, j.ID)
+	p.pendingAdmit.pushBack(id)
 	if err := p.hyp.InjectDeviceIRQ(p.login.ID(), AdmitVIRQ); err != nil {
 		// The login VM is down; the job waits in the queue for the next
 		// successful doorbell.
 		p.dropped++
 	}
-	return j
 }
 
 // admitPending drains the arrival queue from the login VM: one mailbox
@@ -355,18 +356,18 @@ func (p *Pool) admitPending(vc *hafnium.VCPU) {
 }
 
 func (p *Pool) admitNext(vc *hafnium.VCPU) {
-	if len(p.pendingAdmit) == 0 {
+	if p.pendingAdmit.len() == 0 {
 		p.draining = false
 		return
 	}
-	id := p.pendingAdmit[0]
+	id := p.pendingAdmit.front()
 	if err := vc.SendMessage(hafnium.PrimaryID, p.encode("admit", int64(id))); err != nil {
 		p.admitRetries++
 		vc.Exec("serve.admit.retry", p.cfg.RetryBackoff, p.admitFns[vc.Index()])
 		return
 	}
-	p.pendingAdmit = p.pendingAdmit[1:]
-	if len(p.pendingAdmit) > 0 {
+	p.pendingAdmit.popFront()
+	if p.pendingAdmit.len() > 0 {
 		vc.Exec("serve.admit", admitCost, p.admitFns[vc.Index()])
 		return
 	}
@@ -375,38 +376,43 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 
 // primaryMessage is the pool manager: it takes over the primary kernel's
 // mailbox handler for admit/done traffic and forwards everything else to
-// the stock job-control command path.
+// the stock job-control command path. Every ID below the next one issued
+// is a pool ID, whether or not its job is still in the table.
 func (p *Pool) primaryMessage(msg hafnium.Message) {
 	cmd, arg, _ := bytes.Cut(msg.Payload, space)
 	n, ok := parseDecimal(arg)
-	if !ok || n >= int64(len(p.jobs)) {
+	if !ok || n >= int64(p.jobs.next()) {
 		p.kern.ExecuteCommand(msg)
 		return
 	}
 	id := int(n)
 	switch string(cmd) {
 	case "admit":
-		j := p.jobs[id]
+		j := p.jobs.get(id)
+		if j == nil {
+			return // a job that has finished and left the table
+		}
 		j.AdmitAt = p.eng.Now()
 		p.admitted++
-		p.queue = append(p.queue, id)
+		p.queue.pushBack(id)
 		p.pump()
 	case "done":
 		e, ok := p.byVM[msg.From]
 		if !ok || e.job != id {
 			// Stale completion: the environment crashed (or was replaced)
 			// after finishing but before this message was consumed, and the
-			// job has been requeued. The replay's completion is the one
-			// that counts.
+			// job has been requeued — or has since completed and left the
+			// table. The replay's completion is the one that counts.
 			return
 		}
-		j := p.jobs[id]
+		j := p.jobs.get(id)
 		j.DoneAt = p.eng.Now()
 		p.completed++
 		p.mDone.Inc()
 		us := j.Latency().Micros()
 		p.Latency.Add(us)
 		p.mLatency.Observe(us)
+		p.jobs.reclaim()
 		e.job = -1
 		p.toReady(e)
 		p.pump()
@@ -427,25 +433,25 @@ func (p *Pool) toReady(e *Env) {
 // on Stopped ones for whatever demand remains. It runs in primary-kernel
 // or engine context — never inside a guest.
 func (p *Pool) pump() {
-	for len(p.queue) > 0 {
+	for p.queue.len() > 0 {
 		e := p.readyEnv()
 		if e == nil {
 			break
 		}
-		id := p.queue[0]
-		j := p.jobs[id]
+		id := p.queue.front()
+		j := p.jobs.get(id)
 		if err := p.hyp.SendFromPrimary(e.id, p.encode("job", int64(id), int64(j.Demand))); err != nil {
 			p.armPumpRetry()
 			return
 		}
-		p.queue = p.queue[1:]
+		p.queue.popFront()
 		j.DispatchAt = p.eng.Now()
 		j.Env = e.Index
 		e.state = EnvBusy
 		e.job = id
 		e.epoch++
 	}
-	need := len(p.queue)
+	need := p.queue.len()
 	for _, e := range p.envs {
 		if e.state == EnvPreparing {
 			need--
@@ -643,10 +649,9 @@ func (p *Pool) onLifecycle(ev hafnium.LifecycleEvent) {
 	case "crash":
 		e.Crashes++
 		if e.job >= 0 {
-			j := p.jobs[e.job]
-			j.Replays++
+			p.jobs.get(e.job).Replays++
 			p.replayed++
-			p.queue = append([]int{e.job}, p.queue...)
+			p.queue.pushFront(e.job)
 			e.job = -1
 		}
 		e.state = EnvCrashed

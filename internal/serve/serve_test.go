@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"khsim/internal/core"
+	"khsim/internal/hafnium"
 	"khsim/internal/sim"
 )
 
@@ -69,6 +71,23 @@ func buildPool(t *testing.T, seed uint64, mutate func(*Config)) (*core.SecureNod
 		t.Fatalf("Boot: %v", err)
 	}
 	return n, p, cfg
+}
+
+// dispatchedEnv steps eng until job id has been dispatched, and returns
+// the environment it went to while the job is still in flight (a
+// finished job may leave the table). It fails the test if the dispatch
+// has not happened by until.
+func dispatchedEnv(t *testing.T, eng *sim.Engine, p *Pool, id int, until sim.Time) *Env {
+	t.Helper()
+	for {
+		if j := p.jobs.get(id); j != nil && j.Env >= 0 {
+			return p.envs[j.Env]
+		}
+		if at, ok := eng.NextAt(); !ok || at > until {
+			t.Fatalf("job %d not dispatched by %v", id, until)
+		}
+		eng.Step()
+	}
 }
 
 func TestParseManifest(t *testing.T) {
@@ -180,11 +199,12 @@ func TestReapWinsExactTTLTie(t *testing.T) {
 
 	demand := sim.FromMicros(100)
 	eng.AfterNamed(sim.FromMicros(100), "test.arrive0", func() { p.arrive(demand) })
-	n.Run(sim.FromMicros(2000)) // past completion, short of idleSince+TTL
+	end := eng.Now().Add(sim.FromMicros(2000)) // past completion, short of idleSince+TTL
+	e := dispatchedEnv(t, eng, p, 0, end)
+	n.Run(end.Sub(eng.Now()))
 	if p.completed != 1 {
 		t.Fatalf("first job: completed=%d", p.completed)
 	}
-	e := p.envs[p.jobs[0].Env]
 	if e.state != EnvReady {
 		t.Fatalf("env %s is %v after completion", e.Name, e.state)
 	}
@@ -223,11 +243,12 @@ func TestReapRacesCrashReplace(t *testing.T) {
 	p.horizon = eng.Now().Add(sim.FromSeconds(1))
 
 	eng.AfterNamed(sim.FromMicros(100), "test.arrive", func() { p.arrive(sim.FromMicros(100)) })
-	n.Run(sim.FromMicros(2000)) // past completion, short of idleSince+TTL
+	end := eng.Now().Add(sim.FromMicros(2000)) // past completion, short of idleSince+TTL
+	e := dispatchedEnv(t, eng, p, 0, end)
+	n.Run(end.Sub(eng.Now()))
 	if p.completed != 1 {
 		t.Fatalf("setup job: completed=%d", p.completed)
 	}
-	e := p.envs[p.jobs[0].Env]
 	if e.state != EnvReady {
 		t.Fatalf("env %s is %v", e.Name, e.state)
 	}
@@ -283,6 +304,128 @@ func TestWarmPoolExhaustion(t *testing.T) {
 	}
 	if p.WarmPrep.Mean() >= p.ColdPrep.Mean() {
 		t.Fatalf("warm prepare %.1fus did not beat cold %.1fus", p.WarmPrep.Mean(), p.ColdPrep.Mean())
+	}
+}
+
+// TestCrashCampaignTableAndReplays runs the pool at 4000 jobs/s for
+// 200 ms under a crash campaign (crash_mean_ms = 20) at seeds 1-10 and
+// pins what the job table must get right when crashed environments
+// requeue their jobs at the head of the dispatch queue: after every
+// completion the table's oldest job is unfinished, so no finished job
+// older than the oldest unfinished one stays; after the drain every
+// generated job either completed or is still in the table unfinished;
+// and every replayed job completes exactly once.
+func TestCrashCampaignTableAndReplays(t *testing.T) {
+	replays := 0
+	for seed := uint64(1); seed <= 10; seed++ {
+		n, p, cfg := buildPool(t, seed, func(c *Config) {
+			c.CrashMean = sim.FromMicros(20000)
+			c.Rates = []float64{4000}
+			c.Run = sim.FromMicros(200000)
+		})
+		completions := map[int]int{}
+		replayed := map[int]int{} // crash-replace requeues by job
+		onMessage := p.kern.OnMessage
+		p.kern.OnMessage = func(msg hafnium.Message) {
+			_, arg, _ := bytes.Cut(msg.Payload, space)
+			id, _ := parseDecimal(arg)
+			before := p.completed
+			onMessage(msg)
+			if p.completed == before {
+				return
+			}
+			completions[int(id)]++
+			if j := p.jobs.get(p.jobs.lo); j != nil && j.DoneAt != 0 {
+				t.Fatalf("seed %d: after job %d completed, finished job %d heads the table", seed, id, p.jobs.lo)
+			}
+		}
+		onLifecycle := n.OnLifecycle
+		n.OnLifecycle = func(ev hafnium.LifecycleEvent) {
+			if e := p.byName[ev.VM]; ev.Kind == "crash" && e != nil && e.job >= 0 {
+				replayed[e.job]++
+			}
+			onLifecycle(ev)
+		}
+		if err := p.Start(cfg.Rates[0]); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		n.Run(cfg.Run + cfg.Drain)
+
+		unfinished := 0
+		for id := p.jobs.lo; id < p.jobs.next(); id++ {
+			if p.jobs.get(id).DoneAt == 0 {
+				unfinished++
+			}
+		}
+		if p.generated != p.completed+unfinished {
+			t.Fatalf("seed %d: generated %d != completed %d + %d unfinished in the table",
+				seed, p.generated, p.completed, unfinished)
+		}
+		for id, c := range completions {
+			if c != 1 {
+				t.Fatalf("seed %d: job %d completed %d times", seed, id, c)
+			}
+		}
+		for id := range replayed {
+			if completions[id] != 1 {
+				t.Fatalf("seed %d: replayed job %d completed %d times", seed, id, completions[id])
+			}
+		}
+		requeues := 0
+		for _, r := range replayed {
+			requeues += r
+		}
+		if requeues != p.replayed {
+			t.Fatalf("seed %d: saw %d requeues, pool counted %d replays", seed, requeues, p.replayed)
+		}
+		replays += requeues
+	}
+	t.Logf("%d replays at seeds 1-10", replays)
+	if replays < 50 {
+		t.Fatalf("the crash campaign replayed only %d jobs at seeds 1-10", replays)
+	}
+}
+
+// TestStaleDoneForRetiredJob sends a completion for a job that has
+// finished and left the table. Its ID is below the next one issued, so
+// it is still a pool ID: the pool ignores it instead of handing it to
+// the kernel's job-control path, whose command counts do not move. A
+// "done" for an ID not yet issued is not a pool message and does reach
+// that path, which answers it as a command for a VM named "1".
+func TestStaleDoneForRetiredJob(t *testing.T) {
+	n, p, _ := buildPool(t, 3, nil)
+	if err := p.park(); err != nil {
+		t.Fatalf("park: %v", err)
+	}
+	eng := n.Machine.Engine
+	p.horizon = eng.Now().Add(sim.FromSeconds(1))
+	eng.AfterNamed(sim.FromMicros(100), "test.arrive", func() { p.arrive(sim.FromMicros(100)) })
+	n.Run(sim.FromMicros(2000))
+	if p.completed != 1 || p.jobs.get(0) != nil || p.jobs.next() != 1 {
+		t.Fatalf("job 0: completed=%d, still in the table=%v", p.completed, p.jobs.get(0) != nil)
+	}
+	env := p.envs[0].vm.VCPU(0)
+	send := func(payload string) {
+		t.Helper()
+		if err := env.SendMessage(hafnium.PrimaryID, []byte(payload)); err != nil {
+			t.Fatalf("send %q: %v", payload, err)
+		}
+		n.Run(sim.FromMicros(500))
+	}
+
+	before := p.kern.Stats()
+	send("done 0")
+	if got := p.kern.Stats(); got.Commands != before.Commands || got.BadCommands != before.BadCommands {
+		t.Fatalf("stale done reached the kernel: commands %d -> %d, unknown %d -> %d",
+			before.Commands, got.Commands, before.BadCommands, got.BadCommands)
+	}
+	if p.completed != 1 {
+		t.Fatalf("stale done counted: completed=%d", p.completed)
+	}
+
+	send("done 1")
+	if got := p.kern.Stats(); got.Commands != before.Commands+1 {
+		t.Fatalf("done for an unissued ID: kernel commands %d -> %d, want one more", before.Commands, got.Commands)
 	}
 }
 

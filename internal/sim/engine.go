@@ -108,8 +108,16 @@ type Engine struct {
 	live   int      // events queued on the heap and the lanes
 
 	regs  []*Register // by register id
-	rheap []entry     // binary min-heap of armed registers by (when, seq)
-	rpos  []int32     // each register's index in rheap, -1 when disarmed
+	rheap []entry     // binary min-heap of register entries by (when, seq)
+	rpos  []int32     // each register's index in rheap, -1 when it has none
+	// vacant lists the registers that fired or were disarmed since the
+	// last front, in no particular order; rvac marks them by id. Each
+	// keeps its rheap entry, disarmed, and the next Arm of a register
+	// with no entry takes one over in place (see Register.Arm). front
+	// and Snapshot remove the entries nobody took before they read the
+	// heap, and Pending does not count them.
+	vacant []uint32
+	rvac   []bool
 
 	rng     *RNG
 	stopped bool
@@ -142,7 +150,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to fire: scheduled events
 // and armed registers.
-func (e *Engine) Pending() int { return e.live + len(e.rheap) }
+func (e *Engine) Pending() int { return e.live + len(e.rheap) - len(e.vacant) }
 
 // Schedule enqueues fn to run at the absolute time at. Scheduling in the
 // past (before Now) is a logic error and panics.
@@ -304,11 +312,16 @@ func (e *Engine) NewRegister(name string, fn func()) *Register {
 	r := &Register{eng: e, id: uint32(len(e.regs)), name: name, fn: fn}
 	e.regs = append(e.regs, r)
 	e.rpos = append(e.rpos, -1)
+	e.rvac = append(e.rvac, false)
 	return r
 }
 
 // Arm sets the register to fire at the absolute time at, replacing its
-// pending firing if it has one. Arming in the past panics.
+// pending firing if it has one. Arming in the past panics. The new
+// firing overwrites an entry already in the register heap and moves it
+// with one regFix where it can: the register's own entry, or else one
+// that fired or was disarmed during the current event. Only with neither
+// is an entry added.
 func (r *Register) Arm(at Time) {
 	e := r.eng
 	if at < e.now {
@@ -316,7 +329,17 @@ func (r *Register) Arm(at Time) {
 	}
 	x := entry{when: at, seq: e.seq, id: r.id}
 	e.seq++
-	if p := e.rpos[r.id]; p >= 0 {
+	p := e.rpos[r.id]
+	switch {
+	case p >= 0 && e.rvac[r.id]:
+		e.unvacate(r.id)
+	case p < 0 && len(e.vacant) > 0:
+		v := e.vacant[len(e.vacant)-1]
+		e.vacant = e.vacant[:len(e.vacant)-1]
+		e.rvac[v] = false
+		p, e.rpos[v] = e.rpos[v], -1
+	}
+	if p >= 0 {
 		e.rheap[p] = x
 		e.regFix(int(p))
 	} else {
@@ -331,26 +354,59 @@ func (r *Register) Arm(at Time) {
 // Disarm drops the register's pending firing; it is a no-op on a
 // disarmed register.
 func (r *Register) Disarm() {
-	if p := r.eng.rpos[r.id]; p >= 0 {
-		r.eng.regRemove(int(p))
+	if r.Armed() {
+		r.eng.vacate(r.id)
 	}
 }
 
 // Armed reports whether the register has a pending firing.
-func (r *Register) Armed() bool { return r.eng.rpos[r.id] >= 0 }
+func (r *Register) Armed() bool { return r.eng.rpos[r.id] >= 0 && !r.eng.rvac[r.id] }
 
 // When reports the time of the pending firing, or 0 when disarmed.
 func (r *Register) When() Time {
-	if p := r.eng.rpos[r.id]; p >= 0 {
-		return r.eng.rheap[p].when
+	if r.Armed() {
+		return r.eng.rheap[r.eng.rpos[r.id]].when
 	}
 	return 0
+}
+
+// vacate disarms register id but leaves its entry in the register heap
+// for a later Arm in the same event to take over.
+func (e *Engine) vacate(id uint32) {
+	e.rvac[id] = true
+	e.vacant = append(e.vacant, id)
+}
+
+// unvacate takes register id off the vacant list, whose order does not
+// matter; its entry stays.
+func (e *Engine) unvacate(id uint32) {
+	e.rvac[id] = false
+	last := len(e.vacant) - 1
+	for i, v := range e.vacant {
+		if v == id {
+			e.vacant[i] = e.vacant[last]
+			e.vacant = e.vacant[:last]
+			return
+		}
+	}
+}
+
+// dropVacant removes the entries no Arm took over from the register heap.
+func (e *Engine) dropVacant() {
+	for _, id := range e.vacant {
+		e.rvac[id] = false
+		e.regRemove(int(e.rpos[id]))
+	}
+	e.vacant = e.vacant[:0]
 }
 
 // front returns the front entry — the (when, seq) minimum across the
 // register heap, the event heap and the lanes — and the queue holding
 // it, or srcNone when every queue is empty.
 func (e *Engine) front() (entry, int) {
+	if len(e.vacant) > 0 {
+		e.dropVacant()
+	}
 	var best entry
 	src := srcNone
 	if len(e.rheap) > 0 {
@@ -378,7 +434,11 @@ func (e *Engine) front() (entry, int) {
 
 // fire dequeues the front entry x from queue src, advances the clock, and
 // runs its callback. A register is disarmed and a slot recycled before
-// the callback runs, so a callback observes its own event as fired.
+// the callback runs, so a callback observes its own event as fired. The
+// fired register's entry stays in the register heap, vacant, for an Arm
+// in the callback to take over; entries vacated during the event that no
+// Arm took over leave the heap at the next front, before anything else
+// can fire.
 func (e *Engine) fire(x entry, src int) {
 	if x.when < e.now {
 		panic("sim: event queue time went backwards")
@@ -387,7 +447,7 @@ func (e *Engine) fire(x entry, src int) {
 	e.fired++
 	switch src {
 	case srcReg:
-		e.regRemove(0)
+		e.vacate(x.id)
 		e.regs[x.id].fn()
 		return
 	case srcHeap:

@@ -84,9 +84,12 @@ var laneDelays = []Duration{75, 300}
 // lane events often fall due at one instant and only seq orders them.
 const tick Duration = 25
 
-// regCoverage counts what a trial's register operations exercised.
+// regCoverage counts what a trial's register operations exercised;
+// cbArmed and cbDisarmed count the arms and disarms event callbacks made
+// themselves.
 type regCoverage struct {
 	earlier, later, atNow, fired, disarmed, survived int
+	cbArmed, cbDisarmed                              int
 }
 
 // TestPropEngineMatchesReferenceModel drives the engine and the reference
@@ -102,8 +105,13 @@ type regCoverage struct {
 // and same-instant events; and a lanes regime that adds two fixed-delay
 // lanes and rewinds a mid-trial Snapshot with Restore, rewinding the
 // model with it, where a register created after the snapshot must come
-// back disarmed. After every operation each register is armed exactly
-// when the model holds its firing, for the model's time.
+// back disarmed. In both register regimes every event callback, a
+// firing register's included, itself arms, re-arms and disarms
+// registers, so registers take over the entries that fired or were
+// disarmed in the same event. After every operation, and inside those
+// callbacks after each of theirs, each register is armed exactly when
+// the model holds its firing, for the model's time, and the pending
+// counts agree.
 func TestPropEngineMatchesReferenceModel(t *testing.T) {
 	for _, regime := range []refRegime{regimeUniform, regimeRegisters, regimeLanes} {
 		var cov regCoverage
@@ -113,7 +121,8 @@ func TestPropEngineMatchesReferenceModel(t *testing.T) {
 		if regime == regimeUniform {
 			continue
 		}
-		if cov.earlier < 100 || cov.later < 100 || cov.atNow < 50 || cov.fired < 100 || cov.disarmed < 100 {
+		if cov.earlier < 100 || cov.later < 100 || cov.atNow < 50 || cov.fired < 100 || cov.disarmed < 100 ||
+			cov.cbArmed < 100 || cov.cbDisarmed < 50 {
 			t.Fatalf("regime %d exercised too little: %+v", regime, cov)
 		}
 		if regime == regimeLanes && cov.survived < 50 {
@@ -137,12 +146,24 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 		}
 	}
 
+	// onFire, when set, runs at the end of every event callback.
+	var onFire func()
 	var engFired, refFired []int
 	schedule := func(at Time) {
 		id := m.schedule(at)
-		e.Schedule(at, func() { engFired = append(engFired, id) })
+		e.Schedule(at, func() {
+			engFired = append(engFired, id)
+			if onFire != nil {
+				onFire()
+			}
+		})
 	}
-	fireArg := func(x any) { engFired = append(engFired, x.(int)) }
+	fireArg := func(x any) {
+		engFired = append(engFired, x.(int))
+		if onFire != nil {
+			onFire()
+		}
+	}
 	scheduleLane := func(i int) {
 		id := m.schedule(e.Now().Add(laneDelays[i]))
 		lanes[i].ScheduleArg("lane", fireArg, id)
@@ -158,6 +179,9 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 			engFired = append(engFired, regID[i])
 			regID[i] = -1
 			cov.fired++
+			if onFire != nil {
+				onFire()
+			}
 		}))
 		regID = append(regID, -1)
 	}
@@ -184,20 +208,25 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 		}
 		regs[i].Disarm()
 	}
-	check := func(op int) {
-		if len(engFired) != len(refFired) {
-			t.Fatalf("trial %d op %d: engine fired %d, model %d", trial, op, len(engFired), len(refFired))
-		}
+	// checkRegs compares the pending count and every register's Armed
+	// and When with the model.
+	checkRegs := func(op int) {
 		if e.Pending() != len(m.evs) {
 			t.Fatalf("trial %d op %d: engine has %d pending, model %d", trial, op, e.Pending(), len(m.evs))
 		}
 		for i, r := range regs {
 			armed := regID[i] >= 0
-			if r.Armed() != armed || (armed && r.When() != m.when(regID[i])) {
+			if r.Armed() != armed || (armed && r.When() != m.when(regID[i])) || (!armed && r.When() != 0) {
 				t.Fatalf("trial %d op %d: register %d armed=%v for %v, model armed=%v",
 					trial, op, i, r.Armed(), r.When(), armed)
 			}
 		}
+	}
+	check := func(op int) {
+		if len(engFired) != len(refFired) {
+			t.Fatalf("trial %d op %d: engine fired %d, model %d", trial, op, len(engFired), len(refFired))
+		}
+		checkRegs(op)
 	}
 	step := func(op int) {
 		id := m.step()
@@ -215,6 +244,25 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 	if regime != regimeUniform {
 		for i := 0; i < 8; i++ {
 			newReg()
+		}
+		// Every event callback, a register's included, arms, re-arms or
+		// disarms up to three registers, at now only rarely so that
+		// same-instant chains end, checking the registers and the pending
+		// count after each.
+		onFire = func() {
+			for k := rng.Intn(4); k > 0; k-- {
+				j := rng.Intn(len(regs))
+				if rng.Intn(3) == 0 {
+					if regID[j] >= 0 {
+						cov.cbDisarmed++
+					}
+					disarm(j)
+				} else {
+					arm(j, e.Now().Add(tick*Duration(rng.Intn(20))))
+					cov.cbArmed++
+				}
+				checkRegs(-1)
+			}
 		}
 	}
 
@@ -287,7 +335,9 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 		check(op)
 	}
 
-	// Drain both completely.
+	// Drain both completely, with event callbacks no longer arming or
+	// disarming registers.
+	onFire = nil
 	for {
 		id := m.step()
 		stepped := e.Step()

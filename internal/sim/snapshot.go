@@ -53,6 +53,7 @@ type engineState struct {
 // register with its deadline. It must be called between events. Engine
 // implements Snapshotter.
 func (e *Engine) Snapshot() State {
+	e.dropVacant()
 	st := &engineState{
 		now:     e.now,
 		seq:     e.seq,
@@ -118,6 +119,10 @@ func (e *Engine) Restore(st State) {
 	for _, x := range e.rheap {
 		e.rpos[x.id] = -1
 	}
+	for _, id := range e.vacant {
+		e.rvac[id] = false
+	}
+	e.vacant = e.vacant[:0]
 	e.rheap = append(e.rheap[:0], s.regs...)
 	for i, x := range e.rheap {
 		e.rpos[x.id] = int32(i)
