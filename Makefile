@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop sweep examples
+.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop sweep examples fuzz
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,14 @@ sweep: build
 			cat "$$tmp/out"; echo "sweep: khsim serve -manifest manifests/serving-crash.manifest -seed $$s -check failed"; exit 1; }; \
 	done; \
 	echo "sweep: khsim serve -manifest manifests/serving-crash.manifest -check ok at seeds 1-50"
+
+# fuzz runs the serve pool's message fuzzer (FuzzPoolMessages) for 10 s
+# past its seed corpus (internal/serve/testdata/fuzz): arbitrary payloads
+# into the primary's mailbox of a running pool, from the login VM or an
+# environment VM. A failing input is written under that corpus directory;
+# commit it with the fix.
+fuzz:
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzPoolMessages$$' -fuzztime 10s
 
 # examples runs every program under examples/ and fails on the first
 # one that exits non-zero (memshare, for one, exits through log.Fatal

@@ -61,7 +61,7 @@ func (h *Hypervisor) abortFromGuest(vc *VCPU, reason string) {
 			_ = h.kick(v.core)
 		}
 	}
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	h.worldSwitch(vm, costs.HypTrap+costs.WorldSwitch)
 	c.ExecBound("el2.abort", costs.HypTrap+costs.WorldSwitch, true, vc.exitFn, int(ExitAborted))
 }

@@ -62,10 +62,10 @@ type Hypervisor struct {
 
 	primaryOS PrimaryOS
 
-	cur       []*VCPU               // per core; nil = primary context
-	preempted []*VCPU               // per core: guest displaced by the last primary IRQ
-	enteredAt []sim.Time            // per core: when the resident guest took the core
-	vmCPU     map[VMID]sim.Duration // accumulated guest CPU time
+	cur       []*VCPU        // per core; nil = primary context
+	preempted []*VCPU        // per core: guest displaced by the last primary IRQ
+	enteredAt []sim.Time     // per core: when the resident guest took the core
+	vmCPU     []sim.Duration // accumulated guest CPU time, indexed by VMID like vms
 
 	owner ownerTable
 	// shares holds the active grants by ID; granted indexes them by
@@ -174,7 +174,6 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 		cur:       make([]*VCPU, len(node.Cores)),
 		preempted: make([]*VCPU, len(node.Cores)),
 		enteredAt: make([]sim.Time, len(node.Cores)),
-		vmCPU:     make(map[VMID]sim.Duration),
 		shares:    make(map[uint64]*Grant),
 		routing:   m.Routing,
 		tlbPolicy: m.TLB,
@@ -251,6 +250,7 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 			h.super = vm
 		}
 	}
+	h.vmCPU = make([]sim.Duration, len(h.vms))
 	// Device I/O: Hafnium maps all MMIO to the primary by default; with a
 	// super-secondary configured, the windows go there instead (§III-b) —
 	// except the GIC, which EL2 keeps virtualized for everyone.
@@ -417,7 +417,7 @@ func (h *Hypervisor) trap(c *machine.Core) {
 	h.stats.Traps++
 	h.mTraps[id].Inc()
 	cur := h.cur[id]
-	costs := h.node.Costs
+	costs := &h.node.Costs
 
 	if cur == nil {
 		// Primary context. All physical IRQs here belong to the primary
@@ -455,7 +455,7 @@ func (h *Hypervisor) deliverIRQ(c *machine.Core, irq int) { h.primaryOS.HandleIR
 func (h *Hypervisor) inject(c *machine.Core, vc *VCPU, virq int) {
 	h.stats.Injections++
 	vc.vm.mInjections.Inc()
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	c.ExecBound("el2.inject", costs.HypTrap+costs.IRQDeliverGIC, true, vc.injectFn, virq)
 }
 
@@ -494,7 +494,7 @@ func (h *Hypervisor) drainPending(c *machine.Core, vc *VCPU) {
 	vc.pending = vc.pending[:copy(vc.pending, vc.pending[1:])]
 	h.stats.Injections++
 	vc.vm.mInjections.Inc()
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	c.ExecBound("el2.inject", costs.HypTrap+costs.IRQDeliverGIC, true, vc.drainFn, virq)
 }
 
@@ -521,7 +521,7 @@ func (h *Hypervisor) switchOut(c *machine.Core, vc *VCPU, irq int) {
 	h.parkVTimer(vc, id)
 	h.cur[id] = nil
 	h.preempted[id] = vc
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	h.worldSwitch(vc.vm, costs.HypTrap+costs.WorldSwitch)
 	if h.tlbPolicy == TLBFlushAll {
 		c.InvalidateTLB()
@@ -540,7 +540,7 @@ func (h *Hypervisor) forceExit(c *machine.Core, vc *VCPU, reason ExitReason) {
 	h.accountCPU(id, vc)
 	vc.CancelVTimer()
 	h.cur[id] = nil
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	h.worldSwitch(vc.vm, costs.HypTrap+costs.WorldSwitch)
 	c.ExecBound("el2.worldswitch", costs.HypTrap+costs.WorldSwitch, true, vc.exitFn, int(reason))
 }
@@ -591,7 +591,7 @@ func (h *Hypervisor) guestExit(vc *VCPU, reason ExitReason) {
 	h.accountCPU(id, vc)
 	h.parkVTimer(vc, id)
 	h.cur[id] = nil
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	h.hypercall(hcExit, vc.vm)
 	h.worldSwitch(vc.vm, costs.HypTrap+costs.WorldSwitch)
 	c.ExecBound("el2.exit", costs.HypTrap+costs.WorldSwitch, true, vc.exitFn, int(reason))
@@ -677,7 +677,7 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 		}
 	}
 
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	entry := costs.HypTrap + costs.WorldSwitch
 	// TLB transient: a flushed (or capacity-evicted) stage-2 working set
 	// re-faults entry by entry after the switch.
@@ -955,8 +955,14 @@ func (h *Hypervisor) accountCPU(core int, vc *VCPU) {
 }
 
 // CPUTime reports the total core time a VM's VCPUs have been resident
-// (including EL2 entry/exit costs charged on its behalf).
-func (h *Hypervisor) CPUTime(id VMID) sim.Duration { return h.vmCPU[id] }
+// (including EL2 entry/exit costs charged on its behalf), 0 for an ID no
+// VM holds.
+func (h *Hypervisor) CPUTime(id VMID) sim.Duration {
+	if int(id) < len(h.vmCPU) {
+		return h.vmCPU[id]
+	}
+	return 0
+}
 
 // FrameOwner reports which VM owns a physical page.
 func (h *Hypervisor) FrameOwner(pa mem.PA) VMID {

@@ -254,11 +254,11 @@ func (h *Hypervisor) ReleaseMigrated(id VMID) error {
 // exit it reads far behind the clock; the dirty-page model needs the
 // live value.
 func (h *Hypervisor) LiveCPUTime(id VMID) sim.Duration {
-	d := h.vmCPU[id]
 	vm, ok := h.VM(id)
 	if !ok {
-		return d
+		return 0
 	}
+	d := h.vmCPU[id]
 	for _, vc := range vm.vcpus {
 		if vc.core >= 0 && h.cur[vc.core] == vc {
 			d += h.node.Now().Sub(h.enteredAt[vc.core])

@@ -44,7 +44,7 @@ func (h *Hypervisor) PrepareCost(id VMID, warm bool) (sim.Duration, error) {
 		return 0, ErrBadVM
 	}
 	all, ws := vm.prepPages()
-	costs := h.node.Costs
+	costs := &h.node.Costs
 	if warm && vm.warmS2 != nil {
 		return sim.Duration(ws) * (costs.PageScrub + costs.S2RestorePage), nil
 	}

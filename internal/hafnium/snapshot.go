@@ -55,7 +55,7 @@ type hypState struct {
 	cur       []*VCPU
 	preempted []*VCPU
 	enteredAt []sim.Time
-	vmCPU     map[VMID]sim.Duration
+	vmCPU     []sim.Duration
 
 	owner       []extent
 	shares      map[uint64]*Grant
@@ -82,7 +82,7 @@ func (h *Hypervisor) Snapshot() sim.State {
 		cur:         append([]*VCPU(nil), h.cur...),
 		preempted:   append([]*VCPU(nil), h.preempted...),
 		enteredAt:   append([]sim.Time(nil), h.enteredAt...),
-		vmCPU:       make(map[VMID]sim.Duration, len(h.vmCPU)),
+		vmCPU:       slices.Clone(h.vmCPU),
 		owner:       slices.Clone(h.owner.ext),
 		shares:      maps.Clone(h.shares),
 		nextShareID: h.nextShareID,
@@ -92,9 +92,6 @@ func (h *Hypervisor) Snapshot() sim.State {
 	}
 	if h.sAlloc != nil {
 		s.sAlloc = h.sAlloc.Snapshot()
-	}
-	for k, v := range h.vmCPU {
-		s.vmCPU[k] = v
 	}
 	for _, id := range h.order {
 		vm := h.vms[id]
@@ -149,10 +146,7 @@ func (h *Hypervisor) Restore(st sim.State) {
 	copy(h.cur, s.cur)
 	copy(h.preempted, s.preempted)
 	copy(h.enteredAt, s.enteredAt)
-	h.vmCPU = make(map[VMID]sim.Duration, len(s.vmCPU))
-	for k, v := range s.vmCPU {
-		h.vmCPU[k] = v
-	}
+	copy(h.vmCPU, s.vmCPU)
 	h.owner.ext = append(h.owner.ext[:0], s.owner...)
 	// Refill the grant table and its frame-run index in place.
 	clear(h.shares)

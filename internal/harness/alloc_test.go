@@ -17,18 +17,18 @@ import (
 // The allocation budgets are in heap objects per fired engine event, in
 // simulated steady state. A timer interrupt allocates nothing on its way
 // through the event queue, the GIC, the EL2 trap, injection, entry and
-// exit paths, or a CFS tick that wakes nothing: kernel work slices and
-// EL2 completions run in pooled activities with callbacks bound once,
-// and so do the guest's VIRQ handlers and the serve pool's arrival,
-// admission, job, completion and reap events. The serve pool keeps its
-// jobs in a reused table and its queues in reused rings of job IDs, and
-// a mailbox send copies into the receiver's reused receive buffer, so a
-// job allocates nothing either. What is left is the growth of those
-// buffers, the pool's latency sample and the ledger record of a pool
-// transition, and a CFS tick that wakes kthreads.
+// exit paths, or a CFS tick: kernel work slices and EL2 completions run
+// in pooled activities with callbacks bound once, and so do the CFS
+// tick's kthread wakes, kthread activations and context switches, the
+// guest's VIRQ handlers and the serve pool's arrival, admission, job,
+// completion and reap events. The serve pool keeps its jobs in a reused
+// table and its queues in reused rings of job IDs, and a mailbox send
+// copies into the receiver's reused receive buffer, so a job allocates
+// nothing either. What is left is the growth of those buffers, the
+// pool's latency sample and the ledger record of a pool transition.
 const (
 	servingAllocBudget      = 0.05
-	linuxPrimaryAllocBudget = 0.5
+	linuxPrimaryAllocBudget = 0.02
 )
 
 // allocsPerEvent runs n for warm, then for span more while it counts heap
@@ -97,7 +97,7 @@ func TestLinuxPrimaryAllocBudget(t *testing.T) {
 	warm, span := sim.FromSeconds(0.5), sim.FromSeconds(2)
 	n := startSelfishNode(t, core.SchedulerLinux, warm+span+sim.FromSeconds(1))
 	if got := allocsPerEvent(t, n, warm, span); got > linuxPrimaryAllocBudget {
-		t.Errorf("Linux-primary tick path allocates %.3f objects per event, budget %.1f", got, linuxPrimaryAllocBudget)
+		t.Errorf("Linux-primary tick path allocates %.3f objects per event, budget %.2f", got, linuxPrimaryAllocBudget)
 	}
 }
 

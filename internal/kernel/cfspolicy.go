@@ -55,13 +55,20 @@ type CFSPolicy struct {
 	tickAt []sim.Time
 	wakes  [][]wake
 	rng    *sim.RNG
+	// woken holds, per core, the kthreads that the tick paths in flight
+	// on that core found due. A tick's batch starts at the index its
+	// activity carries and runs to the end: ticks nest on one core only
+	// by preempting each other, so the innermost completes first and
+	// takes its batch off the end.
+	woken [][]*Task
 
 	// The tick and context-switch labels are built once at Attach (each
 	// kthread's activation label lives on its task).
 	labelTick, labelCtxsw string
-	// tickDoneFn completes a tick that woke nothing; bound at Attach so
-	// the common tick builds no closure.
-	tickDoneFn func(c *machine.Core, arg int)
+	// The tick, wake, context-switch and kthread completions are bound at
+	// Attach and ride in pooled activities with their core and one
+	// integer, so the tick path builds no closure.
+	tickDoneFn, wakeDoneFn, ctxswFn, kthreadDoneFn func(c *machine.Core, arg int)
 }
 
 // NewCFSPolicy builds the policy from its tunables.
@@ -74,8 +81,12 @@ func (p *CFSPolicy) Attach(k *Kernel) {
 	p.labelTick = k.cfg.Label + ".tick"
 	p.labelCtxsw = k.cfg.Label + ".ctxsw"
 	p.tickDoneFn = p.tickDone
+	p.wakeDoneFn = p.wakeDone
+	p.ctxswFn = func(c *machine.Core, _ int) { k.schedule(c) }
+	p.kthreadDoneFn = p.kthreadDone
 	p.tickAt = make([]sim.Time, len(k.node.Cores))
 	p.wakes = make([][]wake, len(k.node.Cores))
+	p.woken = make([][]*Task, len(k.node.Cores))
 	p.rng = k.node.Engine.RNG().Split(0x11b)
 	for range k.node.Cores {
 		p.cfs = append(p.cfs, NewCFS(p.p.SchedLatencyNS))
@@ -152,15 +163,15 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 			p.cfs[id].Account(p.p.TickHz.Period().Nanos())
 		}
 	}
-	// Split the due wakes off, keeping the rest in place (the snapshot
-	// copies the slice, so none shares its storage).
-	var woken []*Task
+	// Move the due wakes to this tick's batch, keeping the rest in place
+	// (the snapshot copies the slice, so none shares its storage).
+	start := len(p.woken[id])
 	ws := p.wakes[id]
 	n := 0
 	for _, w := range ws {
 		if w.at <= now {
 			cost += p.p.WakeCost
-			woken = append(woken, w.t)
+			p.woken[id] = append(p.woken[id], w.t)
 		} else {
 			ws[n] = w
 			n++
@@ -171,20 +182,29 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 	if cost == 0 {
 		cost = p.p.WakeCost / 2 // spurious hrtimer reprogram
 	}
-	if len(woken) == 0 {
+	if len(p.woken[id]) == start {
 		c.ExecBound(p.labelTick, cost, false, p.tickDoneFn, 0)
 		return
 	}
-	c.Exec(p.labelTick, cost, func() {
-		for _, t := range woken {
-			k.wakeups++
-			k.mWakeups.Inc()
-			t.activations++
-			t.state = TaskReady
-			p.cfs[id].Enqueue(&t.ent)
-		}
-		p.tickDone(c, 0)
-	})
+	c.ExecBound(p.labelTick, cost, false, p.wakeDoneFn, start)
+}
+
+// wakeDone ends a tick that found kthreads due: the batch from index
+// start of the core's woken list becomes runnable, then the tick ends.
+func (p *CFSPolicy) wakeDone(c *machine.Core, start int) {
+	k := p.k
+	id := c.ID()
+	batch := p.woken[id][start:]
+	for _, t := range batch {
+		k.wakeups++
+		k.mWakeups.Inc()
+		t.activations++
+		t.state = TaskReady
+		p.cfs[id].Enqueue(&t.ent)
+	}
+	clear(batch)
+	p.woken[id] = p.woken[id][:start]
+	p.tickDone(c, 0)
 }
 
 // tickDone ends the tick path: rearm the hrtimer and apply preemption.
@@ -213,7 +233,7 @@ func (p *CFSPolicy) reschedule(c *machine.Core) {
 	canSwitch := (cur.vc != nil && c.Depth() == 0) || (cur.vc == nil && c.Depth() == 1)
 	if preempt && canSwitch {
 		k.deschedule(c, cur)
-		c.Exec(p.labelCtxsw, k.cfg.CtxSwitch, func() { k.schedule(c) })
+		c.ExecBound(p.labelCtxsw, k.cfg.CtxSwitch, false, p.ctxswFn, 0)
 		return
 	}
 	k.resume(c)
@@ -254,11 +274,17 @@ func (p *CFSPolicy) Remove(t *Task) { p.cfs[t.core].Remove(&t.ent) }
 // and rearm the next exponential wake.
 func (p *CFSPolicy) RunKthread(k *Kernel, c *machine.Core, t *Task) {
 	work := p.rng.UniformDuration(t.spec.MinWork, t.spec.MaxWork)
-	c.Exec(t.label, work, func() {
-		k.blockCurrent(c, t)
-		p.scheduleWake(t)
-		k.schedule(c)
-	})
+	c.ExecBound(t.label, work, false, p.kthreadDoneFn, t.index)
+}
+
+// kthreadDone ends the activation of the kthread at index i of the
+// kernel's tasks.
+func (p *CFSPolicy) kthreadDone(c *machine.Core, i int) {
+	k := p.k
+	t := k.tasks[i]
+	k.blockCurrent(c, t)
+	p.scheduleWake(t)
+	k.schedule(c)
 }
 
 // TimesliceFor implements Policy: CFS's per-task share of sched-latency

@@ -24,7 +24,8 @@ func (k *Kernel) controlTask(c *machine.Core) {
 
 // ExecuteCommand runs one job-control command and replies to the sender.
 // Unknown commands are counted and traced (kind "kernel.badcmd") rather
-// than dropped on the floor.
+// than dropped on the floor, whatever their argument; a known command
+// naming no VM is answered with an error.
 func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 	cmd, arg, _ := cutCommand(string(msg.Payload))
 	k.commands++
@@ -33,8 +34,19 @@ func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 		// Best effort: the sender may have a full mailbox.
 		_ = k.h.SendFromPrimary(msg.From, []byte(s))
 	}
+	switch cmd {
+	case "stop", "start", "status":
+	default:
+		k.badCommands++
+		k.mBadCommands.Inc()
+		k.node.Trace.Add(sim.Record{
+			At: k.node.Now(), Core: -1, Kind: "kernel.badcmd", Note: cmd,
+		})
+		reply("error: unknown command " + cmd)
+		return
+	}
 	vm, ok := k.h.VMByName(arg)
-	if !ok && cmd != "" && arg != "" {
+	if !ok {
 		reply("error: no vm " + arg)
 		return
 	}
@@ -53,13 +65,6 @@ func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 		reply("ok: started " + arg)
 	case "status":
 		reply("ok: " + arg + " is " + vm.State().String())
-	default:
-		k.badCommands++
-		k.mBadCommands.Inc()
-		k.node.Trace.Add(sim.Record{
-			At: k.node.Now(), Core: -1, Kind: "kernel.badcmd", Note: cmd,
-		})
-		reply("error: unknown command " + cmd)
 	}
 }
 

@@ -53,21 +53,26 @@ func TestControlCommandStats(t *testing.T) {
 			if !ok {
 				t.Fatal("no job VM")
 			}
-			k.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("status job")})
-			k.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("frobnicate job")})
-			st := k.Stats()
-			if st.Commands != 2 {
-				t.Fatalf("commands = %d, want 2", st.Commands)
+			// An unknown command is counted whatever its argument; a known
+			// one naming no VM, or none at all, is answered, not counted.
+			for _, cmd := range []string{"status job", "frobnicate job", "frobnicate nosuchvm", "stop", "stop nosuchvm"} {
+				k.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte(cmd)})
 			}
-			if st.BadCommands != 1 {
-				t.Fatalf("bad commands = %d, want 1", st.BadCommands)
+			st := k.Stats()
+			if st.Commands != 5 {
+				t.Fatalf("commands = %d, want 5", st.Commands)
+			}
+			if st.BadCommands != 2 {
+				t.Fatalf("bad commands = %d, want 2", st.BadCommands)
 			}
 			recs := n.Machine.Trace.Filter("kernel.badcmd")
-			if len(recs) != 1 {
-				t.Fatalf("badcmd trace records = %d, want 1", len(recs))
+			if len(recs) != 2 {
+				t.Fatalf("badcmd trace records = %d, want 2", len(recs))
 			}
-			if recs[0].Note != "frobnicate" {
-				t.Fatalf("badcmd note = %q, want %q", recs[0].Note, "frobnicate")
+			for _, r := range recs {
+				if r.Note != "frobnicate" {
+					t.Fatalf("badcmd note = %q, want %q", r.Note, "frobnicate")
+				}
 			}
 		})
 	}

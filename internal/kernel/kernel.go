@@ -56,6 +56,7 @@ type Task struct {
 	name  string
 	core  int
 	state TaskState
+	index int // position in Kernel.tasks
 
 	vc    *hafnium.VCPU
 	proc  osapi.Process
@@ -110,7 +111,9 @@ type Kernel struct {
 	cfg  Config
 
 	current []*Task
-	vcTask  map[*hafnium.VCPU]*Task
+	// vcTask holds each VCPU's kernel thread, indexed by VM ID and then
+	// by VCPU index; a VM that AddVM never saw has no row.
+	vcTask  [][]*Task
 	started bool
 
 	// tasks is every task ever created, in creation order — the stable
@@ -160,7 +163,6 @@ func newKernel(node *machine.Node, h *hafnium.Hypervisor, pol Policy, cfg Config
 		pol:     pol,
 		cfg:     cfg,
 		current: make([]*Task, len(node.Cores)),
-		vcTask:  make(map[*hafnium.VCPU]*Task),
 	}
 	k.labelIRQ = cfg.Label + ".irq"
 	k.labelFwd = cfg.Label + ".fwd"
@@ -215,8 +217,16 @@ func (k *Kernel) Stats() Stats {
 // thread).
 func (k *Kernel) Current(core int) *Task { return k.current[core] }
 
-// Task reports the kernel thread backing a VCPU.
-func (k *Kernel) Task(vc *hafnium.VCPU) *Task { return k.vcTask[vc] }
+// Task reports the kernel thread backing a VCPU, nil if AddVM never saw
+// its VM.
+func (k *Kernel) Task(vc *hafnium.VCPU) *Task {
+	if id := int(vc.VM().ID()); id < len(k.vcTask) {
+		if row := k.vcTask[id]; vc.Index() < len(row) {
+			return row[vc.Index()]
+		}
+	}
+	return nil
+}
 
 // Kthreads returns the policy's background thread population.
 func (k *Kernel) Kthreads() []*Task { return k.kthreads }
@@ -224,7 +234,7 @@ func (k *Kernel) Kthreads() []*Task { return k.kthreads }
 // newTask builds a task with its CFS entity initialized; policies that
 // do not use entities simply ignore it.
 func (k *Kernel) newTask(name string, core int) *Task {
-	t := &Task{name: name, core: core, state: TaskReady}
+	t := &Task{name: name, core: core, state: TaskReady, index: len(k.tasks)}
 	t.ent = Entity{Name: name, Weight: DefaultWeight, owner: t}
 	k.tasks = append(k.tasks, t)
 	return t
@@ -252,6 +262,11 @@ func (k *Kernel) AddVM(vm *hafnium.VM, cores ...int) error {
 	if len(cores) != 0 && len(cores) != n {
 		return fmt.Errorf("%s: AddVM(%s): %d cores for %d vcpus", k.cfg.Label, vm.Name(), len(cores), n)
 	}
+	id := int(vm.ID())
+	for id >= len(k.vcTask) {
+		k.vcTask = append(k.vcTask, nil)
+	}
+	k.vcTask[id] = make([]*Task, n)
 	for i := 0; i < n; i++ {
 		core := i % len(k.node.Cores)
 		if len(cores) != 0 {
@@ -263,7 +278,7 @@ func (k *Kernel) AddVM(vm *hafnium.VM, cores ...int) error {
 		vc := vm.VCPU(i)
 		t := k.newTask(fmt.Sprintf("vcpu-%s/%d", vm.Name(), i), core)
 		t.vc = vc
-		k.vcTask[vc] = t
+		k.vcTask[id][i] = t
 		k.pol.Enqueue(t)
 		if k.started && k.current[core] == nil {
 			k.schedule(k.node.Cores[core])
@@ -356,7 +371,7 @@ func (k *Kernel) HandleIRQ(c *machine.Core, irq int) {
 	pre := k.h.Preempted(c)
 	if pre != nil {
 		// Sanity: the displaced guest must be our current task's VCPU.
-		if t := k.vcTask[pre]; t != k.current[c.ID()] {
+		if t := k.Task(pre); t != k.current[c.ID()] {
 			panic(fmt.Sprintf("%s: preempted %v is not current %v", k.cfg.Label, pre, k.current[c.ID()]))
 		}
 	}
@@ -453,7 +468,7 @@ func (k *Kernel) requeueExited(id int, t *Task) {
 
 // VCPUExited implements hafnium.PrimaryOS: the RUN hypercall returned.
 func (k *Kernel) VCPUExited(c *machine.Core, vc *hafnium.VCPU, reason hafnium.ExitReason) {
-	t := k.vcTask[vc]
+	t := k.Task(vc)
 	if t == nil {
 		return
 	}
@@ -490,7 +505,7 @@ func (k *Kernel) VCPUExited(c *machine.Core, vc *hafnium.VCPU, reason hafnium.Ex
 
 // VCPUReady implements hafnium.PrimaryOS: wake the VCPU's kernel thread.
 func (k *Kernel) VCPUReady(vc *hafnium.VCPU) {
-	t := k.vcTask[vc]
+	t := k.Task(vc)
 	if t == nil {
 		return
 	}

@@ -159,22 +159,26 @@ type cfsState struct {
 type cfsPolState struct {
 	tickAt []sim.Time
 	wakes  [][]wake
+	woken  [][]*Task
 	rng    [4]uint64
 	cfs    []cfsState
 }
 
 // Snapshot captures the per-core CFS queues (order, running entity,
-// minimum vruntime), the tick schedule, pending kthread wakes and the
-// policy's RNG stream. CFSPolicy implements sim.Snapshotter.
+// minimum vruntime), the tick schedule, pending kthread wakes, the
+// batches of ticks in flight and the policy's RNG stream. CFSPolicy
+// implements sim.Snapshotter.
 func (p *CFSPolicy) Snapshot() sim.State {
 	s := &cfsPolState{
 		tickAt: append([]sim.Time(nil), p.tickAt...),
 		wakes:  make([][]wake, len(p.wakes)),
+		woken:  make([][]*Task, len(p.woken)),
 		rng:    p.rng.State(),
 		cfs:    make([]cfsState, len(p.cfs)),
 	}
 	for i := range p.wakes {
 		s.wakes[i] = append([]wake(nil), p.wakes[i]...)
+		s.woken[i] = append([]*Task(nil), p.woken[i]...)
 	}
 	for i, c := range p.cfs {
 		s.cfs[i] = cfsState{
@@ -195,6 +199,8 @@ func (p *CFSPolicy) Restore(st sim.State) {
 	copy(p.tickAt, s.tickAt)
 	for i := range p.wakes {
 		p.wakes[i] = append(p.wakes[i][:0], s.wakes[i]...)
+		clear(p.woken[i])
+		p.woken[i] = append(p.woken[i][:0], s.woken[i]...)
 	}
 	p.rng.SetState(s.rng)
 	for i, c := range p.cfs {

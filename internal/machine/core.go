@@ -188,9 +188,18 @@ func (c *Core) mint(label string, d sim.Duration, fn func(), uninterruptible boo
 
 // release returns a completed Exec activity to the free list. The label
 // stays for diagnostics; the callbacks are dropped so the list pins
-// nothing.
+// nothing. Field by field, like mint: a composite literal would zero the
+// whole struct.
 func (c *Core) release(a *Activity) {
-	*a = Activity{Label: a.Label, pooled: true, released: true}
+	a.Remaining = 0
+	a.OnComplete = nil
+	a.OnPreempt = nil
+	a.OnResume = nil
+	a.Uninterruptible = false
+	a.bound = nil
+	a.boundArg = 0
+	a.preemptedAt = 0
+	a.released = true
 	c.free = append(c.free, a)
 }
 

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math"
-	"strconv"
 
 	"khsim/internal/core"
 	"khsim/internal/faults"
@@ -83,6 +81,9 @@ type PoolStats struct {
 	Quarantines  int // environments lost for good
 	SigVerified  int // pool ledger records that verified against the node key
 	SigFailed    int // pool ledger records that failed verification
+	// BadAdmits counts admit frames the pool dropped: sent by a VM other
+	// than the login VM, or for a job already admitted or retired.
+	BadAdmits int
 }
 
 // Pool runs the serving workload on one secure node: the open-loop
@@ -106,7 +107,9 @@ type Pool struct {
 	login  *hafnium.VM
 	envs   []*Env
 	byName map[string]*Env
-	byVM   map[hafnium.VMID]*Env
+	// byVM holds each environment by its VM's ID; an ID no environment
+	// holds maps to nil.
+	byVM []*Env
 
 	// jobs holds the jobs from the oldest unfinished one to the newest.
 	jobs jobTable
@@ -133,14 +136,14 @@ type Pool struct {
 	arrivalFn func()
 	admitFns  []func()
 
-	// wire is the reused encode buffer for admit/job/done messages; the
-	// hypervisor copies a payload into the receiver's receive buffer on
-	// send.
+	// wire is the reused encode buffer for admit, job and done frames;
+	// the hypervisor copies a payload into the receiver's receive buffer
+	// on send.
 	wire []byte
 
 	generated, admitted, completed, replayed int
 	admitRetries, doneRetries, dropped       int
-	sigVerified, sigFailed                   int
+	sigVerified, sigFailed, badAdmits        int
 
 	// Latency collects admission-to-completion latencies in microseconds;
 	// WarmPrep / ColdPrep collect prepare durations by path.
@@ -179,7 +182,6 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 		signer: tz.NewSigner(seed, 0),
 		login:  login,
 		byName: make(map[string]*Env),
-		byVM:   make(map[hafnium.VMID]*Env),
 		reaper: n.Machine.Engine.NewDelay(cfg.TTL),
 	}
 	p.keyring = tz.NewKeyring(p.signer.Public())
@@ -239,6 +241,9 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 		}
 		p.envs = append(p.envs, e)
 		p.byName[name] = e
+		for int(e.id) >= len(p.byVM) {
+			p.byVM = append(p.byVM, nil)
+		}
 		p.byVM[e.id] = e
 	}
 	p.kern.OnMessage = p.primaryMessage
@@ -254,6 +259,7 @@ func (p *Pool) Stats() PoolStats {
 		Generated: p.generated, Admitted: p.admitted, Completed: p.completed,
 		Replayed: p.replayed, AdmitRetries: p.admitRetries, DoneRetries: p.doneRetries,
 		Dropped: p.dropped, SigVerified: p.sigVerified, SigFailed: p.sigFailed,
+		BadAdmits: p.badAdmits,
 	}
 	for _, e := range p.envs {
 		s.WarmPrepares += e.WarmPrepares
@@ -361,7 +367,7 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 		return
 	}
 	id := p.pendingAdmit.front()
-	if err := vc.SendMessage(hafnium.PrimaryID, p.encode("admit", int64(id))); err != nil {
+	if err := vc.SendMessage(hafnium.PrimaryID, p.idFrame(tagAdmit, id)); err != nil {
 		p.admitRetries++
 		vc.Exec("serve.admit.retry", p.cfg.RetryBackoff, p.admitFns[vc.Index()])
 		return
@@ -375,50 +381,67 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 }
 
 // primaryMessage is the pool manager: it takes over the primary kernel's
-// mailbox handler for admit/done traffic and forwards everything else to
-// the stock job-control command path. Every ID below the next one issued
-// is a pool ID, whether or not its job is still in the table.
+// mailbox handler for admit and done frames and forwards everything else
+// — a payload that is not one of those frames, or whose ID was never
+// issued — to the stock job-control command path. Every ID below the
+// next one issued is a pool ID, whether or not its job is still in the
+// table.
 func (p *Pool) primaryMessage(msg hafnium.Message) {
-	cmd, arg, _ := bytes.Cut(msg.Payload, space)
-	n, ok := parseDecimal(arg)
-	if !ok || n >= int64(p.jobs.next()) {
+	b := msg.Payload
+	if len(b) != idFrameLen || (b[0] != tagAdmit && b[0] != tagDone) {
 		p.kern.ExecuteCommand(msg)
 		return
 	}
-	id := int(n)
-	switch string(cmd) {
-	case "admit":
-		j := p.jobs.get(id)
-		if j == nil {
-			return // a job that has finished and left the table
-		}
-		j.AdmitAt = p.eng.Now()
-		p.admitted++
-		p.queue.pushBack(id)
-		p.pump()
-	case "done":
-		e, ok := p.byVM[msg.From]
-		if !ok || e.job != id {
-			// Stale completion: the environment crashed (or was replaced)
-			// after finishing but before this message was consumed, and the
-			// job has been requeued — or has since completed and left the
-			// table. The replay's completion is the one that counts.
-			return
-		}
-		j := p.jobs.get(id)
-		j.DoneAt = p.eng.Now()
-		p.completed++
-		p.mDone.Inc()
-		us := j.Latency().Micros()
-		p.Latency.Add(us)
-		p.mLatency.Observe(us)
-		p.jobs.reclaim()
-		e.job = -1
-		p.toReady(e)
-		p.pump()
-	default:
+	n := binary.LittleEndian.Uint64(b[1:])
+	if n >= uint64(p.jobs.next()) {
 		p.kern.ExecuteCommand(msg)
+		return
 	}
+	if b[0] == tagAdmit {
+		p.admit(msg.From, int(n))
+	} else {
+		p.done(msg.From, int(n))
+	}
+}
+
+// admit queues job id for dispatch. Only the login VM admits, and each
+// job once; any other admit frame is dropped and counted.
+func (p *Pool) admit(from hafnium.VMID, id int) {
+	j := p.jobs.get(id)
+	if from != p.login.ID() || j == nil || j.AdmitAt != 0 {
+		p.badAdmits++
+		return
+	}
+	j.AdmitAt = p.eng.Now()
+	p.admitted++
+	p.queue.pushBack(id)
+	p.pump()
+}
+
+// done completes job id, reported by the environment VM from.
+func (p *Pool) done(from hafnium.VMID, id int) {
+	var e *Env
+	if int(from) < len(p.byVM) {
+		e = p.byVM[from]
+	}
+	if e == nil || e.job != id {
+		// Stale completion: the environment crashed (or was replaced)
+		// after finishing but before this message was consumed, and the
+		// job has been requeued — or has since completed and left the
+		// table. The replay's completion is the one that counts.
+		return
+	}
+	j := p.jobs.get(id)
+	j.DoneAt = p.eng.Now()
+	p.completed++
+	p.mDone.Inc()
+	us := j.Latency().Micros()
+	p.Latency.Add(us)
+	p.mLatency.Observe(us)
+	p.jobs.reclaim()
+	e.job = -1
+	p.toReady(e)
+	p.pump()
 }
 
 // toReady marks an environment idle and arms its TTL reap.
@@ -440,7 +463,7 @@ func (p *Pool) pump() {
 		}
 		id := p.queue.front()
 		j := p.jobs.get(id)
-		if err := p.hyp.SendFromPrimary(e.id, p.encode("job", int64(id), int64(j.Demand))); err != nil {
+		if err := p.hyp.SendFromPrimary(e.id, p.jobFrame(id, j.Demand)); err != nil {
 			p.armPumpRetry()
 			return
 		}
@@ -572,29 +595,24 @@ func (p *Pool) releaseWarm(e *Env) {
 	}
 }
 
-// envMessage runs inside an environment VM: parse the job, burn its
-// demand, report completion (retrying a busy primary mailbox), and park
-// the VCPU again.
+// envMessage runs inside an environment VM: decode the job frame, burn
+// its demand, report completion (retrying a busy primary mailbox), and
+// park the VCPU again. Anything else parks the VCPU at once.
 func (p *Pool) envMessage(e *Env, vc *hafnium.VCPU, msg hafnium.Message) {
-	cmd, rest, _ := bytes.Cut(msg.Payload, space)
-	if string(cmd) != "job" {
+	b := msg.Payload
+	if len(b) != jobFrameLen || b[0] != tagJob {
 		vc.Block()
 		return
 	}
-	idStr, demStr, _ := bytes.Cut(rest, space)
-	id, ok1 := parseDecimal(idStr)
-	dem, ok2 := parseDecimal(demStr)
-	if !ok1 || !ok2 {
-		vc.Block()
-		return
-	}
+	id := binary.LittleEndian.Uint64(b[1:])
+	dem := binary.LittleEndian.Uint64(b[9:])
 	vc.ExecBound("serve.job", sim.Duration(dem), e.done[vc.Index()], int(id))
 }
 
-// reportDone sends the completion message, backing off while the
-// primary's mailbox is busy, then parks the VCPU.
+// reportDone sends the completion frame, backing off while the primary's
+// mailbox is busy, then parks the VCPU.
 func (p *Pool) reportDone(e *Env, vc *hafnium.VCPU, id int) {
-	if err := vc.SendMessage(hafnium.PrimaryID, p.encode("done", int64(id))); err != nil {
+	if err := vc.SendMessage(hafnium.PrimaryID, p.idFrame(tagDone, id)); err != nil {
 		p.doneRetries++
 		vc.ExecBound("serve.done.retry", p.cfg.RetryBackoff, e.done[vc.Index()], id)
 		return
@@ -602,37 +620,29 @@ func (p *Pool) reportDone(e *Env, vc *hafnium.VCPU, id int) {
 	vc.Block()
 }
 
-// space separates a message's command and its decimal fields.
-var space = []byte{' '}
+// The pool's three messages are fixed-width binary frames: a tag byte,
+// then little-endian uint64 fields. The tags lie outside printable
+// ASCII, so no job-control command is a frame.
+const (
+	tagAdmit byte = 0x81 // admit: the job ID (login VM to primary)
+	tagJob   byte = 0x82 // job: the job ID, then its demand in ns (primary to environment)
+	tagDone  byte = 0x83 // done: the job ID (environment to primary)
 
-// encode renders one pool message, the command and its decimal fields
-// separated by spaces ("admit 7", "job 7 200000000", "done 7"), into the
-// reused wire buffer.
-func (p *Pool) encode(cmd string, fields ...int64) []byte {
-	b := append(p.wire[:0], cmd...)
-	for _, f := range fields {
-		b = strconv.AppendInt(append(b, ' '), f, 10)
-	}
-	p.wire = b
-	return b
+	idFrameLen  = 1 + 8 // admit and done
+	jobFrameLen = 1 + 8 + 8
+)
+
+// idFrame encodes an admit or done frame for job id into the reused wire
+// buffer.
+func (p *Pool) idFrame(tag byte, id int) []byte {
+	p.wire = binary.LittleEndian.AppendUint64(append(p.wire[:0], tag), uint64(id))
+	return p.wire
 }
 
-// parseDecimal parses a non-empty run of decimal digits that fits an
-// int64: the fields encode writes. Anything else, signs included, is not
-// a pool message.
-func parseDecimal(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var n int64
-	for _, c := range b {
-		d := int64(c) - '0'
-		if d < 0 || d > 9 || n > (math.MaxInt64-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
-	}
-	return n, true
+// jobFrame encodes the job frame dispatching job id with its demand.
+func (p *Pool) jobFrame(id int, demand sim.Duration) []byte {
+	p.wire = binary.LittleEndian.AppendUint64(p.idFrame(tagJob, id), uint64(demand))
+	return p.wire
 }
 
 // onLifecycle reintegrates fault-injected environments: a contained

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"bytes"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,21 +74,38 @@ func buildPool(t *testing.T, seed uint64, mutate func(*Config)) (*core.SecureNod
 	return n, p, cfg
 }
 
+// frame builds an admit or done frame for id, apart from the pool's wire
+// buffer.
+func frame(tag byte, id uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{tag}, id)
+}
+
+// stepUntil steps eng until cond holds, failing the test if it does not
+// hold by until.
+func stepUntil(t *testing.T, eng *sim.Engine, until sim.Time, what string, cond func() bool) {
+	t.Helper()
+	for !cond() {
+		if at, ok := eng.NextAt(); !ok || at > until {
+			t.Fatalf("%s not reached by %v", what, until)
+		}
+		eng.Step()
+	}
+}
+
 // dispatchedEnv steps eng until job id has been dispatched, and returns
 // the environment it went to while the job is still in flight (a
 // finished job may leave the table). It fails the test if the dispatch
 // has not happened by until.
 func dispatchedEnv(t *testing.T, eng *sim.Engine, p *Pool, id int, until sim.Time) *Env {
 	t.Helper()
-	for {
+	var e *Env
+	stepUntil(t, eng, until, fmt.Sprintf("job %d's dispatch", id), func() bool {
 		if j := p.jobs.get(id); j != nil && j.Env >= 0 {
-			return p.envs[j.Env]
+			e = p.envs[j.Env]
 		}
-		if at, ok := eng.NextAt(); !ok || at > until {
-			t.Fatalf("job %d not dispatched by %v", id, until)
-		}
-		eng.Step()
-	}
+		return e != nil
+	})
+	return e
 }
 
 func TestParseManifest(t *testing.T) {
@@ -327,13 +345,12 @@ func TestCrashCampaignTableAndReplays(t *testing.T) {
 		replayed := map[int]int{} // crash-replace requeues by job
 		onMessage := p.kern.OnMessage
 		p.kern.OnMessage = func(msg hafnium.Message) {
-			_, arg, _ := bytes.Cut(msg.Payload, space)
-			id, _ := parseDecimal(arg)
 			before := p.completed
 			onMessage(msg)
 			if p.completed == before {
 				return
 			}
+			id := binary.LittleEndian.Uint64(msg.Payload[1:])
 			completions[int(id)]++
 			if j := p.jobs.get(p.jobs.lo); j != nil && j.DoneAt != 0 {
 				t.Fatalf("seed %d: after job %d completed, finished job %d heads the table", seed, id, p.jobs.lo)
@@ -386,12 +403,12 @@ func TestCrashCampaignTableAndReplays(t *testing.T) {
 	}
 }
 
-// TestStaleDoneForRetiredJob sends a completion for a job that has
+// TestStaleDoneForRetiredJob sends a done frame for a job that has
 // finished and left the table. Its ID is below the next one issued, so
 // it is still a pool ID: the pool ignores it instead of handing it to
 // the kernel's job-control path, whose command counts do not move. A
-// "done" for an ID not yet issued is not a pool message and does reach
-// that path, which answers it as a command for a VM named "1".
+// done frame for an ID not yet issued is not a pool message and does
+// reach that path, which counts it as an unknown command.
 func TestStaleDoneForRetiredJob(t *testing.T) {
 	n, p, _ := buildPool(t, 3, nil)
 	if err := p.park(); err != nil {
@@ -405,16 +422,16 @@ func TestStaleDoneForRetiredJob(t *testing.T) {
 		t.Fatalf("job 0: completed=%d, still in the table=%v", p.completed, p.jobs.get(0) != nil)
 	}
 	env := p.envs[0].vm.VCPU(0)
-	send := func(payload string) {
+	send := func(id uint64) {
 		t.Helper()
-		if err := env.SendMessage(hafnium.PrimaryID, []byte(payload)); err != nil {
-			t.Fatalf("send %q: %v", payload, err)
+		if err := env.SendMessage(hafnium.PrimaryID, frame(tagDone, id)); err != nil {
+			t.Fatalf("send done %d: %v", id, err)
 		}
 		n.Run(sim.FromMicros(500))
 	}
 
 	before := p.kern.Stats()
-	send("done 0")
+	send(0)
 	if got := p.kern.Stats(); got.Commands != before.Commands || got.BadCommands != before.BadCommands {
 		t.Fatalf("stale done reached the kernel: commands %d -> %d, unknown %d -> %d",
 			before.Commands, got.Commands, before.BadCommands, got.BadCommands)
@@ -423,9 +440,52 @@ func TestStaleDoneForRetiredJob(t *testing.T) {
 		t.Fatalf("stale done counted: completed=%d", p.completed)
 	}
 
-	send("done 1")
-	if got := p.kern.Stats(); got.Commands != before.Commands+1 {
-		t.Fatalf("done for an unissued ID: kernel commands %d -> %d, want one more", before.Commands, got.Commands)
+	send(1)
+	if got := p.kern.Stats(); got.Commands != before.Commands+1 || got.BadCommands != before.BadCommands+1 {
+		t.Fatalf("done for an unissued ID: kernel commands %d -> %d, unknown %d -> %d, want one more each",
+			before.Commands, got.Commands, before.BadCommands, got.BadCommands)
+	}
+	if p.completed != 1 {
+		t.Fatalf("unissued done counted: completed=%d", p.completed)
+	}
+}
+
+// TestAdmitOnlyFromLoginOnce re-admits a finished job that is still in
+// the table: job 1 finishes while the older job 0 still runs, so the
+// table keeps it. An admit frame for job 1 from an environment VM, and
+// one from the login VM, must both be dropped and counted; counting
+// either would admit and complete job 1 a second time and break the
+// counter pipeline (generated 2, admitted 3).
+func TestAdmitOnlyFromLoginOnce(t *testing.T) {
+	n, p, _ := buildPool(t, 11, nil)
+	if err := p.park(); err != nil {
+		t.Fatalf("park: %v", err)
+	}
+	eng := n.Machine.Engine
+	p.horizon = eng.Now().Add(sim.FromSeconds(1))
+	eng.AfterNamed(sim.FromMicros(100), "test.arrive", func() {
+		p.arrive(sim.FromMicros(20000))
+		p.arrive(sim.FromMicros(100))
+	})
+	end := eng.Now().Add(sim.FromMicros(15000))
+	stepUntil(t, eng, end, "job 1 finished behind job 0", func() bool {
+		j0, j1 := p.jobs.get(0), p.jobs.get(1)
+		return j0 != nil && j0.DoneAt == 0 && j1 != nil && j1.DoneAt != 0
+	})
+	for _, vc := range []*hafnium.VCPU{p.envs[0].vm.VCPU(0), p.login.VCPU(0)} {
+		if err := vc.SendMessage(hafnium.PrimaryID, frame(tagAdmit, 1)); err != nil {
+			t.Fatalf("send admit 1 from %v: %v", vc, err)
+		}
+		n.Run(sim.FromMicros(500))
+	}
+	n.Run(sim.FromMicros(40000))
+	rep := p.Report()
+	if err := rep.Check(); err != nil {
+		t.Fatalf("Check: %v\n%s", err, rep.Format())
+	}
+	if s := rep.Stats; s.Generated != 2 || s.Admitted != 2 || s.Completed != 2 || s.BadAdmits != 2 {
+		t.Fatalf("generated=%d admitted=%d completed=%d bad admits=%d, want 2 2 2 2",
+			s.Generated, s.Admitted, s.Completed, s.BadAdmits)
 	}
 }
 
