@@ -354,7 +354,7 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 	// periodic re-attestation, lifecycle transition — goes through
 	// signedPropose, so an unsigned (or forged) proposal can never enter
 	// the shared log.
-	signedPropose := signedProposer(seed, m.Nodes, svc, &rep.SigVerified, &rep.SigFailed)
+	signedPropose := newIdentities(seed, m.Nodes).proposer(svc, &rep.SigVerified, &rep.SigFailed)
 
 	// Proposal load: real attestation evidence, not synthetic counters.
 	// Each node's first proposal carries its measured-boot quote; every
@@ -549,25 +549,39 @@ func RunClusterManifest(m *cluster.ClusterManifest, seed uint64) (*FailoverRepor
 	return rep, nil
 }
 
-// signedProposer returns the path by which node id offers a payload to
-// svc's replicated ledger. Every node has a signing identity derived
-// from seed, and one keyring holds every node's verifying key, as the
-// launch path would distribute them. A payload is signed by its node's
-// identity and checked against the key of the node the record names
-// before it leaves the node. The check counts into verified or failed,
-// and only a record that passes is proposed, with the first 8 bytes of
-// its signature appended.
-func signedProposer(seed uint64, nodes int, svc *cluster.Service, verified, failed *uint64) func(id int, payload []byte) {
-	signers := make([]*tz.Signer, nodes)
+// identities are a rack's signing identities: one per node, derived from
+// the seed, and one keyring holding every node's verifying key, as the
+// launch path would distribute them. Deriving a key costs a scalar
+// multiplication, so a run that builds several racks from one seed
+// derives them once; the signer and keyring memos are exact, so sharing
+// them across racks changes no byte.
+type identities struct {
+	signers []*tz.Signer
+	keyring *tz.Keyring
+}
+
+// newIdentities derives the identities of nodes 0 to nodes-1 from seed.
+func newIdentities(seed uint64, nodes int) *identities {
+	ids := &identities{signers: make([]*tz.Signer, nodes)}
 	keys := make([]ed25519.PublicKey, nodes)
-	for i := range signers {
-		signers[i] = tz.NewSigner(seed, i)
-		keys[i] = signers[i].Public()
+	for i := range ids.signers {
+		ids.signers[i] = tz.NewSigner(seed, i)
+		keys[i] = ids.signers[i].Public()
 	}
-	keyring := tz.NewKeyring(keys...)
+	ids.keyring = tz.NewKeyring(keys...)
+	return ids
+}
+
+// proposer returns the path by which node id offers a payload to svc's
+// replicated ledger. A payload is signed by its node's identity and
+// checked against the key of the node the record names before it leaves
+// the node. The check counts into verified or failed, and only a record
+// that passes is proposed, with the first 8 bytes of its signature
+// appended.
+func (ids *identities) proposer(svc *cluster.Service, verified, failed *uint64) func(id int, payload []byte) {
 	return func(id int, payload []byte) {
-		rec := tz.SignRecord(signers[id], id, payload)
-		if err := keyring.Verify(rec); err != nil {
+		rec := tz.SignRecord(ids.signers[id], id, payload)
+		if err := ids.keyring.Verify(rec); err != nil {
 			*failed++
 			return
 		}

@@ -10,6 +10,7 @@ package harness
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"khsim/internal/cluster"
@@ -98,7 +99,10 @@ func TestBenchTableParallelMatchesSequential(t *testing.T) {
 // the live-migration suite, each with its engine event count. The hashes
 // were captured before the parallel cluster engine and its window-safety
 // code were deleted, so they prove the sequential multiplexer alone
-// writes the same bytes.
+// writes the same bytes. The migration suite's event count and hash moved
+// when the commit ack timer became a register and stopped firing after
+// the ack; its hash without event counts was captured before that, so it
+// proves nothing else moved.
 func TestClusterArtifactGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -128,7 +132,11 @@ func TestClusterArtifactGolden(t *testing.T) {
 		})
 	}
 	t.Run("migration", func(t *testing.T) {
-		const wantEvents, wantHash = 3730, "76e81546cacc8989f833c6484e1ff46d1fd9ae12c724bf97d61ee078ba0d2991"
+		const (
+			wantEvents   = 3726
+			wantHash     = "2084a11a83d0711322e224d87c8375529e7dcf10def20bfbee35e2597d553e34"
+			wantStripped = "2c6d76e6708aede70d73aac6659fdaaad0a88e5c9ed1de066f16b5206e07b67f"
+		)
 		r, err := RunMigrationSuite(1)
 		if err != nil {
 			t.Fatal(err)
@@ -141,28 +149,56 @@ func TestClusterArtifactGolden(t *testing.T) {
 		if events != wantEvents || got != wantHash {
 			t.Errorf("events=%d hash=%s, want events=%d hash=%s", events, got, wantEvents, wantHash)
 		}
+		if got := strippedHash(r.Artifact()); got != wantStripped {
+			t.Errorf("hash without event counts = %s, want %s", got, wantStripped)
+		}
 	})
 }
 
 // TestServingRegistryGolden pins the full metrics-registry snapshot of a
 // short serving run under each primary: every series the hypervisor,
 // kernels, guests and pool register, with its value, plus the pull-side
-// gauges. The hashes were captured before the hot-path counters became
-// lazily cached slots, so they prove the cached counters register
-// exactly the series the per-call lookups did, no more and no fewer.
+// gauges. The hashes moved when the TTL reaper became a register and
+// stopped firing no-op reaps, which only the engine.events_fired gauge
+// counts; the hashes without that gauge were captured before, so they
+// prove the registry registers exactly the series it did, with the same
+// values.
 func TestServingRegistryGolden(t *testing.T) {
-	want := map[core.Scheduler]string{
-		core.SchedulerKitten: "e8890cde555b70594e50058145b1b163ee10b2223f012d8a344e26e24e77ca7a",
-		core.SchedulerLinux:  "15446b87daa5d7e3b1f71c72cb54ccce86da8fa0e25c4af04db0874c2ea56893",
+	want := map[core.Scheduler]struct{ hash, stripped string }{
+		core.SchedulerKitten: {
+			"ce95d47c675883f2e8f62fd8e63b9088850125ef640e8c3d69d0994ce8ec1e63",
+			"1ce94dd11591a5a80991e28dc69acfad85999047b933f63b9b5e673547482a56",
+		},
+		core.SchedulerLinux: {
+			"9917c73328bc1d5c35491f918287a08da864ac8e8580140b06d6f1f3f8bd40fb",
+			"b6a0e9c32589295902ccd47019ed873dcdb757931881435e789a21a0068f33c7",
+		},
 	}
-	for sched, hash := range want {
+	for sched, w := range want {
 		n, _ := startServingCell(t, sched, 4000, sim.FromSeconds(0.1))
 		n.Run(sim.FromSeconds(0.15))
-		got := fmt.Sprintf("%x", sha256.Sum256([]byte(n.Machine.SnapshotMetrics().Text())))
-		if got != hash {
-			t.Errorf("%v: registry snapshot hash = %s, want %s", sched, got, hash)
+		text := n.Machine.SnapshotMetrics().Text()
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != w.hash {
+			t.Errorf("%v: registry snapshot hash = %s, want %s", sched, got, w.hash)
+		}
+		if got := strippedHash(text); got != w.stripped {
+			t.Errorf("%v: registry snapshot hash without event counts = %s, want %s", sched, got, w.stripped)
 		}
 	}
+}
+
+// strippedHash is the sha256 of text without the lines that carry an
+// engine event count ("events_fired=", "events fired=", the
+// engine.events_fired gauge). A change that only stops no-op events from
+// firing moves those lines and nothing else.
+func strippedHash(text string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if !strings.Contains(line, "events_fired") && !strings.Contains(line, "events fired") {
+			b.WriteString(line)
+		}
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
 
 // startServingCell boots one node of the built-in serving scenario under
@@ -194,11 +230,16 @@ func startServingCell(t *testing.T, sched core.Scheduler, rate float64, run sim.
 
 // TestServingArtifactGolden pins the serving sweep across commits: the
 // sha256 of the seed-1 sweep artifact and the engine events summed over
-// its cells. The TTL reaper's firing order shows up in both (every reap
-// fires, most as no-ops), so an engine change that reorders or drops
-// reaps cannot pass.
+// its cells. The event count and hash moved when the TTL reaper became a
+// register: a reap that finds its environment moved no longer fires. The
+// hash without event counts was captured before that, so it proves every
+// reap, dispatch and ledger record stayed where it was.
 func TestServingArtifactGolden(t *testing.T) {
-	const wantEvents, wantHash = 168094, "f97757aa3712a7d7933b1986a9f8a939783ef15401ac56db167d388166699cc4"
+	const (
+		wantEvents   = 159376
+		wantHash     = "e080ff49228d0b6b08a7c54c69f6b6867d71bf45c339ac8463c928a5e7c28ecb"
+		wantStripped = "720721c73c6c503874e0ed3b83913aa099cc8a04ba44b0804c01f3673f603758"
+	)
 	r, err := RunServingSweep(1)
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +251,9 @@ func TestServingArtifactGolden(t *testing.T) {
 	got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Artifact())))
 	if events != wantEvents || got != wantHash {
 		t.Errorf("events=%d hash=%s, want events=%d hash=%s", events, got, wantEvents, wantHash)
+	}
+	if got := strippedHash(r.Artifact()); got != wantStripped {
+		t.Errorf("hash without event counts = %s, want %s", got, wantStripped)
 	}
 }
 

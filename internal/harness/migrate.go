@@ -208,15 +208,17 @@ func (r *MigrationReport) String() string {
 }
 
 // RunMigrationSuite runs the full sweep: the clean working-set cells
-// plus the mid-transfer kill cell.
+// plus the mid-transfer kill cell. Every cell's rack has the same seed,
+// so the nodes' signing identities are derived once for all of them.
 func RunMigrationSuite(seed uint64) (*MigrationReport, error) {
 	rep := &MigrationReport{Seed: seed, Nodes: 3, Run: sim.FromMicros(120_000)}
+	ids := newIdentities(seed, rep.Nodes)
 	for _, ws := range migWorkingSets {
-		if err := runMigrationCell(rep, ws, false); err != nil {
+		if err := runMigrationCell(rep, ids, ws, false); err != nil {
 			return nil, err
 		}
 	}
-	if err := runMigrationCell(rep, migKillWS, true); err != nil {
+	if err := runMigrationCell(rep, ids, migKillWS, true); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -263,10 +265,11 @@ func migNodeConfig() machine.Config {
 	return cfg
 }
 
-// runMigrationCell builds a fresh 3-node rack, migrates the job VM from
-// node 0 to node 1 mid-run, and appends the cell outcome to rep.
-func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
-	const nodes = 3
+// runMigrationCell builds a fresh 3-node rack whose nodes sign with ids,
+// migrates the job VM from node 0 to node 1 mid-run, and appends the
+// cell outcome to rep.
+func runMigrationCell(rep *MigrationReport, ids *identities, ws int, kill bool) error {
+	nodes := rep.Nodes
 	run := rep.Run
 	seed := rep.Seed
 	mc, err := machine.NewCluster(machine.ClusterConfig{
@@ -338,7 +341,7 @@ func runMigrationCell(rep *MigrationReport, ws int, kill bool) error {
 	// Lifecycle records (including the migration transitions) are signed,
 	// verified and proposed to the replicated ledger the moment they land
 	// in the node-local one.
-	signedPropose := signedProposer(seed, nodes, svc, &rep.SigVerified, &rep.SigFailed)
+	signedPropose := ids.proposer(svc, &rep.SigVerified, &rep.SigFailed)
 	stopAt := sim.Time(0).Add(run - run/8)
 	for i := 0; i < nodes; i++ {
 		id, eng := i, engines[i]

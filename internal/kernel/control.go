@@ -23,8 +23,10 @@ func (k *Kernel) controlTask(c *machine.Core) {
 }
 
 // ExecuteCommand runs one job-control command and replies to the sender.
-// Unknown commands are counted and traced (kind "kernel.badcmd") rather
-// than dropped on the floor, whatever their argument; a known command
+// Job control belongs to the super-secondary: a command from any other VM
+// executes nothing. Such a command and an unknown one are counted and
+// traced (kind "kernel.badcmd") rather than dropped on the floor,
+// whatever their argument, and answered with an error; a known command
 // naming no VM is answered with an error.
 func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 	cmd, arg, _ := cutCommand(string(msg.Payload))
@@ -34,15 +36,22 @@ func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 		// Best effort: the sender may have a full mailbox.
 		_ = k.h.SendFromPrimary(msg.From, []byte(s))
 	}
-	switch cmd {
-	case "stop", "start", "status":
-	default:
+	bad := func(note, answer string) {
 		k.badCommands++
 		k.mBadCommands.Inc()
 		k.node.Trace.Add(sim.Record{
-			At: k.node.Now(), Core: -1, Kind: "kernel.badcmd", Note: cmd,
+			At: k.node.Now(), Core: -1, Kind: "kernel.badcmd", Note: note,
 		})
-		reply("error: unknown command " + cmd)
+		reply(answer)
+	}
+	switch cmd {
+	case "stop", "start", "status":
+	default:
+		bad(cmd, "error: unknown command "+cmd)
+		return
+	}
+	if super := k.h.Super(); super == nil || msg.From != super.ID() {
+		bad("denied "+cmd, "error: job control is the super-secondary's")
 		return
 	}
 	vm, ok := k.h.VMByName(arg)

@@ -1,15 +1,17 @@
 package kernel_test
 
 // Control-task dedup tests: both primaries now share the substrate's
-// command parser, and unknown commands are counted and traced instead of
-// silently dropped.
+// command parser, and unknown commands, like commands from any VM but the
+// super-secondary, are counted and traced instead of silently dropped.
 
 import (
+	"slices"
 	"testing"
 
 	"khsim/internal/core"
 	"khsim/internal/hafnium"
 	"khsim/internal/kernel"
+	"khsim/internal/kitten"
 )
 
 const ctlManifest = `
@@ -17,6 +19,11 @@ const ctlManifest = `
 class = primary
 vcpus = 4
 memory_mb = 256
+
+[vm login]
+class = super-secondary
+vcpus = 1
+memory_mb = 64
 
 [vm job]
 class = secondary
@@ -49,31 +56,50 @@ func TestControlCommandStats(t *testing.T) {
 			} else {
 				k = n.LinuxPrimary
 			}
-			job, ok := n.Hyp.VMByName("job")
-			if !ok {
-				t.Fatal("no job VM")
+			login, job := n.Hyp.Super(), mustVM(t, n, "job")
+			for i, name := range []string{"login", "job"} {
+				if err := n.AttachGuest(name, kitten.NewGuest(kitten.DefaultParams()), i+1); err != nil {
+					t.Fatal(err)
+				}
 			}
-			// An unknown command is counted whatever its argument; a known
-			// one naming no VM, or none at all, is answered, not counted.
+			if err := n.Boot(); err != nil {
+				t.Fatal(err)
+			}
+			// From the super-secondary, an unknown command is counted
+			// whatever its argument; a known one naming no VM, or none at
+			// all, is answered, not counted.
 			for _, cmd := range []string{"status job", "frobnicate job", "frobnicate nosuchvm", "stop", "stop nosuchvm"} {
-				k.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte(cmd)})
+				k.ExecuteCommand(hafnium.Message{From: login.ID(), Payload: []byte(cmd)})
+			}
+			// From any other VM a known command executes nothing and is
+			// counted.
+			k.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("stop login")})
+			if login.State() != hafnium.VMRunning {
+				t.Fatalf("login VM is %v after a secondary's stop, want running", login.State())
 			}
 			st := k.Stats()
-			if st.Commands != 5 {
-				t.Fatalf("commands = %d, want 5", st.Commands)
+			if st.Commands != 6 {
+				t.Fatalf("commands = %d, want 6", st.Commands)
 			}
-			if st.BadCommands != 2 {
-				t.Fatalf("bad commands = %d, want 2", st.BadCommands)
+			if st.BadCommands != 3 {
+				t.Fatalf("bad commands = %d, want 3", st.BadCommands)
 			}
-			recs := n.Machine.Trace.Filter("kernel.badcmd")
-			if len(recs) != 2 {
-				t.Fatalf("badcmd trace records = %d, want 2", len(recs))
+			var notes []string
+			for _, r := range n.Machine.Trace.Filter("kernel.badcmd") {
+				notes = append(notes, r.Note)
 			}
-			for _, r := range recs {
-				if r.Note != "frobnicate" {
-					t.Fatalf("badcmd note = %q, want %q", r.Note, "frobnicate")
-				}
+			if want := []string{"frobnicate", "frobnicate", "denied stop"}; !slices.Equal(notes, want) {
+				t.Fatalf("badcmd trace notes = %q, want %q", notes, want)
 			}
 		})
 	}
+}
+
+func mustVM(t *testing.T, n *core.SecureNode, name string) *hafnium.VM {
+	t.Helper()
+	vm, ok := n.Hyp.VMByName(name)
+	if !ok {
+		t.Fatalf("no %s VM", name)
+	}
+	return vm
 }

@@ -129,43 +129,64 @@ func TestPrimaryAddVMValidation(t *testing.T) {
 	}
 }
 
+// TestControlTaskStopStartStatus drives job control from the
+// super-secondary login VM, and checks that the same command from the
+// secondary job VM executes nothing.
 func TestControlTaskStopStartStatus(t *testing.T) {
-	work := &chunkProc{label: "spin", d: sim.FromSeconds(10), n: 100}
-	node, h, prim, guest := buildStack(t, stackManifest, work)
-	var replies []string
+	const manifest = stackManifest + `
+[vm login]
+class = super-secondary
+vcpus = 1
+memory_mb = 128
+`
+	// Both VMs park at boot and wake for each reply; they share one
+	// guest, which keeps the replies each receives.
+	node, h, prim, guest := buildStack(t, manifest, nil)
+	job, _ := h.VMByName("job")
+	login := h.Super()
+	replies := map[hafnium.VMID][]string{}
 	guest.OnMessage = func(vc *hafnium.VCPU, msg hafnium.Message) {
-		replies = append(replies, string(msg.Payload))
+		replies[vc.VM().ID()] = append(replies[vc.VM().ID()], string(msg.Payload))
 	}
 	node.Engine.Run(sim.Time(sim.FromSeconds(0.05)))
-	job, _ := h.VMByName("job")
-
-	prim.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("status job")})
-	node.Engine.Run(node.Now().Add(sim.FromSeconds(0.05)))
-	if len(replies) != 1 || !strings.Contains(replies[0], "running") {
-		t.Fatalf("status replies = %q", replies)
+	command := func(from *hafnium.VM, cmd string, d sim.Duration) {
+		prim.ExecuteCommand(hafnium.Message{From: from.ID(), Payload: []byte(cmd)})
+		node.Engine.Run(node.Now().Add(d))
 	}
 
-	prim.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("stop job")})
-	node.Engine.Run(node.Now().Add(sim.FromSeconds(0.05)))
+	command(login, "status job", sim.FromSeconds(0.05))
+	if r := replies[login.ID()]; len(r) != 1 || !strings.Contains(r[0], "running") {
+		t.Fatalf("status replies = %q", r)
+	}
+
+	command(login, "stop job", sim.FromSeconds(0.05))
 	if job.State() != hafnium.VMStopped {
 		t.Fatalf("job state = %v", job.State())
 	}
 
-	prim.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("start job")})
-	node.Engine.Run(node.Now().Add(sim.FromSeconds(0.2)))
+	command(login, "start job", sim.FromSeconds(0.2))
 	if job.State() != hafnium.VMRunning {
 		t.Fatalf("job state after start = %v", job.State())
 	}
 
-	// Unknown command and unknown VM produce error replies (delivered to
-	// the job VM, which is running again).
-	replies = nil
-	prim.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("bogus job")})
-	node.Engine.Run(node.Now().Add(sim.FromSeconds(0.05)))
-	prim.ExecuteCommand(hafnium.Message{From: job.ID(), Payload: []byte("status nosuchvm")})
-	node.Engine.Run(node.Now().Add(sim.FromSeconds(0.05)))
-	if len(replies) != 2 || !strings.Contains(replies[0], "error") || !strings.Contains(replies[1], "error") {
-		t.Fatalf("error replies = %q", replies)
+	// The secondary's stop is denied, counted and answered with an error.
+	command(job, "stop login", sim.FromSeconds(0.05))
+	if login.State() != hafnium.VMRunning {
+		t.Fatalf("login state after the job VM's stop = %v", login.State())
+	}
+	if r := replies[job.ID()]; len(r) != 1 || !strings.Contains(r[0], "error") {
+		t.Fatalf("denied replies = %q", r)
+	}
+	if st := prim.Stats(); st.BadCommands != 1 {
+		t.Fatalf("bad commands = %d, want 1", st.BadCommands)
+	}
+
+	// Unknown command and unknown VM produce error replies.
+	replies = map[hafnium.VMID][]string{}
+	command(login, "bogus job", sim.FromSeconds(0.05))
+	command(login, "status nosuchvm", sim.FromSeconds(0.05))
+	if r := replies[login.ID()]; len(r) != 2 || !strings.Contains(r[0], "error") || !strings.Contains(r[1], "error") {
+		t.Fatalf("error replies = %q", r)
 	}
 }
 

@@ -199,7 +199,7 @@ type Migration struct {
 	pausedAt     sim.Time
 	resumedAt    sim.Time
 	downtime     sim.Duration
-	ackSeq       int // arms/disarms the commit ack timer across retries
+	ack          *sim.Register // commit ack timeout, on the source engine
 }
 
 // Outcome reports the transfer's disposition.
@@ -294,6 +294,7 @@ func (c *Cluster) Migrate(vm string, from, to net.NodeID, startAt sim.Time) (*Mi
 	c.migs = append(c.migs, m)
 	c.migByID[m.ID] = m
 	eng := c.Nodes[from].Engine
+	m.ack = eng.NewRegister("mig.ack", m.ackTimeout)
 	if startAt < eng.Now() {
 		startAt = eng.Now()
 	}
@@ -423,19 +424,16 @@ func (m *Migration) finalCopy() {
 func (m *Migration) sendCommit() {
 	m.send("mig.commit", migCommit{ID: m.ID, Total: m.chunksSent}, migHeaderBytes)
 	m.totalBytes += migHeaderBytes
-	m.ackSeq++
-	seq := m.ackSeq
 	d := migAckTimeout
 	for i := 0; i < m.retries && i < 10; i++ {
 		d *= 2
 	}
-	m.eng().AfterNamed(d, "mig.ack", func() { m.ackTimeout(seq) })
+	m.ack.Arm(m.eng().Now().Add(d))
 }
 
-func (m *Migration) ackTimeout(seq int) {
-	if m.outcome != MigrationPending || seq != m.ackSeq {
-		return
-	}
+// ackTimeout runs when no done or nack answered the last commit in time:
+// retransmit it, or give up and leave the source paused.
+func (m *Migration) ackTimeout() {
 	if m.retries >= migMaxRetries {
 		m.outcome = MigrationUnresolved
 		m.err = fmt.Errorf("machine: migration %d: no commit ack from node %d after %d retries; source stays paused",
@@ -454,7 +452,7 @@ func (m *Migration) handleDone(d migDone) {
 	if m.outcome == MigrationCompleted || m.outcome == MigrationAborted {
 		return
 	}
-	m.ackSeq++ // disarm any pending ack timer
+	m.ack.Disarm()
 	if !m.released {
 		if err := m.ep().ReleaseVM(m.VM); err != nil {
 			m.fail(err)
@@ -474,7 +472,7 @@ func (m *Migration) handleNack(n migNack) {
 	if m.outcome == MigrationCompleted || m.outcome == MigrationAborted {
 		return
 	}
-	m.ackSeq++
+	m.ack.Disarm()
 	reason := fmt.Sprintf("node %d rejected commit: %s (%d/%d chunks)", m.To, n.Reason, n.Got, n.Want)
 	if err := m.ep().AbortMigration(m.VM, m.img, reason); err != nil {
 		m.fail(err)

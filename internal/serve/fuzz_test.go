@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"testing"
 
 	"khsim/internal/hafnium"
@@ -15,8 +14,11 @@ import (
 // or mangled frame, a stale or unissued job ID, job-control text — the
 // simulator must not panic and the drained pool must pass Report.Check:
 // no job admitted that was not generated, none completed that was not
-// admitted. The seed corpus is testdata/fuzz/FuzzPoolMessages; run the
-// fuzzer with make fuzz.
+// admitted. Every environment the drained pool holds Ready or Busy must
+// be running in hafnium, whatever job control the login VM sent, and a
+// payload from an environment VM must leave the login VM running: job
+// control is the super-secondary's. The seed corpus is
+// testdata/fuzz/FuzzPoolMessages; run the fuzzer with make fuzz.
 func FuzzPoolMessages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, sender uint8, atUS uint16) {
 		n, p, cfg := buildPool(t, 1, nil)
@@ -34,24 +36,21 @@ func FuzzPoolMessages(f *testing.F) {
 		if sender != 0 {
 			vc = p.envs[int(sender-1)%len(p.envs)].vm.VCPU(0)
 		}
-		msg := append([]byte(nil), payload...)
-		tries := 0
-		var send func()
-		send = func() {
-			// A busy mailbox is retried, as the pool's own senders do.
-			err := vc.SendMessage(hafnium.PrimaryID, msg)
-			if errors.Is(err, hafnium.ErrBusy) && tries < 100 {
-				tries++
-				eng.AfterNamed(cfg.RetryBackoff, "test.send.retry", send)
-			}
-		}
 		window := end.Sub(eng.Now())
-		eng.AfterNamed(sim.FromMicros(float64(atUS))%window, "test.send", send)
+		sendAt(eng, vc, eng.Now().Add(sim.FromMicros(float64(atUS))%window), payload, cfg.RetryBackoff)
 		n.Run(end.Sub(eng.Now()))
 
 		rep := p.Report()
 		if err := rep.Check(); err != nil {
 			t.Fatalf("payload %q from sender %d at +%dus: %v\n%s", payload, sender, atUS, err, rep.Format())
+		}
+		if e := strandedEnv(p); e != nil {
+			t.Fatalf("payload %q from sender %d at +%dus: pool holds %s %v, hafnium has it %v",
+				payload, sender, atUS, e.Name, e.state, e.vm.State())
+		}
+		if sender != 0 && p.login.State() != hafnium.VMRunning {
+			t.Fatalf("payload %q from environment sender %d at +%dus left the login VM %v",
+				payload, sender, atUS, p.login.State())
 		}
 	})
 }

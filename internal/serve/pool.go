@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"khsim/internal/core"
@@ -41,13 +42,10 @@ type Env struct {
 	idleSince sim.Time
 	// epoch advances on every state transition; the ledger records it.
 	epoch uint64
-	// reapsArmed and reapsFired count the environment's TTL reaps. Reaps
-	// share one fixed delay, so they fire in the order they were armed,
-	// and a firing reap is the latest one exactly when the two counts
-	// meet. Only toReady arms a reap and every other transition leaves
-	// Ready, so the latest reap finding the environment Ready means it
-	// has not moved since the reap was armed.
-	reapsArmed, reapsFired uint64
+	// reap is the environment's TTL reap. Only toReady arms it, and every
+	// other transition leaves Ready, so a firing that finds the
+	// environment Ready means it has not moved since it went idle.
+	reap *sim.Register
 	// done holds each VCPU's job completion (reportDone), bound once and
 	// indexed by VCPU; the job ID rides in the pooled activity.
 	done []func(c *machine.Core, id int)
@@ -120,19 +118,16 @@ type Pool struct {
 	// requeue goes to its head.
 	queue idRing
 
-	draining  bool // login admission chain in flight
-	pumpArmed bool // dispatch retry pending
-	warmLive  int  // environments holding warm-pool tokens
+	draining  bool          // login admission chain in flight
+	pumpRetry *sim.Register // dispatch retry after a busy environment mailbox
+	warmLive  int           // environments holding warm-pool tokens
 
 	rate     float64
 	horizon  sim.Time
 	injector *faults.Injector
 
-	// reaper is the engine's fixed-delay lane at cfg.TTL. reapFn,
 	// arrivalFn and admitFns (one per login VCPU, by index) are the
-	// reap, arrival and admission-driver callbacks, bound once.
-	reaper    *sim.Delay
-	reapFn    func(any)
+	// arrival and admission-driver callbacks, bound once.
 	arrivalFn func()
 	admitFns  []func()
 
@@ -182,10 +177,9 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 		signer: tz.NewSigner(seed, 0),
 		login:  login,
 		byName: make(map[string]*Env),
-		reaper: n.Machine.Engine.NewDelay(cfg.TTL),
 	}
 	p.keyring = tz.NewKeyring(p.signer.Public())
-	p.reapFn = p.reap
+	p.pumpRetry = p.eng.NewRegister("serve.pump.retry", p.pump)
 	p.arrivalFn = p.onArrival
 	for i := 0; i < login.VCPUs(); i++ {
 		vc := login.VCPU(i)
@@ -228,6 +222,7 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 			return nil, fmt.Errorf("serve: no environment VM %q in manifest", name)
 		}
 		e := &Env{Name: name, Index: i, vm: vm, id: vm.ID(), job: -1}
+		e.reap = p.eng.NewRegister("serve.reap", func() { p.reap(e) })
 		for k := 0; k < vm.VCPUs(); k++ {
 			vc := vm.VCPU(k)
 			e.done = append(e.done, func(_ *machine.Core, id int) { p.reportDone(e, vc, id) })
@@ -389,18 +384,35 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 func (p *Pool) primaryMessage(msg hafnium.Message) {
 	b := msg.Payload
 	if len(b) != idFrameLen || (b[0] != tagAdmit && b[0] != tagDone) {
-		p.kern.ExecuteCommand(msg)
+		p.command(msg)
 		return
 	}
 	n := binary.LittleEndian.Uint64(b[1:])
 	if n >= uint64(p.jobs.next()) {
-		p.kern.ExecuteCommand(msg)
+		p.command(msg)
 		return
 	}
 	if b[0] == tagAdmit {
 		p.admit(msg.From, int(n))
 	} else {
 		p.done(msg.From, int(n))
+	}
+}
+
+// command runs a job-control command. A stop raises no lifecycle event,
+// so the pool then takes every Ready or Busy environment whose VM is no
+// longer running out of service, and dispatches its job elsewhere.
+func (p *Pool) command(msg hafnium.Message) {
+	p.kern.ExecuteCommand(msg)
+	lost := false
+	for _, e := range p.envs {
+		if (e.state == EnvReady || e.state == EnvBusy) && e.vm.State() != hafnium.VMRunning {
+			p.stopped(e)
+			lost = true
+		}
+	}
+	if lost {
+		p.pump()
 	}
 }
 
@@ -449,7 +461,7 @@ func (p *Pool) toReady(e *Env) {
 	e.state = EnvReady
 	e.idleSince = p.eng.Now()
 	e.epoch++
-	p.scheduleReap(e)
+	e.reap.Arm(e.idleSince.Add(p.cfg.TTL))
 }
 
 // pump dispatches queued jobs to Ready environments and starts prepares
@@ -463,9 +475,19 @@ func (p *Pool) pump() {
 		}
 		id := p.queue.front()
 		j := p.jobs.get(id)
-		if err := p.hyp.SendFromPrimary(e.id, p.jobFrame(id, j.Demand)); err != nil {
-			p.armPumpRetry()
+		err := p.hyp.SendFromPrimary(e.id, p.jobFrame(id, j.Demand))
+		if errors.Is(err, hafnium.ErrBusy) {
+			// The environment's mailbox was unexpectedly busy: retry
+			// after the backoff.
+			if !p.pumpRetry.Armed() {
+				p.pumpRetry.Arm(p.eng.Now().Add(p.cfg.RetryBackoff))
+			}
 			return
+		}
+		if err != nil {
+			// The VM stopped under the pool; try the next environment.
+			p.stopped(e)
+			continue
 		}
 		p.queue.popFront()
 		j.DispatchAt = p.eng.Now()
@@ -500,19 +522,6 @@ func (p *Pool) readyEnv() *Env {
 		}
 	}
 	return nil
-}
-
-// armPumpRetry schedules one dispatch retry after the backoff (an
-// environment mailbox was unexpectedly busy).
-func (p *Pool) armPumpRetry() {
-	if p.pumpArmed {
-		return
-	}
-	p.pumpArmed = true
-	p.eng.AfterNamed(p.cfg.RetryBackoff, "serve.pump.retry", func() {
-		p.pumpArmed = false
-		p.pump()
-	})
 }
 
 // startPrepare begins the two-phase reuse path on a stopped environment:
@@ -559,22 +568,13 @@ func (p *Pool) startPrepare(e *Env) {
 	})
 }
 
-// scheduleReap arms the TTL reaper for an idle environment on the
-// engine's fixed-delay lane. The reap is a no-op unless the environment
-// is still Ready and no later reap was armed (see Env.reapsArmed). At an
-// exact tie — a dispatch landing at the expiry instant — the reap wins:
-// it was scheduled when the environment went idle, so its seq is the
-// smaller one and the engine fires it first.
-func (p *Pool) scheduleReap(e *Env) {
-	e.reapsArmed++
-	p.reaper.ScheduleArg("serve.reap", p.reapFn, e)
-}
-
-// reap is the TTL reap event for the environment x.
-func (p *Pool) reap(x any) {
-	e := x.(*Env)
-	e.reapsFired++
-	if e.state != EnvReady || e.reapsFired != e.reapsArmed {
+// reap is the environment's TTL reap, TTL after it last went Ready: it
+// stops the VM if the environment is still Ready. At an exact tie — a
+// dispatch landing at the expiry instant — the reap wins: it was armed
+// when the environment went idle, so its seq is the smaller one and the
+// engine fires it first.
+func (p *Pool) reap(e *Env) {
+	if e.state != EnvReady {
 		return
 	}
 	if err := p.hyp.StopVM(e.id); err != nil {
@@ -585,6 +585,28 @@ func (p *Pool) reap(x any) {
 	e.Reaps++
 	p.releaseWarm(e)
 	p.record("reap", e, "ttl")
+}
+
+// stopped takes an environment whose VM stopped under the pool out of
+// service, as a reap does, and requeues its in-flight job at the head of
+// the dispatch queue.
+func (p *Pool) stopped(e *Env) {
+	p.requeue(e)
+	e.state = EnvStopped
+	e.epoch++
+	p.releaseWarm(e)
+	p.record("stop", e, "not-running")
+}
+
+// requeue puts an environment's in-flight job, if it has one, back at the
+// head of the dispatch queue to be replayed.
+func (p *Pool) requeue(e *Env) {
+	if e.job >= 0 {
+		p.jobs.get(e.job).Replays++
+		p.replayed++
+		p.queue.pushFront(e.job)
+		e.job = -1
+	}
 }
 
 // releaseWarm returns an environment's warm-pool token, if it holds one.
@@ -658,12 +680,7 @@ func (p *Pool) onLifecycle(ev hafnium.LifecycleEvent) {
 	switch ev.Kind {
 	case "crash":
 		e.Crashes++
-		if e.job >= 0 {
-			p.jobs.get(e.job).Replays++
-			p.replayed++
-			p.queue.pushFront(e.job)
-			e.job = -1
-		}
+		p.requeue(e)
 		e.state = EnvCrashed
 		e.epoch++
 		p.releaseWarm(e)

@@ -48,9 +48,9 @@ type Config struct {
 	Drain sim.Duration
 	// TTL is the idle time after which the reaper tears an environment
 	// down. An environment reused at exactly its expiry instant is
-	// reaped first: the reap event was scheduled when the environment
-	// went idle, so at a tie it fires before any same-instant dispatch
-	// (reap wins ties).
+	// reaped first: the reap was armed when the environment went idle,
+	// so at a tie it fires before any same-instant dispatch (reap wins
+	// ties).
 	TTL sim.Duration
 	// WarmPool is the warm-image budget: the maximum number of
 	// concurrently live warm-prepared environments. Prepares beyond it

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -90,6 +91,34 @@ func stepUntil(t *testing.T, eng *sim.Engine, until sim.Time, what string, cond 
 		}
 		eng.Step()
 	}
+}
+
+// sendAt sends payload from vc to the primary's mailbox at the instant
+// at, retrying a busy mailbox every backoff as the pool's own senders do,
+// up to 100 times.
+func sendAt(eng *sim.Engine, vc *hafnium.VCPU, at sim.Time, payload []byte, backoff sim.Duration) {
+	msg := append([]byte(nil), payload...)
+	tries := 0
+	var send func()
+	send = func() {
+		err := vc.SendMessage(hafnium.PrimaryID, msg)
+		if errors.Is(err, hafnium.ErrBusy) && tries < 100 {
+			tries++
+			eng.AfterNamed(backoff, "test.send.retry", send)
+		}
+	}
+	eng.ScheduleNamed(at, "test.send", send)
+}
+
+// strandedEnv returns the first environment the pool holds Ready or Busy
+// whose VM is not running in hafnium, or nil.
+func strandedEnv(p *Pool) *Env {
+	for _, e := range p.envs {
+		if (e.state == EnvReady || e.state == EnvBusy) && e.vm.State() != hafnium.VMRunning {
+			return e
+		}
+	}
+	return nil
 }
 
 // dispatchedEnv steps eng until job id has been dispatched, and returns
@@ -205,8 +234,9 @@ func TestServeDeterminism(t *testing.T) {
 
 // TestReapWinsExactTTLTie pins the tie semantics: a job arriving at the
 // exact instant an environment's TTL expires finds it already reaped —
-// the reap event was scheduled first, so the engine's same-instant FIFO
-// lane fires it first — and the job pays a fresh prepare.
+// the reap register was armed when the environment went idle, so its seq
+// is the smaller one and it fires first — and the job pays a fresh
+// prepare.
 func TestReapWinsExactTTLTie(t *testing.T) {
 	n, p, cfg := buildPool(t, 3, nil)
 	if err := p.park(); err != nil {
@@ -249,9 +279,9 @@ func TestReapWinsExactTTLTie(t *testing.T) {
 }
 
 // TestReapRacesCrashReplace pins the reap/crash-replace interaction: the
-// reap armed while the environment was Ready must become a no-op once a
-// crash (and the watchdog's revival) advances the epoch — the revived
-// environment is not torn down by the stale timer.
+// reap armed while the environment was Ready must not stop it at the old
+// expiry once a crash and the watchdog's revival intervene — the revival
+// re-arms the reap, so the revived environment gets a full TTL.
 func TestReapRacesCrashReplace(t *testing.T) {
 	n, p, cfg := buildPool(t, 5, nil)
 	if err := p.park(); err != nil {
@@ -486,6 +516,99 @@ func TestAdmitOnlyFromLoginOnce(t *testing.T) {
 	if s := rep.Stats; s.Generated != 2 || s.Admitted != 2 || s.Completed != 2 || s.BadAdmits != 2 {
 		t.Fatalf("generated=%d admitted=%d completed=%d bad admits=%d, want 2 2 2 2",
 			s.Generated, s.Admitted, s.Completed, s.BadAdmits)
+	}
+}
+
+// TestEnvCannotStopLogin has an environment VM send "stop login" 5 ms
+// into a seed-1 run. Job control is the super-secondary's: the kernel
+// executes nothing and counts the command, and the login VM keeps
+// running and admits every job generated after it.
+func TestEnvCannotStopLogin(t *testing.T) {
+	n, p, cfg := buildPool(t, 1, nil)
+	if err := p.Start(cfg.Rates[0]); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	eng := n.Machine.Engine
+	before := p.kern.Stats()
+	sendAt(eng, p.envs[0].vm.VCPU(0), eng.Now().Add(5*sim.Millisecond), []byte("stop login"), cfg.RetryBackoff)
+	n.Run(cfg.Run + cfg.Drain)
+	if p.login.State() != hafnium.VMRunning {
+		t.Fatalf("login VM is %v after an environment's stop", p.login.State())
+	}
+	if got := p.kern.Stats().BadCommands; got != before.BadCommands+1 {
+		t.Fatalf("bad commands %d -> %d, want one more", before.BadCommands, got)
+	}
+	rep := p.Report()
+	if err := rep.Check(); err != nil {
+		t.Fatalf("Check: %v\n%s", err, rep.Format())
+	}
+	if s := rep.Stats; s.Admitted != s.Generated {
+		t.Fatalf("generated=%d admitted=%d: the login VM stopped admitting", s.Generated, s.Admitted)
+	}
+}
+
+// TestPoolSeesJobControlStop has the login VM send "stop env0" 5 ms into
+// a seed-1 run. A stop raises no lifecycle event, so the pool checks its
+// environments after every job-control command: it takes env0 out of
+// service with a signed stop record, requeues any job it held, and
+// keeps completing jobs on env1 and on env0 once it is prepared again.
+func TestPoolSeesJobControlStop(t *testing.T) {
+	n, p, cfg := buildPool(t, 1, nil)
+	if err := p.Start(cfg.Rates[0]); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	eng := n.Machine.Engine
+	stop := eng.Now().Add(5 * sim.Millisecond)
+	sendAt(eng, p.login.VCPU(0), stop, []byte("stop env0"), cfg.RetryBackoff)
+	n.Run(stop.Sub(eng.Now()))
+	before := p.completed
+	stepUntil(t, eng, eng.Now().Add(sim.Millisecond), "the stop", func() bool {
+		return p.envs[0].vm.State() != hafnium.VMRunning
+	})
+	if e := strandedEnv(p); e != nil {
+		t.Fatalf("after the stop the pool holds %s %v, hafnium has it %v", e.Name, e.state, e.vm.State())
+	}
+	n.Run(cfg.Run + cfg.Drain)
+	rep := p.Report()
+	if err := rep.Check(); err != nil {
+		t.Fatalf("Check: %v\n%s", err, rep.Format())
+	}
+	if after := p.completed - before; after < rep.Stats.Generated/2 {
+		t.Fatalf("%d of %d jobs completed after the stop", after, rep.Stats.Generated)
+	}
+}
+
+// TestDispatchSkipsStoppedEnv stops a Ready environment's VM behind the
+// pool's back. The next dispatch to it fails with ErrNotRunning; the pool
+// marks it Stopped, as a reap does, instead of retrying the dispatch, and
+// the job runs once an environment is prepared.
+func TestDispatchSkipsStoppedEnv(t *testing.T) {
+	n, p, _ := buildPool(t, 3, nil)
+	if err := p.park(); err != nil {
+		t.Fatalf("park: %v", err)
+	}
+	eng := n.Machine.Engine
+	p.horizon = eng.Now().Add(sim.FromSeconds(1))
+	eng.AfterNamed(sim.FromMicros(100), "test.arrive0", func() { p.arrive(sim.FromMicros(100)) })
+	n.Run(sim.FromMicros(2000)) // past completion, short of the TTL
+	e := p.envs[0]
+	if p.completed != 1 || e.state != EnvReady {
+		t.Fatalf("first job: completed=%d, %s is %v", p.completed, e.Name, e.state)
+	}
+	if err := p.hyp.StopVM(e.id); err != nil {
+		t.Fatalf("StopVM: %v", err)
+	}
+	prepares := p.Stats().WarmPrepares + p.Stats().ColdPrepares
+	p.arrive(sim.FromMicros(100))
+	n.Run(sim.FromMicros(3000))
+	if p.completed != 2 || p.pumpRetry.Armed() {
+		t.Fatalf("second job: completed=%d, dispatch retry armed=%v", p.completed, p.pumpRetry.Armed())
+	}
+	if got := p.Stats().WarmPrepares + p.Stats().ColdPrepares; got != prepares+1 {
+		t.Fatalf("prepares %d -> %d, want one more", prepares, got)
+	}
+	if e := strandedEnv(p); e != nil {
+		t.Fatalf("pool holds %s %v, hafnium has it %v", e.Name, e.state, e.vm.State())
 	}
 }
 

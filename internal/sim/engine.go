@@ -2,10 +2,10 @@ package sim
 
 import "fmt"
 
-// slot is the engine-owned storage for one event queued on the heap or a
-// lane. Slots are pooled: after an event fires its slot returns to the
-// engine's free list and is reused by a later Schedule, so the
-// steady-state hot path allocates nothing.
+// slot is the engine-owned storage for one event queued on the heap or
+// the same-instant lane. Slots are pooled: after an event fires its slot
+// returns to the engine's free list and is reused by a later Schedule,
+// so the steady-state hot path allocates nothing.
 type slot struct {
 	fn  func()
 	afn func(any) // arg-style callback (ScheduleArg), exclusive with fn
@@ -27,10 +27,10 @@ func (a entry) before(b entry) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
-// fifo is a queue of entries that arrive already sorted by (when, seq):
-// the same-instant lane and the fixed-delay lanes. Pop advances a cursor;
-// push reclaims the consumed prefix once it is at least half the buffer,
-// so both are O(1) amortized and a lane that never drains stays bounded.
+// fifo is the same-instant lane: a queue of entries that arrive already
+// sorted by (when, seq). Pop advances a cursor; push reclaims the consumed
+// prefix once it is at least half the buffer, so both are O(1) amortized
+// and a lane that never drains stays bounded.
 type fifo struct {
 	q  []entry
 	at int // consumption cursor
@@ -66,30 +66,25 @@ func (f *fifo) reset() {
 	f.at = 0
 }
 
-// Queue identities: where an entry is queued. Fixed-delay lane i is
-// srcDelay+i.
+// Queue identities: where an entry is queued.
 const (
-	srcNone  = -3
-	srcReg   = -2
-	srcHeap  = -1
-	srcNow   = 0
-	srcDelay = 1
+	srcNone = iota
+	srcReg
+	srcHeap
+	srcNow
 )
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; all simulated components run inside event callbacks
 // on the goroutine that calls Run or Step.
 //
-// There are four kinds of queue, each holding pointer-free entries, and
+// There are three kinds of queue, each holding pointer-free entries, and
 // the front event is the (when, seq) minimum of their heads:
 //
 //   - a 4-ary min-heap for events at arbitrary future times;
 //   - a FIFO lane for events scheduled at the current instant (the
 //     timer-tick burst pattern: handlers scheduling follow-up work "now"
 //     bypass the heap entirely);
-//   - one FIFO lane per fixed delay obtained with NewDelay. Such events
-//     are always scheduled the same positive delay ahead, so they arrive
-//     sorted by (when, seq) and need no heap;
 //   - a binary min-heap of armed Registers, each register's position in
 //     it kept in a dense table so re-arming and disarming are O(log n).
 //
@@ -98,14 +93,13 @@ const (
 // Register: the owner has one pending firing at a time, and the engine
 // keeps at most one entry for it.
 type Engine struct {
-	now    Time
-	seq    uint64
-	slots  []slot   // slot table, indexed by heap and lane entries
-	free   []uint32 // indices of pooled slots
-	heap   []entry  // 4-ary min-heap by (when, seq)
-	nowq   fifo     // events with when == now
-	delays []fifo   // fixed-delay lanes, one per NewDelay
-	live   int      // events queued on the heap and the lanes
+	now   Time
+	seq   uint64
+	slots []slot   // slot table, indexed by heap and lane entries
+	free  []uint32 // indices of pooled slots
+	heap  []entry  // 4-ary min-heap by (when, seq)
+	nowq  fifo     // events with when == now
+	live  int      // events queued on the heap and the lane
 
 	regs  []*Register // by register id
 	rheap []entry     // binary min-heap of register entries by (when, seq)
@@ -183,7 +177,12 @@ func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg an
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", name, at, e.now))
 	}
-	x := e.fill(at, fn, afn, arg)
+	i := e.take()
+	sl := &e.slots[i]
+	sl.fn, sl.afn, sl.arg = fn, afn, arg
+	x := entry{when: at, seq: e.seq, id: i}
+	e.seq++
+	e.live++
 	if at != e.now {
 		e.heapPush(x)
 	} else {
@@ -195,20 +194,6 @@ func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg an
 	if e.scheduleHook != nil {
 		e.scheduleHook(at)
 	}
-}
-
-// fill takes a slot for an event at at, stores its callback, draws its
-// seq, and returns the entry that queues it.
-func (e *Engine) fill(at Time, fn func(), afn func(any), arg any) entry {
-	i := e.take()
-	s := &e.slots[i]
-	s.fn = fn
-	s.afn = afn
-	s.arg = arg
-	x := entry{when: at, seq: e.seq, id: i}
-	e.seq++
-	e.live++
-	return x
 }
 
 // take returns the index of a free slot, from the pool or newly added.
@@ -241,50 +226,6 @@ func (e *Engine) AfterNamed(d Duration, name string, fn func()) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	e.ScheduleNamed(e.now.Add(d), name, fn)
-}
-
-// Delay is a fixed-delay lane of an Engine: every event scheduled on it
-// fires the same positive delay after it was scheduled. Those events
-// arrive already sorted by (when, seq), so the lane is a FIFO with O(1)
-// push and pop instead of a heap position. Ordering is exact: an event
-// on a lane takes its seq from the engine counter like any other, so it
-// fires at the same point of the engine's total (when, seq) order as it
-// would through the heap. Obtain lanes once, at construction, with
-// Engine.NewDelay.
-type Delay struct {
-	eng  *Engine
-	d    Duration
-	lane int // index into eng.delays
-}
-
-// NewDelay adds a fixed-delay lane for delay d, which must be positive.
-// Every lane is checked when the engine looks for its front event, so
-// create one per distinct delay a hot path schedules with, not one per
-// event.
-func (e *Engine) NewDelay(d Duration) *Delay {
-	if d <= 0 {
-		panic(fmt.Sprintf("sim: fixed-delay lane with non-positive delay %v", d))
-	}
-	e.delays = append(e.delays, fifo{})
-	return &Delay{eng: e, d: d, lane: len(e.delays) - 1}
-}
-
-// ScheduleArg is Engine.ScheduleArg at the lane's fixed delay d from
-// now: fn(arg) runs at Now()+d.
-func (l *Delay) ScheduleArg(name string, fn func(any), arg any) {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	e := l.eng
-	at := e.now.Add(l.d)
-	f := &e.delays[l.lane]
-	if !f.empty() && at < f.q[len(f.q)-1].when {
-		panic(fmt.Sprintf("sim: fixed-delay lane event %q at %v before the lane's tail", name, at))
-	}
-	f.push(e.fill(at, nil, fn, arg))
-	if e.scheduleHook != nil {
-		e.scheduleHook(at)
-	}
 }
 
 // Register is a re-armable deadline: an event bound to one callback when
@@ -401,8 +342,8 @@ func (e *Engine) dropVacant() {
 }
 
 // front returns the front entry — the (when, seq) minimum across the
-// register heap, the event heap and the lanes — and the queue holding
-// it, or srcNone when every queue is empty.
+// register heap, the event heap and the same-instant lane — and the queue
+// holding it, or srcNone when every queue is empty.
 func (e *Engine) front() (entry, int) {
 	if len(e.vacant) > 0 {
 		e.dropVacant()
@@ -420,13 +361,6 @@ func (e *Engine) front() (entry, int) {
 	if !e.nowq.empty() {
 		if x := e.nowq.head(); src == srcNone || x.before(best) {
 			best, src = x, srcNow
-		}
-	}
-	for i := range e.delays {
-		if f := &e.delays[i]; !f.empty() {
-			if x := f.head(); src == srcNone || x.before(best) {
-				best, src = x, srcDelay+i
-			}
 		}
 	}
 	return best, src
@@ -452,10 +386,8 @@ func (e *Engine) fire(x entry, src int) {
 		return
 	case srcHeap:
 		e.heapPop()
-	case srcNow:
-		e.nowq.pop()
 	default:
-		e.delays[src-srcDelay].pop()
+		e.nowq.pop()
 	}
 	e.live--
 	s := &e.slots[x.id]

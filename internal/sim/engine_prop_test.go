@@ -8,7 +8,7 @@ import (
 
 // refModel is a deliberately naive event queue — a sorted slice ordered
 // by (when, seq) with eager deletion — used as the oracle for the real
-// engine's heaps and lanes.
+// engine's heaps and same-instant lane.
 type refModel struct {
 	now  Time
 	seq  uint64
@@ -73,15 +73,12 @@ type refRegime int
 const (
 	regimeUniform   refRegime = iota // schedule and step evenly
 	regimeRegisters                  // registers armed, re-armed, disarmed and fired among heap and same-instant events
-	regimeLanes                      // fixed-delay lanes and registers mixed in, with a snapshot replay
+	regimeSnapshot                   // the register regime plus ScheduleArg heap events, with a snapshot replay
 )
 
-// laneDelays are the fixed-delay lanes of the lanes regime.
-var laneDelays = []Duration{75, 300}
-
-// tick is the grid the register regimes draw future times from. The
-// lane delays are multiples of it too, so registers, heap events and
-// lane events often fall due at one instant and only seq orders them.
+// tick is the grid the register regimes draw future times from, so
+// registers and heap events often fall due at one instant and only seq
+// orders them.
 const tick Duration = 25
 
 // regCoverage counts what a trial's register operations exercised;
@@ -96,16 +93,16 @@ type regCoverage struct {
 // model with identical random interleavings of schedules, register arms
 // and disarms, and steps, and asserts they fire events in exactly the
 // same order. This pins the total order (when, seq) across the event
-// heap, the same-instant lane, the fixed-delay lanes and the register
-// heap. A register's pending firing is one model event: arming cancels
-// the old one and schedules the new one, disarming cancels it. Three
-// regimes run: a uniform mix of schedules and steps; a register regime
-// that re-arms registers earlier and later, arms them at now against a
-// busy same-instant lane, disarms them and lets them fire, among heap
-// and same-instant events; and a lanes regime that adds two fixed-delay
-// lanes and rewinds a mid-trial Snapshot with Restore, rewinding the
-// model with it, where a register created after the snapshot must come
-// back disarmed. In both register regimes every event callback, a
+// heap, the same-instant lane and the register heap. A register's
+// pending firing is one model event: arming cancels the old one and
+// schedules the new one, disarming cancels it. Three regimes run: a
+// uniform mix of schedules and steps; a register regime that re-arms
+// registers earlier and later, arms them at now against a busy
+// same-instant lane, disarms them and lets them fire, among heap and
+// same-instant events; and a snapshot regime that adds heap events
+// scheduled with ScheduleArg and rewinds a mid-trial Snapshot with
+// Restore, rewinding the model with it, where a register created after
+// the snapshot must come back disarmed. In both register regimes every event callback, a
 // firing register's included, itself arms, re-arms and disarms
 // registers, so registers take over the entries that fired or were
 // disarmed in the same event. After every operation, and inside those
@@ -113,7 +110,7 @@ type regCoverage struct {
 // the model holds its firing, for the model's time, and the pending
 // counts agree.
 func TestPropEngineMatchesReferenceModel(t *testing.T) {
-	for _, regime := range []refRegime{regimeUniform, regimeRegisters, regimeLanes} {
+	for _, regime := range []refRegime{regimeUniform, regimeRegisters, regimeSnapshot} {
 		var cov regCoverage
 		for trial := 0; trial < 50; trial++ {
 			runRefModelTrial(t, trial, regime, &cov)
@@ -125,8 +122,8 @@ func TestPropEngineMatchesReferenceModel(t *testing.T) {
 			cov.cbArmed < 100 || cov.cbDisarmed < 50 {
 			t.Fatalf("regime %d exercised too little: %+v", regime, cov)
 		}
-		if regime == regimeLanes && cov.survived < 50 {
-			t.Fatalf("lanes regime: a post-snapshot register survived a restore in only %d trials", cov.survived)
+		if regime == regimeSnapshot && cov.survived < 50 {
+			t.Fatalf("snapshot regime: a post-snapshot register survived a restore in only %d trials", cov.survived)
 		}
 	}
 }
@@ -139,12 +136,6 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 	rng := rand.New(rand.NewSource(int64(trial)))
 	e := NewEngine(uint64(trial))
 	m := &refModel{}
-	var lanes []*Delay
-	if regime == regimeLanes {
-		for _, d := range laneDelays {
-			lanes = append(lanes, e.NewDelay(d))
-		}
-	}
 
 	// onFire, when set, runs at the end of every event callback.
 	var onFire func()
@@ -164,9 +155,8 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 			onFire()
 		}
 	}
-	scheduleLane := func(i int) {
-		id := m.schedule(e.Now().Add(laneDelays[i]))
-		lanes[i].ScheduleArg("lane", fireArg, id)
+	scheduleArg := func(at Time) {
+		e.ScheduleArg(at, "arg", fireArg, m.schedule(at))
 	}
 
 	// regID[i] is the model id of register i's pending firing, -1 while
@@ -266,7 +256,7 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 		}
 	}
 
-	// The lanes regime snapshots the engine and the model at op 150,
+	// The snapshot regime snapshots the engine and the model at op 150,
 	// creates and arms one more register at op 200, and rewinds both at
 	// op 250 before carrying on; the late register stays, disarmed.
 	type rewind struct {
@@ -277,7 +267,7 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 	}
 	var saved *rewind
 	for op := 0; op < 400; op++ {
-		if regime == regimeLanes {
+		if regime == regimeSnapshot {
 			switch op {
 			case 150:
 				saved = &rewind{
@@ -327,8 +317,8 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 			}
 		case r < 6: // a heap event
 			schedule(e.Now().Add(tick * Duration(1+rng.Intn(16))))
-		case lanes != nil && r < 7: // a fixed-delay lane event
-			scheduleLane(rng.Intn(len(lanes)))
+		case regime == regimeSnapshot && r < 7: // a heap event with an argument
+			scheduleArg(e.Now().Add(tick * Duration(1+rng.Intn(16))))
 		default:
 			step(op)
 		}
@@ -361,39 +351,5 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("trial %d: engine still reports %d pending after drain", trial, e.Pending())
-	}
-}
-
-// TestDelayLaneOutOfOrderPanics checks the fixed-delay lane's ordering
-// guard: a push whose time lies before the lane's tail would break the
-// FIFO's sort, so it panics instead. The engine's clock never runs
-// backwards, so the test winds it back by hand.
-func TestDelayLaneOutOfOrderPanics(t *testing.T) {
-	e := NewEngine(1)
-	l := e.NewDelay(100)
-	nop := func(any) {}
-	e.Run(50)
-	l.ScheduleArg("a", nop, nil) // tail at 150
-	e.now = 10
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order fixed-delay push did not panic")
-		}
-	}()
-	l.ScheduleArg("b", nop, nil) // at 110, before the tail
-}
-
-// TestNewDelayRejectsNonPositive pins the lane's precondition: a zero
-// delay would land on the same-instant lane's territory.
-func TestNewDelayRejectsNonPositive(t *testing.T) {
-	for _, d := range []Duration{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewDelay(%v) did not panic", d)
-				}
-			}()
-			NewEngine(1).NewDelay(d)
-		}()
 	}
 }

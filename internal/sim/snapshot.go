@@ -27,11 +27,11 @@ type Snapshotter interface {
 	Restore(State)
 }
 
-// slotSnap records one event queued on the heap or a lane at snapshot
-// time: the queue and key that order it and its callback.
+// slotSnap records one event queued on the heap or the same-instant lane
+// at snapshot time: the queue and key that order it and its callback.
 type slotSnap struct {
 	x   entry
-	src int // srcHeap, srcNow, or srcDelay+i
+	src int // srcHeap or srcNow
 	slot
 }
 
@@ -42,7 +42,7 @@ type engineState struct {
 	fired   uint64
 	stopped bool
 	rng     [4]uint64
-	slots   []slotSnap // heap events in heap order, then each lane front first
+	slots   []slotSnap // heap events in heap order, then the lane front first
 	regs    []entry    // the register heap, in heap order
 }
 
@@ -70,9 +70,6 @@ func (e *Engine) Snapshot() State {
 	}
 	capture(e.heap, srcHeap)
 	capture(e.nowq.queued(), srcNow)
-	for i := range e.delays {
-		capture(e.delays[i].queued(), srcDelay+i)
-	}
 	return st
 }
 
@@ -94,9 +91,6 @@ func (e *Engine) Restore(st State) {
 	}
 	e.heap = e.heap[:0]
 	e.nowq.reset()
-	for i := range e.delays {
-		e.delays[i].reset()
-	}
 	clear(e.slots)
 	e.free = e.free[:0]
 	for i := len(e.slots) - 1; i >= 0; i-- {
@@ -107,13 +101,10 @@ func (e *Engine) Restore(st State) {
 		x := sn.x
 		x.id = e.take()
 		e.slots[x.id] = sn.slot
-		switch sn.src {
-		case srcHeap:
+		if sn.src == srcHeap {
 			e.heap = append(e.heap, x)
-		case srcNow:
+		} else {
 			e.nowq.push(x)
-		default:
-			e.delays[sn.src-srcDelay].push(x)
 		}
 	}
 	for _, x := range e.rheap {
