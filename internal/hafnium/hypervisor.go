@@ -330,6 +330,23 @@ func (h *Hypervisor) AttachGuest(id VMID, g GuestOS) error {
 	return nil
 }
 
+// HandToPrimary makes the primary VM id's controller, for a VM whose
+// lifecycle a manager in the primary owns: the super-secondary's job
+// control can then no longer stop or start it. Only a non-primary VM is
+// handed over, and only before Boot, so a controller never changes while
+// the node runs.
+func (h *Hypervisor) HandToPrimary(id VMID) error {
+	vm, ok := h.VM(id)
+	if !ok {
+		return ErrBadVM
+	}
+	if vm.spec.Class == Primary || h.booted {
+		return fmt.Errorf("hafnium: cannot hand VM %q to the primary", vm.spec.Name)
+	}
+	vm.controller = PrimaryID
+	return nil
+}
+
 // Boot finalizes setup: installs the EL2 trap dispatcher on every core,
 // enables the interrupt sources EL2 owns, marks VMs runnable, and starts
 // the primary kernel.

@@ -32,6 +32,38 @@ func TestBootRequiresKernels(t *testing.T) {
 	}
 }
 
+// TestHandToPrimaryBeforeBootOnly hands a secondary to the primary before
+// boot, and checks that the primary VM, an unknown VM and any hand-over
+// after boot are refused.
+func TestHandToPrimaryBeforeBootOnly(t *testing.T) {
+	m, _ := ParseManifest(basicManifest)
+	node := machine.MustNew(machine.PineA64Config(1))
+	h, err := New(node, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, _ := h.VMByName("job")
+	if job.Controller() != SuperSecondaryID {
+		t.Fatalf("default controller = %d, want the super-secondary's ID", job.Controller())
+	}
+	if err := h.HandToPrimary(job.ID()); err != nil || job.Controller() != PrimaryID {
+		t.Fatalf("hand-over before boot: err %v, controller %d", err, job.Controller())
+	}
+	if h.HandToPrimary(PrimaryID) == nil || h.HandToPrimary(VMID(99)) == nil {
+		t.Fatal("hand-over of the primary or of an unknown VM accepted")
+	}
+	h.AttachPrimary(&stubPrimary{t: t, h: h, node: node, handlerCost: sim.FromMicros(5)})
+	if err := h.AttachGuest(job.ID(), &stubGuest{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if h.HandToPrimary(job.ID()) == nil {
+		t.Fatal("hand-over after boot accepted")
+	}
+}
+
 func TestVMLayoutAndLookup(t *testing.T) {
 	g := &stubGuest{workChunk: sim.FromMicros(10), chunks: 1}
 	h, _ := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": g})

@@ -72,6 +72,10 @@ type VM struct {
 	vcpus  []*VCPU
 	state  VMState
 	guest  GuestOS
+	// controller is the VM whose job control may stop and restart this
+	// one: the super-secondary unless the VM was handed to the primary
+	// before boot (Hypervisor.HandToPrimary).
+	controller VMID
 
 	ramPA   mem.PA // backing block base
 	ramSize uint64
@@ -121,6 +125,10 @@ func (v *VM) Class() Class { return v.spec.Class }
 
 // State reports the lifecycle state.
 func (v *VM) State() VMState { return v.state }
+
+// Controller reports the VM whose job control may stop and restart this
+// one.
+func (v *VM) Controller() VMID { return v.controller }
 
 // Restarts reports how many times the watchdog has restarted the VM.
 func (v *VM) Restarts() int { return v.restarts }
@@ -221,6 +229,7 @@ func (h *Hypervisor) buildVM(id VMID, spec VMSpec) (*VM, error) {
 		hyp:          h,
 		stage2:       mmu.NewTable(fmt.Sprintf("s2.%s", spec.Name)),
 		nextShareIPA: shareIPABase,
+		controller:   SuperSecondaryID,
 	}
 	mx := h.node.Metrics
 	v.mWorldSwitches = mx.Counter(metrics.K("el2", "world_switches").WithVM(spec.Name))

@@ -24,10 +24,13 @@ func (k *Kernel) controlTask(c *machine.Core) {
 
 // ExecuteCommand runs one job-control command and replies to the sender.
 // Job control belongs to the super-secondary: a command from any other VM
-// executes nothing. Such a command and an unknown one are counted and
-// traced (kind "kernel.badcmd") rather than dropped on the floor,
-// whatever their argument, and answered with an error; a known command
-// naming no VM is answered with an error.
+// executes nothing, and a stop or start executes only when the sender is
+// the named VM's controller (hafnium.VM.Controller), so a VM handed to
+// the primary is out of the super-secondary's reach. A command denied
+// either way and an unknown one are counted and traced (kind
+// "kernel.badcmd") rather than dropped on the floor, whatever their
+// argument, and answered with an error; a known command naming no VM is
+// answered with an error.
 func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 	cmd, arg, _ := cutCommand(string(msg.Payload))
 	k.commands++
@@ -57,6 +60,10 @@ func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 	vm, ok := k.h.VMByName(arg)
 	if !ok {
 		reply("error: no vm " + arg)
+		return
+	}
+	if cmd != "status" && vm.Controller() != msg.From {
+		bad("denied "+cmd, "error: "+arg+" is not the sender's to control")
 		return
 	}
 	switch cmd {

@@ -1,6 +1,7 @@
 package kitten
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,6 +25,17 @@ memory_mb = 128
 // buildStack boots node + hafnium + kitten primary + kitten guest with
 // the given workload on the job VM's VCPU 0.
 func buildStack(t *testing.T, manifest string, work *chunkProc) (*machine.Node, *hafnium.Hypervisor, *Primary, *Guest) {
+	t.Helper()
+	node, h, prim, guest := unbootedStack(t, manifest, work)
+	if err := h.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	return node, h, prim, guest
+}
+
+// unbootedStack is buildStack short of the boot, for a test that
+// configures the hypervisor first.
+func unbootedStack(t *testing.T, manifest string, work *chunkProc) (*machine.Node, *hafnium.Hypervisor, *Primary, *Guest) {
 	t.Helper()
 	m, err := hafnium.ParseManifest(manifest)
 	if err != nil {
@@ -50,9 +62,6 @@ func buildStack(t *testing.T, manifest string, work *chunkProc) (*machine.Node, 
 		if err := prim.AddVM(vm); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.Boot(); err != nil {
-		t.Fatal(err)
 	}
 	return node, h, prim, guest
 }
@@ -131,19 +140,32 @@ func TestPrimaryAddVMValidation(t *testing.T) {
 
 // TestControlTaskStopStartStatus drives job control from the
 // super-secondary login VM, and checks that the same command from the
-// secondary job VM executes nothing.
+// secondary job VM executes nothing, and that the login VM may ask after
+// a VM handed to the primary but not stop or start it.
 func TestControlTaskStopStartStatus(t *testing.T) {
 	const manifest = stackManifest + `
 [vm login]
 class = super-secondary
 vcpus = 1
 memory_mb = 128
+
+[vm pooled]
+class = secondary
+vcpus = 1
+memory_mb = 128
 `
-	// Both VMs park at boot and wake for each reply; they share one
+	// Every VM parks at boot and wakes for each reply; they share one
 	// guest, which keeps the replies each receives.
-	node, h, prim, guest := buildStack(t, manifest, nil)
+	node, h, prim, guest := unbootedStack(t, manifest, nil)
 	job, _ := h.VMByName("job")
+	pooled, _ := h.VMByName("pooled")
 	login := h.Super()
+	if err := h.HandToPrimary(pooled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Boot(); err != nil {
+		t.Fatal(err)
+	}
 	replies := map[hafnium.VMID][]string{}
 	guest.OnMessage = func(vc *hafnium.VCPU, msg hafnium.Message) {
 		replies[vc.VM().ID()] = append(replies[vc.VM().ID()], string(msg.Payload))
@@ -179,6 +201,38 @@ memory_mb = 128
 	}
 	if st := prim.Stats(); st.BadCommands != 1 {
 		t.Fatalf("bad commands = %d, want 1", st.BadCommands)
+	}
+
+	// The VM handed to the primary: status is answered, and stop and
+	// start are denied, counted, traced and answered with an error,
+	// leaving the VM as it was (the start is sent with it stopped
+	// directly).
+	replies = map[hafnium.VMID][]string{}
+	command(login, "status pooled", sim.FromSeconds(0.05))
+	command(login, "stop pooled", sim.FromSeconds(0.05))
+	if pooled.State() != hafnium.VMRunning {
+		t.Fatalf("pooled state after the login VM's stop = %v", pooled.State())
+	}
+	if err := h.StopVM(pooled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	command(login, "start pooled", sim.FromSeconds(0.2))
+	if pooled.State() != hafnium.VMStopped {
+		t.Fatalf("pooled state after the login VM's start = %v", pooled.State())
+	}
+	r := replies[login.ID()]
+	if len(r) != 3 || r[0] != "ok: pooled is running" || !strings.HasPrefix(r[1], "error") || !strings.HasPrefix(r[2], "error") {
+		t.Fatalf("replies about the primary's VM = %q", r)
+	}
+	if st := prim.Stats(); st.BadCommands != 3 {
+		t.Fatalf("bad commands = %d, want 3", st.BadCommands)
+	}
+	var notes []string
+	for _, rec := range node.Trace.Filter("kernel.badcmd") {
+		notes = append(notes, rec.Note)
+	}
+	if want := []string{"denied stop", "denied stop", "denied start"}; !slices.Equal(notes, want) {
+		t.Fatalf("badcmd trace notes = %q, want %q", notes, want)
 	}
 
 	// Unknown command and unknown VM produce error replies.

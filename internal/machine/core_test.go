@@ -270,7 +270,7 @@ func TestStealSuspendedAndResumeElsewhere(t *testing.T) {
 	c0.Run(work)
 	n.Timers.Core(0).Arm(timer.Phys, sim.Time(sim.FromMicros(30)))
 	// After the steal, hand the task to core 1.
-	n.Engine.Schedule(sim.Time(sim.FromMicros(50)), func() {
+	n.Engine.ScheduleNamed(sim.Time(sim.FromMicros(50)), "test.resume", func() {
 		if migrated == nil {
 			t.Fatal("steal failed")
 		}

@@ -14,8 +14,9 @@ import (
 // or mangled frame, a stale or unissued job ID, job-control text — the
 // simulator must not panic and the drained pool must pass Report.Check:
 // no job admitted that was not generated, none completed that was not
-// admitted. Every environment the drained pool holds Ready or Busy must
-// be running in hafnium, whatever job control the login VM sent, and a
+// admitted. The drained pool must agree with hafnium on every
+// environment, Ready or Busy exactly while its VM runs, whatever job
+// control the login VM sent: the primary controls the environments. A
 // payload from an environment VM must leave the login VM running: job
 // control is the super-secondary's. The seed corpus is
 // testdata/fuzz/FuzzPoolMessages; run the fuzzer with make fuzz.
@@ -44,7 +45,7 @@ func FuzzPoolMessages(f *testing.F) {
 		if err := rep.Check(); err != nil {
 			t.Fatalf("payload %q from sender %d at +%dus: %v\n%s", payload, sender, atUS, err, rep.Format())
 		}
-		if e := strandedEnv(p); e != nil {
+		if e := disagreeingEnv(p); e != nil {
 			t.Fatalf("payload %q from sender %d at +%dus: pool holds %s %v, hafnium has it %v",
 				payload, sender, atUS, e.Name, e.state, e.vm.State())
 		}

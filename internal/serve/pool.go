@@ -151,10 +151,11 @@ type Pool struct {
 }
 
 // NewPool wires the serving workload into an un-booted secure node: it
-// attaches the login and environment guests, takes over the primary
-// kernel's mailbox handler and the node's lifecycle hook, and derives
-// the pool's RNG streams and signing identity from seed. Call before
-// n.Boot().
+// attaches the login and environment guests, hands every environment VM
+// to the primary (so the login VM's job control cannot stop or start
+// one behind the pool's back), takes over the primary kernel's mailbox
+// handler and the node's lifecycle hook, and derives the pool's RNG
+// streams and signing identity from seed. Call before n.Boot().
 func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 	if cfg.TTL <= 0 {
 		return nil, fmt.Errorf("serve: TTL %v is not positive", cfg.TTL)
@@ -220,6 +221,9 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 		vm, ok := n.Hyp.VMByName(name)
 		if !ok {
 			return nil, fmt.Errorf("serve: no environment VM %q in manifest", name)
+		}
+		if err := n.Hyp.HandToPrimary(vm.ID()); err != nil {
+			return nil, err
 		}
 		e := &Env{Name: name, Index: i, vm: vm, id: vm.ID(), job: -1}
 		e.reap = p.eng.NewRegister("serve.reap", func() { p.reap(e) })
@@ -376,43 +380,27 @@ func (p *Pool) admitNext(vc *hafnium.VCPU) {
 }
 
 // primaryMessage is the pool manager: it takes over the primary kernel's
-// mailbox handler for admit and done frames and forwards everything else
-// — a payload that is not one of those frames, or whose ID was never
-// issued — to the stock job-control command path. Every ID below the
+// mailbox handler for admit and done frames and hands everything else —
+// a payload that is not one of those frames, or whose ID was never
+// issued — to the stock job-control command path, which cannot stop or
+// start an environment: the primary controls them. Every ID below the
 // next one issued is a pool ID, whether or not its job is still in the
 // table.
 func (p *Pool) primaryMessage(msg hafnium.Message) {
 	b := msg.Payload
 	if len(b) != idFrameLen || (b[0] != tagAdmit && b[0] != tagDone) {
-		p.command(msg)
+		p.kern.ExecuteCommand(msg)
 		return
 	}
 	n := binary.LittleEndian.Uint64(b[1:])
 	if n >= uint64(p.jobs.next()) {
-		p.command(msg)
+		p.kern.ExecuteCommand(msg)
 		return
 	}
 	if b[0] == tagAdmit {
 		p.admit(msg.From, int(n))
 	} else {
 		p.done(msg.From, int(n))
-	}
-}
-
-// command runs a job-control command. A stop raises no lifecycle event,
-// so the pool then takes every Ready or Busy environment whose VM is no
-// longer running out of service, and dispatches its job elsewhere.
-func (p *Pool) command(msg hafnium.Message) {
-	p.kern.ExecuteCommand(msg)
-	lost := false
-	for _, e := range p.envs {
-		if (e.state == EnvReady || e.state == EnvBusy) && e.vm.State() != hafnium.VMRunning {
-			p.stopped(e)
-			lost = true
-		}
-	}
-	if lost {
-		p.pump()
 	}
 }
 
@@ -587,26 +575,14 @@ func (p *Pool) reap(e *Env) {
 	p.record("reap", e, "ttl")
 }
 
-// stopped takes an environment whose VM stopped under the pool out of
-// service, as a reap does, and requeues its in-flight job at the head of
-// the dispatch queue.
+// stopped takes a Ready environment whose VM stopped under the pool out
+// of service, as a reap does. Job control cannot stop an environment, so
+// only a direct Hypervisor.StopVM leaves one for a dispatch to find.
 func (p *Pool) stopped(e *Env) {
-	p.requeue(e)
 	e.state = EnvStopped
 	e.epoch++
 	p.releaseWarm(e)
 	p.record("stop", e, "not-running")
-}
-
-// requeue puts an environment's in-flight job, if it has one, back at the
-// head of the dispatch queue to be replayed.
-func (p *Pool) requeue(e *Env) {
-	if e.job >= 0 {
-		p.jobs.get(e.job).Replays++
-		p.replayed++
-		p.queue.pushFront(e.job)
-		e.job = -1
-	}
 }
 
 // releaseWarm returns an environment's warm-pool token, if it holds one.
@@ -680,7 +656,12 @@ func (p *Pool) onLifecycle(ev hafnium.LifecycleEvent) {
 	switch ev.Kind {
 	case "crash":
 		e.Crashes++
-		p.requeue(e)
+		if e.job >= 0 {
+			p.jobs.get(e.job).Replays++
+			p.replayed++
+			p.queue.pushFront(e.job)
+			e.job = -1
+		}
 		e.state = EnvCrashed
 		e.epoch++
 		p.releaseWarm(e)

@@ -110,11 +110,13 @@ func sendAt(eng *sim.Engine, vc *hafnium.VCPU, at sim.Time, payload []byte, back
 	eng.ScheduleNamed(at, "test.send", send)
 }
 
-// strandedEnv returns the first environment the pool holds Ready or Busy
-// whose VM is not running in hafnium, or nil.
-func strandedEnv(p *Pool) *Env {
+// disagreeingEnv returns the first environment whose pool state and
+// hafnium VM state disagree, or nil. They agree when the pool holds the
+// environment Ready or Busy exactly while its VM runs: a Stopped or
+// Preparing one, like a Crashed or Dead one, has a VM that does not run.
+func disagreeingEnv(p *Pool) *Env {
 	for _, e := range p.envs {
-		if (e.state == EnvReady || e.state == EnvBusy) && e.vm.State() != hafnium.VMRunning {
+		if (e.state == EnvReady || e.state == EnvBusy) != (e.vm.State() == hafnium.VMRunning) {
 			return e
 		}
 	}
@@ -547,34 +549,57 @@ func TestEnvCannotStopLogin(t *testing.T) {
 	}
 }
 
-// TestPoolSeesJobControlStop has the login VM send "stop env0" 5 ms into
-// a seed-1 run. A stop raises no lifecycle event, so the pool checks its
-// environments after every job-control command: it takes env0 out of
-// service with a signed stop record, requeues any job it held, and
-// keeps completing jobs on env1 and on env0 once it is prepared again.
-func TestPoolSeesJobControlStop(t *testing.T) {
-	n, p, cfg := buildPool(t, 1, nil)
-	if err := p.Start(cfg.Rates[0]); err != nil {
-		t.Fatalf("Start: %v", err)
+// TestJobControlCannotReachEnvs sends "stop env0", "stop env1", "start
+// env0" and "start env1" from the login VM, one command per seed-1 run,
+// at 100 instants 400 µs apart across the run. The pool hands its
+// environments to the primary, so job control cannot stop or start one:
+// each command is denied and counted once, whether the pool holds the
+// environment Ready, Busy, Preparing or Stopped when it lands (each is
+// hit), and after the drain the pool and hafnium agree on every
+// environment and the report passes its Check.
+func TestJobControlCannotReachEnvs(t *testing.T) {
+	hit := map[EnvState]int{}
+	for _, cmd := range []string{"stop env0", "stop env1", "start env0", "start env1"} {
+		for k := 0; k < 100; k++ {
+			n, p, cfg := buildPool(t, 1, nil)
+			if err := p.Start(cfg.Rates[0]); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			e := p.byName[strings.Fields(cmd)[1]]
+			landed := false
+			onMessage := p.kern.OnMessage
+			p.kern.OnMessage = func(msg hafnium.Message) {
+				if string(msg.Payload) == cmd {
+					hit[e.state]++
+					landed = true
+				}
+				onMessage(msg)
+			}
+			eng := n.Machine.Engine
+			before := p.kern.Stats().BadCommands
+			at := sim.Duration(k) * 400 * sim.Microsecond
+			sendAt(eng, p.login.VCPU(0), eng.Now().Add(at), []byte(cmd), cfg.RetryBackoff)
+			n.Run(cfg.Run + cfg.Drain)
+
+			if !landed {
+				t.Fatalf("%q at +%v never reached the primary", cmd, at)
+			}
+			if got := p.kern.Stats().BadCommands; got != before+1 {
+				t.Fatalf("%q at +%v: bad commands %d -> %d, want one more", cmd, at, before, got)
+			}
+			if e := disagreeingEnv(p); e != nil {
+				t.Fatalf("%q at +%v: pool holds %s %v, hafnium has it %v", cmd, at, e.Name, e.state, e.vm.State())
+			}
+			if rep := p.Report(); rep.Check() != nil {
+				t.Fatalf("%q at +%v: Check: %v\n%s", cmd, at, rep.Check(), rep.Format())
+			}
+		}
 	}
-	eng := n.Machine.Engine
-	stop := eng.Now().Add(5 * sim.Millisecond)
-	sendAt(eng, p.login.VCPU(0), stop, []byte("stop env0"), cfg.RetryBackoff)
-	n.Run(stop.Sub(eng.Now()))
-	before := p.completed
-	stepUntil(t, eng, eng.Now().Add(sim.Millisecond), "the stop", func() bool {
-		return p.envs[0].vm.State() != hafnium.VMRunning
-	})
-	if e := strandedEnv(p); e != nil {
-		t.Fatalf("after the stop the pool holds %s %v, hafnium has it %v", e.Name, e.state, e.vm.State())
-	}
-	n.Run(cfg.Run + cfg.Drain)
-	rep := p.Report()
-	if err := rep.Check(); err != nil {
-		t.Fatalf("Check: %v\n%s", err, rep.Format())
-	}
-	if after := p.completed - before; after < rep.Stats.Generated/2 {
-		t.Fatalf("%d of %d jobs completed after the stop", after, rep.Stats.Generated)
+	t.Logf("pool states the commands landed in: %v", hit)
+	for _, st := range []EnvState{EnvReady, EnvBusy, EnvPreparing, EnvStopped} {
+		if hit[st] == 0 {
+			t.Fatalf("no command landed while its environment was %v: %v", st, hit)
+		}
 	}
 }
 
@@ -607,7 +632,7 @@ func TestDispatchSkipsStoppedEnv(t *testing.T) {
 	if got := p.Stats().WarmPrepares + p.Stats().ColdPrepares; got != prepares+1 {
 		t.Fatalf("prepares %d -> %d, want one more", prepares, got)
 	}
-	if e := strandedEnv(p); e != nil {
+	if e := disagreeingEnv(p); e != nil {
 		t.Fatalf("pool holds %s %v, hafnium has it %v", e.Name, e.state, e.vm.State())
 	}
 }

@@ -4,10 +4,9 @@ package serve
 // newest, in ID order: q[at+i] is job lo+i, and IDs are issued densely
 // from 0. A job is finished once its DoneAt is set. reclaim advances the
 // cursor past the finished jobs at the front, and add compacts that
-// consumed prefix in place once it is at least half the buffer (sim's
-// fifo lanes do the same), so the table's storage follows the jobs in
-// flight, not the jobs served. A *Job from get is valid until the next
-// add.
+// consumed prefix in place once it is at least half the buffer, so the
+// table's storage follows the jobs in flight, not the jobs served. A
+// *Job from get is valid until the next add.
 type jobTable struct {
 	q  []Job
 	at int // index of the oldest unfinished job in q

@@ -2,10 +2,10 @@ package sim
 
 import "fmt"
 
-// slot is the engine-owned storage for one event queued on the heap or
-// the same-instant lane. Slots are pooled: after an event fires its slot
-// returns to the engine's free list and is reused by a later Schedule,
-// so the steady-state hot path allocates nothing.
+// slot is the engine-owned storage for one event queued on the heap.
+// Slots are pooled: after an event fires its slot returns to the
+// engine's free list and is reused by a later schedule, so the
+// steady-state hot path allocates nothing.
 type slot struct {
 	fn  func()
 	afn func(any) // arg-style callback (ScheduleArg), exclusive with fn
@@ -27,79 +27,35 @@ func (a entry) before(b entry) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
-// fifo is the same-instant lane: a queue of entries that arrive already
-// sorted by (when, seq). Pop advances a cursor; push reclaims the consumed
-// prefix once it is at least half the buffer, so both are O(1) amortized
-// and a lane that never drains stays bounded.
-type fifo struct {
-	q  []entry
-	at int // consumption cursor
-}
-
-func (f *fifo) empty() bool { return f.at == len(f.q) }
-
-func (f *fifo) head() entry { return f.q[f.at] }
-
-func (f *fifo) push(x entry) {
-	if len(f.q) == cap(f.q) && f.at > 0 && 2*f.at >= len(f.q) {
-		n := copy(f.q, f.q[f.at:])
-		f.q = f.q[:n]
-		f.at = 0
-	}
-	f.q = append(f.q, x)
-}
-
-func (f *fifo) pop() {
-	f.at++
-	if f.at == len(f.q) {
-		f.q = f.q[:0]
-		f.at = 0
-	}
-}
-
-// queued returns the entries still queued, front first.
-func (f *fifo) queued() []entry { return f.q[f.at:] }
-
-// reset empties the lane, keeping its buffer.
-func (f *fifo) reset() {
-	f.q = f.q[:0]
-	f.at = 0
-}
-
 // Queue identities: where an entry is queued.
 const (
 	srcNone = iota
 	srcReg
 	srcHeap
-	srcNow
 )
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; all simulated components run inside event callbacks
 // on the goroutine that calls Run or Step.
 //
-// There are three kinds of queue, each holding pointer-free entries, and
+// There are two kinds of queue, each holding pointer-free entries, and
 // the front event is the (when, seq) minimum of their heads:
 //
-//   - a 4-ary min-heap for events at arbitrary future times;
-//   - a FIFO lane for events scheduled at the current instant (the
-//     timer-tick burst pattern: handlers scheduling follow-up work "now"
-//     bypass the heap entirely);
+//   - a 4-ary min-heap for scheduled events, the current instant's
+//     included;
 //   - a binary min-heap of armed Registers, each register's position in
 //     it kept in a dense table so re-arming and disarming are O(log n).
 //
-// Heap and lane events live in pooled slots and, once scheduled, always
-// fire. A deadline that its owner moves or drops before it fires is a
-// Register: the owner has one pending firing at a time, and the engine
-// keeps at most one entry for it.
+// Heap events live in pooled slots and, once scheduled, always fire. A
+// deadline that its owner moves or drops before it fires is a Register:
+// the owner has one pending firing at a time, and the engine keeps at
+// most one entry for it.
 type Engine struct {
 	now   Time
 	seq   uint64
-	slots []slot   // slot table, indexed by heap and lane entries
+	slots []slot   // slot table, indexed by heap entries
 	free  []uint32 // indices of pooled slots
 	heap  []entry  // 4-ary min-heap by (when, seq)
-	nowq  fifo     // events with when == now
-	live  int      // events queued on the heap and the lane
 
 	regs  []*Register // by register id
 	rheap []entry     // binary min-heap of register entries by (when, seq)
@@ -144,16 +100,11 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to fire: scheduled events
 // and armed registers.
-func (e *Engine) Pending() int { return e.live + len(e.rheap) - len(e.vacant) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.rheap) - len(e.vacant) }
 
-// Schedule enqueues fn to run at the absolute time at. Scheduling in the
-// past (before Now) is a logic error and panics.
-func (e *Engine) Schedule(at Time, fn func()) {
-	e.ScheduleNamed(at, "", fn)
-}
-
-// ScheduleNamed is Schedule with a label that names the event in the
-// panic a schedule in the past raises.
+// ScheduleNamed enqueues fn to run at the absolute time at. Scheduling in
+// the past (before Now) is a logic error and panics with a message naming
+// the event.
 func (e *Engine) ScheduleNamed(at Time, name string, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -180,17 +131,8 @@ func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg an
 	i := e.take()
 	sl := &e.slots[i]
 	sl.fn, sl.afn, sl.arg = fn, afn, arg
-	x := entry{when: at, seq: e.seq, id: i}
+	e.heapPush(entry{when: at, seq: e.seq, id: i})
 	e.seq++
-	e.live++
-	if at != e.now {
-		e.heapPush(x)
-	} else {
-		// Same-instant lane: appended in seq order, so the lane is itself
-		// sorted and the only ordering question against the other queues
-		// is a seq comparison at equal times (see front).
-		e.nowq.push(x)
-	}
 	if e.scheduleHook != nil {
 		e.scheduleHook(at)
 	}
@@ -212,15 +154,7 @@ func (e *Engine) take() uint32 {
 // per schedule when no hook is installed.
 func (e *Engine) SetScheduleHook(hook func(Time)) { e.scheduleHook = hook }
 
-// After enqueues fn to run d from now. Negative d panics.
-func (e *Engine) After(d Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.Schedule(e.now.Add(d), fn)
-}
-
-// AfterNamed is After with a label.
+// AfterNamed enqueues fn to run d from now. Negative d panics.
 func (e *Engine) AfterNamed(d Duration, name string, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -342,8 +276,8 @@ func (e *Engine) dropVacant() {
 }
 
 // front returns the front entry — the (when, seq) minimum across the
-// register heap, the event heap and the same-instant lane — and the queue
-// holding it, or srcNone when every queue is empty.
+// register heap and the event heap — and the queue holding it, or srcNone
+// when both are empty.
 func (e *Engine) front() (entry, int) {
 	if len(e.vacant) > 0 {
 		e.dropVacant()
@@ -356,11 +290,6 @@ func (e *Engine) front() (entry, int) {
 	if len(e.heap) > 0 {
 		if x := e.heap[0]; src == srcNone || x.before(best) {
 			best, src = x, srcHeap
-		}
-	}
-	if !e.nowq.empty() {
-		if x := e.nowq.head(); src == srcNone || x.before(best) {
-			best, src = x, srcNow
 		}
 	}
 	return best, src
@@ -379,17 +308,12 @@ func (e *Engine) fire(x entry, src int) {
 	}
 	e.now = x.when
 	e.fired++
-	switch src {
-	case srcReg:
+	if src == srcReg {
 		e.vacate(x.id)
 		e.regs[x.id].fn()
 		return
-	case srcHeap:
-		e.heapPop()
-	default:
-		e.nowq.pop()
 	}
-	e.live--
+	e.heapPop()
 	s := &e.slots[x.id]
 	fn, afn, arg := s.fn, s.afn, s.arg
 	*s = slot{}

@@ -8,7 +8,7 @@ import (
 
 // refModel is a deliberately naive event queue — a sorted slice ordered
 // by (when, seq) with eager deletion — used as the oracle for the real
-// engine's heaps and same-instant lane.
+// engine's two heaps.
 type refModel struct {
 	now  Time
 	seq  uint64
@@ -72,7 +72,7 @@ type refRegime int
 
 const (
 	regimeUniform   refRegime = iota // schedule and step evenly
-	regimeRegisters                  // registers armed, re-armed, disarmed and fired among heap and same-instant events
+	regimeRegisters                  // registers armed, re-armed, disarmed and fired among future and same-instant heap events
 	regimeSnapshot                   // the register regime plus ScheduleArg heap events, with a snapshot replay
 )
 
@@ -93,13 +93,13 @@ type regCoverage struct {
 // model with identical random interleavings of schedules, register arms
 // and disarms, and steps, and asserts they fire events in exactly the
 // same order. This pins the total order (when, seq) across the event
-// heap, the same-instant lane and the register heap. A register's
-// pending firing is one model event: arming cancels the old one and
-// schedules the new one, disarming cancels it. Three regimes run: a
-// uniform mix of schedules and steps; a register regime that re-arms
-// registers earlier and later, arms them at now against a busy
-// same-instant lane, disarms them and lets them fire, among heap and
-// same-instant events; and a snapshot regime that adds heap events
+// heap and the register heap. A register's pending firing is one model
+// event: arming cancels the old one and schedules the new one, disarming
+// cancels it. Three regimes run: a uniform mix of schedules and steps; a
+// register regime that re-arms registers earlier and later, arms them at
+// now while a same-instant event heads the event heap, disarms them and
+// lets them fire, among future and same-instant heap events; and a
+// snapshot regime that adds heap events
 // scheduled with ScheduleArg and rewinds a mid-trial Snapshot with
 // Restore, rewinding the model with it, where a register created after
 // the snapshot must come back disarmed. In both register regimes every event callback, a
@@ -142,7 +142,7 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 	var engFired, refFired []int
 	schedule := func(at Time) {
 		id := m.schedule(at)
-		e.Schedule(at, func() {
+		e.ScheduleNamed(at, "ev", func() {
 			engFired = append(engFired, id)
 			if onFire != nil {
 				onFire()
@@ -184,7 +184,7 @@ func runRefModelTrial(t *testing.T, trial int, regime refRegime, cov *regCoverag
 			}
 			m.cancel(id)
 		}
-		if at == e.Now() && !e.nowq.empty() {
+		if at == e.Now() && len(e.heap) > 0 && e.heap[0].when == at {
 			cov.atNow++
 		}
 		regID[i] = m.schedule(at)

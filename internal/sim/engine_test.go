@@ -10,9 +10,9 @@ import (
 func TestScheduleFiresInTimeOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.ScheduleNamed(30, "c", func() { got = append(got, 3) })
+	e.ScheduleNamed(10, "a", func() { got = append(got, 1) })
+	e.ScheduleNamed(20, "b", func() { got = append(got, 2) })
 	e.RunAll()
 	want := []int{1, 2, 3}
 	if len(got) != len(want) {
@@ -33,7 +33,7 @@ func TestSameInstantEventsFireFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.ScheduleNamed(5, "tie", func() { got = append(got, i) })
 	}
 	e.RunAll()
 	for i := range got {
@@ -127,13 +127,13 @@ func TestCancelSelfInsideCallback(t *testing.T) {
 	}
 }
 
-// Pending must count heap, lane and register events, and track disarming
-// and firing.
+// Pending must count heap and register events, and track disarming and
+// firing.
 func TestPendingCount(t *testing.T) {
 	e := NewEngine(1)
 	nop := func() {}
-	e.Schedule(0, nop) // lane: at == now
-	e.Schedule(5, nop)
+	e.ScheduleNamed(0, "now", nop)
+	e.ScheduleNamed(5, "later", nop)
 	a := e.NewRegister("a", nop)
 	b := e.NewRegister("b", nop)
 	a.Arm(5)
@@ -187,7 +187,7 @@ func TestRunUntilStopsAtBoundaryAndAdvancesClock(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		e.ScheduleNamed(at, "ev", func() { fired = append(fired, at) })
 	}
 	n := e.Run(12)
 	if n != 2 || len(fired) != 2 {
@@ -208,8 +208,8 @@ func TestRunUntilStopsAtBoundaryAndAdvancesClock(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	e.Schedule(100, func() {
-		e.After(50, func() { at = e.Now() })
+	e.ScheduleNamed(100, "outer", func() {
+		e.AfterNamed(50, "inner", func() { at = e.Now() })
 	})
 	e.RunAll()
 	if at != 150 {
@@ -219,13 +219,13 @@ func TestAfterSchedulesRelative(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Schedule(10, func() {
+	e.ScheduleNamed(10, "now", func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(5, func() {})
+		e.ScheduleNamed(5, "past", func() {})
 	})
 	e.RunAll()
 }
@@ -234,7 +234,7 @@ func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
 	for i := Time(1); i <= 10; i++ {
-		e.Schedule(i, func() {
+		e.ScheduleNamed(i, "ev", func() {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -257,10 +257,10 @@ func TestEventsScheduledDuringRunFire(t *testing.T) {
 	schedule = func() {
 		depth++
 		if depth < 100 {
-			e.After(1, schedule)
+			e.AfterNamed(1, "chain", schedule)
 		}
 	}
-	e.After(1, schedule)
+	e.AfterNamed(1, "chain", schedule)
 	e.RunAll()
 	if depth != 100 {
 		t.Fatalf("chained depth %d, want 100", depth)
@@ -285,7 +285,7 @@ func TestQuickFiringOrderIsStableSortByTime(t *testing.T) {
 			at := Time(tt)
 			want = append(want, pair{at, i})
 			i := i
-			e.Schedule(at, func() { got = append(got, pair{at, i}) })
+			e.ScheduleNamed(at, "ev", func() { got = append(got, pair{at, i}) })
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 		e.RunAll()

@@ -34,7 +34,7 @@ func TestEngineNextAt(t *testing.T) {
 	if _, ok := e.NextAt(); ok {
 		t.Fatal("drained engine reported a next event")
 	}
-	// Same-instant fast-lane events are visible too.
+	// Same-instant events are visible too.
 	e.ScheduleNamed(e.Now(), "now", func() {})
 	if got, ok := e.NextAt(); !ok || got != e.Now() {
 		t.Fatalf("NextAt same-instant = %v,%v want %v,true", got, ok, e.Now())

@@ -27,11 +27,10 @@ type Snapshotter interface {
 	Restore(State)
 }
 
-// slotSnap records one event queued on the heap or the same-instant lane
-// at snapshot time: the queue and key that order it and its callback.
+// slotSnap records one event queued on the heap at snapshot time: the key
+// that orders it and its callback.
 type slotSnap struct {
-	x   entry
-	src int // srcHeap or srcNow
+	x entry
 	slot
 }
 
@@ -42,7 +41,7 @@ type engineState struct {
 	fired   uint64
 	stopped bool
 	rng     [4]uint64
-	slots   []slotSnap // heap events in heap order, then the lane front first
+	slots   []slotSnap // heap events in heap order
 	regs    []entry    // the register heap, in heap order
 }
 
@@ -60,37 +59,31 @@ func (e *Engine) Snapshot() State {
 		fired:   e.fired,
 		stopped: e.stopped,
 		rng:     e.rng.State(),
-		slots:   make([]slotSnap, 0, e.live),
+		slots:   make([]slotSnap, 0, len(e.heap)),
 		regs:    append([]entry(nil), e.rheap...),
 	}
-	capture := func(xs []entry, src int) {
-		for _, x := range xs {
-			st.slots = append(st.slots, slotSnap{x: x, src: src, slot: e.slots[x.id]})
-		}
+	for _, x := range e.heap {
+		st.slots = append(st.slots, slotSnap{x: x, slot: e.slots[x.id]})
 	}
-	capture(e.heap, srcHeap)
-	capture(e.nowq.queued(), srcNow)
 	return st
 }
 
 // Restore rewinds the engine to a snapshot taken earlier on this same
 // engine. Every slot goes back to the free pool, and each recorded event
-// takes a slot again and returns to the queue it was recorded in, the
-// heap in its recorded order; the register heap is copied back as
-// recorded, so a register armed in the snapshot is armed for the same
-// firing and every other register, including one created after the
-// snapshot, is disarmed.
+// takes a slot again and returns to the heap in its recorded order; the
+// register heap is copied back as recorded, so a register armed in the
+// snapshot is armed for the same firing and every other register,
+// including one created after the snapshot, is disarmed.
 //
 // Pop order after restore is bit-identical to the uninterrupted run:
-// (when, seq) is a strict total order over queued events, and every
-// queue comes back in its recorded order.
+// (when, seq) is a strict total order over queued events, and both heaps
+// come back in their recorded order.
 func (e *Engine) Restore(st State) {
 	s, ok := st.(*engineState)
 	if !ok {
 		panic(fmt.Sprintf("sim: Engine.Restore of foreign state %T", st))
 	}
 	e.heap = e.heap[:0]
-	e.nowq.reset()
 	clear(e.slots)
 	e.free = e.free[:0]
 	for i := len(e.slots) - 1; i >= 0; i-- {
@@ -101,11 +94,7 @@ func (e *Engine) Restore(st State) {
 		x := sn.x
 		x.id = e.take()
 		e.slots[x.id] = sn.slot
-		if sn.src == srcHeap {
-			e.heap = append(e.heap, x)
-		} else {
-			e.nowq.push(x)
-		}
+		e.heap = append(e.heap, x)
 	}
 	for _, x := range e.rheap {
 		e.rpos[x.id] = -1
@@ -118,7 +107,6 @@ func (e *Engine) Restore(st State) {
 	for i, x := range e.rheap {
 		e.rpos[x.id] = int32(i)
 	}
-	e.live = len(s.slots)
 	e.now = s.now
 	e.seq = s.seq
 	e.fired = s.fired

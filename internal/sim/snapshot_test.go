@@ -47,7 +47,7 @@ func (w *snapWorkload) step() {
 	w.log = append(w.log, fmt.Sprintf("%d@%d:%x", w.n, e.Now(), draw&0xffff))
 	// Mix of same-instant, near and far events, plus register re-arms
 	// (earlier or later than their pending firing) and disarms, to
-	// exercise the lane, the heap and the register heap.
+	// exercise the event heap and the register heap.
 	r := w.regs[(draw>>16)%uint64(len(w.regs))]
 	switch draw % 5 {
 	case 0:

@@ -112,7 +112,7 @@ func TestCancelChannel(t *testing.T) {
 
 func TestPastDeadlineFiresNow(t *testing.T) {
 	e := newEnv(t)
-	e.eng.Schedule(1000, func() {
+	e.eng.ScheduleNamed(1000, "test.arm", func() {
 		e.bank.Core(2).Arm(Phys, 10) // in the past
 	})
 	e.eng.Run(1000)

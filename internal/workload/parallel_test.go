@@ -72,7 +72,7 @@ func TestParallelStaggeredStarts(t *testing.T) {
 	// Shard 0 starts at t=0, shard 1 at t=0.5s: elapsed spans first start
 	// to last finish = 1.5s → rate 2e6/1.5.
 	par.Shard(0).Main(&multiExec{node: node, core: 0})
-	node.Engine.Schedule(sim.Time(sim.FromSeconds(0.5)), func() {
+	node.Engine.ScheduleNamed(sim.Time(sim.FromSeconds(0.5)), "test.shard1", func() {
 		par.Shard(1).Main(&multiExec{node: node, core: 1})
 	})
 	node.Engine.RunAll()
