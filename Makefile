@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop sweep examples fuzz
+.PHONY: build test check vet race bench benchcheck gobench lint obscheck prop sweep examples fuzz identity
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,48 @@ examples:
 		echo "go run ./$$d"; \
 		$(GO) run "./$$d" > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
 	done
+
+# identity checks that this tree prints the same bytes as the commit
+# BASE (default HEAD, so an uncommitted change is compared with its
+# parent). It builds khsim from `git archive $(BASE)` and from this tree,
+# then runs in each: obscheck, every experiment of harness.Experiments
+# (the names obscheck prints) at seeds 1, 2, 3 and 42 with -artifact, and
+# the serving sweep under its crash campaign at seeds 1-5, each tree with
+# its own manifest. It cmp's every stdout, exit status and artifact and
+# fails at the first difference. A declared model change fails it by
+# design, so CI does not run it.
+BASE ?= HEAD
+identity:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" "$$tmp/out-base" "$$tmp/out-new" && \
+	git archive $(BASE) | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/khsim-base" ./cmd/khsim) && \
+	$(GO) build -o "$$tmp/khsim-new" ./cmd/khsim || exit 1; \
+	for b in base new; do \
+		"$$tmp/khsim-$$b" obscheck > "$$tmp/out-$$b/obscheck" 2>&1; echo "exit $$?" >> "$$tmp/out-$$b/obscheck"; \
+	done; \
+	exps=$$(sed -n 's/^# experiment //p' "$$tmp/out-new/obscheck"); \
+	[ -n "$$exps" ] || { echo "identity: obscheck named no experiment"; exit 1; }; \
+	for b in base new; do \
+		k="$$tmp/khsim-$$b"; o="$$tmp/out-$$b"; tree=.; [ $$b = base ] && tree="$$tmp/base"; \
+		for s in 1 2 3 42; do \
+			for x in $$exps; do \
+				"$$k" $$x -seed $$s -artifact "$$o/$$x.$$s.art" > "$$o/$$x.$$s.out" 2>&1; echo "exit $$?" >> "$$o/$$x.$$s.out"; \
+			done; \
+		done; \
+		for s in 1 2 3 4 5; do \
+			"$$k" serve -manifest "$$tree/manifests/serving-crash.manifest" -seed $$s \
+				-artifact "$$o/serve-crash.$$s.art" > "$$o/serve-crash.$$s.out" 2>&1; echo "exit $$?" >> "$$o/serve-crash.$$s.out"; \
+		done; \
+	done; \
+	n=0; for f in "$$tmp/out-new"/*; do \
+		name=$${f##*/}; \
+		cmp -s "$$tmp/out-base/$$name" "$$f" || { \
+			diff "$$tmp/out-base/$$name" "$$f" | head -20; \
+			echo "identity: $$name differs from $(BASE)"; exit 1; }; \
+		n=$$((n+1)); \
+	done; \
+	echo "identity: $$n outputs identical to $(BASE)"
 
 # check is the full pre-merge gate: build, vet, the test suite under the
 # race detector, and the observability gate.

@@ -8,7 +8,7 @@ import (
 	"os"
 
 	"khsim/internal/harness"
-	"khsim/internal/metrics"
+	"khsim/internal/machine"
 	"khsim/internal/sim"
 	"khsim/internal/workload"
 )
@@ -30,20 +30,11 @@ func metricsCmd(args []string) {
 		fail(fmt.Errorf("unknown config %q (try native|kitten|linux)", *cfgName))
 	}
 
-	var snap *metrics.Snapshot
-	var err error
-	if *benchName == "selfish" {
-		_, snap, err = harness.RunSelfishMetrics(cfg, *seed, sim.FromSeconds(*seconds))
-	} else {
-		spec, known := workload.ByName(*benchName)
-		if !known {
-			fail(fmt.Errorf("unknown benchmark %q (try -bench hpcg|stream|randomaccess|nas-*|selfish)", *benchName))
-		}
-		_, snap, err = harness.RunWorkloadMetrics(cfg, spec, *seed)
-	}
+	node, err := runBench(cfg, *benchName, *seed, *seconds, false)
 	if err != nil {
 		fail(err)
 	}
+	snap := node.SnapshotMetrics()
 
 	switch *format {
 	case "text":
@@ -58,6 +49,22 @@ func metricsCmd(args []string) {
 	default:
 		fail(fmt.Errorf("unknown format %q (try text|json)", *format))
 	}
+}
+
+// runBench runs one benchmark, a workload by name or selfish for seconds
+// of spin work, in cfg, with execution spans on when spans is set, and
+// returns the node the run left behind.
+func runBench(cfg harness.Config, bench string, seed uint64, seconds float64, spans bool) (*machine.Node, error) {
+	if bench == "selfish" {
+		_, node, err := harness.RunSelfishNode(cfg, seed, sim.FromSeconds(seconds), spans)
+		return node, err
+	}
+	spec, known := workload.ByName(bench)
+	if !known {
+		return nil, fmt.Errorf("unknown benchmark %q (try -bench hpcg|stream|randomaccess|nas-*|selfish)", bench)
+	}
+	_, node, err := harness.RunWorkloadNode(cfg, spec, seed, spans)
+	return node, err
 }
 
 // traceCmd implements `khsim trace`: run one benchmark with execution
@@ -79,20 +86,11 @@ func traceCmd(args []string) {
 		fail(fmt.Errorf("unknown config %q (try native|kitten|linux)", *cfgName))
 	}
 
-	var trace *sim.Trace
-	var err error
-	if *benchName == "selfish" {
-		_, trace, err = harness.RunSelfishTraced(cfg, *seed, sim.FromSeconds(*seconds))
-	} else {
-		spec, known := workload.ByName(*benchName)
-		if !known {
-			fail(fmt.Errorf("unknown benchmark %q (try -bench hpcg|stream|randomaccess|nas-*|selfish)", *benchName))
-		}
-		_, trace, err = harness.RunWorkloadTraced(cfg, spec, *seed)
-	}
+	node, err := runBench(cfg, *benchName, *seed, *seconds, true)
 	if err != nil {
 		fail(err)
 	}
+	trace := node.Trace
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {

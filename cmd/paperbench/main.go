@@ -76,7 +76,7 @@ func main() {
 	}
 
 	if wantSelfish {
-		res, snaps, err := harness.SelfishExperimentMetrics(*seed, sim.FromSeconds(*seconds))
+		res, snaps, err := harness.SelfishExperiment(*seed, sim.FromSeconds(*seconds))
 		if err != nil {
 			fail(err)
 		}

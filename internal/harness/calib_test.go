@@ -12,7 +12,7 @@ func TestCalibrationProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe")
 	}
-	res, err := SelfishExperiment(1, sim.FromSeconds(5))
+	res, _, err := SelfishExperiment(1, sim.FromSeconds(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,17 +120,20 @@ func (t *Table) FormatNormalized() string {
 }
 
 // SelfishExperiment reproduces Figures 4–6: one selfish-detour trace per
-// configuration.
-func SelfishExperiment(seed uint64, runTime sim.Duration) (map[Config]*noise.SelfishResult, error) {
+// configuration, with each run's end-of-run metrics snapshot for the
+// paperbench sidecar files.
+func SelfishExperiment(seed uint64, runTime sim.Duration) (map[Config]*noise.SelfishResult, map[Config]*metrics.Snapshot, error) {
 	out := map[Config]*noise.SelfishResult{}
+	snaps := map[Config]*metrics.Snapshot{}
 	for _, cfg := range Configs {
-		r, err := RunSelfish(cfg, seed, runTime)
+		r, node, err := RunSelfishNode(cfg, seed, runTime, false)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out[cfg] = r
+		snaps[cfg] = node.SnapshotMetrics()
 	}
-	return out, nil
+	return out, snaps, nil
 }
 
 // MicroExperiment reproduces Figures 7 and 8: HPCG, STREAM and
@@ -183,14 +186,12 @@ func runBenchTableWith(title string, specs []workload.Spec, trials int, seed uin
 				si := idx / (len(Configs) * trials)
 				ci := (idx / trials) % len(Configs)
 				ti := idx % trials
-				if ti == 0 {
+				res, node, err := RunWorkloadNode(Configs[ci], specs[si], stream.Seed(ti), false)
+				results[idx] = result{rate: res.Rate, err: err}
+				if err == nil && ti == 0 {
 					// The first trial of each cell also carries the
 					// metrics sidecar; snapshots never perturb the run.
-					res, snap, err := RunWorkloadMetrics(Configs[ci], specs[si], stream.Seed(ti))
-					results[idx] = result{rate: res.Rate, snap: snap, err: err}
-				} else {
-					res, err := RunWorkload(Configs[ci], specs[si], stream.Seed(ti))
-					results[idx] = result{rate: res.Rate, err: err}
+					results[idx].snap = node.SnapshotMetrics()
 				}
 			}
 		}()

@@ -90,21 +90,11 @@ func registerProc(node *machine.Node, proc osapi.Process) {
 }
 
 // runProcess executes proc to completion in the given configuration and
-// reports an error if it does not finish within horizon.
-func runProcess(cfg Config, seed uint64, proc osapi.Process, finished func() bool, horizon sim.Duration) error {
-	_, err := runProcessNode(cfg, seed, proc, finished, horizon)
-	return err
-}
-
-// runProcessNode is runProcess exposing the simulated machine, so callers
-// can collect a metrics snapshot or trace after the run completes.
-func runProcessNode(cfg Config, seed uint64, proc osapi.Process, finished func() bool, horizon sim.Duration) (*machine.Node, error) {
-	return runProcessNodeOpt(cfg, seed, proc, finished, horizon, false)
-}
-
-// runProcessNodeOpt additionally enables execution-slice trace spans
-// before the engine runs, for the Perfetto exporter.
-func runProcessNodeOpt(cfg Config, seed uint64, proc osapi.Process, finished func() bool, horizon sim.Duration, spans bool) (*machine.Node, error) {
+// returns the simulated machine, so callers can collect a metrics
+// snapshot or trace after the run. With spans set it enables
+// execution-slice trace spans before the engine runs, for the Perfetto
+// exporter. It reports an error if proc does not finish within horizon.
+func runProcess(cfg Config, seed uint64, proc osapi.Process, finished func() bool, horizon sim.Duration, spans bool) (*machine.Node, error) {
 	var node *machine.Node
 	switch cfg {
 	case Native:
@@ -185,19 +175,28 @@ func RunCustom(opts core.Options, jobVM string, guestParams kitten.Params, proc 
 // RunSelfish runs the selfish-detour benchmark (Figs 4–6) for runTime of
 // spin work in the given configuration.
 func RunSelfish(cfg Config, seed uint64, runTime sim.Duration) (*noise.SelfishResult, error) {
+	r, _, err := RunSelfishNode(cfg, seed, runTime, false)
+	return r, err
+}
+
+// RunSelfishNode is RunSelfish returning the simulated node too, whose
+// metrics registry and trace the run left behind; spans enables
+// execution-slice trace spans.
+func RunSelfishNode(cfg Config, seed uint64, runTime sim.Duration, spans bool) (*noise.SelfishResult, *machine.Node, error) {
 	s := noise.NewSelfish(cfg.String(), runTime)
 	horizon := runTime + runTime/2 + sim.FromSeconds(2)
-	if err := runProcess(cfg, seed, s, func() bool { return s.Result.Finished }, horizon); err != nil {
-		return nil, err
+	node, err := runProcess(cfg, seed, s, func() bool { return s.Result.Finished }, horizon, spans)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &s.Result, nil
+	return &s.Result, node, nil
 }
 
 // RunFTQ runs the fixed-time-quantum benchmark in the given configuration.
 func RunFTQ(cfg Config, seed uint64, windows int) (*noise.FTQ, error) {
 	f := noise.NewFTQ(cfg.String(), windows)
 	horizon := sim.Duration(windows)*f.Window*2 + sim.FromSeconds(2)
-	if err := runProcess(cfg, seed, f, func() bool { return f.Finished }, horizon); err != nil {
+	if _, err := runProcess(cfg, seed, f, func() bool { return f.Finished }, horizon, false); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -205,14 +204,23 @@ func RunFTQ(cfg Config, seed uint64, windows int) (*noise.FTQ, error) {
 
 // RunWorkload runs one benchmark trial in the given configuration.
 func RunWorkload(cfg Config, spec workload.Spec, seed uint64) (workload.Result, error) {
+	r, _, err := RunWorkloadNode(cfg, spec, seed, false)
+	return r, err
+}
+
+// RunWorkloadNode is RunWorkload returning the simulated node too, whose
+// metrics registry and trace the run left behind; spans enables
+// execution-slice trace spans.
+func RunWorkloadNode(cfg Config, spec workload.Spec, seed uint64, spans bool) (workload.Result, *machine.Node, error) {
 	env := workload.Env{TwoStage: cfg.TwoStage(), RNG: sim.NewRNG(seed*2654435761 + uint64(cfg))}
 	r := workload.New(spec, env)
 	est := sim.FromSeconds(spec.TotalOps / spec.NativeRate)
 	horizon := est*2 + sim.FromSeconds(2)
-	if err := runProcess(cfg, seed, r, func() bool { return r.Result.Finished }, horizon); err != nil {
-		return workload.Result{}, err
+	node, err := runProcess(cfg, seed, r, func() bool { return r.Result.Finished }, horizon, spans)
+	if err != nil {
+		return workload.Result{}, nil, err
 	}
-	return r.Result, nil
+	return r.Result, node, nil
 }
 
 // Trials runs n seeded trials of a benchmark and returns the rate sample

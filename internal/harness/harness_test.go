@@ -242,7 +242,7 @@ func TestTablesAndFormatting(t *testing.T) {
 }
 
 func TestSelfishExperimentAndFormat(t *testing.T) {
-	res, err := SelfishExperiment(5, sim.FromSeconds(1))
+	res, _, err := SelfishExperiment(5, sim.FromSeconds(1))
 	if err != nil {
 		t.Fatal(err)
 	}

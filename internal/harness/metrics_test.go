@@ -13,11 +13,11 @@ import (
 // runs with the same seed produce byte-identical snapshots.
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	run := func() string {
-		_, snap, err := RunWorkloadMetrics(KittenVM, workload.Stream(), 7)
+		_, node, err := RunWorkloadNode(KittenVM, workload.Stream(), 7, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap.Text()
+		return node.SnapshotMetrics().Text()
 	}
 	a, b := run(), run()
 	if a != b {
@@ -32,10 +32,11 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 // KittenVM run must account hypervisor, kernel, guest and machine
 // activity in a single snapshot.
 func TestMetricsSnapshotContents(t *testing.T) {
-	_, snap, err := RunWorkloadMetrics(KittenVM, workload.Stream(), 1)
+	_, node, err := RunWorkloadNode(KittenVM, workload.Stream(), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := node.SnapshotMetrics()
 	for _, k := range []metrics.Key{
 		metrics.K("el2", "world_switches").WithVM("job"),
 		metrics.K("el2", "world_switch_ps").WithVM("job"),
@@ -65,10 +66,11 @@ func TestMetricsSnapshotContents(t *testing.T) {
 // TestNativeMetricsSnapshot: the native configuration has no hypervisor,
 // but kernel and engine accounting must still appear.
 func TestNativeMetricsSnapshot(t *testing.T) {
-	_, snap, err := RunWorkloadMetrics(Native, workload.Stream(), 1)
+	_, node, err := RunWorkloadNode(Native, workload.Stream(), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := node.SnapshotMetrics()
 	if v, ok := snap.Counter(metrics.K("kernel", "ticks")); !ok || v == 0 {
 		t.Errorf("kernel.ticks = %d (present=%v), want > 0", v, ok)
 	}
@@ -83,10 +85,11 @@ func TestNativeMetricsSnapshot(t *testing.T) {
 // runs.
 func TestPerfettoExportGolden(t *testing.T) {
 	export := func() []byte {
-		_, trace, err := RunSelfishTraced(KittenVM, 3, sim.FromSeconds(0.1))
+		_, node, err := RunSelfishNode(KittenVM, 3, sim.FromSeconds(0.1), true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		trace := node.Trace
 		if trace.Len() == 0 {
 			t.Fatal("traced run recorded nothing")
 		}
@@ -111,11 +114,7 @@ func TestPerfettoExportGolden(t *testing.T) {
 // TestTraceSpansOffByDefault: the plain harness entry points must not
 // record spans — the goldens depend on the default trace staying sparse.
 func TestTraceSpansOffByDefault(t *testing.T) {
-	spec := workload.Stream()
-	env := workload.Env{TwoStage: true, RNG: sim.NewRNG(1*2654435761 + uint64(KittenVM))}
-	r := workload.New(spec, env)
-	est := sim.FromSeconds(spec.TotalOps / spec.NativeRate)
-	node, err := runProcessNode(KittenVM, 1, r, func() bool { return r.Result.Finished }, est*2+sim.FromSeconds(2))
+	_, node, err := RunWorkloadNode(KittenVM, workload.Stream(), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,6 @@ func (p *CFSPolicy) OnTick(k *Kernel, c *machine.Core) {
 	tickDue := now >= p.tickAt[id]
 	if tickDue {
 		cost += p.p.TickCost
-		k.ticks++
 		k.mTicks.Inc()
 		p.tickAt[id] = p.tickAt[id].Add(p.p.TickHz.Period())
 		// Charge the running entity one tick of vruntime.
@@ -196,7 +195,6 @@ func (p *CFSPolicy) wakeDone(c *machine.Core, start int) {
 	id := c.ID()
 	batch := p.woken[id][start:]
 	for _, t := range batch {
-		k.wakeups++
 		k.mWakeups.Inc()
 		t.activations++
 		t.state = TaskReady

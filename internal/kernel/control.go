@@ -33,14 +33,12 @@ func (k *Kernel) controlTask(c *machine.Core) {
 // answered with an error.
 func (k *Kernel) ExecuteCommand(msg hafnium.Message) {
 	cmd, arg, _ := cutCommand(string(msg.Payload))
-	k.commands++
 	k.mCommands.Inc()
 	reply := func(s string) {
 		// Best effort: the sender may have a full mailbox.
 		_ = k.h.SendFromPrimary(msg.From, []byte(s))
 	}
 	bad := func(note, answer string) {
-		k.badCommands++
 		k.mBadCommands.Inc()
 		k.node.Trace.Add(sim.Record{
 			At: k.node.Now(), Core: -1, Kind: "kernel.badcmd", Note: note,

@@ -132,13 +132,10 @@ type Kernel struct {
 	// handler for mailbox messages.
 	OnMessage func(msg hafnium.Message)
 
-	ticks       uint64
-	wakeups     uint64
-	forwards    uint64
-	commands    uint64
-	badCommands uint64
-
-	// Cached registry counters mirroring the legacy counters above.
+	// The node registry's counters are the kernel's only count of each
+	// quantity; Stats and the accessors read them. A node holds one
+	// Kernel, so no two kernels share a counter, and Node.Restore rewinds
+	// them with the registry.
 	mTicks       *metrics.Counter
 	mWakeups     *metrics.Counter
 	mForwards    *metrics.Counter
@@ -194,22 +191,22 @@ func (k *Kernel) Hypervisor() *hafnium.Hypervisor { return k.h }
 func (k *Kernel) Policy() Policy { return k.pol }
 
 // Ticks reports handled scheduler ticks.
-func (k *Kernel) Ticks() uint64 { return k.ticks }
+func (k *Kernel) Ticks() uint64 { return k.mTicks.Value() }
 
 // Wakeups reports background-thread activations dispatched.
-func (k *Kernel) Wakeups() uint64 { return k.wakeups }
+func (k *Kernel) Wakeups() uint64 { return k.mWakeups.Value() }
 
 // Forwards reports device IRQs forwarded to the super-secondary.
-func (k *Kernel) Forwards() uint64 { return k.forwards }
+func (k *Kernel) Forwards() uint64 { return k.mForwards.Value() }
 
 // Stats snapshots the substrate counters.
 func (k *Kernel) Stats() Stats {
 	return Stats{
-		Ticks:       k.ticks,
-		Wakeups:     k.wakeups,
-		Forwards:    k.forwards,
-		Commands:    k.commands,
-		BadCommands: k.badCommands,
+		Ticks:       k.mTicks.Value(),
+		Wakeups:     k.mWakeups.Value(),
+		Forwards:    k.mForwards.Value(),
+		Commands:    k.mCommands.Value(),
+		BadCommands: k.mBadCommands.Value(),
 	}
 }
 
@@ -387,7 +384,6 @@ func (k *Kernel) HandleIRQ(c *machine.Core, irq int) {
 		c.Exec(k.labelFwd, k.cfg.CtxSwitch, func() {
 			if super := k.h.Super(); super != nil {
 				if err := k.h.InjectDeviceIRQ(super.ID(), irq); err == nil {
-					k.forwards++
 					k.mForwards.Inc()
 				}
 			}

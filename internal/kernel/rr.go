@@ -99,7 +99,6 @@ func (p *RoundRobin) OnTickNative(k *Kernel, c *machine.Core, entry sim.Duration
 
 // tick: re-arm, account the quantum, rotate or resume.
 func (p *RoundRobin) tick(k *Kernel, c *machine.Core) {
-	k.ticks++
 	k.mTicks.Inc()
 	k.node.Timers.Core(c.ID()).ArmAfter(timer.Phys, p.TickHz.Period())
 	id := c.ID()

@@ -31,32 +31,23 @@ type taskState struct {
 
 // kernelState is Kernel's Snapshot payload.
 type kernelState struct {
-	started     bool
-	ticks       uint64
-	wakeups     uint64
-	forwards    uint64
-	commands    uint64
-	badCommands uint64
-	current     []*Task
-	tasks       []taskState
-	pol         sim.State
+	started bool
+	current []*Task
+	tasks   []taskState
+	pol     sim.State
 }
 
-// Snapshot captures the substrate — per-core current tasks, every task's
-// scheduler state (including descheduled suspension-stack frames and
-// their progress), the counters — and delegates to the policy for queue
-// order, tick schedule and RNG stream. Kernel implements sim.Snapshotter
+// Snapshot captures the substrate — per-core current tasks and every
+// task's scheduler state, including descheduled suspension-stack frames
+// and their progress — and delegates to the policy for queue order, tick
+// schedule and RNG stream. The counters live in the node's registry,
+// which the node snapshot captures. Kernel implements sim.Snapshotter
 // and registers itself on the node at construction, so node snapshots
 // include it automatically.
 func (k *Kernel) Snapshot() sim.State {
 	s := &kernelState{
-		started:     k.started,
-		ticks:       k.ticks,
-		wakeups:     k.wakeups,
-		forwards:    k.forwards,
-		commands:    k.commands,
-		badCommands: k.badCommands,
-		current:     append([]*Task(nil), k.current...),
+		started: k.started,
+		current: append([]*Task(nil), k.current...),
 	}
 	for _, t := range k.tasks {
 		ts := taskState{
@@ -94,11 +85,6 @@ func (k *Kernel) Restore(st sim.State) {
 			len(k.tasks), len(s.tasks)))
 	}
 	k.started = s.started
-	k.ticks = s.ticks
-	k.wakeups = s.wakeups
-	k.forwards = s.forwards
-	k.commands = s.commands
-	k.badCommands = s.badCommands
 	copy(k.current, s.current)
 	for i := range s.tasks {
 		ts := &s.tasks[i]

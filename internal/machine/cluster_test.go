@@ -138,42 +138,9 @@ func installRing(t *testing.T, c *Cluster, horizon sim.Time) [][]string {
 	return logs
 }
 
-func TestClusterNextMatchesLinearScan(t *testing.T) {
-	c := MustNewCluster(testClusterConfig(6, 3))
-	rng := sim.NewRNG(1234)
-	vt := sim.Time(0)
-	for iter := 0; iter < 3000; iter++ {
-		// Randomly interleave schedules and steps so the heap sees
-		// decrease-key, drain/remove, re-insert, and stale-root repair.
-		if rng.Uint64()%3 != 0 {
-			node := int(rng.Uint64() % 6)
-			off := sim.Duration(rng.Uint64()%100000 + 1) // up to 100 ns out
-			c.Nodes[node].Engine.ScheduleNamed(vt.Add(off), "noise", func() {})
-		}
-		li, lt := c.linearNext()
-		hi, ht := c.next()
-		if li != hi || (li >= 0 && lt != ht) {
-			t.Fatalf("iter %d: heap next (%d, %d) != linear next (%d, %d)", iter, hi, ht, li, lt)
-		}
-		if hi >= 0 && rng.Uint64()%2 == 0 {
-			c.Step()
-			vt = c.Now()
-		}
-	}
-	// Drain completely, checking agreement at every event.
-	for {
-		li, _ := c.linearNext()
-		hi, _ := c.next()
-		if li != hi {
-			t.Fatalf("drain: heap next %d != linear next %d", hi, li)
-		}
-		if !c.Step() {
-			break
-		}
-	}
-}
-
-func TestClusterRestoreRebuildsHeap(t *testing.T) {
+// TestClusterRestoreReplays rewinds a ring-messaging rack to a mid-run
+// snapshot and checks that the replay ends exactly as a straight run.
+func TestClusterRestoreReplays(t *testing.T) {
 	horizon := sim.Time(0).Add(sim.FromMicros(2000))
 	mid := sim.Time(0).Add(sim.FromMicros(1000))
 
@@ -187,12 +154,6 @@ func TestClusterRestoreRebuildsHeap(t *testing.T) {
 	snap := c.Snapshot()
 	c.RunUntil(sim.Time(0).Add(sim.FromMicros(1500)))
 	c.Restore(snap)
-	// The heap must reflect the restored queues, not the pre-restore ones.
-	li, lt := c.linearNext()
-	hi, ht := c.next()
-	if li != hi || lt != ht {
-		t.Fatalf("after Restore: heap next (%d, %d) != linear next (%d, %d)", hi, ht, li, lt)
-	}
 	c.RunUntil(horizon)
 	if rs, cs := ref.Fabric.Stats(), c.Fabric.Stats(); rs != cs {
 		t.Fatalf("replay after Restore diverged from straight run:\nref %+v\ngot %+v", rs, cs)
@@ -262,25 +223,12 @@ func benchCluster(nodes int) *Cluster {
 	return c
 }
 
-func BenchmarkClusterNextHeap16(b *testing.B) {
+func BenchmarkClusterStep16(b *testing.B) {
 	c := benchCluster(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !c.Step() {
 			b.Fatal("drained")
 		}
-	}
-}
-
-func BenchmarkClusterNextLinear16(b *testing.B) {
-	c := benchCluster(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j, at := c.linearNext()
-		if j < 0 {
-			b.Fatal("drained")
-		}
-		c.Nodes[j].Engine.Step()
-		c.vt = at
 	}
 }

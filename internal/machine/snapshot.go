@@ -285,8 +285,4 @@ func (c *Cluster) Restore(st sim.State) {
 	c.Fabric.Restore(s.fabric)
 	c.Metrics.Restore(s.metrics)
 	c.vt = s.vt
-	// Engine.Restore reinstalls queued slots without going through the
-	// schedule hooks, so the next-event heap's cached keys are garbage
-	// for the restored queues; rebuild from the engines' actual state.
-	c.rebuildHeap()
 }

@@ -2,23 +2,13 @@ package sim
 
 import "fmt"
 
-// slot is the engine-owned storage for one event queued on the heap.
-// Slots are pooled: after an event fires its slot returns to the
-// engine's free list and is reused by a later schedule, so the
-// steady-state hot path allocates nothing.
-type slot struct {
-	fn  func()
-	afn func(any) // arg-style callback (ScheduleArg), exclusive with fn
-	arg any
-}
-
-// entry is one queued event as the queues see it: its (when, seq) key
-// and the index of its slot, or in the register heap of its register.
-// It holds no pointer, so moving entries through a heap needs no write
-// barrier and comparing two never dereferences anything.
+// entry is one pending firing as the heap sees it: its (when, seq) key
+// and the id of its register. It holds no pointer, so moving entries
+// through the heap needs no write barrier and comparing two never
+// dereferences anything.
 type entry struct {
 	when Time
-	seq  uint64 // tie-break: FIFO among events at the same instant
+	seq  uint64 // tie-break: FIFO among firings at the same instant
 	id   uint32
 }
 
@@ -27,60 +17,40 @@ func (a entry) before(b entry) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
-// Queue identities: where an entry is queued.
-const (
-	srcNone = iota
-	srcReg
-	srcHeap
-)
-
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; all simulated components run inside event callbacks
 // on the goroutine that calls Run or Step.
 //
-// There are two kinds of queue, each holding pointer-free entries, and
-// the front event is the (when, seq) minimum of their heads:
-//
-//   - a 4-ary min-heap for scheduled events, the current instant's
-//     included;
-//   - a binary min-heap of armed Registers, each register's position in
-//     it kept in a dense table so re-arming and disarming are O(log n).
-//
-// Heap events live in pooled slots and, once scheduled, always fire. A
-// deadline that its owner moves or drops before it fires is a Register:
-// the owner has one pending firing at a time, and the engine keeps at
-// most one entry for it.
+// Every pending firing is a Register's, and the engine keeps one queue:
+// a binary min-heap of pointer-free entries ordered by (when, seq), each
+// register's position in it kept in a dense table so arming, re-arming
+// and disarming are O(log n). A deadline that its owner moves or drops
+// is a register the owner created. A scheduled event, which always
+// fires, is a pooled register: ScheduleNamed, ScheduleArg and AfterNamed
+// take one from the free list, set its callback and arm it, and the
+// engine frees it again just before running that callback.
 type Engine struct {
-	now   Time
-	seq   uint64
-	slots []slot   // slot table, indexed by heap entries
-	free  []uint32 // indices of pooled slots
-	heap  []entry  // 4-ary min-heap by (when, seq)
+	now Time
+	seq uint64
 
-	regs  []*Register // by register id
-	rheap []entry     // binary min-heap of register entries by (when, seq)
-	rpos  []int32     // each register's index in rheap, -1 when it has none
+	regs []*Register // by register id
+	heap []entry     // binary min-heap of armed registers by (when, seq)
+	pos  []int32     // each register's index in heap, -1 when it has none
+	free []uint32    // ids of the pooled event registers not in use
 	// vacant lists the registers that fired or were disarmed since the
-	// last front, in no particular order; rvac marks them by id. Each
-	// keeps its rheap entry, disarmed, and the next Arm of a register
+	// last front, in no particular order; vac marks them by id. Each
+	// keeps its heap entry, disarmed, and the next Arm of a register
 	// with no entry takes one over in place (see Register.Arm). front
 	// and Snapshot remove the entries nobody took before they read the
 	// heap, and Pending does not count them.
 	vacant []uint32
-	rvac   []bool
+	vac    []bool
 
 	rng     *RNG
 	stopped bool
 
 	// fired counts events executed; useful as a progress/complexity metric.
 	fired uint64
-
-	// scheduleHook, when set, observes every successful schedule and arm
-	// (the event's timestamp, after insertion). Multiplexers that cache
-	// each engine's earliest-event time — the cluster layer's
-	// index-min-heap — use it to learn about cross-engine schedules
-	// without rescanning. The hook must not schedule or arm events.
-	scheduleHook func(Time)
 }
 
 // NewEngine returns an engine with its clock at zero and a deterministic
@@ -100,7 +70,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to fire: scheduled events
 // and armed registers.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.rheap) - len(e.vacant) }
+func (e *Engine) Pending() int { return len(e.heap) - len(e.vacant) }
 
 // ScheduleNamed enqueues fn to run at the absolute time at. Scheduling in
 // the past (before Now) is a logic error and panics with a message naming
@@ -109,7 +79,9 @@ func (e *Engine) ScheduleNamed(at Time, name string, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.schedule(at, name, fn, nil, nil)
+	r := e.event(at, name)
+	r.fn = fn
+	r.Arm(at)
 }
 
 // ScheduleArg is ScheduleNamed for allocation-free hot paths: fn is a
@@ -121,38 +93,26 @@ func (e *Engine) ScheduleArg(at Time, name string, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.schedule(at, name, nil, fn, arg)
+	r := e.event(at, name)
+	r.afn, r.arg = fn, arg
+	r.Arm(at)
 }
 
-func (e *Engine) schedule(at Time, name string, fn func(), afn func(any), arg any) {
+// event returns a pooled event register for a firing at at: the last one
+// freed, or a new one when none is free.
+func (e *Engine) event(at Time, name string) *Register {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", name, at, e.now))
 	}
-	i := e.take()
-	sl := &e.slots[i]
-	sl.fn, sl.afn, sl.arg = fn, afn, arg
-	e.heapPush(entry{when: at, seq: e.seq, id: i})
-	e.seq++
-	if e.scheduleHook != nil {
-		e.scheduleHook(at)
-	}
-}
-
-// take returns the index of a free slot, from the pool or newly added.
-func (e *Engine) take() uint32 {
 	if n := len(e.free); n > 0 {
-		i := e.free[n-1]
+		id := e.free[n-1]
 		e.free = e.free[:n-1]
-		return i
+		return e.regs[id]
 	}
-	e.slots = append(e.slots, slot{})
-	return uint32(len(e.slots) - 1)
+	r := e.newRegister("event", nil)
+	r.pooled = true
+	return r
 }
-
-// SetScheduleHook installs (or, with nil, removes) the schedule observer.
-// See the Engine field doc; the single-engine hot path pays one nil check
-// per schedule when no hook is installed.
-func (e *Engine) SetScheduleHook(hook func(Time)) { e.scheduleHook = hook }
 
 // AfterNamed enqueues fn to run d from now. Negative d panics.
 func (e *Engine) AfterNamed(d Duration, name string, fn func()) {
@@ -174,9 +134,16 @@ func (e *Engine) AfterNamed(d Duration, name string, fn func()) {
 // with the rest of the queue.
 type Register struct {
 	eng  *Engine
-	id   uint32
 	name string
 	fn   func()
+	// afn and arg are the callback of an event scheduled with
+	// ScheduleArg, exclusive with fn.
+	afn func(any)
+	arg any
+	id  uint32
+	// pooled marks an event register, which the engine lends to one
+	// scheduled event at a time.
+	pooled bool
 }
 
 // NewRegister returns a disarmed register that runs fn whenever it fires.
@@ -184,19 +151,25 @@ func (e *Engine) NewRegister(name string, fn func()) *Register {
 	if fn == nil {
 		panic("sim: nil register callback")
 	}
+	return e.newRegister(name, fn)
+}
+
+// newRegister adds a disarmed register; an event register's callback is
+// set each time it is taken, so it starts with none.
+func (e *Engine) newRegister(name string, fn func()) *Register {
 	r := &Register{eng: e, id: uint32(len(e.regs)), name: name, fn: fn}
 	e.regs = append(e.regs, r)
-	e.rpos = append(e.rpos, -1)
-	e.rvac = append(e.rvac, false)
+	e.pos = append(e.pos, -1)
+	e.vac = append(e.vac, false)
 	return r
 }
 
 // Arm sets the register to fire at the absolute time at, replacing its
 // pending firing if it has one. Arming in the past panics. The new
-// firing overwrites an entry already in the register heap and moves it
-// with one regFix where it can: the register's own entry, or else one
-// that fired or was disarmed during the current event. Only with neither
-// is an entry added.
+// firing overwrites an entry already in the heap and moves it with one
+// regFix where it can: the register's own entry, or else one that fired
+// or was disarmed during the current event. Only with neither is an
+// entry added.
 func (r *Register) Arm(at Time) {
 	e := r.eng
 	if at < e.now {
@@ -204,25 +177,22 @@ func (r *Register) Arm(at Time) {
 	}
 	x := entry{when: at, seq: e.seq, id: r.id}
 	e.seq++
-	p := e.rpos[r.id]
+	p := e.pos[r.id]
 	switch {
-	case p >= 0 && e.rvac[r.id]:
+	case p >= 0 && e.vac[r.id]:
 		e.unvacate(r.id)
 	case p < 0 && len(e.vacant) > 0:
 		v := e.vacant[len(e.vacant)-1]
 		e.vacant = e.vacant[:len(e.vacant)-1]
-		e.rvac[v] = false
-		p, e.rpos[v] = e.rpos[v], -1
+		e.vac[v] = false
+		p, e.pos[v] = e.pos[v], -1
 	}
 	if p >= 0 {
-		e.rheap[p] = x
+		e.heap[p] = x
 		e.regFix(int(p))
 	} else {
-		e.rheap = append(e.rheap, x)
-		e.regUp(len(e.rheap) - 1)
-	}
-	if e.scheduleHook != nil {
-		e.scheduleHook(at)
+		e.heap = append(e.heap, x)
+		e.regUp(len(e.heap) - 1)
 	}
 }
 
@@ -235,27 +205,27 @@ func (r *Register) Disarm() {
 }
 
 // Armed reports whether the register has a pending firing.
-func (r *Register) Armed() bool { return r.eng.rpos[r.id] >= 0 && !r.eng.rvac[r.id] }
+func (r *Register) Armed() bool { return r.eng.pos[r.id] >= 0 && !r.eng.vac[r.id] }
 
 // When reports the time of the pending firing, or 0 when disarmed.
 func (r *Register) When() Time {
 	if r.Armed() {
-		return r.eng.rheap[r.eng.rpos[r.id]].when
+		return r.eng.heap[r.eng.pos[r.id]].when
 	}
 	return 0
 }
 
-// vacate disarms register id but leaves its entry in the register heap
-// for a later Arm in the same event to take over.
+// vacate disarms register id but leaves its entry in the heap for a
+// later Arm in the same event to take over.
 func (e *Engine) vacate(id uint32) {
-	e.rvac[id] = true
+	e.vac[id] = true
 	e.vacant = append(e.vacant, id)
 }
 
 // unvacate takes register id off the vacant list, whose order does not
 // matter; its entry stays.
 func (e *Engine) unvacate(id uint32) {
-	e.rvac[id] = false
+	e.vac[id] = false
 	last := len(e.vacant) - 1
 	for i, v := range e.vacant {
 		if v == id {
@@ -266,57 +236,47 @@ func (e *Engine) unvacate(id uint32) {
 	}
 }
 
-// dropVacant removes the entries no Arm took over from the register heap.
+// dropVacant removes the entries no Arm took over from the heap.
 func (e *Engine) dropVacant() {
 	for _, id := range e.vacant {
-		e.rvac[id] = false
-		e.regRemove(int(e.rpos[id]))
+		e.vac[id] = false
+		e.regRemove(int(e.pos[id]))
 	}
 	e.vacant = e.vacant[:0]
 }
 
-// front returns the front entry — the (when, seq) minimum across the
-// register heap and the event heap — and the queue holding it, or srcNone
-// when both are empty.
-func (e *Engine) front() (entry, int) {
+// front returns the front entry, the heap's (when, seq) minimum once the
+// vacant entries are gone, or false when nothing is armed.
+func (e *Engine) front() (entry, bool) {
 	if len(e.vacant) > 0 {
 		e.dropVacant()
 	}
-	var best entry
-	src := srcNone
-	if len(e.rheap) > 0 {
-		best, src = e.rheap[0], srcReg
+	if len(e.heap) == 0 {
+		return entry{}, false
 	}
-	if len(e.heap) > 0 {
-		if x := e.heap[0]; src == srcNone || x.before(best) {
-			best, src = x, srcHeap
-		}
-	}
-	return best, src
+	return e.heap[0], true
 }
 
-// fire dequeues the front entry x from queue src, advances the clock, and
-// runs its callback. A register is disarmed and a slot recycled before
-// the callback runs, so a callback observes its own event as fired. The
-// fired register's entry stays in the register heap, vacant, for an Arm
-// in the callback to take over; entries vacated during the event that no
-// Arm took over leave the heap at the next front, before anything else
-// can fire.
-func (e *Engine) fire(x entry, src int) {
+// fire advances the clock to the front entry x and runs its register's
+// callback. The register is disarmed first, and a pooled one freed, so a
+// callback observes its own event as fired and may reuse the register.
+// Its entry stays in the heap, vacant, for an Arm in the callback to
+// take over; entries vacated during the event that no Arm took over
+// leave the heap at the next front, before anything else can fire.
+func (e *Engine) fire(x entry) {
 	if x.when < e.now {
 		panic("sim: event queue time went backwards")
 	}
 	e.now = x.when
 	e.fired++
-	if src == srcReg {
-		e.vacate(x.id)
-		e.regs[x.id].fn()
+	e.vacate(x.id)
+	r := e.regs[x.id]
+	if !r.pooled {
+		r.fn()
 		return
 	}
-	e.heapPop()
-	s := &e.slots[x.id]
-	fn, afn, arg := s.fn, s.afn, s.arg
-	*s = slot{}
+	fn, afn, arg := r.fn, r.afn, r.arg
+	r.fn, r.afn, r.arg = nil, nil, nil
 	e.free = append(e.free, x.id)
 	if afn != nil {
 		afn(arg)
@@ -334,11 +294,8 @@ func (e *Engine) NextAt() (Time, bool) {
 	if e.stopped {
 		return 0, false
 	}
-	x, src := e.front()
-	if src == srcNone {
-		return 0, false
-	}
-	return x.when, true
+	x, ok := e.front()
+	return x.when, ok
 }
 
 // Step fires the next event, advancing the clock to its timestamp. It
@@ -347,12 +304,11 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	x, src := e.front()
-	if src == srcNone {
-		return false
+	x, ok := e.front()
+	if ok {
+		e.fire(x)
 	}
-	e.fire(x, src)
-	return true
+	return ok
 }
 
 // Run fires events until the queue is empty, Stop is called, or the next
@@ -361,11 +317,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	for !e.stopped {
-		x, src := e.front()
-		if src == srcNone || x.when > until {
+		x, ok := e.front()
+		if !ok || x.when > until {
 			break
 		}
-		e.fire(x, src)
+		e.fire(x)
 	}
 	if !e.stopped && e.now < until {
 		e.now = until
@@ -387,63 +343,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// heapPush inserts x into the 4-ary min-heap.
-func (e *Engine) heapPush(x entry) {
-	h := append(e.heap, x)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !x.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = x
-	e.heap = h
-}
-
-// heapPop removes the heap minimum.
-func (e *Engine) heapPop() {
-	h := e.heap
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	e.heap = h
-	if n > 0 {
-		siftDown(h, 0)
-	}
-}
-
-// siftDown moves h[i] down the 4-ary heap: at each node it promotes the
-// smallest of up to four children until the moved entry fits.
-func siftDown(h []entry, i int) {
-	x := h[i]
-	n := len(h)
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := min(c+4, n)
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[best]) {
-				best = j
-			}
-		}
-		if !h[best].before(x) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = x
-}
-
-// regUp moves rheap[i] up the register heap, keeping rpos current.
+// regUp moves heap[i] up the heap, keeping pos current.
 func (e *Engine) regUp(i int) {
-	h := e.rheap
+	h := e.heap
 	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
@@ -451,16 +353,16 @@ func (e *Engine) regUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		e.rpos[h[i].id] = int32(i)
+		e.pos[h[i].id] = int32(i)
 		i = p
 	}
 	h[i] = x
-	e.rpos[x.id] = int32(i)
+	e.pos[x.id] = int32(i)
 }
 
-// regDown moves rheap[i] down the register heap, keeping rpos current.
+// regDown moves heap[i] down the heap, keeping pos current.
 func (e *Engine) regDown(i int) {
-	h := e.rheap
+	h := e.heap
 	x := h[i]
 	n := len(h)
 	for {
@@ -475,33 +377,32 @@ func (e *Engine) regDown(i int) {
 			break
 		}
 		h[i] = h[c]
-		e.rpos[h[i].id] = int32(i)
+		e.pos[h[i].id] = int32(i)
 		i = c
 	}
 	h[i] = x
-	e.rpos[x.id] = int32(i)
+	e.pos[x.id] = int32(i)
 }
 
-// regFix restores the register heap order around rheap[i] after its key
-// changed in either direction.
+// regFix restores the heap order around heap[i] after its key changed in
+// either direction.
 func (e *Engine) regFix(i int) {
-	if i > 0 && e.rheap[i].before(e.rheap[(i-1)/2]) {
+	if i > 0 && e.heap[i].before(e.heap[(i-1)/2]) {
 		e.regUp(i)
 	} else {
 		e.regDown(i)
 	}
 }
 
-// regRemove takes rheap[i] out of the register heap and disarms its
-// register.
+// regRemove takes heap[i] out of the heap and disarms its register.
 func (e *Engine) regRemove(i int) {
-	h := e.rheap
+	h := e.heap
 	n := len(h) - 1
-	e.rpos[h[i].id] = -1
+	e.pos[h[i].id] = -1
 	if i != n {
 		h[i] = h[n]
 	}
-	e.rheap = h[:n]
+	e.heap = h[:n]
 	if i != n {
 		e.regFix(i)
 	}

@@ -335,3 +335,44 @@ func TestQuickCancelIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWarmEngineAllocatesNothing pins the engine's steady state: once its
+// heap and its pool of event registers have grown, scheduling events of
+// both kinds, arming a register, firing all three and restoring a
+// snapshot allocate nothing.
+func TestWarmEngineAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	noop := func() {}
+	argFn := func(any) {}
+	arg := new(int)
+	r := e.NewRegister("r", noop)
+	queue := func() {
+		e.ScheduleArg(e.Now().Add(1), "arg", argFn, arg)
+		e.ScheduleNamed(e.Now().Add(2), "named", noop)
+		r.Arm(e.Now().Add(3))
+	}
+	cycle := func() {
+		queue()
+		for i := 0; i < 3; i++ {
+			e.Step()
+		}
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a schedule-arm-step cycle allocates %v times", n)
+	}
+
+	// The snapshot holds an event of each kind and the armed register;
+	// each restore follows a run that fired all three.
+	queue()
+	snap := e.Snapshot()
+	restore := func() {
+		e.RunAll()
+		e.Restore(snap)
+	}
+	if n := testing.AllocsPerRun(100, restore); n != 0 {
+		t.Errorf("a Restore allocates %v times", n)
+	}
+	if e.Pending() != 3 || !r.Armed() {
+		t.Fatalf("after Restore: %d pending, register armed=%v; want 3 and true", e.Pending(), r.Armed())
+	}
+}

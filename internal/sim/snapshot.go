@@ -27,11 +27,13 @@ type Snapshotter interface {
 	Restore(State)
 }
 
-// slotSnap records one event queued on the heap at snapshot time: the key
-// that orders it and its callback.
-type slotSnap struct {
-	x entry
-	slot
+// eventSnap records the callback of a pooled event register that is
+// queued at snapshot time.
+type eventSnap struct {
+	id  uint32
+	fn  func()
+	afn func(any)
+	arg any
 }
 
 // engineState is the engine's Snapshot payload.
@@ -41,16 +43,16 @@ type engineState struct {
 	fired   uint64
 	stopped bool
 	rng     [4]uint64
-	slots   []slotSnap // heap events in heap order
-	regs    []entry    // the register heap, in heap order
+	heap    []entry     // the heap, in heap order
+	events  []eventSnap // the callbacks of the event registers queued in it
 }
 
 // Snapshot captures the engine's full scheduling state: clock, sequence
-// and fired counters, PRNG state, every queued event (callbacks included
-// — the callbacks reference long-lived component objects whose own state
-// is captured by their components' Snapshotters) and every armed
-// register with its deadline. It must be called between events. Engine
-// implements Snapshotter.
+// and fired counters, PRNG state, the heap of armed registers with their
+// deadlines, and the callback of every queued event (the callbacks
+// reference long-lived component objects whose own state is captured by
+// their components' Snapshotters). It must be called between events.
+// Engine implements Snapshotter.
 func (e *Engine) Snapshot() State {
 	e.dropVacant()
 	st := &engineState{
@@ -59,53 +61,52 @@ func (e *Engine) Snapshot() State {
 		fired:   e.fired,
 		stopped: e.stopped,
 		rng:     e.rng.State(),
-		slots:   make([]slotSnap, 0, len(e.heap)),
-		regs:    append([]entry(nil), e.rheap...),
+		heap:    append([]entry(nil), e.heap...),
 	}
 	for _, x := range e.heap {
-		st.slots = append(st.slots, slotSnap{x: x, slot: e.slots[x.id]})
+		if r := e.regs[x.id]; r.pooled {
+			st.events = append(st.events, eventSnap{id: x.id, fn: r.fn, afn: r.afn, arg: r.arg})
+		}
 	}
 	return st
 }
 
 // Restore rewinds the engine to a snapshot taken earlier on this same
-// engine. Every slot goes back to the free pool, and each recorded event
-// takes a slot again and returns to the heap in its recorded order; the
-// register heap is copied back as recorded, so a register armed in the
-// snapshot is armed for the same firing and every other register,
-// including one created after the snapshot, is disarmed.
+// engine. The heap is copied back as recorded, so a register armed in
+// the snapshot is armed for the same firing and every other register,
+// including one created after the snapshot, is disarmed. Each queued
+// event register gets its recorded callback back, and every other event
+// register returns to the free list.
 //
 // Pop order after restore is bit-identical to the uninterrupted run:
-// (when, seq) is a strict total order over queued events, and both heaps
-// come back in their recorded order.
+// (when, seq) is a strict total order over pending firings, and the heap
+// comes back in its recorded order.
 func (e *Engine) Restore(st State) {
 	s, ok := st.(*engineState)
 	if !ok {
 		panic(fmt.Sprintf("sim: Engine.Restore of foreign state %T", st))
 	}
-	e.heap = e.heap[:0]
-	clear(e.slots)
-	e.free = e.free[:0]
-	for i := len(e.slots) - 1; i >= 0; i-- {
-		e.free = append(e.free, uint32(i))
-	}
-	for i := range s.slots {
-		sn := &s.slots[i]
-		x := sn.x
-		x.id = e.take()
-		e.slots[x.id] = sn.slot
-		e.heap = append(e.heap, x)
-	}
-	for _, x := range e.rheap {
-		e.rpos[x.id] = -1
+	for _, x := range e.heap {
+		e.pos[x.id] = -1
 	}
 	for _, id := range e.vacant {
-		e.rvac[id] = false
+		e.vac[id] = false
 	}
 	e.vacant = e.vacant[:0]
-	e.rheap = append(e.rheap[:0], s.regs...)
-	for i, x := range e.rheap {
-		e.rpos[x.id] = int32(i)
+	e.heap = append(e.heap[:0], s.heap...)
+	for i, x := range e.heap {
+		e.pos[x.id] = int32(i)
+	}
+	e.free = e.free[:0]
+	for i := len(e.regs) - 1; i >= 0; i-- {
+		if r := e.regs[i]; r.pooled && e.pos[i] < 0 {
+			r.fn, r.afn, r.arg = nil, nil, nil
+			e.free = append(e.free, uint32(i))
+		}
+	}
+	for _, ev := range s.events {
+		r := e.regs[ev.id]
+		r.fn, r.afn, r.arg = ev.fn, ev.afn, ev.arg
 	}
 	e.now = s.now
 	e.seq = s.seq
