@@ -68,13 +68,26 @@ sweep: build
 	done; \
 	echo "sweep: khsim serve -manifest manifests/serving-crash.manifest -check ok at seeds 1-50"
 
-# fuzz runs the serve pool's message fuzzer (FuzzPoolMessages) for 10 s
-# past its seed corpus (internal/serve/testdata/fuzz): arbitrary payloads
-# into the primary's mailbox of a running pool, from the login VM or an
-# environment VM. A failing input is written under that corpus directory;
+# fuzz runs each fuzz target for 10 s past its seed corpus, one
+# `go test -fuzz` per target (the fuzzer takes one target at a time):
+#   - FuzzPoolMessages (internal/serve): arbitrary payloads into the
+#     primary's mailbox of a running pool, from the login VM or an
+#     environment VM;
+#   - FuzzParseManifest in internal/hafnium (an accepted manifest
+#     validates and survives Format and a reparse), internal/cluster and
+#     internal/serve (an accepted manifest keeps the parser's documented
+#     bounds).
+# The corpora are seeded from manifests/ and the packages' test texts; a
+# failing input is written under the package's testdata/fuzz directory;
 # commit it with the fix.
+FUZZ_TARGETS = ./internal/serve:FuzzPoolMessages ./internal/hafnium:FuzzParseManifest \
+	./internal/cluster:FuzzParseManifest ./internal/serve:FuzzParseManifest
 fuzz:
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzPoolMessages$$' -fuzztime 10s
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$pkg $$fn"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn\$$" -fuzztime 10s || exit 1; \
+	done
 
 # examples runs every program under examples/ and fails on the first
 # one that exits non-zero (memshare, for one, exits through log.Fatal

@@ -173,11 +173,7 @@ func (m *ClusterManifest) clusterKey(key, val string) error {
 		}
 		m.Nodes = n
 	case "link_latency_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.Link.Latency = sim.FromMicros(v)
+		return setMicros(&m.Link.Latency, key, val, 1)
 	case "link_bandwidth_mbps":
 		v, err := positive(key, val)
 		if err != nil {
@@ -185,49 +181,21 @@ func (m *ClusterManifest) clusterKey(key, val string) error {
 		}
 		m.Link.Bandwidth = v * 1e6
 	case "election_timeout_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.Protocol.ElectionMin = sim.FromMicros(v)
+		return setMicros(&m.Protocol.ElectionMin, key, val, 1)
 	case "election_jitter_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.Protocol.ElectionJitter = sim.FromMicros(v)
+		return setMicros(&m.Protocol.ElectionJitter, key, val, 1)
 	case "heartbeat_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.Protocol.Heartbeat = sim.FromMicros(v)
+		return setMicros(&m.Protocol.Heartbeat, key, val, 1)
 	case "rpc_timeout_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.Protocol.RPCTimeout = sim.FromMicros(v)
+		return setMicros(&m.Protocol.RPCTimeout, key, val, 1)
 	case "replica_vm":
 		m.ReplicaVM = val
 	case "run_ms":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.Run = sim.FromMicros(v * 1000)
+		return setMicros(&m.Run, key, val, 1000)
 	case "propose_interval_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.ProposeEvery = sim.FromMicros(v)
+		return setMicros(&m.ProposeEvery, key, val, 1)
 	case "spin_chunk_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		m.SpinChunk = sim.FromMicros(v)
+		return setMicros(&m.SpinChunk, key, val, 1)
 	default:
 		return fmt.Errorf("unknown [cluster] key %q", key)
 	}
@@ -246,16 +214,28 @@ func positive(key, val string) (float64, error) {
 	return v, nil
 }
 
+// setMicros sets *d to a positive manifest number of units, each unit
+// microseconds long. The duration itself must be positive too: a tiny
+// number would truncate to zero, and a huge one overflow.
+func setMicros(d *sim.Duration, key, val string, unit float64) error {
+	v, err := positive(key, val)
+	if err != nil {
+		return err
+	}
+	us, ok := sim.PositiveMicros(v * unit)
+	if !ok {
+		return fmt.Errorf("%s: %q is out of range", key, val)
+	}
+	*d = us
+	return nil
+}
+
 func faultKey(f *ManifestFault, key, val string) error {
 	switch key {
 	case "target":
 		f.Target = val
 	case "at_ms":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		f.At = sim.FromMicros(v * 1000)
+		return setMicros(&f.At, key, val, 1000)
 	case "count":
 		n, err := strconv.Atoi(val)
 		if err != nil || n <= 0 {
@@ -263,17 +243,9 @@ func faultKey(f *ManifestFault, key, val string) error {
 		}
 		f.Count = n
 	case "extra_us":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		f.Extra = sim.FromMicros(v)
+		return setMicros(&f.Extra, key, val, 1)
 	case "window_ms":
-		v, err := positive(key, val)
-		if err != nil {
-			return err
-		}
-		f.Window = sim.FromMicros(v * 1000)
+		return setMicros(&f.Window, key, val, 1000)
 	default:
 		return fmt.Errorf("unknown [fault] key %q", key)
 	}

@@ -16,13 +16,20 @@ import (
 // mailbox) and arms the per-VM watchdog. The primary Kitten VM and sibling
 // partitions keep running; only the offending partition pays.
 
-// badHypercall records guest API misuse that Hafnium answers by killing
-// the offending partition — the contained replacement for what used to be
-// a simulator panic.
+// badHypercall records guest API misuse from a VCPU that is not resident
+// and answers it by killing the offending partition — the contained
+// replacement for what used to be a simulator panic.
 func (h *Hypervisor) badHypercall(vm *VM, reason string) {
+	h.countBadHypercall(vm)
+	h.crashVM(vm, reason)
+}
+
+// countBadHypercall counts one guest API misuse by vm, in Stats and in
+// the VM's el2.bad_hypercalls series. Every misuse path counts through
+// it, so the two records agree.
+func (h *Hypervisor) countBadHypercall(vm *VM) {
 	h.stats.BadHypercalls++
 	h.metric("bad_hypercalls", vm).Inc()
-	h.crashVM(vm, reason)
 }
 
 // crashVM is the engine/primary-context crash entry: contain the crash

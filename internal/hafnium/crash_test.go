@@ -5,6 +5,7 @@ import (
 
 	"khsim/internal/machine"
 	"khsim/internal/mem"
+	"khsim/internal/metrics"
 	"khsim/internal/mmu"
 	"khsim/internal/sim"
 )
@@ -295,8 +296,16 @@ func (g *badExitGuest) HandleVIRQ(vc *VCPU, virq int) {}
 
 // TestAbortsCountedOnEveryPath pins Stats.Aborts (and BadHypercalls) to
 // each distinct abort path: guest Abort, injected fault, exit with
-// suspended work, invalid exit reason, and non-resident hypercall.
+// suspended work, invalid exit reason, and non-resident hypercall. Each
+// misuse path also counts once in the VM's el2.bad_hypercalls series.
 func TestAbortsCountedOnEveryPath(t *testing.T) {
+	badHypercallSeries := func(t *testing.T, h *Hypervisor) {
+		t.Helper()
+		k := metrics.K("el2", "bad_hypercalls").WithVM("job")
+		if v, ok := h.Node().SnapshotMetrics().Counter(k); !ok || v != 1 {
+			t.Fatalf("%s = %d (present %v), want 1", k, v, ok)
+		}
+	}
 	t.Run("guest-abort", func(t *testing.T) {
 		h, _ := buildTestSystem(t, basicManifest, map[string]GuestOS{"job": &abortingGuest{}})
 		job, _ := h.VMByName("job")
@@ -337,6 +346,7 @@ func TestAbortsCountedOnEveryPath(t *testing.T) {
 		if st.Aborts != 1 || st.BadHypercalls != 1 {
 			t.Fatalf("aborts %d badhypercalls %d", st.Aborts, st.BadHypercalls)
 		}
+		badHypercallSeries(t, h)
 		if len(p.exits) != 1 || p.exits[0] != ExitAborted {
 			t.Fatalf("exits = %v", p.exits)
 		}
@@ -353,6 +363,7 @@ func TestAbortsCountedOnEveryPath(t *testing.T) {
 		if st.Aborts != 1 || st.BadHypercalls != 1 {
 			t.Fatalf("aborts %d badhypercalls %d", st.Aborts, st.BadHypercalls)
 		}
+		badHypercallSeries(t, h)
 		if len(p.exits) != 1 || p.exits[0] != ExitAborted {
 			t.Fatalf("exits = %v", p.exits)
 		}
@@ -369,6 +380,7 @@ func TestAbortsCountedOnEveryPath(t *testing.T) {
 		if st.Aborts != 1 || st.BadHypercalls != 1 {
 			t.Fatalf("aborts %d badhypercalls %d", st.Aborts, st.BadHypercalls)
 		}
+		badHypercallSeries(t, h)
 	})
 }
 

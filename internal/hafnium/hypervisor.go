@@ -580,7 +580,7 @@ func (h *Hypervisor) guestExit(vc *VCPU, reason ExitReason) {
 		return
 	}
 	if c.Depth() != 0 {
-		h.stats.BadHypercalls++
+		h.countBadHypercall(vc.vm)
 		h.abortFromGuest(vc, fmt.Sprintf("exit with suspended guest work %v", c.StackLabels()))
 		return
 	}
@@ -599,7 +599,7 @@ func (h *Hypervisor) guestExit(vc *VCPU, reason ExitReason) {
 			vc.state = VCPUBlocked
 		}
 	default:
-		h.stats.BadHypercalls++
+		h.countBadHypercall(vc.vm)
 		h.abortFromGuest(vc, fmt.Sprintf("invalid exit reason %d", int(reason)))
 		return
 	}

@@ -154,6 +154,11 @@ func ParseManifest(text string) (*Manifest, error) {
 			if len(parts) != 2 || parts[0] != "vm" {
 				return nil, fmt.Errorf("hafnium: manifest line %d: expected [vm <name>]", ln+1)
 			}
+			// Format writes the name between brackets, so a bracket in it
+			// would not read back as the same name.
+			if strings.ContainsAny(parts[1], "[]") {
+				return nil, fmt.Errorf("hafnium: manifest line %d: VM name %q contains a bracket", ln+1, parts[1])
+			}
 			flush()
 			cur = &VMSpec{Name: parts[1], VCPUs: 1, MemMB: 64}
 			continue

@@ -162,16 +162,19 @@ func TestClusterArtifactGolden(t *testing.T) {
 // stopped firing no-op reaps, which only the engine.events_fired gauge
 // counts; the hashes without that gauge were captured before, so they
 // prove the registry registers exactly the series it did, with the same
-// values.
+// values. All four moved again when the registry's histogram kind (whose
+// one series, serve.latency_us, binned the pool's exact latency sample)
+// and the always-zero tlb hit, miss and fill gauges were deleted; each
+// new hash is the old commit's hash of its text without those lines.
 func TestServingRegistryGolden(t *testing.T) {
 	want := map[core.Scheduler]struct{ hash, stripped string }{
 		core.SchedulerKitten: {
-			"ce95d47c675883f2e8f62fd8e63b9088850125ef640e8c3d69d0994ce8ec1e63",
-			"1ce94dd11591a5a80991e28dc69acfad85999047b933f63b9b5e673547482a56",
+			"67ee8993f3d63e9e7d20784d8c609836f47d75639d4cbb7e611afff1eb49a7b7",
+			"94d2b116cdd4547518716d40fd66b3d7c30df3066075b0259995a46c8af4c41d",
 		},
 		core.SchedulerLinux: {
-			"9917c73328bc1d5c35491f918287a08da864ac8e8580140b06d6f1f3f8bd40fb",
-			"b6a0e9c32589295902ccd47019ed873dcdb757931881435e789a21a0068f33c7",
+			"c9ad2c1c8b0e4a45205344b828661af3f7a5d714093484fddd63b1bf2720cba9",
+			"fab54ce901bf2a8f4e9638ac6ef39b779b99abc9b96f7ad0e2e93f5969cd331a",
 		},
 	}
 	for sched, w := range want {
@@ -262,11 +265,13 @@ func TestServingArtifactGolden(t *testing.T) {
 // The trace holds the TLBCorrupt records and the registry holds the
 // per-core tlb.invalidations that crash containment bumps, so the TLB
 // invalidation paths cannot move without this hash moving. The hash was
-// captured while each core still carried a TLB model, so it proves the
-// per-core count that replaced it records every invalidation the model
-// did.
+// first captured while each core still carried a TLB model, so it proves
+// the per-core count that replaced it records every invalidation the
+// model did; it moved only when the always-zero tlb hit, miss and fill
+// gauges were deleted, to the old commit's hash of the text without
+// them.
 func TestFaultContainmentGolden(t *testing.T) {
-	const want = "88b7200dca5fcfcd7e0b9d2894fc728c95d125197e31311029bcd0796b3d86f4"
+	const want = "a088c44e1c79284e6219e4ec67c485e21745215f3e4accac8c080be6feb8205a"
 	// 0.3 s spans three of the Kitten primary's 10 Hz ticks, so the
 	// report compares non-empty detour profiles.
 	runTime := sim.FromSeconds(0.3)
@@ -307,9 +312,10 @@ func TestFaultContainmentGolden(t *testing.T) {
 // Linux-primary RandomAccess run under tlb = flush-all, the stack
 // BenchmarkAblationTLBPolicy measures: every guest-to-primary switch-out
 // under that policy counts one TLB invalidation on its core. Like the
-// containment golden, its hash predates the TLB model's removal.
+// containment golden, its hash predates the TLB model's removal, less
+// the always-zero tlb hit, miss and fill gauges deleted after it.
 func TestFlushAllRegistryGolden(t *testing.T) {
-	const want = "d5bf39be9ea5c163b7cc901f772ffaeac1e12d6c105a0f429e67c5118121eb1d"
+	const want = "9c10fe2ffe1c1b0e11f078fc7bd17f46da912f0ace40143e771f3073d918dced"
 	n, err := core.NewSecureNode(core.Options{
 		Seed: 42, Scheduler: core.SchedulerLinux,
 		Manifest: `tlb = flush-all

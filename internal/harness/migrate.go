@@ -210,15 +210,20 @@ func (r *MigrationReport) String() string {
 // RunMigrationSuite runs the full sweep: the clean working-set cells
 // plus the mid-transfer kill cell. Every cell's rack has the same seed,
 // so the nodes' signing identities are derived once for all of them.
-func RunMigrationSuite(seed uint64) (*MigrationReport, error) {
+func RunMigrationSuite(seed uint64) (*MigrationReport, error) { return runMigrationSuite(seed, nil) }
+
+// runMigrationSuite is RunMigrationSuite, handing each cell's stacks to
+// cellRan, when set, once the cell's run ends (a test reads every node's
+// hypervisor and registry there).
+func runMigrationSuite(seed uint64, cellRan func([]*core.SecureNode)) (*MigrationReport, error) {
 	rep := &MigrationReport{Seed: seed, Nodes: 3, Run: sim.FromMicros(120_000)}
 	ids := newIdentities(seed, rep.Nodes)
 	for _, ws := range migWorkingSets {
-		if err := runMigrationCell(rep, ids, ws, false); err != nil {
+		if err := runMigrationCell(rep, ids, ws, false, cellRan); err != nil {
 			return nil, err
 		}
 	}
-	if err := runMigrationCell(rep, ids, migKillWS, true); err != nil {
+	if err := runMigrationCell(rep, ids, migKillWS, true, cellRan); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -268,7 +273,7 @@ func migNodeConfig() machine.Config {
 // runMigrationCell builds a fresh 3-node rack whose nodes sign with ids,
 // migrates the job VM from node 0 to node 1 mid-run, and appends the
 // cell outcome to rep.
-func runMigrationCell(rep *MigrationReport, ids *identities, ws int, kill bool) error {
+func runMigrationCell(rep *MigrationReport, ids *identities, ws int, kill bool, cellRan func([]*core.SecureNode)) error {
 	nodes := rep.Nodes
 	run := rep.Run
 	seed := rep.Seed
@@ -380,6 +385,9 @@ func runMigrationCell(rep *MigrationReport, ids *identities, ws int, kill bool) 
 	}
 
 	mc.Run(run)
+	if cellRan != nil {
+		cellRan(stacks)
+	}
 
 	cell := MigrationCell{
 		WorkingSetPages: ws,

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"khsim/internal/core"
+	"khsim/internal/hafnium"
 	"khsim/internal/kitten"
 	"khsim/internal/noise"
 	"khsim/internal/sim"
@@ -242,6 +243,7 @@ type ForkSweepCell struct {
 	Crashes   uint64       // aborts contained during the window
 	Restarts  uint64       // watchdog restarts
 	WarmRest  uint64       // restarts served from the warm stage-2 snapshot
+	RestartAt sim.Duration // the victim's last restart, after the fork; < 0 = none
 	Detours   int          // selfish-detour count at window end
 	Fired     uint64       // events fired in the window
 }
@@ -258,14 +260,26 @@ type ForkSweepReport struct {
 
 // Check enforces the sweep's cell rules: one fork per cell; a control
 // cell sees no fault yet fires events; every kill cell sees exactly one
-// crash, served by one warm restart; and cells with the same delay come
-// out identical, so no fork leaks state into the next.
+// crash, served by one warm restart; cells with the same delay come out
+// identical, so no fork leaks state into the next; and kill cells with
+// different delays do not, so the swept axis shows in the table.
 func (r *ForkSweepReport) Check() error {
 	if len(r.Cells) == 0 || r.Forks != uint64(len(r.Cells)) {
 		return fmt.Errorf("fork sweep: %d timelines forked for %d cells", r.Forks, len(r.Cells))
 	}
 	first := map[sim.Duration]ForkSweepCell{}
+	// outcomes maps a kill cell's row, its delay cleared, to that delay.
+	outcomes := map[ForkSweepCell]sim.Duration{}
 	for _, c := range r.Cells {
+		if c.KillAfter >= 0 {
+			o := c
+			o.KillAfter = 0
+			if d, ok := outcomes[o]; ok && d != c.KillAfter {
+				return fmt.Errorf("fork sweep: kill cells %v and %v record the same outcome, so the delay does not show: %+v",
+					d, c.KillAfter, o)
+			}
+			outcomes[o] = c.KillAfter
+		}
 		switch {
 		case c.KillAfter < 0 && (c.Crashes != 0 || c.Restarts != 0 || c.WarmRest != 0):
 			return fmt.Errorf("fork sweep: control cell saw faults: %+v", c)
@@ -290,15 +304,18 @@ func (r *ForkSweepReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fork sweep: seed %d, %d cells forked at %v, window %v\n",
 		r.Seed, len(r.Cells), r.SnapAt, r.Window)
-	fmt.Fprintf(&b, "%12s %8s %9s %10s %8s %8s\n",
-		"kill-after", "crashes", "restarts", "warm-rest", "detours", "events")
+	fmt.Fprintf(&b, "%12s %8s %9s %10s %12s %8s %8s\n",
+		"kill-after", "crashes", "restarts", "warm-rest", "restart-at", "detours", "events")
 	for _, c := range r.Cells {
-		kill := "none"
+		kill, restart := "none", "-"
 		if c.KillAfter >= 0 {
 			kill = fmt.Sprintf("%v", c.KillAfter)
 		}
-		fmt.Fprintf(&b, "%12s %8d %9d %10d %8d %8d\n",
-			kill, c.Crashes, c.Restarts, c.WarmRest, c.Detours, c.Fired)
+		if c.RestartAt >= 0 {
+			restart = fmt.Sprintf("%v", c.RestartAt)
+		}
+		fmt.Fprintf(&b, "%12s %8d %9d %10d %12s %8d %8d\n",
+			kill, c.Crashes, c.Restarts, c.WarmRest, restart, c.Detours, c.Fired)
 	}
 	return b.String()
 }
@@ -307,8 +324,10 @@ func (r *ForkSweepReport) String() string {
 // point, and then runs one forked timeline per entry of killAfters: each
 // fork rewinds the whole node (copy-on-write under the stage-2 tables)
 // and injects a VM crash that entry's delay after the fork point (a
-// negative delay injects nothing — the control cell). This is the sweep
-// mode the snapshot contract buys: N parameter cells for one boot.
+// negative delay injects nothing — the control cell). Each cell records
+// when, after the fork, the node's lifecycle hook saw the victim restart.
+// This is the sweep mode the snapshot contract buys: N parameter cells
+// for one boot.
 func RunForkSweep(seed uint64, killAfters []sim.Duration, window sim.Duration) (*ForkSweepReport, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("harness: fork sweep needs a positive window")
@@ -327,8 +346,15 @@ func RunForkSweep(seed uint64, killAfters []sim.Duration, window sim.Duration) (
 	}
 	base := n.Hyp.Stats()
 	fired0 := n.Machine.Engine.Fired()
+	restartAt := sim.Time(-1)
+	n.OnLifecycle = func(ev hafnium.LifecycleEvent) {
+		if ev.VM == "job" && (ev.Kind == "restart" || ev.Kind == "snapshot-restore") {
+			restartAt = n.Machine.Now()
+		}
+	}
 	for _, kill := range killAfters {
 		n.Machine.Fork(snap)
+		restartAt = -1
 		if kill >= 0 {
 			if kill >= window {
 				return nil, fmt.Errorf("harness: kill delay %v outside the %v window", kill, window)
@@ -342,14 +368,19 @@ func RunForkSweep(seed uint64, killAfters []sim.Duration, window sim.Duration) (
 		}
 		n.Run(window)
 		hs := n.Hyp.Stats()
-		rep.Cells = append(rep.Cells, ForkSweepCell{
+		cell := ForkSweepCell{
 			KillAfter: kill,
 			Crashes:   hs.Aborts - base.Aborts,
 			Restarts:  hs.Restarts - base.Restarts,
 			WarmRest:  hs.SnapshotRestores - base.SnapshotRestores,
+			RestartAt: -1,
 			Detours:   st.s.Result.Count(),
 			Fired:     n.Machine.Engine.Fired() - fired0,
-		})
+		}
+		if restartAt >= 0 {
+			cell.RestartAt = restartAt.Sub(rep.SnapAt)
+		}
+		rep.Cells = append(rep.Cells, cell)
 	}
 	rep.Forks = n.Machine.Forks()
 	return rep, nil

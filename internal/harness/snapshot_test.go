@@ -98,7 +98,8 @@ func TestForkReplayInsideEL2AndTickWindows(t *testing.T) {
 // TestForkSweepCells runs the fork-based sweep over a fault-delay axis
 // with a repeated delay, so Check's rule that identical delays land in
 // identical cells (the fork isolation property) has a pair to compare,
-// and shows that each of Check's cell rules can fail.
+// and shows that each of Check's cell rules can fail, among them the
+// rule that kill cells with different delays differ.
 func TestForkSweepCells(t *testing.T) {
 	kills := []sim.Duration{
 		-1,
@@ -121,6 +122,11 @@ func TestForkSweepCells(t *testing.T) {
 		"control cell idle":      func(c []ForkSweepCell) { c[0].Fired = 0 },
 		"kill cell cold restart": func(c []ForkSweepCell) { c[2].WarmRest = 0 },
 		"repeated delay drifted": func(c []ForkSweepCell) { c[3].Fired++ },
+		"delay does not show": func(c []ForkSweepCell) {
+			k := c[2].KillAfter
+			c[2] = c[1]
+			c[2].KillAfter = k
+		},
 	} {
 		bad := *rep
 		bad.Cells = slices.Clone(rep.Cells)

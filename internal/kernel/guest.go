@@ -61,8 +61,6 @@ type Guest struct {
 	// DeviceIRQCost overrides the per-device-interrupt cost.
 	DeviceIRQCost sim.Duration
 
-	ticks   uint64
-	devirqs uint64
 	done    map[int]bool
 	running map[int]bool
 
@@ -121,7 +119,6 @@ func (b *guestVCPU) devDone(_ *machine.Core, virq int) {
 
 func (b *guestVCPU) tickDone() {
 	g, vc := b.g, b.vc
-	g.ticks++
 	mc := g.counters(vc)
 	mc.vm.CachedMetric(&mc.ticks, "ticks").Inc()
 	if g.running[vc.Index()] {
@@ -130,7 +127,8 @@ func (b *guestVCPU) tickDone() {
 }
 
 // guestCounters are one VM's guest.* counters, each registered on the
-// VM's first tick or device interrupt (hafnium.VM.CachedMetric).
+// VM's first tick or device interrupt (hafnium.VM.CachedMetric). They
+// are the guest's only count of either.
 type guestCounters struct {
 	vm             *hafnium.VM
 	ticks, devIRQs *metrics.Counter
@@ -163,11 +161,21 @@ func (g *Guest) counters(vc *hafnium.VCPU) *guestCounters {
 // Attach assigns a workload process to VCPU index vcpu.
 func (g *Guest) Attach(vcpu int, p osapi.Process) { g.procs[vcpu] = p }
 
-// Ticks reports guest timer ticks handled.
-func (g *Guest) Ticks() uint64 { return g.ticks }
+// Ticks reports guest timer ticks handled: the VM's guest.ticks
+// counter, 0 before its first tick.
+func (g *Guest) Ticks() uint64 { return count(g.mc.ticks) }
 
-// DeviceIRQs reports forwarded device interrupts handled.
-func (g *Guest) DeviceIRQs() uint64 { return g.devirqs }
+// DeviceIRQs reports forwarded device interrupts handled: the VM's
+// guest.device_irqs counter, 0 before its first one.
+func (g *Guest) DeviceIRQs() uint64 { return count(g.mc.devIRQs) }
+
+// count reads a lazily registered counter, 0 while it is unregistered.
+func count(c *metrics.Counter) uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.Value()
+}
 
 // Done reports whether the workload on a VCPU has finished.
 func (g *Guest) Done(vcpu int) bool { return g.done[vcpu] }
@@ -207,7 +215,6 @@ func (g *Guest) HandleVIRQ(vc *hafnium.VCPU, virq int) {
 		if cost == 0 {
 			cost = g.cfg.DevCost
 		}
-		g.devirqs++
 		mc := g.counters(vc)
 		mc.vm.CachedMetric(&mc.devIRQs, "device_irqs").Inc()
 		vc.ExecBound(g.labelDev, cost, g.bound(vc).devFn, virq)
@@ -225,11 +232,9 @@ func (g *Guest) tick(vc *hafnium.VCPU) {
 }
 
 // guestMigState is the guest kernel's portable migration image: the
-// counters plus one exported state per Portable workload process, in
-// VCPU order.
+// per-VCPU done/running flags plus one exported state per Portable
+// workload process, in VCPU order.
 type guestMigState struct {
-	Ticks   uint64
-	DevIRQs uint64
 	Done    map[int]bool
 	Running map[int]bool
 	Procs   []procMigState
@@ -246,14 +251,12 @@ type procMigState struct {
 const guestMigHeaderBytes = 48
 
 // ExportMigration implements hafnium.MigratableGuest: it packages the
-// kernel counters and every osapi.Portable workload's exported state
-// into a plain value the migration transfer can ship, returning the
+// kernel's per-VCPU flags and every osapi.Portable workload's exported
+// state into a plain value the migration transfer can ship, returning the
 // image and its modeled wire size. Processes that are not Portable are
 // left behind (they restart from scratch on the destination).
 func (g *Guest) ExportMigration() (any, int) {
 	st := &guestMigState{
-		Ticks:   g.ticks,
-		DevIRQs: g.devirqs,
 		Done:    make(map[int]bool, len(g.done)),
 		Running: make(map[int]bool, len(g.running)),
 	}
@@ -299,8 +302,6 @@ func (g *Guest) ImportMigration(state any) error {
 			return err
 		}
 	}
-	g.ticks = st.Ticks
-	g.devirqs = st.DevIRQs
 	g.done = make(map[int]bool, len(st.Done))
 	for k, v := range st.Done {
 		g.done[k] = v

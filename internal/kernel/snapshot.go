@@ -198,22 +198,19 @@ func (p *CFSPolicy) Restore(st sim.State) {
 
 // guestState is Guest's Snapshot payload.
 type guestState struct {
-	ticks   uint64
-	devirqs uint64
 	done    map[int]bool
 	running map[int]bool
 }
 
-// Snapshot captures the guest substrate's counters and per-VCPU
-// done/running flags. Workload processes attached to the guest snapshot
-// themselves (they implement sim.Snapshotter and are registered on the
-// node by whoever assembled the stack); policy hooks with state of their
-// own (the Linux guest's deferred-work schedule) are captured by the
-// wrapping kernel type. Guest implements sim.Snapshotter.
+// Snapshot captures the guest substrate's per-VCPU done/running flags;
+// its tick and device-interrupt counts are registry counters, which the
+// node's registry snapshot rewinds. Workload processes attached to the
+// guest snapshot themselves (they implement sim.Snapshotter and are
+// registered on the node by whoever assembled the stack); policy hooks
+// with state of their own (the Linux guest's deferred-work schedule) are
+// captured by the wrapping kernel type. Guest implements sim.Snapshotter.
 func (g *Guest) Snapshot() sim.State {
 	s := &guestState{
-		ticks:   g.ticks,
-		devirqs: g.devirqs,
 		done:    make(map[int]bool, len(g.done)),
 		running: make(map[int]bool, len(g.running)),
 	}
@@ -232,8 +229,6 @@ func (g *Guest) Restore(st sim.State) {
 	if !ok {
 		panic(fmt.Sprintf("kernel: Guest.Restore of foreign state %T", st))
 	}
-	g.ticks = s.ticks
-	g.devirqs = s.devirqs
 	g.done = make(map[int]bool, len(s.done))
 	for k, v := range s.done {
 		g.done[k] = v

@@ -157,10 +157,6 @@ func (n *Node) SnapshotMetrics() *metrics.Snapshot {
 	for _, c := range n.Cores {
 		m.Gauge(metrics.K("core", "busy_ps").WithCore(c.id)).Set(float64(c.busy))
 		m.Gauge(metrics.K("core", "preemptions").WithCore(c.id)).Set(float64(c.preempts))
-		// No TLB is modelled, so hits, misses and fills always read 0.
-		m.Gauge(metrics.K("tlb", "hits").WithCore(c.id)).Set(0)
-		m.Gauge(metrics.K("tlb", "misses").WithCore(c.id)).Set(0)
-		m.Gauge(metrics.K("tlb", "fills").WithCore(c.id)).Set(0)
 		m.Gauge(metrics.K("tlb", "invalidations").WithCore(c.id)).Set(float64(c.tlbInvalidations))
 	}
 	m.Gauge(metrics.K("engine", "events_fired")).Set(float64(n.Engine.Fired()))

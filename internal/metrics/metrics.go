@@ -1,11 +1,13 @@
 // Package metrics is the simulator's unified observability registry: a
-// deterministic, allocation-light home for the counters, gauges and
-// fixed-bucket histograms every subsystem publishes. The paper's entire
-// evaluation (§V) is an exercise in *measuring* isolation overhead —
-// world switches, hypercalls, injected interrupts, TLB traffic — so the
-// registry turns "the simulator says X µs" into an auditable account of
-// where the cycles went: one snapshot per run, every series keyed by
-// subsystem/name plus optional VM and core labels.
+// deterministic, allocation-light home for the counters and gauges every
+// subsystem publishes. The paper's entire evaluation (§V) is an exercise
+// in *measuring* isolation overhead — world switches, hypercalls,
+// injected interrupts, TLB invalidations — so the registry turns "the
+// simulator says X µs" into an auditable account of where the cycles
+// went: one snapshot per run, every series keyed by subsystem/name plus
+// optional VM and core labels. Distributions are not registry series:
+// a workload keeps its exact samples (stats.Sample, as the serve pool's
+// latencies) and reports percentiles from them.
 //
 // Design rules:
 //
@@ -106,83 +108,6 @@ func (g *Gauge) Set(v float64) { g.v = v }
 // Value reports the current value.
 func (g *Gauge) Value() float64 { return g.v }
 
-// Histogram is a fixed-width-bucket histogram over [Lo, Hi);
-// observations outside the range land in the under/overflow counters
-// (mirroring stats.Histogram, but registry-owned and snapshotable).
-type Histogram struct {
-	Lo, Hi   float64
-	buckets  []uint64
-	under    uint64
-	over     uint64
-	width    float64
-	observed uint64
-}
-
-func newHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: invalid histogram shape [%g,%g)/%d", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, buckets: make([]uint64, n), width: (hi - lo) / float64(n)}
-}
-
-// Observe adds one observation.
-func (h *Histogram) Observe(v float64) {
-	h.observed++
-	switch {
-	case v < h.Lo:
-		h.under++
-	case v >= h.Hi:
-		h.over++
-	default:
-		i := int((v - h.Lo) / h.width)
-		if i >= len(h.buckets) { // float edge at Hi-epsilon
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Total reports observations including under/overflow.
-func (h *Histogram) Total() uint64 { return h.observed }
-
-// Quantile estimates the p-th percentile (0 ≤ p ≤ 100) from the bucket
-// counts by linear interpolation inside the bucket holding the target
-// rank. Underflow observations clamp to Lo and overflow to Hi — a
-// histogram can only bound what left its range, so size [Lo,Hi) to the
-// tail being asked about. Reports (0, false) with no observations.
-func (h *Histogram) Quantile(p float64) (float64, bool) {
-	if h.observed == 0 {
-		return 0, false
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	rank := p / 100 * float64(h.observed)
-	cum := float64(h.under)
-	if rank <= cum {
-		return h.Lo, true
-	}
-	for i, n := range h.buckets {
-		next := cum + float64(n)
-		if rank <= next && n > 0 {
-			frac := (rank - cum) / float64(n)
-			return h.Lo + (float64(i)+frac)*h.width, true
-		}
-		cum = next
-	}
-	return h.Hi, true
-}
-
-// Buckets returns a copy of the bucket counts.
-func (h *Histogram) Buckets() []uint64 {
-	out := make([]uint64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
 // DefaultMaxSeries bounds a registry's label cardinality. The simulator
 // has a handful of subsystems × VMs × cores — a few hundred series; the
 // cap exists so a label-generation bug degrades to a counted sink
@@ -194,17 +119,14 @@ const DefaultMaxSeries = 4096
 type Registry struct {
 	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
-	hists    map[Key]*Histogram
 	// The instruments again, in registration order: a snapshot that read
 	// the first n of a kind was taken before the rest were registered.
 	counterSeq []*Counter
 	gaugeSeq   []*Gauge
-	histSeq    []*Histogram
 	max        int
 	dropped    uint64
 	sinkC      Counter
 	sinkG      Gauge
-	sinkH      *Histogram
 }
 
 // NewRegistry returns an empty registry with the default series cap.
@@ -219,14 +141,13 @@ func NewRegistryCap(maxSeries int) *Registry {
 	return &Registry{
 		counters: make(map[Key]*Counter),
 		gauges:   make(map[Key]*Gauge),
-		hists:    make(map[Key]*Histogram),
 		max:      maxSeries,
 	}
 }
 
 // Series reports the number of registered series.
 func (r *Registry) Series() int {
-	return len(r.counters) + len(r.gauges) + len(r.hists)
+	return len(r.counters) + len(r.gauges)
 }
 
 // Dropped reports how many series creations the cap rejected.
@@ -284,26 +205,6 @@ func (r *Registry) Gauge(k Key) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under k, creating it with
-// n equal buckets over [lo, hi) if there is room. An existing histogram
-// keeps its original shape regardless of the arguments.
-func (r *Registry) Histogram(k Key, lo, hi float64, n int) *Histogram {
-	if h, ok := r.hists[k]; ok {
-		return h
-	}
-	if !r.room() {
-		r.dropped++
-		if r.sinkH == nil {
-			r.sinkH = newHistogram(lo, hi, n)
-		}
-		return r.sinkH
-	}
-	h := newHistogram(lo, hi, n)
-	r.hists[k] = h
-	r.histSeq = append(r.histSeq, h)
-	return h
-}
-
 func (r *Registry) sortedCounterKeys() []Key {
 	keys := make([]Key, 0, len(r.counters))
 	for k := range r.counters {
@@ -316,15 +217,6 @@ func (r *Registry) sortedCounterKeys() []Key {
 func (r *Registry) sortedGaugeKeys() []Key {
 	keys := make([]Key, 0, len(r.gauges))
 	for k := range r.gauges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
-func (r *Registry) sortedHistKeys() []Key {
-	keys := make([]Key, 0, len(r.hists))
-	for k := range r.hists {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })

@@ -48,9 +48,9 @@ func TestSnapshotCanonicalOrder(t *testing.T) {
 	// (subsystem, name, vm, core) regardless.
 	r := NewRegistry()
 	keys := []Key{
-		K("tlb", "hits").WithCore(1),
+		K("tlb", "invalidations").WithCore(1),
 		K("el2", "traps").WithVM("job"),
-		K("tlb", "hits").WithCore(0),
+		K("tlb", "invalidations").WithCore(0),
 		K("el2", "runs"),
 		K("el2", "traps").WithVM("alpha"),
 		K("kernel", "ticks"),
@@ -68,8 +68,8 @@ func TestSnapshotCanonicalOrder(t *testing.T) {
 		"el2.traps{vm=alpha}",
 		"el2.traps{vm=job}",
 		"kernel.ticks",
-		"tlb.hits{core=0}",
-		"tlb.hits{core=1}",
+		"tlb.invalidations{core=0}",
+		"tlb.invalidations{core=1}",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("snapshot has %d counters, want %d: %v", len(got), len(want), got)
@@ -88,10 +88,6 @@ func TestSnapshotTextDeterministic(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			r.Counter(K("el2", fmt.Sprintf("c%02d", i%7)).WithCore(i % 3)).Add(uint64(i))
 			r.Gauge(K("tlb", fmt.Sprintf("g%02d", i%5))).Set(float64(i) * 1.5)
-		}
-		h := r.Histogram(K("el2", "switch_ns"), 0, 1000, 10)
-		for i := 0; i < 100; i++ {
-			h.Observe(float64(i * 13 % 1200))
 		}
 		return r.Snapshot().Text()
 	}
@@ -153,38 +149,10 @@ func TestCachedCounterIsLazy(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram(K("s", "h"), 0, 100, 4) // buckets of width 25
-	for _, v := range []float64{-1, 0, 10, 25, 60, 99, 100, 500} {
-		h.Observe(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d, want 8", h.Total())
-	}
-	snap := r.Snapshot()
-	if len(snap.Histograms) != 1 {
-		t.Fatalf("snapshot has %d histograms, want 1", len(snap.Histograms))
-	}
-	p := snap.Histograms[0]
-	if p.Under != 1 {
-		t.Fatalf("under = %d, want 1", p.Under)
-	}
-	if p.Over != 2 { // 100 lands on the upper edge, counted as over
-		t.Fatalf("over = %d, want 2 (values 100, 500)", p.Over)
-	}
-	wantBuckets := []uint64{2, 1, 1, 1} // {0,10}, {25}, {60}, {99}
-	for i, w := range wantBuckets {
-		if p.Buckets[i] != w {
-			t.Fatalf("bucket[%d] = %d, want %d (all: %v)", i, p.Buckets[i], w, p.Buckets)
-		}
-	}
-}
-
 func TestWriteTextFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(K("el2", "traps").WithVM("job")).Add(42)
-	r.Gauge(K("tlb", "hits").WithCore(0)).Set(1234)
+	r.Gauge(K("tlb", "invalidations").WithCore(0)).Set(1234)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -192,7 +160,7 @@ func TestWriteTextFormat(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"counter el2.traps{vm=job} 42\n",
-		"gauge tlb.hits{core=0} 1234\n",
+		"gauge tlb.invalidations{core=0} 1234\n",
 		"dropped_series 0\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -204,7 +172,7 @@ func TestWriteTextFormat(t *testing.T) {
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(K("el2", "traps").WithVM("job")).Add(42)
-	r.Histogram(K("el2", "h"), 0, 10, 2).Observe(3)
+	r.Gauge(K("tlb", "invalidations").WithCore(1)).Set(3)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -216,15 +184,15 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if len(decoded.Counters) != 1 || decoded.Counters[0].Value != 42 {
 		t.Fatalf("decoded counters = %+v", decoded.Counters)
 	}
-	if len(decoded.Histograms) != 1 || decoded.Histograms[0].Observed != 1 {
-		t.Fatalf("decoded histograms = %+v", decoded.Histograms)
+	if len(decoded.Gauges) != 1 || decoded.Gauges[0].Value != 3 || decoded.Gauges[0].Key.Core != 1 {
+		t.Fatalf("decoded gauges = %+v", decoded.Gauges)
 	}
 }
 
 func TestSnapshotLookups(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(K("el2", "traps")).Add(7)
-	r.Gauge(K("tlb", "hits")).Set(3.5)
+	r.Gauge(K("tlb", "invalidations")).Set(3.5)
 	snap := r.Snapshot()
 	if v, ok := snap.Counter(K("el2", "traps")); !ok || v != 7 {
 		t.Fatalf("Counter lookup = %d, %v", v, ok)
@@ -232,7 +200,7 @@ func TestSnapshotLookups(t *testing.T) {
 	if _, ok := snap.Counter(K("el2", "nope")); ok {
 		t.Fatalf("missing counter reported present")
 	}
-	if v, ok := snap.Gauge(K("tlb", "hits")); !ok || v != 3.5 {
+	if v, ok := snap.Gauge(K("tlb", "invalidations")); !ok || v != 3.5 {
 		t.Fatalf("Gauge lookup = %g, %v", v, ok)
 	}
 }
@@ -249,32 +217,22 @@ func TestRegistryRestore(t *testing.T) {
 	}
 	c := r.Counter(K("el2", "traps").WithCore(1))
 	g := r.Gauge(K("tlb", "hit_rate"))
-	h := r.Histogram(K("shmring", "push_bytes"), 0, 100, 4)
 	c.Add(3)
 	g.Set(0.5)
-	for _, v := range []float64{-1, 10, 60, 1000} {
-		h.Observe(v)
-	}
 	snap := r.Snapshot()
 
 	c.Add(7)
 	g.Set(2)
-	h.Observe(30)
 	lateC := r.Counter(K("kernel", "ticks"))
 	lateG := r.Gauge(K("tlb", "live"))
-	lateH := r.Histogram(K("serve", "latency"), 0, 10, 2)
 	lateC.Inc()
 	lateG.Set(4)
-	lateH.Observe(1)
 
 	r.Restore(snap)
 	if c.Value() != 4 || g.Value() != 0.5 {
 		t.Fatalf("counter %d, gauge %g after restore, want 4 and 0.5", c.Value(), g.Value())
 	}
-	if b := h.Buckets(); h.Total() != 4 || b[0] != 1 || b[2] != 1 || b[1] != 0 {
-		t.Fatalf("histogram after restore: total %d, buckets %v", h.Total(), b)
-	}
-	if lateC.Value() != 0 || lateG.Value() != 0 || lateH.Total() != 0 || lateH.Buckets()[0] != 0 {
+	if lateC.Value() != 0 || lateG.Value() != 0 {
 		t.Fatal("a series registered after the snapshot is not zero after restore")
 	}
 	c.Add(1)

@@ -2,8 +2,8 @@ package metrics
 
 // Restore rewinds the registry to a snapshot previously taken from it.
 //
-// Instruments are never recreated: callers cache *Counter/*Gauge/
-// *Histogram pointers at construction, so Restore writes the recorded
+// Instruments are never recreated: callers cache *Counter/*Gauge
+// pointers at construction, so Restore writes the recorded
 // values back into the live instruments in place, through the
 // instrument pointers the snapshot recorded. Series that were registered
 // after the snapshot was taken (and therefore have no point in it) are
@@ -26,11 +26,6 @@ func (r *Registry) Restore(s *Snapshot) {
 	for i, g := range s.gauges {
 		g.v = s.Gauges[i].Value
 	}
-	for i, h := range s.hists {
-		p := &s.Histograms[i]
-		copy(h.buckets, p.Buckets)
-		h.under, h.over, h.observed = p.Under, p.Over, p.Observed
-	}
 	// Registration order is append-only, so the series registered after
 	// the snapshot are exactly those past its instrument counts.
 	for _, c := range r.counterSeq[len(s.counters):] {
@@ -38,10 +33,6 @@ func (r *Registry) Restore(s *Snapshot) {
 	}
 	for _, g := range r.gaugeSeq[len(s.gauges):] {
 		g.v = 0
-	}
-	for _, h := range r.histSeq[len(s.hists):] {
-		clear(h.buckets)
-		h.under, h.over, h.observed = 0, 0, 0
 	}
 	r.dropped = s.DroppedSeries
 }

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"khsim/internal/hafnium"
@@ -54,4 +57,88 @@ func FuzzPoolMessages(f *testing.F) {
 				payload, sender, atUS, p.login.State())
 		}
 	})
+}
+
+// FuzzParseManifest parses arbitrary text as a serving manifest. It must
+// not panic, and every manifest it accepts must keep the bounds the
+// parser documents: a node plan hafnium accepts, whose super-secondary is
+// the login VM and whose secondaries are the environments, at least one
+// environment and one positive finite arrival rate, a warm pool no
+// larger than the environments, positive durations, a non-negative
+// crash mean and a long-job fraction in [0,1]. The seed corpus is every
+// shipped manifest and the package's test manifest; run the fuzzer with
+// make fuzz.
+func FuzzParseManifest(f *testing.F) {
+	f.Add(testManifest)
+	paths, err := filepath.Glob("../../manifests/*.manifest")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no shipped manifests found (%v)", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(b))
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		cfg, err := ParseManifest(text)
+		if err != nil {
+			return
+		}
+		if err := manifestBounds(cfg); err != "" {
+			t.Fatalf("accepted manifest breaks a bound: %s\n%s", err, text)
+		}
+	})
+}
+
+// manifestBounds names the first documented bound cfg breaks, or "".
+func manifestBounds(cfg Config) string {
+	plan, err := hafnium.ParseManifest(cfg.NodePlan)
+	if err != nil {
+		return "node plan rejected: " + err.Error()
+	}
+	var login string
+	var envs []string
+	for _, v := range plan.VMs {
+		switch v.Class {
+		case hafnium.SuperSecondary:
+			login = v.Name
+		case hafnium.Secondary:
+			envs = append(envs, v.Name)
+		}
+	}
+	switch {
+	case cfg.LoginVM == "" || cfg.LoginVM != login:
+		return "login VM is not the plan's super-secondary"
+	case len(cfg.EnvVMs) == 0 || len(cfg.EnvVMs) != len(envs):
+		return "environments are not the plan's secondaries"
+	case len(cfg.Rates) == 0:
+		return "no arrival rate"
+	case cfg.WarmPool < 0 || cfg.WarmPool > len(cfg.EnvVMs):
+		return "warm pool out of range"
+	case cfg.CrashMean < 0:
+		return "negative crash mean"
+	case !(cfg.Mix.LongFrac >= 0 && cfg.Mix.LongFrac <= 1):
+		return "long-job fraction outside [0,1]"
+	}
+	for i, name := range cfg.EnvVMs {
+		if name != envs[i] {
+			return "environments are not the plan's secondaries"
+		}
+	}
+	for _, r := range cfg.Rates {
+		if !(r > 0 && r <= math.MaxFloat64) {
+			return "arrival rate not positive and finite"
+		}
+	}
+	for name, d := range map[string]sim.Duration{
+		"run": cfg.Run, "drain": cfg.Drain, "ttl": cfg.TTL, "retry": cfg.RetryBackoff,
+		"short job": cfg.Mix.MeanShort, "long job": cfg.Mix.MeanLong,
+	} {
+		if d <= 0 {
+			return name + " not positive"
+		}
+	}
+	return ""
 }

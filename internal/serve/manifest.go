@@ -114,32 +114,13 @@ func ParseManifest(text string) (Config, error) {
 }
 
 func (c *Config) serveKey(key, val string) error {
-	num := func() (float64, error) {
-		v, ok := finite(val)
-		if !ok || v <= 0 {
-			return 0, fmt.Errorf("%s: want a positive number, got %q", key, val)
-		}
-		return v, nil
-	}
 	switch key {
 	case "run_ms":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Run = sim.FromMicros(v * 1000)
+		return setMicros(&c.Run, key, val, 1000)
 	case "drain_ms":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Drain = sim.FromMicros(v * 1000)
+		return setMicros(&c.Drain, key, val, 1000)
 	case "ttl_ms":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.TTL = sim.FromMicros(v * 1000)
+		return setMicros(&c.TTL, key, val, 1000)
 	case "warm_pool":
 		n, err := strconv.Atoi(val)
 		if err != nil || n < 0 {
@@ -147,23 +128,11 @@ func (c *Config) serveKey(key, val string) error {
 		}
 		c.WarmPool = n
 	case "retry_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.RetryBackoff = sim.FromMicros(v)
+		return setMicros(&c.RetryBackoff, key, val, 1)
 	case "job_short_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Mix.MeanShort = sim.FromMicros(v)
+		return setMicros(&c.Mix.MeanShort, key, val, 1)
 	case "job_long_us":
-		v, err := num()
-		if err != nil {
-			return err
-		}
-		c.Mix.MeanLong = sim.FromMicros(v)
+		return setMicros(&c.Mix.MeanLong, key, val, 1)
 	case "job_long_frac":
 		v, ok := finite(val)
 		if !ok || v < 0 || v > 1 {
@@ -175,7 +144,10 @@ func (c *Config) serveKey(key, val string) error {
 		if !ok || v < 0 {
 			return fmt.Errorf("crash_mean_ms: want a non-negative number, got %q", val)
 		}
-		c.CrashMean = sim.FromMicros(v * 1000)
+		c.CrashMean = 0 // disables the crash campaign
+		if v > 0 {
+			return setMicros(&c.CrashMean, key, val, 1000)
+		}
 	case "rates":
 		c.Rates = nil
 		for _, f := range strings.Split(val, ",") {
@@ -188,6 +160,22 @@ func (c *Config) serveKey(key, val string) error {
 	default:
 		return fmt.Errorf("unknown [serve] key %q", key)
 	}
+	return nil
+}
+
+// setMicros sets *d to a positive manifest number of units, each unit
+// microseconds long. The duration itself must be positive too: a tiny
+// number would truncate to zero, and a huge one overflow.
+func setMicros(d *sim.Duration, key, val string, unit float64) error {
+	v, ok := finite(val)
+	if !ok || v <= 0 {
+		return fmt.Errorf("%s: want a positive number, got %q", key, val)
+	}
+	us, ok := sim.PositiveMicros(v * unit)
+	if !ok {
+		return fmt.Errorf("%s: %q is out of range", key, val)
+	}
+	*d = us
 	return nil
 }
 

@@ -146,8 +146,7 @@ type Pool struct {
 	WarmPrep stats.Sample
 	ColdPrep stats.Sample
 
-	mLatency *metrics.Histogram
-	mDone    *metrics.Counter
+	mDone *metrics.Counter
 }
 
 // NewPool wires the serving workload into an un-booted secure node: it
@@ -247,7 +246,6 @@ func NewPool(n *core.SecureNode, cfg Config, seed uint64) (*Pool, error) {
 	}
 	p.kern.OnMessage = p.primaryMessage
 	n.OnLifecycle = p.onLifecycle
-	p.mLatency = n.Machine.Metrics.Histogram(metrics.K("serve", "latency_us"), 0, 50000, 1000)
 	p.mDone = n.Machine.Metrics.Counter(metrics.K("serve", "completed"))
 	return p, nil
 }
@@ -435,9 +433,7 @@ func (p *Pool) done(from hafnium.VMID, id int) {
 	j.DoneAt = p.eng.Now()
 	p.completed++
 	p.mDone.Inc()
-	us := j.Latency().Micros()
-	p.Latency.Add(us)
-	p.mLatency.Observe(us)
+	p.Latency.Add(j.Latency().Micros())
 	p.jobs.reclaim()
 	e.job = -1
 	p.toReady(e)

@@ -9,7 +9,10 @@
 // makes the paper's figures reproducible from `go test`.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in simulated time, measured in picoseconds since boot.
 //
@@ -36,6 +39,18 @@ func FromNanos(ns float64) Duration { return Duration(ns * float64(Nanosecond)) 
 
 // FromMicros converts a microsecond count to a Duration.
 func FromMicros(us float64) Duration { return Duration(us * float64(Microsecond)) }
+
+// PositiveMicros converts a microsecond count to a Duration as
+// FromMicros does, and reports whether the result is a positive
+// duration: a count below one picosecond truncates to zero, and one past
+// the largest Duration (or NaN) converts to no meaningful value.
+func PositiveMicros(us float64) (Duration, bool) {
+	ps := us * float64(Microsecond)
+	if !(ps >= 1 && ps < math.MaxInt64) {
+		return 0, false
+	}
+	return Duration(ps), true
+}
 
 // FromSeconds converts a second count to a Duration.
 func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }
