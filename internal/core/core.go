@@ -227,9 +227,11 @@ func (n *SecureNode) Boot() error {
 	return nil
 }
 
-// Run advances simulated time by d.
+// Run advances simulated time by d, then settles the lazy cores, so the
+// node's counts and execution state read as the eager path leaves them.
 func (n *SecureNode) Run(d sim.Duration) {
 	n.Machine.Engine.Run(n.Machine.Now().Add(d))
+	n.Machine.TouchCores()
 }
 
 // Attestation returns the sealed boot chain's evidence.
@@ -288,7 +290,9 @@ func NewNativeNode(seed uint64, p kitten.Params) (*NativeNode, error) {
 	return &NativeNode{Machine: node, Kernel: k}, nil
 }
 
-// Run advances simulated time by d.
+// Run advances simulated time by d, then settles the lazy cores, so the
+// node's counts and execution state read as the eager path leaves them.
 func (n *NativeNode) Run(d sim.Duration) {
 	n.Machine.Engine.Run(n.Machine.Now().Add(d))
+	n.Machine.TouchCores()
 }

@@ -157,6 +157,14 @@ func (d *Distributor) Cores() int { return d.cores }
 // Stats returns a snapshot of the counters.
 func (d *Distributor) Stats() Stats { return d.stats }
 
+// AddDelivered counts n interrupts raised and acknowledged that the
+// caller accounted in closed form instead of raising them (a lazy
+// core's skipped ticks).
+func (d *Distributor) AddDelivered(n uint64) {
+	d.stats.Raised += n
+	d.stats.Acked += n
+}
+
 func (d *Distributor) inRange(irq int) bool { return irq >= 0 && irq < len(d.state) }
 
 func (d *Distributor) validIRQ(irq int) error {

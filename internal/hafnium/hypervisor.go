@@ -273,8 +273,23 @@ func New(node *machine.Node, m *Manifest, monitor *tz.Monitor) (*Hypervisor, err
 // Node returns the underlying machine.
 func (h *Hypervisor) Node() *machine.Node { return h.node }
 
-// Stats returns a snapshot of the counters.
-func (h *Hypervisor) Stats() Stats { return h.stats }
+// Stats returns a snapshot of the counters, with the node's lazy cores
+// settled first.
+func (h *Hypervisor) Stats() Stats {
+	h.node.TouchCores()
+	return h.stats
+}
+
+// TrapLabel labels the EL2 trap slice that charges a physical interrupt
+// taken in primary context before the primary handles it.
+const TrapLabel = "el2.trap"
+
+// AddTraps counts n EL2 traps on core that the primary accounted in
+// closed form instead of taking them (a lazy core's skipped ticks).
+func (h *Hypervisor) AddTraps(core int, n uint64) {
+	h.stats.Traps += n
+	h.mTraps[core].Add(n)
+}
 
 // Manifest returns the boot manifest.
 func (h *Hypervisor) Manifest() *Manifest { return h.manifest }
@@ -439,7 +454,7 @@ func (h *Hypervisor) trap(c *machine.Core) {
 	if cur == nil {
 		// Primary context. All physical IRQs here belong to the primary
 		// (EL2 still interposes: charge the trap before delivery).
-		c.ExecBound("el2.trap", costs.HypTrap, true, h.deliverFn, irq)
+		c.ExecBound(TrapLabel, costs.HypTrap, true, h.deliverFn, irq)
 		return
 	}
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"khsim/internal/core"
+	"khsim/internal/kitten"
 	"khsim/internal/sim"
+	"khsim/internal/workload"
 )
 
 // hypStatSeries names the el2 registry series that records each
@@ -62,8 +64,10 @@ func checkHypStats(t *testing.T, what string, n *core.SecureNode) {
 // TestHypervisorStatsMatchRegistry: after a whole run, hafnium's Stats
 // and its el2 registry series agree field by field. The runs are the
 // seed-1 containment experiment (both sides), a 0.1 s serving cell under
-// each primary, and every node of every cell of the seed-1 migration
-// suite.
+// each primary, a Linux-primary RandomAccess trial set up as
+// RunWorkloadNode sets it up, where most traps are the idle cores' settled
+// ticks, read once mid-run and once at its end, and every node of every
+// cell of the seed-1 migration suite.
 func TestHypervisorStatsMatchRegistry(t *testing.T) {
 	for _, inject := range []bool{false, true} {
 		_, n, _, err := runContainmentSide(1, containRunTime, inject)
@@ -77,6 +81,7 @@ func TestHypervisorStatsMatchRegistry(t *testing.T) {
 		n.Run(sim.FromSeconds(0.15))
 		checkHypStats(t, fmt.Sprintf("serving %v", sched), n)
 	}
+	linuxTrialHypStats(t)
 	cells := 0
 	_, err := runMigrationSuite(1, func(stacks []*core.SecureNode) {
 		for i, n := range stacks {
@@ -90,4 +95,30 @@ func TestHypervisorStatsMatchRegistry(t *testing.T) {
 	if cells == 0 {
 		t.Fatal("the migration suite ran no cell")
 	}
+}
+
+// linuxTrialHypStats runs the Linux-primary RandomAccess trial of
+// RunWorkloadNode at seed 1 and checks the hypervisor's Stats against its
+// registry from an event halfway through the horizon and after it.
+func linuxTrialHypStats(t *testing.T) {
+	t.Helper()
+	spec := workload.GUPS()
+	n, err := core.NewSecureNode(core.Options{Seed: 1, Manifest: vmManifest, Scheduler: core.SchedulerLinux})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guest := kitten.NewGuest(kitten.DefaultParams())
+	guest.Attach(0, workload.New(spec, workload.Env{TwoStage: true, RNG: sim.NewRNG(2654435761 + uint64(LinuxVM))}))
+	if err := n.AttachGuest("job", guest); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	horizon := sim.FromSeconds(spec.TotalOps/spec.NativeRate)*2 + sim.FromSeconds(2)
+	n.Machine.Engine.ScheduleNamed(n.Machine.Now().Add(horizon/2), "test.read", func() {
+		checkHypStats(t, "linux trial mid-run", n)
+	})
+	n.Run(horizon)
+	checkHypStats(t, "linux trial", n)
 }

@@ -2,7 +2,11 @@ package kernel
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
+	"khsim/internal/gic"
+	"khsim/internal/hafnium"
 	"khsim/internal/machine"
 	"khsim/internal/sim"
 	"khsim/internal/timer"
@@ -44,6 +48,34 @@ type wake struct {
 	t  *Task
 }
 
+// idleRun is a lazy core's account of the ticks it skips (DESIGN.md
+// §9.9): one every period from first on, each idle, up to the phys
+// timer's deadline until.
+type idleRun struct {
+	first sim.Time
+	// until is the phys timer's deadline, the first instant the eager
+	// path does something other than an idle tick; no tick at or after it
+	// is skipped. armed is false when no wake is pending on the core: the
+	// timer is disarmed and the run has no end.
+	until sim.Time
+	armed bool
+	// armSeq is the seq the eager path's timer arm for first drew, and
+	// seq the engine's at the decision: a firing with a smaller one was
+	// armed before the core went lazy.
+	armSeq, seq uint64
+}
+
+// idleTies counts the touches of lazy cores that landed exactly on the
+// instant of a skipped event, and idleTiesRuled those among them whose
+// order the tie rule decided rather than the seqs (DESIGN.md §9.9). The
+// simulation never reads them.
+var idleTies, idleTiesRuled atomic.Uint64
+
+// IdleTies reports how many touches of lazy cores, process-wide, landed
+// exactly on a skipped tick, trap end or tick end, and how many of those
+// the tie rule ordered.
+func IdleTies() (ties, ruled uint64) { return idleTies.Load(), idleTiesRuled.Load() }
+
 // CFSPolicy is the Linux scheduling policy: per-core CFS runqueues driven
 // by a high-rate tick, plus background kthreads that wake on their own
 // hrtimers — the noise sources §III-a blames for Linux's overhead.
@@ -55,6 +87,9 @@ type CFSPolicy struct {
 	tickAt []sim.Time
 	wakes  [][]wake
 	rng    *sim.RNG
+	// idle holds each lazy core's run of skipped ticks; it is meaningful
+	// only while the core is lazy.
+	idle []idleRun
 	// woken holds, per core, the kthreads that the tick paths in flight
 	// on that core found due. A tick's batch starts at the index its
 	// activity carries and runs to the end: ticks nest on one core only
@@ -69,6 +104,10 @@ type CFSPolicy struct {
 	// Attach and ride in pooled activities with their core and one
 	// integer, so the tick path builds no closure.
 	tickDoneFn, wakeDoneFn, ctxswFn, kthreadDoneFn func(c *machine.Core, arg int)
+	// trapDoneFn ends a rebuilt EL2 trap slice as hafnium's does: the
+	// kernel handles the interrupt. settleFn is the lazy cores' hook.
+	trapDoneFn func(c *machine.Core, irq int)
+	settleFn   func(c *machine.Core)
 }
 
 // NewCFSPolicy builds the policy from its tunables.
@@ -84,6 +123,9 @@ func (p *CFSPolicy) Attach(k *Kernel) {
 	p.wakeDoneFn = p.wakeDone
 	p.ctxswFn = func(c *machine.Core, _ int) { k.schedule(c) }
 	p.kthreadDoneFn = p.kthreadDone
+	p.trapDoneFn = func(c *machine.Core, irq int) { k.HandleIRQ(c, irq) }
+	p.settleFn = p.settle
+	p.idle = make([]idleRun, len(k.node.Cores))
 	p.tickAt = make([]sim.Time, len(k.node.Cores))
 	p.wakes = make([][]wake, len(k.node.Cores))
 	p.woken = make([][]*Task, len(k.node.Cores))
@@ -135,8 +177,10 @@ func (p *CFSPolicy) scheduleWake(t *Task) {
 	}
 }
 
-// program arms the core's hrtimer to the earliest pending event.
+// program arms the core's hrtimer to the earliest pending event, after
+// settling the core if it is lazy.
 func (p *CFSPolicy) program(core int) {
+	p.k.node.Cores[core].Touch()
 	deadline := p.tickAt[core]
 	for _, w := range p.wakes[core] {
 		if w.at < deadline {
@@ -206,9 +250,147 @@ func (p *CFSPolicy) wakeDone(c *machine.Core, start int) {
 }
 
 // tickDone ends the tick path: rearm the hrtimer and apply preemption.
+// A core left with nothing to run goes lazy instead of rearming (sleep):
+// the lazy arm stands where the eager one would.
 func (p *CFSPolicy) tickDone(c *machine.Core, _ int) {
-	p.program(c.ID())
+	lazy := p.sleep(c, p.k.node.Engine.Seq())
+	if !lazy {
+		p.program(c.ID())
+	}
 	p.reschedule(c)
+	if lazy {
+		c.SetLazy(p.settleFn)
+	}
+}
+
+// sleep decides, as a tick or a kthread activation ends, whether the core
+// goes lazy (DESIGN.md §9.9): it runs under a hypervisor with spans off, it has no
+// current task, no suspended frame, an empty queue and no woken batch,
+// and its next tick is idle. If so, it arms the phys timer for the first
+// instant the eager path does something other than an idle tick — the
+// earliest kthread wake, moved to the end of a skipped tick's slice if it
+// falls inside one — or disarms it when no wake is pending, records the
+// run and reports true. armSeq is the seq of the eager path's timer arm
+// for the next tick. The caller makes the core lazy once nothing is left
+// to schedule.
+func (p *CFSPolicy) sleep(c *machine.Core, armSeq uint64) bool {
+	k := p.k
+	id := c.ID()
+	if k.h == nil || k.current[id] != nil || !c.Idle() || p.cfs[id].Len() != 0 ||
+		len(p.woken[id]) != 0 || k.node.Trace.SpansEnabled() {
+		return false
+	}
+	eng := k.node.Engine
+	first := p.tickAt[id]
+	if first <= eng.Now() {
+		return false // a late tick: the eager path fires it now
+	}
+	r := idleRun{first: first, armSeq: armSeq, seq: eng.Seq()}
+	if ws := p.wakes[id]; len(ws) > 0 {
+		w := ws[0].at
+		for _, x := range ws[1:] {
+			w = min(w, x.at)
+		}
+		period, hyp := p.p.TickHz.Period(), k.node.Costs.HypTrap
+		// Tick n (from 1) is idle while its OnTick, hyp after it fires,
+		// finds no wake due.
+		if w <= first.Add(hyp) {
+			return false
+		}
+		n := (w.Sub(first.Add(hyp)) + period - 1) / period
+		last := first.Add((n - 1) * period)
+		r.until = min(w, last.Add(period))
+		if end := last.Add(hyp + p.p.TickCost); w < end {
+			r.until = end // the last idle tick's tickDone finds the wake overdue
+		}
+		r.armed = true
+		k.node.Timers.Core(id).Arm(timer.Phys, r.until)
+	} else {
+		k.node.Timers.Core(id).CancelChannel(timer.Phys)
+	}
+	p.idle[id] = r
+	return true
+}
+
+// settle is a lazy core's touch hook (DESIGN.md §9.9). The skipped ticks
+// whose events ran before the touch add their counts and busy time, and
+// the core is left where the eager path holds it: inside the el2.trap or
+// linux.tick slice of the tick the touch landed in, or between ticks with
+// the phys timer armed as program arms it.
+func (p *CFSPolicy) settle(c *machine.Core) {
+	k := p.k
+	id := c.ID()
+	r := &p.idle[id]
+	eng := k.node.Engine
+	now, order := eng.Now(), eng.Order()
+	period, hyp, cost := p.p.TickHz.Period(), k.node.Costs.HypTrap, p.p.TickCost
+	// before reports whether a skipped event at instant at ran before the
+	// touch. At a tie the seqs decide where they can: a touch between
+	// events comes after everything due, the first tick's timer holds the
+	// eager arm's seq, and a firing armed before the core went lazy
+	// precedes every later skipped event, whose eager arms come after.
+	// The tie rule orders the rest: the skipped event first.
+	before := func(at sim.Time) bool {
+		if at != now {
+			return at < now
+		}
+		idleTies.Add(1)
+		switch {
+		case order == math.MaxUint64:
+			return true
+		case at == r.first:
+			return order >= r.armSeq
+		case order < r.seq:
+			return false
+		}
+		if !r.armed || order != r.seq { // not the lazy timer's own expiry
+			idleTiesRuled.Add(1)
+		}
+		return true
+	}
+	// n is the number of skipped ticks whose timer fired before the touch.
+	var n int64
+	if now >= r.first {
+		n = int64(now.Sub(r.first)/period) + 1
+	}
+	if r.armed {
+		n = min(n, int64((r.until.Sub(r.first)+period-1)/period))
+	}
+	if n > 0 && r.first.Add(sim.Duration(n-1)*period) == now && !before(now) {
+		n--
+	}
+	// ticks counts their OnTicks and done their ended slices: a touch
+	// inside tick n's trap or tick slice finds that slice running.
+	ticks, done := n, n
+	var start sim.Time
+	if n > 0 {
+		start = r.first.Add(sim.Duration(n-1) * period)
+		switch {
+		case !before(start.Add(hyp)):
+			ticks, done = n-1, n-1
+		case !before(start.Add(hyp + cost)):
+			done = n - 1
+		}
+	}
+	tm := k.node.Timers.Core(id)
+	tm.AddFired(timer.Phys, uint64(n))
+	k.node.GIC.AddDelivered(uint64(n))
+	k.h.AddTraps(id, uint64(n))
+	k.mTicks.Add(uint64(ticks))
+	c.AddBusy(sim.Duration(ticks)*hyp + sim.Duration(done)*cost)
+	p.tickAt[id] = r.first.Add(sim.Duration(ticks) * period)
+	switch {
+	case ticks < n: // in tick n's trap, the timer fired at its start
+		tm.CancelChannel(timer.Phys)
+		c.ExecBoundSince(start, hafnium.TrapLabel, hyp, true, p.trapDoneFn, gic.IRQPhysTimer)
+	case done < n: // in tick n's tick slice; tickDone rearms the timer
+		tm.CancelChannel(timer.Phys)
+		c.ExecBoundSince(start.Add(hyp), p.labelTick, cost, false, p.tickDoneFn, 0)
+	case r.armed && !tm.Armed(timer.Phys):
+		// The touch is the timer's own expiry at until.
+	default:
+		p.program(id)
+	}
 }
 
 // OnTickNative implements Policy. The simulation never runs Linux bare
@@ -283,6 +465,9 @@ func (p *CFSPolicy) kthreadDone(c *machine.Core, i int) {
 	k.blockCurrent(c, t)
 	p.scheduleWake(t)
 	k.schedule(c)
+	if p.sleep(c, k.node.Timers.Core(c.ID()).ArmedSeq(timer.Phys)) {
+		c.SetLazy(p.settleFn)
+	}
 }
 
 // TimesliceFor implements Policy: CFS's per-task share of sched-latency

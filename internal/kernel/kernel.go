@@ -190,8 +190,12 @@ func (k *Kernel) Hypervisor() *hafnium.Hypervisor { return k.h }
 // Policy returns the scheduling policy.
 func (k *Kernel) Policy() Policy { return k.pol }
 
-// Ticks reports handled scheduler ticks.
-func (k *Kernel) Ticks() uint64 { return k.mTicks.Value() }
+// Ticks reports handled scheduler ticks, with the lazy cores settled
+// first.
+func (k *Kernel) Ticks() uint64 {
+	k.node.TouchCores()
+	return k.mTicks.Value()
+}
 
 // Wakeups reports background-thread activations dispatched.
 func (k *Kernel) Wakeups() uint64 { return k.mWakeups.Value() }
@@ -199,8 +203,10 @@ func (k *Kernel) Wakeups() uint64 { return k.mWakeups.Value() }
 // Forwards reports device IRQs forwarded to the super-secondary.
 func (k *Kernel) Forwards() uint64 { return k.mForwards.Value() }
 
-// Stats snapshots the substrate counters.
+// Stats snapshots the substrate counters, with the lazy cores settled
+// first.
 func (k *Kernel) Stats() Stats {
+	k.node.TouchCores()
 	return Stats{
 		Ticks:       k.mTicks.Value(),
 		Wakeups:     k.mWakeups.Value(),
@@ -531,9 +537,10 @@ func (k *Kernel) schedule(c *machine.Core) {
 	if !k.started || k.current[id] != nil {
 		return
 	}
-	if c.Depth() != 0 {
-		// Suspended handler frames unwind first; their completion paths
-		// reschedule.
+	if c.Depth() != 0 || c.Current() != nil {
+		// Suspended handler frames unwind first, and a running slice
+		// completes first (a Spawn or AddVM on a core in kernel work);
+		// their completion paths reschedule.
 		return
 	}
 	for {

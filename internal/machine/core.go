@@ -74,10 +74,13 @@ type Core struct {
 	pendingAssert bool
 	dispatcher    Dispatcher
 	onIdle        func(c *Core)
+	// lazy is the owner's settle hook while the core is lazy: idle, with
+	// the work its owner skips held as arithmetic (SetLazy). Touch calls
+	// it once.
+	lazy func(c *Core)
 
-	busy      sim.Duration
-	idleSince sim.Time
-	preempts  uint64
+	busy     sim.Duration
+	preempts uint64
 	// tlbInvalidations counts TLB maintenance operations on the core.
 	// The TLB itself is not modelled: the refill cost after a VM switch
 	// is charged analytically by the hypervisor.
@@ -96,7 +99,30 @@ func (c *Core) Node() *Node { return c.node }
 func (c *Core) InvalidateTLB() { c.tlbInvalidations++ }
 
 // BusyTime reports accumulated execution time.
-func (c *Core) BusyTime() sim.Duration { return c.busy }
+func (c *Core) BusyTime() sim.Duration {
+	c.Touch()
+	return c.busy
+}
+
+// AddBusy adds d of execution that the core's owner accounted in closed
+// form: the slices a lazy core skipped (SetLazy).
+func (c *Core) AddBusy(d sim.Duration) { c.busy += d }
+
+// SetLazy makes the idle core lazy: its owner holds the work the core
+// skips as arithmetic instead of running it. Touch calls settle once,
+// before anything interrupts the core, starts work on it or reads its
+// execution state, and settle must leave the core where the eager path
+// would hold it at that instant. A lazy core has nothing to run, so it
+// does not call its idle callback.
+func (c *Core) SetLazy(settle func(c *Core)) { c.lazy = settle }
+
+// Touch settles a lazy core (SetLazy); on any other core it does nothing.
+func (c *Core) Touch() {
+	if settle := c.lazy; settle != nil {
+		c.lazy = nil
+		settle(c)
+	}
+}
 
 // Preemptions reports how many times activities were preempted.
 func (c *Core) Preemptions() uint64 { return c.preempts }
@@ -109,14 +135,23 @@ func (c *Core) SetOnIdle(fn func(c *Core)) { c.onIdle = fn }
 
 // Idle reports whether the core has no current activity and no suspended
 // work.
-func (c *Core) Idle() bool { return c.cur == nil && len(c.stack) == 0 && c.next == nil }
+func (c *Core) Idle() bool {
+	c.Touch()
+	return c.cur == nil && len(c.stack) == 0 && c.next == nil
+}
 
 // Current returns the running activity, if any. An Exec activity goes
 // back to the core's free list when it completes; do not keep it.
-func (c *Core) Current() *Activity { return c.cur }
+func (c *Core) Current() *Activity {
+	c.Touch()
+	return c.cur
+}
 
 // Depth reports the suspension-stack depth (interrupt nesting).
-func (c *Core) Depth() int { return len(c.stack) }
+func (c *Core) Depth() int {
+	c.Touch()
+	return len(c.stack)
+}
 
 // Run begins executing a on an idle core (or from within a completion or
 // dispatcher callback, where the core is momentarily without a current
@@ -125,6 +160,7 @@ func (c *Core) Depth() int { return len(c.stack) }
 // belongs to the core's free list).
 func (c *Core) Run(a *Activity) {
 	c.checkLive(a)
+	c.Touch()
 	if c.cur != nil {
 		panic(fmt.Sprintf("machine: core %d Run(%q) over live activity %q", c.id, a.Label, c.cur.Label))
 	}
@@ -156,6 +192,21 @@ func (c *Core) ExecBound(label string, d sim.Duration, uninterruptible bool, fn 
 	a := c.mint(label, d, nil, uninterruptible)
 	a.bound, a.boundArg = fn, arg
 	c.Run(a)
+}
+
+// ExecBoundSince is ExecBound for a slice that began at start, at or
+// before now, and has held the core since: it completes at start+d, and
+// its busy time and span run from start. A settle hook (SetLazy) uses it
+// to put back the slice the eager path would be running.
+func (c *Core) ExecBoundSince(start sim.Time, label string, d sim.Duration, uninterruptible bool, fn func(c *Core, arg int), arg int) {
+	if c.cur != nil {
+		panic(fmt.Sprintf("machine: core %d ExecBoundSince(%q) over live activity %q", c.id, label, c.cur.Label))
+	}
+	a := c.mint(label, d, nil, uninterruptible)
+	a.bound, a.boundArg = fn, arg
+	c.cur = a
+	c.curStart = start
+	c.done.Arm(start.Add(d))
 }
 
 // mint takes an activity from the free list, or allocates one when the
@@ -275,7 +326,7 @@ func (c *Core) settle() {
 		c.start(a)
 		return
 	}
-	if c.onIdle != nil {
+	if c.onIdle != nil && c.lazy == nil {
 		c.onIdle(c)
 	}
 }
@@ -284,6 +335,7 @@ func (c *Core) settle() {
 // interrupts are masked or the current activity is uninterruptible, in
 // which case it is held until the mask drops.
 func (c *Core) AssertIRQ() {
+	c.Touch()
 	if c.irqMasked || (c.cur != nil && c.cur.Uninterruptible) {
 		c.pendingAssert = true
 		return
@@ -409,6 +461,7 @@ func (c *Core) SetNext(a *Activity) {
 // preemption (virtual interrupt injection) uses this to reuse the
 // hardware delivery path.
 func (c *Core) CallHandler(fn func(c *Core)) {
+	c.Touch()
 	if c.cur != nil {
 		c.suspendCurrent()
 	}

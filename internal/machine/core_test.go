@@ -407,3 +407,73 @@ func TestCostsAndDRAM(t *testing.T) {
 		t.Fatal("Cycles mismatch")
 	}
 }
+
+// TestLazyCoreSettlesOnEveryTouch: SetLazy hands an idle core to its
+// owner's settle hook, which runs once, at the first touch: a read of the
+// core's execution state, an interrupt, work started on it, a node
+// snapshot or a metrics read. A lazy core skips its idle callback, and
+// Restore drops a hook that never ran.
+func TestLazyCoreSettlesOnEveryTouch(t *testing.T) {
+	n := newNode(t)
+	c := n.Cores[2]
+	c.SetDispatcher(func(c *Core) {})
+	idles := 0
+	c.SetOnIdle(func(*Core) { idles++ })
+	touches := []struct {
+		name  string
+		touch func()
+	}{
+		{"Idle", func() { c.Idle() }},
+		{"Depth", func() { c.Depth() }},
+		{"Current", func() { c.Current() }},
+		{"BusyTime", func() { c.BusyTime() }},
+		{"AssertIRQ", func() { c.AssertIRQ() }},
+		{"Exec", func() { c.Exec("work", sim.Microsecond, nil) }},
+		{"CallHandler", func() { c.CallHandler(func(*Core) {}) }},
+		{"Node.Snapshot", func() { n.Snapshot() }},
+		{"Node.SnapshotMetrics", func() { n.SnapshotMetrics() }},
+		{"Node.TouchCores", n.TouchCores},
+	}
+	for _, tc := range touches {
+		settles := 0
+		c.SetLazy(func(*Core) { settles++ })
+		tc.touch()
+		c.Touch()
+		if settles != 1 {
+			t.Errorf("%s: settled %d times, want once", tc.name, settles)
+		}
+		n.Engine.RunAll()
+	}
+	before := idles
+	c.Exec("x", sim.Microsecond, func() { c.SetLazy(func(*Core) {}) })
+	n.Engine.RunAll()
+	if idles != before {
+		t.Error("a core that went lazy in its completion called its idle callback")
+	}
+	snap := n.Snapshot()
+	c.SetLazy(func(*Core) { t.Fatal("a restored core settled") })
+	n.Restore(snap)
+	c.Touch()
+}
+
+// TestExecBoundSinceRunsFromItsStart: a slice put back from the past
+// completes at start+d, and its busy time counts from start.
+func TestExecBoundSinceRunsFromItsStart(t *testing.T) {
+	n := newNode(t)
+	c := n.Cores[0]
+	n.Engine.Run(sim.Time(10 * sim.Microsecond))
+	var doneAt sim.Time
+	c.ExecBoundSince(sim.Time(8*sim.Microsecond), "past", 5*sim.Microsecond, true, func(c *Core, arg int) {
+		doneAt = c.Node().Now()
+		if arg != 7 {
+			t.Errorf("arg = %d, want 7", arg)
+		}
+	}, 7)
+	if a := c.Current(); a == nil || a.Label != "past" || !a.Uninterruptible {
+		t.Fatalf("current = %+v, want the uninterruptible past slice", a)
+	}
+	n.Engine.RunAll()
+	if doneAt != sim.Time(13*sim.Microsecond) || c.BusyTime() != 5*sim.Microsecond {
+		t.Fatalf("done at %v with busy %v, want 13us and 5us", doneAt, c.BusyTime())
+	}
+}

@@ -112,7 +112,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		c := &Core{id: i, node: n, eng: eng, trace: n.Trace, idleSince: 0}
+		c := &Core{id: i, node: n, eng: eng, trace: n.Trace}
 		c.done = eng.NewRegister("core.complete", c.completeCur)
 		n.Cores = append(n.Cores, c)
 	}
@@ -141,12 +141,22 @@ func (n *Node) Cycles(c float64) sim.Duration { return sim.Cycles(c, n.Freq) }
 // Now is shorthand for the engine clock.
 func (n *Node) Now() sim.Time { return n.Engine.Now() }
 
-// SnapshotMetrics publishes the pull-side collectors — GIC delivery
-// counts, per-core TLB invalidations and execution accounting, engine
-// totals — into the registry as gauges and returns a canonical snapshot
-// of every series. Pull collectors run only here, at snapshot time, so leaving
-// metrics on never perturbs the simulation.
+// TouchCores settles every lazy core (Core.Touch), so the node's counts
+// and execution state read as the eager path would hold them.
+func (n *Node) TouchCores() {
+	for _, c := range n.Cores {
+		c.Touch()
+	}
+}
+
+// SnapshotMetrics settles the lazy cores, publishes the pull-side
+// collectors — GIC delivery counts, per-core TLB invalidations and
+// execution accounting, engine totals — into the registry as gauges and
+// returns a canonical snapshot of every series. Pull collectors run only
+// here, at snapshot time, so leaving metrics on never perturbs the
+// simulation.
 func (n *Node) SnapshotMetrics() *metrics.Snapshot {
+	n.TouchCores()
 	m := n.Metrics
 	g := n.GIC.Stats()
 	m.Gauge(metrics.K("gic", "raised")).Set(float64(g.Raised))

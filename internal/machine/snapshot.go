@@ -56,7 +56,6 @@ type coreState struct {
 	irqMasked     bool
 	pendingAssert bool
 	busy          sim.Duration
-	idleSince     sim.Time
 	preempts      uint64
 	tlbInvals     uint64
 	acts          []ActivityState
@@ -76,7 +75,6 @@ func (c *Core) Snapshot() sim.State {
 		irqMasked:     c.irqMasked,
 		pendingAssert: c.pendingAssert,
 		busy:          c.busy,
-		idleSince:     c.idleSince,
 		preempts:      c.preempts,
 		tlbInvals:     c.tlbInvalidations,
 		free:          append([]*Activity(nil), c.free...),
@@ -95,12 +93,14 @@ func (c *Core) Snapshot() sim.State {
 }
 
 // Restore reinstalls a snapshot taken on this core. The engine snapshot
-// carries the completion deadline, armed for the running activity.
+// carries the completion deadline, armed for the running activity. A
+// snapshot holds no lazy core, so the core comes back eager.
 func (c *Core) Restore(st sim.State) {
 	s, ok := st.(*coreState)
 	if !ok {
 		panic(fmt.Sprintf("machine: Core.Restore of foreign state %T", st))
 	}
+	c.lazy = nil
 	c.cur = s.cur
 	c.curStart = s.curStart
 	c.stack = append(c.stack[:0], s.stack...)
@@ -108,7 +108,6 @@ func (c *Core) Restore(st sim.State) {
 	c.irqMasked = s.irqMasked
 	c.pendingAssert = s.pendingAssert
 	c.busy = s.busy
-	c.idleSince = s.idleSince
 	c.preempts = s.preempts
 	c.tlbInvalidations = s.tlbInvals
 	for _, as := range s.acts {
@@ -165,16 +164,18 @@ func (n *Node) RegisterSnapshotter(name string, s sim.Snapshotter) {
 	n.snaps = append(n.snaps, namedSnapshotter{name: name, s: s})
 }
 
-// Snapshot captures the whole node: engine (event queue, clock, RNG),
-// trace, metrics, GIC, timers, every core, and every registered
-// component. Taking a snapshot is cheap — the expensive structures
-// (stage-2 tables) snapshot by freezing for copy-on-write, and the
-// engine snapshot is proportional to the pending-event count, not to
-// history. Node implements sim.Snapshotter.
+// Snapshot settles the lazy cores, then captures the whole node: engine
+// (event queue, clock, RNG), trace, metrics, GIC, timers, every core,
+// and every registered component, so no snapshot holds a lazy core.
+// Taking a snapshot is cheap — the expensive structures (stage-2 tables)
+// snapshot by freezing for copy-on-write, and the engine snapshot is
+// proportional to the pending-event count, not to history. Node
+// implements sim.Snapshotter.
 //
 // Call between events (from outside Engine.Run, or at a quiesced
 // instant); the contract is sim.Snapshotter's.
 func (n *Node) Snapshot() sim.State {
+	n.TouchCores()
 	s := &nodeState{
 		engine:  n.Engine.Snapshot(),
 		trace:   n.Trace.Snapshot(),

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // entry is one pending firing as the heap sees it: its (when, seq) key
 // and the id of its register. It holds no pointer, so moving entries
@@ -32,6 +35,10 @@ func (a entry) before(b entry) bool {
 type Engine struct {
 	now Time
 	seq uint64
+	// order is where the engine stands within the instant now: the seq of
+	// the firing that runs or ran last, or math.MaxUint64 once Run has run
+	// every firing due at now (see Order).
+	order uint64
 
 	regs []*Register // by register id
 	heap []entry     // binary min-heap of armed registers by (when, seq)
@@ -67,6 +74,17 @@ func (e *Engine) RNG() *RNG { return e.rng }
 
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Seq reports the seq the next Arm draws: every firing armed before the
+// call holds a smaller one, every firing armed after it a larger one.
+func (e *Engine) Seq() uint64 { return e.seq }
+
+// Order reports where the engine stands within the instant Now in the
+// (when, seq) order: the seq of the firing whose callback is running, or
+// of the last one fired, or math.MaxUint64 once Run has returned with
+// every firing due at Now fired. A firing at Now has run if and only if
+// its seq is at most Order.
+func (e *Engine) Order() uint64 { return e.order }
 
 // Pending reports how many events are waiting to fire: scheduled events
 // and armed registers.
@@ -207,6 +225,15 @@ func (r *Register) Disarm() {
 // Armed reports whether the register has a pending firing.
 func (r *Register) Armed() bool { return r.eng.pos[r.id] >= 0 && !r.eng.vac[r.id] }
 
+// Seq reports the seq the pending firing drew when it was armed, or 0
+// when disarmed.
+func (r *Register) Seq() uint64 {
+	if r.Armed() {
+		return r.eng.heap[r.eng.pos[r.id]].seq
+	}
+	return 0
+}
+
 // When reports the time of the pending firing, or 0 when disarmed.
 func (r *Register) When() Time {
 	if r.Armed() {
@@ -268,6 +295,7 @@ func (e *Engine) fire(x entry) {
 		panic("sim: event queue time went backwards")
 	}
 	e.now = x.when
+	e.order = x.seq
 	e.fired++
 	e.vacate(x.id)
 	r := e.regs[x.id]
@@ -323,8 +351,9 @@ func (e *Engine) Run(until Time) uint64 {
 		}
 		e.fire(x)
 	}
-	if !e.stopped && e.now < until {
-		e.now = until
+	if !e.stopped {
+		e.now = max(e.now, until)
+		e.order = math.MaxUint64
 	}
 	return e.fired - start
 }
@@ -333,6 +362,9 @@ func (e *Engine) Run(until Time) uint64 {
 func (e *Engine) RunAll() uint64 {
 	start := e.fired
 	for e.Step() {
+	}
+	if !e.stopped {
+		e.order = math.MaxUint64
 	}
 	return e.fired - start
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -374,5 +376,40 @@ func TestWarmEngineAllocatesNothing(t *testing.T) {
 	}
 	if e.Pending() != 3 || !r.Armed() {
 		t.Fatalf("after Restore: %d pending, register armed=%v; want 3 and true", e.Pending(), r.Armed())
+	}
+}
+
+// TestOrderPlacesTheEngineWithinAnInstant: Order is the seq of the
+// firing whose callback runs, and the last one's after Step; once Run
+// returns, every firing due at Now has run and Order is MaxUint64. Seq
+// is what the next Arm draws, and a register reports its firing's seq.
+func TestOrderPlacesTheEngineWithinAnInstant(t *testing.T) {
+	e := NewEngine(1)
+	var seqs, orders []uint64
+	r := e.NewRegister("r", func() { orders = append(orders, e.Order()) })
+	for range 3 {
+		seqs = append(seqs, e.Seq())
+		e.ScheduleNamed(5, "ev", func() { orders = append(orders, e.Order()) })
+	}
+	seqs = append(seqs, e.Seq())
+	r.Arm(5)
+	if r.Seq() != seqs[3] || e.Seq() != seqs[3]+1 {
+		t.Fatalf("register seq %d, next %d, want %d and %d", r.Seq(), e.Seq(), seqs[3], seqs[3]+1)
+	}
+	e.Step()
+	if e.Order() != seqs[0] {
+		t.Fatalf("order after one step = %d, want %d", e.Order(), seqs[0])
+	}
+	snap := e.Snapshot()
+	e.Run(5)
+	if e.Order() != math.MaxUint64 {
+		t.Fatalf("order after Run = %d, want MaxUint64", e.Order())
+	}
+	if want := seqs; !reflect.DeepEqual(orders, want) {
+		t.Fatalf("orders %v, want %v", orders, want)
+	}
+	e.Restore(snap)
+	if e.Order() != seqs[0] {
+		t.Fatalf("order after Restore = %d, want %d", e.Order(), seqs[0])
 	}
 }

@@ -40,6 +40,7 @@ type eventSnap struct {
 type engineState struct {
 	now     Time
 	seq     uint64
+	order   uint64
 	fired   uint64
 	stopped bool
 	rng     [4]uint64
@@ -48,7 +49,7 @@ type engineState struct {
 }
 
 // Snapshot captures the engine's full scheduling state: clock, sequence
-// and fired counters, PRNG state, the heap of armed registers with their
+// and fired counters, the order within the current instant, PRNG state, the heap of armed registers with their
 // deadlines, and the callback of every queued event (the callbacks
 // reference long-lived component objects whose own state is captured by
 // their components' Snapshotters). It must be called between events.
@@ -58,6 +59,7 @@ func (e *Engine) Snapshot() State {
 	st := &engineState{
 		now:     e.now,
 		seq:     e.seq,
+		order:   e.order,
 		fired:   e.fired,
 		stopped: e.stopped,
 		rng:     e.rng.State(),
@@ -110,6 +112,7 @@ func (e *Engine) Restore(st State) {
 	}
 	e.now = s.now
 	e.seq = s.seq
+	e.order = s.order
 	e.fired = s.fired
 	e.stopped = s.stopped
 	e.rng.SetState(s.rng)

@@ -132,5 +132,19 @@ func (t *CoreTimers) Deadline(ch Channel) sim.Time {
 	return 0
 }
 
+// ArmedSeq reports the engine seq the pending deadline drew when it was
+// armed, valid only when Armed: it places the deadline among other
+// firings at the same instant.
+func (t *CoreTimers) ArmedSeq(ch Channel) uint64 {
+	if r := t.cval[ch]; r != nil {
+		return r.Seq()
+	}
+	return 0
+}
+
 // Fired reports how many times the channel has expired.
 func (t *CoreTimers) Fired(ch Channel) uint64 { return t.fired[ch] }
+
+// AddFired counts n expiries of the channel that its owner accounted in
+// closed form instead of arming them (a lazy core's skipped ticks).
+func (t *CoreTimers) AddFired(ch Channel, n uint64) { t.fired[ch] += n }
