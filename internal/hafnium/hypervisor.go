@@ -686,7 +686,6 @@ func (h *Hypervisor) RunVCPU(c *machine.Core, vc *VCPU) error {
 		return fmt.Errorf("hafnium: %s is %v", vc, vc.state)
 	}
 	h.stats.Runs++
-	vc.vm.mRuns.Inc()
 	h.hypercall(hcRun, vc.vm)
 	vc.state = VCPURunning
 	vc.core = id

@@ -106,7 +106,6 @@ type VM struct {
 	mSwitchCostPS  *metrics.Counter
 	mInjections    *metrics.Counter
 	mStage2Faults  *metrics.Counter
-	mRuns          *metrics.Counter
 	// Hot-path counters cached on first use instead: these series appear
 	// in a snapshot only once the VM has made that call (a pre-registered
 	// zero series would change the snapshot).
@@ -236,7 +235,6 @@ func (h *Hypervisor) buildVM(id VMID, spec VMSpec) (*VM, error) {
 	v.mSwitchCostPS = mx.Counter(metrics.K("el2", "world_switch_ps").WithVM(spec.Name))
 	v.mInjections = mx.Counter(metrics.K("el2", "virq_injections").WithVM(spec.Name))
 	v.mStage2Faults = mx.Counter(metrics.K("el2", "stage2_faults").WithVM(spec.Name))
-	v.mRuns = mx.Counter(metrics.K("el2", "runs").WithVM(spec.Name))
 	// Allocate and map guest RAM. Secure VMs draw from the TrustZone
 	// carve-out; everyone else from non-secure DRAM.
 	alloc := h.nsAlloc

@@ -168,16 +168,19 @@ func TestClusterArtifactGolden(t *testing.T) {
 // new hash is the old commit's hash of its text without those lines.
 // The Linux hash moved again when idle Linux-primary ticks became
 // arithmetic settled at the core's next touch, which fires fewer events
-// and moves only the engine.events_fired gauge.
+// and moves only the engine.events_fired gauge. All four moved when the
+// el2.runs series, which counted each RunVCPU a second time beside
+// el2.hypercall.run, was deleted, to the previous commit's hashes of the
+// text without its lines.
 func TestServingRegistryGolden(t *testing.T) {
 	want := map[core.Scheduler]struct{ hash, stripped string }{
 		core.SchedulerKitten: {
-			"67ee8993f3d63e9e7d20784d8c609836f47d75639d4cbb7e611afff1eb49a7b7",
-			"94d2b116cdd4547518716d40fd66b3d7c30df3066075b0259995a46c8af4c41d",
+			"e7d4230b73e7d25b97ee78b50e30ef93464c1f370d15b67f634907fe9ab6f359",
+			"23e8807a2124540843b3759f74422761729b091a7ee544ecf094f99fa9493160",
 		},
 		core.SchedulerLinux: {
-			"dad929f538b08955c9b4025b9295356b718c514f06cf74b753b33f2074b52bd1",
-			"fab54ce901bf2a8f4e9638ac6ef39b779b99abc9b96f7ad0e2e93f5969cd331a",
+			"24890a473fb5192daaa6951597c6872d5cb6f132a58e41162395e1741a20abfb",
+			"d4f78c7894cb1cc4142cd4b368c319140ce54d9ebb4978bc4cd0e9a3e965f97c",
 		},
 	}
 	for sched, w := range want {
@@ -274,9 +277,9 @@ func TestServingArtifactGolden(t *testing.T) {
 // the per-core count that replaced it records every invalidation the
 // model did; it moved only when the always-zero tlb hit, miss and fill
 // gauges were deleted, to the old commit's hash of the text without
-// them.
+// them, and again, the same way, when the el2.runs series was deleted.
 func TestFaultContainmentGolden(t *testing.T) {
-	const want = "a088c44e1c79284e6219e4ec67c485e21745215f3e4accac8c080be6feb8205a"
+	const want = "4e3f727924272ac9c8ea51106e4e1c71e1f3227f7e051129ad9212216b30afd3"
 	// 0.3 s spans three of the Kitten primary's 10 Hz ticks, so the
 	// report compares non-empty detour profiles.
 	runTime := sim.FromSeconds(0.3)
@@ -321,11 +324,13 @@ func TestFaultContainmentGolden(t *testing.T) {
 // the always-zero tlb hit, miss and fill gauges deleted after it. It
 // moved when idle Linux-primary ticks became arithmetic settled at the
 // core's next touch, which moves only the engine.events_fired gauge; the
-// hash without event counts was captured before that.
+// hash without event counts was captured before that. Both moved when the
+// el2.runs series was deleted, to the previous commit's hashes of the
+// text without its lines.
 func TestFlushAllRegistryGolden(t *testing.T) {
 	const (
-		want         = "03baec3339b751c7c7ccbc243e78cabd92abfedc3536062a999e6f39342005ad"
-		wantStripped = "11397aed67be207c34ffd8a6113b09271ec3575f20c12a9c2bd73e39a82e38b6"
+		want         = "b6934c6215e94c149f0797efb58b8fb930d81d30a63d97319aefdcc5e348d01a"
+		wantStripped = "9cd767cfd39dd902ce6ea02fea216ed86779c2be4b6f7bfc55ef258224778baf"
 	)
 	n, err := core.NewSecureNode(core.Options{
 		Seed: 42, Scheduler: core.SchedulerLinux,

@@ -17,7 +17,7 @@ import (
 var hypStatSeries = map[string]string{
 	"Traps":            "traps",
 	"WorldSwitches":    "world_switches",
-	"Runs":             "runs",
+	"Runs":             "hypercall.run",
 	"Injections":       "virq_injections",
 	"Forwards":         "device_forwards",
 	"Kicks":            "kicks",

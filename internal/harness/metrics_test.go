@@ -40,7 +40,6 @@ func TestMetricsSnapshotContents(t *testing.T) {
 	for _, k := range []metrics.Key{
 		metrics.K("el2", "world_switches").WithVM("job"),
 		metrics.K("el2", "world_switch_ps").WithVM("job"),
-		metrics.K("el2", "runs").WithVM("job"),
 		metrics.K("el2", "virq_injections").WithVM("job"),
 		metrics.K("el2", "hypercall.run").WithVM("job"),
 		metrics.K("kernel", "ticks"),
