@@ -280,10 +280,6 @@ func (h *Hypervisor) Stats() Stats {
 	return h.stats
 }
 
-// TrapLabel labels the EL2 trap slice that charges a physical interrupt
-// taken in primary context before the primary handles it.
-const TrapLabel = "el2.trap"
-
 // AddTraps counts n EL2 traps on core that the primary accounted in
 // closed form instead of taking them (a lazy core's skipped ticks).
 func (h *Hypervisor) AddTraps(core int, n uint64) {
@@ -454,7 +450,7 @@ func (h *Hypervisor) trap(c *machine.Core) {
 	if cur == nil {
 		// Primary context. All physical IRQs here belong to the primary
 		// (EL2 still interposes: charge the trap before delivery).
-		c.ExecBound(TrapLabel, costs.HypTrap, true, h.deliverFn, irq)
+		c.ExecBound(trapLabel, costs.HypTrap, true, h.deliverFn, irq)
 		return
 	}
 
@@ -476,6 +472,18 @@ func (h *Hypervisor) trap(c *machine.Core) {
 		// forward, a mailbox SGI): world switch out to the primary.
 		h.switchOut(c, cur, irq)
 	}
+}
+
+// trapLabel labels the EL2 slice that charges a physical interrupt taken
+// in primary context before the primary handles it.
+const trapLabel = "el2.trap"
+
+// TrapSince puts back on core c the EL2 trap slice of a physical
+// interrupt irq taken in primary context at start, as trap left it: the
+// primary's settle of a tick it skipped (machine.Core.SetLazy) calls it
+// when the touch lands inside that tick's trap.
+func (h *Hypervisor) TrapSince(c *machine.Core, start sim.Time, irq int) {
+	c.ExecBoundSince(start, trapLabel, h.node.Costs.HypTrap, true, h.deliverFn, irq)
 }
 
 // deliverIRQ is deliverFn: the primary's interrupt handler runs once the

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"khsim/internal/gic"
-	"khsim/internal/hafnium"
 	"khsim/internal/machine"
 	"khsim/internal/sim"
 	"khsim/internal/timer"
@@ -104,10 +103,8 @@ type CFSPolicy struct {
 	// Attach and ride in pooled activities with their core and one
 	// integer, so the tick path builds no closure.
 	tickDoneFn, wakeDoneFn, ctxswFn, kthreadDoneFn func(c *machine.Core, arg int)
-	// trapDoneFn ends a rebuilt EL2 trap slice as hafnium's does: the
-	// kernel handles the interrupt. settleFn is the lazy cores' hook.
-	trapDoneFn func(c *machine.Core, irq int)
-	settleFn   func(c *machine.Core)
+	// settleFn is the lazy cores' settle hook, bound once.
+	settleFn func(c *machine.Core)
 }
 
 // NewCFSPolicy builds the policy from its tunables.
@@ -123,7 +120,6 @@ func (p *CFSPolicy) Attach(k *Kernel) {
 	p.wakeDoneFn = p.wakeDone
 	p.ctxswFn = func(c *machine.Core, _ int) { k.schedule(c) }
 	p.kthreadDoneFn = p.kthreadDone
-	p.trapDoneFn = func(c *machine.Core, irq int) { k.HandleIRQ(c, irq) }
 	p.settleFn = p.settle
 	p.idle = make([]idleRun, len(k.node.Cores))
 	p.tickAt = make([]sim.Time, len(k.node.Cores))
@@ -382,7 +378,7 @@ func (p *CFSPolicy) settle(c *machine.Core) {
 	switch {
 	case ticks < n: // in tick n's trap, the timer fired at its start
 		tm.CancelChannel(timer.Phys)
-		c.ExecBoundSince(start, hafnium.TrapLabel, hyp, true, p.trapDoneFn, gic.IRQPhysTimer)
+		k.h.TrapSince(c, start, gic.IRQPhysTimer)
 	case done < n: // in tick n's tick slice; tickDone rearms the timer
 		tm.CancelChannel(timer.Phys)
 		c.ExecBoundSince(start.Add(hyp), p.labelTick, cost, false, p.tickDoneFn, 0)

@@ -72,7 +72,7 @@ type idleRig struct {
 
 // newIdleRig boots the rig at time 0; eager turns spans on. Each of pre
 // sends the stray SGI to its core at its instant, from an event armed
-// before boot.
+// at time 0, before the script runs.
 func newIdleRig(t *testing.T, eager bool, pre []idlePre) *idleRig {
 	t.Helper()
 	n, err := core.NewSecureNode(core.Options{Seed: 3, Manifest: idleManifest, Scheduler: core.SchedulerLinux})
@@ -106,7 +106,7 @@ func newIdleRig(t *testing.T, eager bool, pre []idlePre) *idleRig {
 	return &idleRig{n: n, k: n.LinuxPrimary, job: job}
 }
 
-// idlePre is a stray SGI armed before boot.
+// idlePre is a stray SGI armed at time 0.
 type idlePre struct {
 	at   sim.Time
 	core int
@@ -185,7 +185,7 @@ func idleScript(seed uint64, costs machine.Costs, p linuxos.Params) ([]idlePre, 
 			return sim.Duration(rng.Intn(int(period/sim.Nanosecond))) * sim.Nanosecond
 		}
 	}
-	// The SGIs armed before boot land exactly on skipped events: a tick,
+	// The SGIs armed at time 0 land exactly on skipped events: a tick,
 	// a trap end or a tick end.
 	var pre []idlePre
 	for range 24 {
@@ -255,7 +255,7 @@ func (r *idleRig) apply(t *testing.T, i int, s idleStep, snap *sim.State) {
 // TestPropIdleTicksMatchEager: a random script of SGIs, device SPIs,
 // VCPUReady wakes, Spawns, metrics reads, node snapshots and restores,
 // at instants on tick boundaries and inside EL2 trap and tick slices,
-// with Run boundaries in between and SGIs from events armed before boot,
+// with Run boundaries in between and SGIs from events armed at time 0,
 // leaves the lazy node exactly where the eager one is after every step.
 func TestPropIdleTicksMatchEager(t *testing.T) {
 	check := func(seed uint64) bool {

@@ -176,12 +176,15 @@ func (p *CFSPolicy) Snapshot() sim.State {
 	return s
 }
 
-// Restore reinstalls a snapshot taken on this policy.
+// Restore reinstalls a snapshot taken on this policy. A node snapshot
+// settles every lazy core first, so the restored policy holds no run of
+// skipped ticks.
 func (p *CFSPolicy) Restore(st sim.State) {
 	s, ok := st.(*cfsPolState)
 	if !ok {
 		panic(fmt.Sprintf("kernel: CFSPolicy.Restore of foreign state %T", st))
 	}
+	clear(p.idle)
 	copy(p.tickAt, s.tickAt)
 	for i := range p.wakes {
 		p.wakes[i] = append(p.wakes[i][:0], s.wakes[i]...)

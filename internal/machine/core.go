@@ -335,7 +335,6 @@ func (c *Core) settle() {
 // interrupts are masked or the current activity is uninterruptible, in
 // which case it is held until the mask drops.
 func (c *Core) AssertIRQ() {
-	c.Touch()
 	if c.irqMasked || (c.cur != nil && c.cur.Uninterruptible) {
 		c.pendingAssert = true
 		return
@@ -344,6 +343,15 @@ func (c *Core) AssertIRQ() {
 }
 
 func (c *Core) deliver() {
+	if c.lazy != nil {
+		// A lazy core is idle and unmasked, so each interrupt reaches it
+		// here; settled, it may be inside a slice that holds the IRQ.
+		c.Touch()
+		if c.irqMasked || (c.cur != nil && c.cur.Uninterruptible) {
+			c.pendingAssert = true
+			return
+		}
+	}
 	if c.dispatcher == nil {
 		c.pendingAssert = true
 		return
